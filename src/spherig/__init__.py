@@ -6,8 +6,6 @@ from .complexes import (
     intersection,
     join,
     prime_factors,
-    stacked_ball,
-    suspension,
 )
 from .graphs import Graph, complete_graph, cone_graph, graph_of, union
 from .rigidity import (
@@ -21,7 +19,6 @@ from .rigidity import (
     random_embedding,
     rank_mod,
     rigidity_target,
-    stress_space_dim,
 )
 from .certificates import (
     Certificate,
@@ -59,6 +56,6 @@ from .harness import (
     verify_negative_control,
     verify_star_rigidity,
 )
-from .textio import format_facets, format_graph, parse_facets, parse_graph
+from .textio import format_facets, parse_facets
 
 __version__ = "0.1.0"

@@ -2,11 +2,11 @@
 
 A Certificate asserts "this graph is generically d-rigid" and justifies it
 by one rule: a direct rank test (RankLeaf), completeness (CompleteLeaf), or
-one of the composition rules Cone, Gluing, Replacement, GluingVariant whose
-children certify the ingredient graphs.  check() walks the tree, validating
-at each node that the claim graph really is the one the rule builds from
-its children and that the rule's side conditions hold; only leaves ever
-touch the rank engine.  The composition rules themselves are trusted.
+one of the composition rules Cone, Gluing and Replacement, whose children
+certify the ingredient graphs.  check() walks the tree, validating at each
+node that the claim graph really is the one the rule builds from its
+children and that the rule's side conditions hold; only leaves ever touch
+the rank engine.  The composition rules themselves are trusted.
 
 Malformed trees (wrong child counts, missing rule data, claim graph not
 matching the construction) raise CertificateError with the node path;
@@ -22,7 +22,7 @@ from .complexes import SimplicialComplex
 from .graphs import Graph, complete_graph, cone_graph, graph_of, union
 from .rigidity import DEFAULT_TRIALS, decide_rigidity, derive_seed
 
-RULES = ("RankLeaf", "CompleteLeaf", "Cone", "Gluing", "Replacement", "GluingVariant")
+RULES = ("RankLeaf", "CompleteLeaf", "Cone", "Gluing", "Replacement")
 
 
 class CertificateError(Exception):
@@ -37,9 +37,9 @@ class CertificateError(Exception):
 class Certificate:
     """One node of a rigidity proof tree.
 
-    rule_data lives in the optional fields: apex (Cone), subset (Replacement's
-    U), edge (GluingVariant's {a,b}).  Children appear in rule order, e.g.
-    Replacement expects [restriction certificate, completed-graph certificate].
+    rule_data lives in the optional fields: apex (Cone) and subset
+    (Replacement's U).  Children appear in rule order, e.g. Replacement
+    expects [restriction certificate, completed-graph certificate].
     """
 
     graph: Graph
@@ -48,7 +48,6 @@ class Certificate:
     children: tuple["Certificate", ...] = ()
     apex: int | None = None
     subset: frozenset[int] | None = None
-    edge: frozenset[int] | None = None
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -95,7 +94,7 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
     if node.rule in ("RankLeaf", "CompleteLeaf"):
         if node.children:
             fail(f"{node.rule} takes no children")
-        if node.apex is not None or node.subset is not None or node.edge is not None:
+        if node.apex is not None or node.subset is not None:
             fail(f"{node.rule} takes no rule data")
         if node.rule == "CompleteLeaf":
             n = len(node.graph.vertices)
@@ -143,27 +142,6 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
             fail("first child's graph is not a subgraph of the claim restricted to U")
         if completed.graph != union(node.graph, complete_graph(subset)):
             fail("second child must claim the claim graph with U completed")
-        ok = recurse()
-    elif node.rule == "GluingVariant":
-        if len(node.children) != 2:
-            fail("GluingVariant takes exactly two children")
-        if node.edge is None or len(node.edge) != 2:
-            fail("GluingVariant needs the edge {a,b}")
-        if any(ch.d != d for ch in node.children):
-            fail("GluingVariant children must claim the same dimension")
-        g1 = node.children[0].graph
-        augmented = node.children[1].graph
-        if node.edge not in augmented.edges:
-            fail("second child's graph must contain the edge {a,b}")
-        a, b = sorted(node.edge)
-        g2 = augmented.remove_edge(a, b)
-        if node.graph != union(g1, g2):
-            fail("claim graph is not the union of the two glued graphs")
-        shared = g1.vertices & g2.vertices
-        if len(shared) < d or not node.edge <= shared:
-            return False
-        if g1.restrict(shared) != g2.restrict(shared):
-            return False
         ok = recurse()
     else:  # pragma: no cover - __post_init__ rejects unknown rules
         fail(f"unknown rule {node.rule}")
@@ -237,99 +215,3 @@ def certify_missing_face_edge(
         children=(star_cert, completed),
         subset=frozenset(w),
     )
-
-
-# -- text form ------------------------------------------------------------
-
-
-def _graph_text(g: Graph) -> str:
-    vs = ",".join(str(v) for v in sorted(g.vertices))
-    es = ",".join(f"{a}-{b}" for a, b in g.sorted_edges())
-    return f"{vs};{es}"
-
-
-def _graph_from_text(text: str) -> Graph:
-    vs_part, _, es_part = text.partition(";")
-    vertices = [int(t) for t in vs_part.split(",") if t]
-    edges = []
-    for item in es_part.split(","):
-        if item:
-            a, _, b = item.partition("-")
-            edges.append((int(a), int(b)))
-    return Graph(vertices, edges)
-
-
-def serialize(cert: Certificate, indent: int = 0) -> str:
-    """Nested text form of a certificate: one parenthesized node per line."""
-    pad = "  " * indent
-    parts = [cert.rule, f"d={cert.d}"]
-    if cert.apex is not None:
-        parts.append(f"apex={cert.apex}")
-    if cert.subset is not None:
-        parts.append("U=" + ",".join(str(v) for v in sorted(cert.subset)))
-    if cert.edge is not None:
-        a, b = sorted(cert.edge)
-        parts.append(f"e={a}-{b}")
-    parts.append("graph=" + _graph_text(cert.graph))
-    head = pad + "(" + " ".join(parts)
-    if not cert.children:
-        return head + ")"
-    lines = [head]
-    lines.extend(serialize(ch, indent + 1) for ch in cert.children)
-    return "\n".join(lines) + ")"
-
-
-def parse(text: str) -> Certificate:
-    """Inverse of serialize; whitespace-insensitive."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def node() -> Certificate:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise ValueError("expected '('")
-        pos += 1
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise ValueError("expected a rule name")
-        rule = tokens[pos]
-        pos += 1
-        fields: dict[str, str] = {}
-        children: list[Certificate] = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                children.append(node())
-            else:
-                key, sep, value = tokens[pos].partition("=")
-                if not sep:
-                    raise ValueError(f"bad token {tokens[pos]!r}")
-                fields[key] = value
-                pos += 1
-        if pos >= len(tokens):
-            raise ValueError("unbalanced parentheses")
-        pos += 1
-        if "d" not in fields or "graph" not in fields:
-            raise ValueError(f"node {rule} lacks d= or graph=")
-        apex = int(fields["apex"]) if "apex" in fields else None
-        subset = (
-            frozenset(int(t) for t in fields["U"].split(",") if t)
-            if "U" in fields
-            else None
-        )
-        edge = None
-        if "e" in fields:
-            a, _, b = fields["e"].partition("-")
-            edge = frozenset((int(a), int(b)))
-        return Certificate(
-            graph=_graph_from_text(fields["graph"]),
-            d=int(fields["d"]),
-            rule=rule,
-            children=tuple(children),
-            apex=apex,
-            subset=subset,
-            edge=edge,
-        )
-
-    result = node()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after the root node")
-    return result

@@ -281,21 +281,6 @@ def cone(base: SimplicialComplex, apex: int) -> SimplicialComplex:
     return SimplicialComplex(f | {apex} for f in base.facets)
 
 
-def suspension(
-    base: SimplicialComplex, poles: tuple[int, int] | None = None
-) -> SimplicialComplex:
-    """Join with two fresh poles (defaults to the two labels above the max)."""
-    if poles is None:
-        top = max(base.vertices) if base.vertices else -1
-        poles = (top + 1, top + 2)
-    north, south = poles
-    if north == south or north in base.vertices or south in base.vertices:
-        raise ValueError(f"suspension poles {poles} collide with the base")
-    return SimplicialComplex(
-        [f | {north} for f in base.facets] + [f | {south} for f in base.facets]
-    )
-
-
 def prime_factors(delta: SimplicialComplex, d: int) -> list[SimplicialComplex]:
     """Split a connected sum of (d-1)-spheres into its prime factors.
 
@@ -345,46 +330,3 @@ def prime_factors(delta: SimplicialComplex, d: int) -> list[SimplicialComplex]:
         )
         factors.extend(prime_factors(piece, d))
     return factors
-
-
-def stacked_ball(delta: SimplicialComplex, d: int) -> SimplicialComplex:
-    """The unique d-ball bounded by a stacked (d-1)-sphere on the same vertices.
-
-    Works by reverse stacking: repeatedly find a vertex of degree d, record
-    the d-simplex on its closed neighborhood, then remove the vertex and
-    close the hole with the opposite facet.  Terminates at the boundary of a
-    single d-simplex, which contributes the last ball facet.
-    """
-    if d < 3:
-        raise ValueError("stacked balls are defined for d >= 3")
-    delta._require_pure(d)
-    if delta.g2(d) != 0:
-        raise ValueError("not a stacked sphere: g2 is nonzero")
-    current = delta
-    ball_facets: list[frozenset[int]] = []
-    while len(current.vertices) > d + 1:
-        degrees: dict[int, set[int]] = {v: set() for v in current.vertices}
-        for facet in current.facets:
-            for a, b in combinations(sorted(facet), 2):
-                degrees[a].add(b)
-                degrees[b].add(a)
-        corner = None
-        for v in sorted(current.vertices):
-            if len(degrees[v]) == d:
-                corner = v
-                break
-        if corner is None:
-            raise ValueError("not a stacked sphere: no vertex of degree d")
-        neighborhood = frozenset(degrees[corner])
-        link_facets = {f - {corner} for f in current.facets if corner in f}
-        expected = {neighborhood - {u} for u in neighborhood}
-        if link_facets != expected:
-            raise ValueError("not a stacked sphere: corner link is not a simplex boundary")
-        ball_facets.append(neighborhood | {corner})
-        remaining = [f for f in current.facets if corner not in f]
-        current = SimplicialComplex(remaining + [neighborhood])
-    full = frozenset(current.vertices)
-    if current.facets != frozenset(full - {v} for v in full):
-        raise ValueError("not a stacked sphere: reduction did not end at a simplex boundary")
-    ball_facets.append(full)
-    return SimplicialComplex(ball_facets)

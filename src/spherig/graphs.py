@@ -29,11 +29,6 @@ class Graph:
             norm.add(edge)
         self.edges: frozenset[frozenset[int]] = frozenset(norm)
 
-    def degree(self, v: int) -> int:
-        if v not in self.vertices:
-            raise ValueError(f"vertex {v} not in the graph")
-        return sum(1 for e in self.edges if v in e)
-
     def has_edge(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.edges
 
@@ -47,32 +42,11 @@ class Graph:
             raise ValueError("restriction set is not a subset of the vertices")
         return Graph(keep, (e for e in self.edges if e <= keep))
 
-    def add_edges(self, edges: Iterable[Iterable[int]]) -> "Graph":
-        return Graph(self.vertices, list(self.edges) + [frozenset(e) for e in edges])
-
     def remove_edge(self, a: int, b: int) -> "Graph":
         e = frozenset((a, b))
         if e not in self.edges:
             raise ValueError(f"({a},{b}) is not an edge")
         return Graph(self.vertices, self.edges - {e})
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adjacency: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            a, b = e
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        start = min(self.vertices)
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.vertices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

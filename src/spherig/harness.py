@@ -9,17 +9,20 @@ Six check kinds, each producing per-instance records:
   star_rigidity     star graphs of faces with |sigma| <= d-3 are rigid (certificates)
   g2_stress         left-kernel dimension of the rigidity matrix equals g2
 
-Records carry the sub-seed that reproduces them.  The machine report format
-is one tab-separated line per record (check, instance, verdict, rank,
-target, seed), sorted, so equal configurations give byte-identical output.
+Each check kind is a generator that yields one outcome per instance; one
+runner times the outcomes and turns them into records.  Records carry the
+sub-seed that reproduces them.  The machine report format is one
+tab-separated line per record (check, instance, verdict, rank, target,
+seed), sorted, so equal configurations give byte-identical output.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 from .certificates import certify_missing_face_edge, certify_star_rigidity, check
 from .complexes import SimplicialComplex, intersection
@@ -117,16 +120,61 @@ def face_label(face: Iterable[int]) -> str:
     return "-".join(str(v) for v in ordered) if ordered else "empty"
 
 
-# -- individual checks ----------------------------------------------------
+# -- check kinds ----------------------------------------------------------
 
 
+class _Outcome(NamedTuple):
+    """One checked instance, as a check kind yields it."""
+
+    instance: str
+    verdict: str
+    rank: int | None = None
+    target: int | None = None
+    seed: int = 0
+    note: str = ""
+
+
+def _ranked(instance: str, rank: int, target: int, seed: int) -> _Outcome:
+    """An outcome that passes exactly when the rank meets its target."""
+    return _Outcome(instance, PASS if rank == target else FAIL, rank, target, seed)
+
+
+def _run(kind: str, outcomes: Iterator[_Outcome]) -> Report:
+    """Record each outcome with the time the check kind took to produce it."""
+    report = Report()
+    t0 = time.perf_counter()
+    for o in outcomes:
+        elapsed = time.perf_counter() - t0
+        report.add(
+            CheckRecord(kind, o.instance, o.verdict, o.rank, o.target, o.seed, elapsed, o.note)
+        )
+        t0 = time.perf_counter()
+    return report
+
+
+def _check_kind(kind: str):
+    """Make a generator of outcomes into a verify function: it takes the
+    generator's arguments and returns the Report of the outcomes."""
+
+    def decorate(outcomes):
+        @functools.wraps(outcomes)
+        def verify(*args, **kwargs) -> Report:
+            return _run(kind, outcomes(*args, **kwargs))
+
+        return verify
+
+    return decorate
+
+
+@_check_kind("minus_edge")
 def verify_minus_edge(
     delta: SimplicialComplex,
     d: int,
+    *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
-) -> Report:
+) -> Iterator[_Outcome]:
     """Every single-edge deletion must leave the graph d-rigid.
 
     Applies only to prime spheres with positive g2; inputs failing either
@@ -134,123 +182,89 @@ def verify_minus_edge(
     """
     if d < 4:
         raise ValueError("minus-edge verification needs d >= 4")
-    report = Report()
     if not delta.is_prime(d):
-        report.add(CheckRecord("minus_edge", name, SKIP, seed=seed, note="not prime"))
-        return report
+        yield _Outcome(name, SKIP, seed=seed, note="not prime")
+        return
     if delta.g2(d) <= 0:
-        report.add(CheckRecord("minus_edge", name, SKIP, seed=seed, note="g2 = 0"))
-        return report
+        yield _Outcome(name, SKIP, seed=seed, note="g2 = 0")
+        return
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     for a, b in graph.sorted_edges():
         sub = derive_seed(seed, "minus-edge", name, a, b)
-        t0 = time.perf_counter()
-        verdict = decide_rigidity(graph.remove_edge(a, b), d, trials, sub)
-        report.add(
-            CheckRecord(
-                "minus_edge",
-                f"{name}:e={a}-{b}",
-                PASS if verdict.rank == target else FAIL,
-                rank=verdict.rank,
-                target=target,
-                seed=sub,
-                elapsed=time.perf_counter() - t0,
-            )
-        )
-    return report
+        rank = decide_rigidity(graph.remove_edge(a, b), d, trials, sub).rank
+        yield _ranked(f"{name}:e={a}-{b}", rank, target, sub)
 
 
+@_check_kind("negative_control")
 def verify_negative_control(
     gamma: SimplicialComplex,
     d: int,
-    seed: int = 0,
+    *,
     trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
     name: str = "control",
-) -> Report:
+) -> Iterator[_Outcome]:
     """Stack over a facet, then delete an edge at the new vertex: rank must
     fall short of the rigid target by exactly one."""
     if d != gamma.dim + 1:
         raise ValueError(f"expected d = dim + 1 = {gamma.dim + 1}, got {d}")
     facet = sorted(gamma.sorted_facets()[0])
     v_new = max(gamma.vertices) + 1
-    delta = stack_over_facet(gamma, facet, v_new)
-    graph = graph_of(delta)
+    graph = graph_of(stack_over_facet(gamma, facet, v_new))
     expected = rigidity_target(len(graph.vertices), d) - 1
-    report = Report()
     for u in facet:
         sub = derive_seed(seed, "negative-control", name, u, v_new)
-        t0 = time.perf_counter()
-        verdict = decide_rigidity(graph.remove_edge(u, v_new), d, trials, sub)
-        report.add(
-            CheckRecord(
-                "negative_control",
-                f"{name}:e={u}-{v_new}",
-                PASS if verdict.rank == expected else FAIL,
-                rank=verdict.rank,
-                target=expected,
-                seed=sub,
-                elapsed=time.perf_counter() - t0,
-            )
-        )
-    return report
+        rank = decide_rigidity(graph.remove_edge(u, v_new), d, trials, sub).rank
+        yield _ranked(f"{name}:e={u}-{v_new}", rank, expected, sub)
 
 
+@_check_kind("missing_face")
 def verify_missing_face_lemma(
     delta: SimplicialComplex,
     d: int,
+    *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
-) -> Report:
+) -> Iterator[_Outcome]:
     """Edges inside missing faces of dimension 2..d-2: the graph minus the
     edge must be engine-rigid AND admit a passing Replacement certificate."""
     if d < 4:
         raise ValueError("missing-face verification needs d >= 4")
-    report = Report()
     qualifying = [f for f in delta.missing_faces() if 2 <= len(f) - 1 <= d - 2]
     if not qualifying:
-        report.add(
-            CheckRecord(
-                "missing_face",
-                f"{name}:vacuous",
-                PASS,
-                seed=seed,
-                note="no missing faces of dimension 2..d-2",
-            )
+        yield _Outcome(
+            f"{name}:vacuous", PASS, seed=seed, note="no missing faces of dimension 2..d-2"
         )
-        return report
+        return
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     for sigma in qualifying:
+        label = face_label(sigma)
         for a, b in combinations(sorted(sigma), 2):
-            sub = derive_seed(seed, "missing-face", name, face_label(sigma), a, b)
-            t0 = time.perf_counter()
-            verdict = decide_rigidity(graph.remove_edge(a, b), d, trials, sub)
-            cert = certify_missing_face_edge(delta, sigma, (a, b), d)
-            cert_ok = check(cert, trials, sub)
-            report.add(
-                CheckRecord(
-                    "missing_face",
-                    f"{name}:s={face_label(sigma)}:e={a}-{b}",
-                    PASS if (verdict.rank == target and cert_ok) else FAIL,
-                    rank=verdict.rank,
-                    target=target,
-                    seed=sub,
-                    elapsed=time.perf_counter() - t0,
-                    note="" if cert_ok else "certificate rejected",
-                )
+            sub = derive_seed(seed, "missing-face", name, label, a, b)
+            rank = decide_rigidity(graph.remove_edge(a, b), d, trials, sub).rank
+            cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b), d), trials, sub)
+            yield _Outcome(
+                f"{name}:s={label}:e={a}-{b}",
+                PASS if (rank == target and cert_ok) else FAIL,
+                rank,
+                target,
+                sub,
+                "" if cert_ok else "certificate rejected",
             )
-    return report
 
 
+@_check_kind("contraction")
 def verify_contraction_reduction(
     delta: SimplicialComplex,
     e: Iterable[int],
-    seed: int = 0,
+    *,
     trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
     name: str = "complex",
-) -> Report:
+) -> Iterator[_Outcome]:
     """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
     contraction)) + 4, checked at a degenerate embedding that merges the
     endpoints and again at independent generic points.
@@ -263,21 +277,15 @@ def verify_contraction_reduction(
     edge = frozenset(e)
     a, b = sorted(edge)
     base = f"{name}:e={a}-{b}"
-    report = Report()
     link_e = delta.link(edge)
     if len(link_e.vertices) < 4:
-        report.add(
-            CheckRecord("contraction", base, SKIP, seed=seed, note="link has < 4 vertices")
-        )
-        return report
+        yield _Outcome(base, SKIP, seed=seed, note="link has < 4 vertices")
+        return
     if intersection(delta.link([a]), delta.link([b])) != link_e:
-        report.add(
-            CheckRecord(
-                "contraction", base, SKIP, seed=seed,
-                note="link(e) != link(a) * link(b) intersection",
-            )
+        yield _Outcome(
+            base, SKIP, seed=seed, note="link(e) != link(a) * link(b) intersection"
         )
-        return report
+        return
     v_new = max(delta.vertices) + 1
     contracted = delta.contract_edge(edge, v_new)
     g_minus = graph_of(delta).remove_edge(a, b)
@@ -286,7 +294,6 @@ def verify_contraction_reduction(
 
     # degenerate point: both endpoints at the same random location, and the
     # merged vertex of the contraction placed right there
-    t0 = time.perf_counter()
     phi = random_embedding(g_minus, 4, derive_seed(sub, "degenerate"))
     shared = phi.coords[a]
     coords = dict(phi.coords)
@@ -295,95 +302,52 @@ def verify_contraction_reduction(
     down_coords[v_new] = shared
     lhs = RigidityMatrix(g_minus, Embedding(4, coords)).rank()
     rhs = RigidityMatrix(g_down, Embedding(4, down_coords)).rank()
-    report.add(
-        CheckRecord(
-            "contraction",
-            f"{base}:degenerate",
-            PASS if lhs == rhs + 4 else FAIL,
-            rank=lhs,
-            target=rhs + 4,
-            seed=sub,
-            elapsed=time.perf_counter() - t0,
-        )
-    )
+    yield _ranked(f"{base}:degenerate", lhs, rhs + 4, sub)
 
-    t0 = time.perf_counter()
     lhs_gen = decide_rigidity(g_minus, 4, trials, derive_seed(sub, "generic-minus")).rank
     rhs_gen = decide_rigidity(g_down, 4, trials, derive_seed(sub, "generic-down")).rank
-    report.add(
-        CheckRecord(
-            "contraction",
-            f"{base}:generic",
-            PASS if lhs_gen == rhs_gen + 4 else FAIL,
-            rank=lhs_gen,
-            target=rhs_gen + 4,
-            seed=sub,
-            elapsed=time.perf_counter() - t0,
-        )
-    )
-    return report
+    yield _ranked(f"{base}:generic", lhs_gen, rhs_gen + 4, sub)
 
 
+@_check_kind("star_rigidity")
 def verify_star_rigidity(
     delta: SimplicialComplex,
     d: int,
+    *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
-) -> Report:
+) -> Iterator[_Outcome]:
     """Certificates for the stars of all faces with |sigma| <= d-3 must pass."""
     if d != delta.dim + 1:
         raise ValueError(f"expected d = dim + 1 = {delta.dim + 1}, got {d}")
     if d < 4:
         raise ValueError("star verification needs d >= 4")
-    report = Report()
     faces: list[frozenset[int]] = [frozenset()]
     for size in range(1, d - 2):
         faces.extend(sorted(delta.faces_of_dim(size - 1), key=sorted))
     for face in faces:
-        sub = derive_seed(seed, "star", name, face_label(face))
-        t0 = time.perf_counter()
-        cert = certify_star_rigidity(delta, face, d)
-        ok = check(cert, trials, sub)
-        report.add(
-            CheckRecord(
-                "star_rigidity",
-                f"{name}:s={face_label(face)}",
-                PASS if ok else FAIL,
-                seed=sub,
-                elapsed=time.perf_counter() - t0,
-            )
-        )
-    return report
+        label = face_label(face)
+        sub = derive_seed(seed, "star", name, label)
+        ok = check(certify_star_rigidity(delta, face, d), trials, sub)
+        yield _Outcome(f"{name}:s={label}", PASS if ok else FAIL, seed=sub)
 
 
+@_check_kind("g2_stress")
 def verify_g2_stress(
     delta: SimplicialComplex,
     d: int,
+    *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
-) -> Report:
+) -> Iterator[_Outcome]:
     """The stress space dimension (edges minus rank) must equal g2."""
     if d != delta.dim + 1:
         raise ValueError(f"expected d = dim + 1 = {delta.dim + 1}, got {d}")
     sub = derive_seed(seed, "g2-stress", name)
-    t0 = time.perf_counter()
-    verdict = decide_rigidity(graph_of(delta), d, trials, sub)
-    g2 = delta.g2(d)
-    report = Report()
-    report.add(
-        CheckRecord(
-            "g2_stress",
-            name,
-            PASS if verdict.stress_dim == g2 else FAIL,
-            rank=verdict.stress_dim,
-            target=g2,
-            seed=sub,
-            elapsed=time.perf_counter() - t0,
-        )
-    )
-    return report
+    stress_dim = decide_rigidity(graph_of(delta), d, trials, sub).stress_dim
+    yield _ranked(name, stress_dim, delta.g2(d), sub)
 
 
 # -- corpus and suite -----------------------------------------------------
@@ -394,29 +358,6 @@ class CorpusEntry:
     name: str
     complex: SimplicialComplex
     d: int
-    expected: dict
-
-    def validate(self) -> None:
-        """Recompute the expected invariants; raise on any mismatch."""
-        actual = {
-            "prime": self.complex.is_prime(self.d),
-            "g2": self.complex.g2(self.d),
-        }
-        actual["stacked"] = actual["g2"] == 0 if self.d >= 4 else None
-        if actual != self.expected:
-            raise ValueError(
-                f"corpus entry {self.name}: stored {self.expected}, recomputed {actual}"
-            )
-
-
-def _entry(name: str, delta: SimplicialComplex, d: int) -> CorpusEntry:
-    g2 = delta.g2(d)
-    expected = {
-        "prime": delta.is_prime(d),
-        "g2": g2,
-        "stacked": g2 == 0 if d >= 4 else None,
-    }
-    return CorpusEntry(name, delta, d, expected)
 
 
 FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks", "negative-control")
@@ -470,29 +411,29 @@ def build_corpus(families: Iterable[str], dims: Iterable[int], seed: int) -> lis
             continue  # handled by run_suite, not a corpus of spheres to sweep
         for d in dims:
             if family == "simplex":
-                entries.append(_entry(f"simplex-d{d}", boundary_simplex(d), d))
+                entries.append(CorpusEntry(f"simplex-d{d}", boundary_simplex(d), d))
             elif family == "cross-polytope":
-                entries.append(_entry(f"cross-d{d}", cross_polytope(d), d))
+                entries.append(CorpusEntry(f"cross-d{d}", cross_polytope(d), d))
             elif family == "joins":
                 for p in range(2, d // 2 + 1):
                     entries.append(
-                        _entry(f"join-spheres-{p}-{d - p}", join_spheres(p, d - p), d)
+                        CorpusEntry(f"join-spheres-{p}-{d - p}", join_spheres(p, d - p), d)
                     )
                 for k in (4, 5, 6):
                     entries.append(
-                        _entry(f"join-cycle-d{d}-k{k}", join_simplex_cycle(d, k), d)
+                        CorpusEntry(f"join-cycle-d{d}-k{k}", join_simplex_cycle(d, k), d)
                     )
             elif family == "cyclic":
                 for n in (d + 2, d + 3):
                     entries.append(
-                        _entry(f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d), d)
+                        CorpusEntry(f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d), d)
                     )
             elif family == "flip-walks":
                 if d != 4:
                     continue
                 walk = flip_walk_corpus(derive_seed(seed, "corpus-walk"))
                 entries.extend(
-                    _entry(f"flip-walk-{i}", delta, 4) for i, delta in enumerate(walk)
+                    CorpusEntry(f"flip-walk-{i}", delta, 4) for i, delta in enumerate(walk)
                 )
     return entries
 
@@ -504,6 +445,21 @@ class SuiteConfig:
     trials: int = DEFAULT_TRIALS
     seed: int = 0
 
+    def __post_init__(self):
+        # reject a configuration that checks nothing or cannot run before
+        # any corpus is built
+        if not self.families:
+            raise ValueError("families lists no family")
+        for family in self.families:
+            if family not in FAMILIES:
+                raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+        if not self.dims:
+            raise ValueError("dims selects no dimension")
+        if any(d < 4 for d in self.dims):
+            raise ValueError("suite dimensions must be >= 4")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+
     @classmethod
     def from_file(cls, path: str, base: "SuiteConfig | None" = None) -> "SuiteConfig":
         with open(path) as fh:
@@ -511,7 +467,9 @@ class SuiteConfig:
 
     @classmethod
     def from_text(cls, text: str, base: "SuiteConfig | None" = None) -> "SuiteConfig":
-        config = base if base is not None else cls()
+        """A new config: base (the defaults when None) overlaid with the
+        text's key=value lines.  base itself is left unchanged."""
+        values: dict[str, object] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -521,55 +479,39 @@ class SuiteConfig:
                 raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
             key, value = key.strip(), value.strip()
             if key == "families":
-                config.families = tuple(t.strip() for t in value.split(",") if t.strip())
+                values["families"] = tuple(t.strip() for t in value.split(",") if t.strip())
             elif key == "dims":
                 if ".." in value:
                     lo, hi = value.split("..")
-                    config.dims = tuple(range(int(lo), int(hi) + 1))
+                    values["dims"] = tuple(range(int(lo), int(hi) + 1))
                 else:
-                    config.dims = tuple(int(t) for t in value.split(",") if t.strip())
-            elif key == "trials":
-                config.trials = int(value)
-            elif key == "seed":
-                config.seed = int(value)
+                    values["dims"] = tuple(int(t) for t in value.split(",") if t.strip())
+            elif key in ("trials", "seed"):
+                values[key] = int(value)
             else:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        for family in config.families:
-            if family not in FAMILIES:
-                raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-        if any(d < 4 for d in config.dims):
-            raise ValueError("suite dimensions must be >= 4")
-        return config
+        return replace(base if base is not None else cls(), **values)
 
 
 def run_suite(config: SuiteConfig) -> Report:
     """Run every applicable check over the configured corpus."""
     corpus = build_corpus(config.families, config.dims, config.seed)
-    for entry in corpus:
-        entry.validate()
-    trials, seed = config.trials, config.seed
     report = Report()
     for entry in corpus:
-        base = derive_seed(seed, entry.name)
-        report.extend(
-            verify_minus_edge(entry.complex, entry.d, trials, base, name=entry.name)
+        delta, d = entry.complex, entry.d
+        options = dict(
+            trials=config.trials, seed=derive_seed(config.seed, entry.name), name=entry.name
         )
-        report.extend(
-            verify_missing_face_lemma(entry.complex, entry.d, trials, base, name=entry.name)
-        )
-        report.extend(
-            verify_star_rigidity(entry.complex, entry.d, trials, base, name=entry.name)
-        )
-        report.extend(
-            verify_g2_stress(entry.complex, entry.d, trials, base, name=entry.name)
-        )
-        if entry.d == 4:
-            for edge in graph_of(entry.complex).sorted_edges():
-                report.extend(
-                    verify_contraction_reduction(
-                        entry.complex, edge, base, trials, name=entry.name
-                    )
-                )
+        for verify in (
+            verify_minus_edge,
+            verify_missing_face_lemma,
+            verify_star_rigidity,
+            verify_g2_stress,
+        ):
+            report.extend(verify(delta, d, **options))
+        if d == 4:
+            for edge in graph_of(delta).sorted_edges():
+                report.extend(verify_contraction_reduction(delta, edge, **options))
     if "negative-control" in config.families:
         for d in config.dims:
             for label, gamma in (
@@ -578,7 +520,11 @@ def run_suite(config: SuiteConfig) -> Report:
             ):
                 report.extend(
                     verify_negative_control(
-                        gamma, d, derive_seed(seed, label), trials, name=label
+                        gamma,
+                        d,
+                        trials=config.trials,
+                        seed=derive_seed(config.seed, label),
+                        name=label,
                     )
                 )
     return report

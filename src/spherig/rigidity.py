@@ -19,7 +19,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
 
 from .graphs import Graph
 
@@ -39,11 +38,10 @@ def derive_seed(seed: int, *labels: object) -> int:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Assignment of d field coordinates to each vertex."""
+    """Assignment of d coordinates in F_p, p = DEFAULT_PRIME, to each vertex."""
 
     d: int
     coords: dict[int, tuple[int, ...]]
-    p: int = DEFAULT_PRIME
 
     def __post_init__(self):
         if self.d < 1:
@@ -53,17 +51,16 @@ class Embedding:
                 raise ValueError(f"vertex {v} has {len(point)} coordinates, expected {self.d}")
 
 
-def random_embedding(
-    graph: Graph, d: int, seed: int, p: int = DEFAULT_PRIME
-) -> Embedding:
+def random_embedding(graph: Graph, d: int, seed: int) -> Embedding:
     """Uniform random embedding of the graph's vertices; seed-deterministic."""
     if d < 1:
         raise ValueError("embedding dimension must be >= 1")
     rng = random.Random(derive_seed(seed, "embedding", d))
     coords = {
-        v: tuple(rng.randrange(p) for _ in range(d)) for v in sorted(graph.vertices)
+        v: tuple(rng.randrange(DEFAULT_PRIME) for _ in range(d))
+        for v in sorted(graph.vertices)
     }
-    return Embedding(d, coords, p)
+    return Embedding(d, coords)
 
 
 class RigidityMatrix:
@@ -80,12 +77,11 @@ class RigidityMatrix:
             raise ValueError(f"embedding lacks coordinates for vertices {sorted(missing)}")
         self.graph = graph
         self.embedding = embedding
-        self.p = embedding.p
         self.d = embedding.d
         self.vertex_order: list[int] = sorted(graph.vertices)
         self.edge_order: list[tuple[int, int]] = graph.sorted_edges()
         col_of = {v: i * self.d for i, v in enumerate(self.vertex_order)}
-        p, d = self.p, self.d
+        p, d = DEFAULT_PRIME, self.d
         ncols = d * len(self.vertex_order)
         rows: list[list[int]] = []
         for u, v in self.edge_order:
@@ -104,7 +100,7 @@ class RigidityMatrix:
         return len(self.rows), self.d * len(self.vertex_order)
 
     def rank(self) -> int:
-        return rank_mod(self.rows, self.p)
+        return rank_mod(self.rows)
 
 
 def rank_mod(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
@@ -154,7 +150,6 @@ def decide_rigidity(
     d: int,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
-    p: int = DEFAULT_PRIME,
 ) -> RigidityVerdict:
     """Randomized generic-rigidity decision for a graph in dimension d.
 
@@ -179,7 +174,7 @@ def decide_rigidity(
     best = 0
     cap = min(f1, target)
     for t in range(trials):
-        phi = random_embedding(graph, d, derive_seed(seed, "trial", t), p)
+        phi = random_embedding(graph, d, derive_seed(seed, "trial", t))
         best = max(best, RigidityMatrix(graph, phi).rank())
         if best == cap:
             break
@@ -194,14 +189,3 @@ def decide_rigidity(
         trials=trials,
         stress_dim=f1 - best,
     )
-
-
-def stress_space_dim(
-    graph: Graph,
-    d: int,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> int:
-    """Dimension of the left kernel of the rigidity matrix (edge count minus rank)."""
-    return decide_rigidity(graph, d, trials, seed, p).stress_dim

@@ -1,15 +1,12 @@
-"""Line-oriented text formats for complexes and graphs.
+"""Line-oriented text format for complexes.
 
 Facet lists: one facet per line, whitespace-separated integer labels.
-Lines starting with '#' are comments; blank lines are ignored.  The graph
-format mirrors it with one edge per line; a line with a single label is an
-isolated vertex.
+Lines starting with '#' are comments; blank lines are ignored.
 """
 
 from __future__ import annotations
 
 from .complexes import SimplicialComplex
-from .graphs import Graph
 
 
 def _data_lines(text: str) -> list[list[int]]:
@@ -34,27 +31,3 @@ def parse_facets(text: str) -> SimplicialComplex:
 
 def format_facets(delta: SimplicialComplex) -> str:
     return "\n".join(" ".join(str(v) for v in f) for f in delta.sorted_facets()) + "\n"
-
-
-def parse_graph(text: str) -> Graph:
-    rows = _data_lines(text)
-    vertices: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) == 1:
-            vertices.add(row[0])
-        elif len(row) == 2:
-            vertices.update(row)
-            edges.append((row[0], row[1]))
-        else:
-            raise ValueError(f"edge lines take 1 or 2 labels, got {len(row)}")
-    if not vertices:
-        raise ValueError("no vertices in input")
-    return Graph(vertices, edges)
-
-
-def format_graph(graph: Graph) -> str:
-    lines = [f"{a} {b}" for a, b in graph.sorted_edges()]
-    covered = {v for e in graph.edges for v in e}
-    lines.extend(str(v) for v in sorted(graph.vertices - covered))
-    return "\n".join(lines) + "\n"

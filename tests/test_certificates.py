@@ -10,8 +10,6 @@ from spherig.certificates import (
     certify_missing_face_edge,
     certify_star_rigidity,
     check,
-    parse,
-    serialize,
 )
 from spherig.graphs import Graph, complete_graph, cone_graph, graph_of, union
 from spherig.rigidity import decide_rigidity
@@ -238,54 +236,6 @@ class TestReplacement:
             check(cert)
 
 
-class TestGluingVariant:
-    def build(self, g1: Graph, augmented: Graph, claim: Graph, d: int, edge):
-        return Certificate(
-            graph=claim,
-            d=d,
-            rule="GluingVariant",
-            children=(leaf(g1, d), leaf(augmented, d)),
-            edge=frozenset(edge),
-        )
-
-    def pieces(self):
-        g1 = complete_graph(range(1, 7)).remove_edge(3, 4)
-        augmented = complete_graph(range(3, 9))
-        g2 = augmented.remove_edge(3, 4)
-        return g1, augmented, union(g1, g2)
-
-    def test_valid_gluing_accepted(self):
-        g1, augmented, claim = self.pieces()
-        assert check(self.build(g1, augmented, claim, 4, (3, 4)))
-
-    def test_small_overlap_rejected(self):
-        g1 = complete_graph(range(1, 7)).remove_edge(4, 5)
-        augmented = complete_graph(range(4, 10))
-        g2 = augmented.remove_edge(4, 5)
-        cert = self.build(g1, augmented, union(g1, g2), 4, (4, 5))
-        assert not check(cert)
-
-    def test_edge_outside_overlap_rejected(self):
-        g1 = complete_graph(range(1, 7))
-        augmented = complete_graph(range(3, 9))
-        g2 = augmented.remove_edge(7, 8)
-        cert = self.build(g1, augmented, union(g1, g2), 4, (7, 8))
-        assert not check(cert)
-
-    def test_mismatched_restrictions_rejected(self):
-        g1 = complete_graph(range(1, 7))  # has the edge {3,4}, the other side does not
-        augmented = complete_graph(range(3, 9))
-        g2 = augmented.remove_edge(3, 4)
-        cert = self.build(g1, augmented, union(g1, g2), 4, (3, 4))
-        assert not check(cert)
-
-    def test_edge_must_be_in_second_child(self):
-        g1, augmented, claim = self.pieces()
-        cert = self.build(g1, augmented.remove_edge(3, 4), claim, 4, (3, 4))
-        with pytest.raises(CertificateError, match="contain the edge"):
-            check(cert)
-
-
 class TestStarCertificates:
     def test_empty_face_gives_bare_rank_leaf(self):
         delta = sp.cross_polytope(4)
@@ -355,43 +305,3 @@ class TestMissingFaceCertificates:
     def test_edge_outside_face_rejected(self):
         with pytest.raises(ValueError, match="edge inside"):
             certify_missing_face_edge(sp.join_spheres(2, 3), (1, 2, 3), (4, 5), 5)
-
-
-class TestTextForm:
-    def test_round_trip_star_certificate(self):
-        cert = certify_star_rigidity(sp.cross_polytope(5), (1, 3), 5)
-        assert parse(serialize(cert)) == cert
-
-    def test_round_trip_replacement_certificate(self):
-        cert = certify_missing_face_edge(sp.join_spheres(2, 3), (1, 2, 3), (1, 2), 5)
-        assert parse(serialize(cert)) == cert
-
-    def test_exact_text_of_a_small_tree(self):
-        base = complete_graph(range(1, 4))
-        cert = Certificate(
-            graph=cone_graph(base, 4),
-            d=3,
-            rule="Cone",
-            children=(leaf(base, 2),),
-            apex=4,
-        )
-        assert serialize(cert) == (
-            "(Cone d=3 apex=4 graph=1,2,3,4;1-2,1-3,1-4,2-3,2-4,3-4\n"
-            "  (RankLeaf d=2 graph=1,2,3;1-2,1-3,2-3))"
-        )
-
-    def test_parse_checks_balance(self):
-        with pytest.raises(ValueError, match="unbalanced"):
-            parse("(RankLeaf d=3 graph=1,2;1-2")
-
-    def test_parse_rejects_trailing_tokens(self):
-        with pytest.raises(ValueError, match="trailing"):
-            parse("(RankLeaf d=3 graph=1,2;1-2) junk")
-
-    def test_parse_requires_graph_field(self):
-        with pytest.raises(ValueError, match="lacks"):
-            parse("(RankLeaf d=3)")
-
-    def test_parsed_certificate_still_checks(self):
-        cert = certify_missing_face_edge(sp.join_spheres(2, 3), (1, 2, 3), (1, 3), 5)
-        assert check(parse(serialize(cert)))

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +176,34 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--config", str(cfg))
         assert code == 2
         assert "unknown family" in err
+
+    @pytest.mark.parametrize(
+        "line", ["dims = 4..3", "dims =", "families =", "trials = 0"]
+    )
+    def test_config_that_checks_nothing_is_error_2(self, capsys, monkeypatch, tmp_path, line):
+        def no_suite(config):
+            raise AssertionError("the suite ran on a rejected config")
+
+        monkeypatch.setattr("spherig.cli.run_suite", no_suite)
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(self.CONFIG + line + "\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_machine_output_is_identical_across_processes(self, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(self.CONFIG)
+        src = str(Path(sp.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "spherig.cli", "verify", "--config", str(cfg),
+                 "--machine", "-"],
+                env=env, stdout=subprocess.PIPE, timeout=120, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 91
+        assert outputs[0] == outputs[1]

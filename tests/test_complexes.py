@@ -273,13 +273,6 @@ class TestJoinConeSuspension:
         assert wheel.f_vector() == (1, 6, 10, 5)
         assert wheel.link((9,)) == sp.cycle_complex(list(range(1, 6)))
 
-    def test_suspension_of_octahedron_is_cross_4(self):
-        assert sp.suspension(octahedron()) == sp.cross_polytope(4)
-
-    def test_suspension_pole_collision_rejected(self):
-        with pytest.raises(ValueError):
-            sp.suspension(octahedron(), poles=(1, 9))
-
     def test_intersection(self):
         a = SimplicialComplex.from_facets([(1, 2, 3)])
         b = SimplicialComplex.from_facets([(2, 3, 4)])
@@ -320,27 +313,6 @@ class TestPrimeFactors:
     def test_nonseparating_missing_facet_rejected(self):
         with pytest.raises(ValueError, match="separate"):
             sp.prime_factors(torus_7(), 3)
-
-
-class TestStackedBall:
-    def test_simplex_boundary_fills_to_simplex(self):
-        ball = sp.stacked_ball(sp.boundary_simplex(4), 4)
-        assert ball.facets == frozenset({frozenset(range(1, 6))})
-
-    def test_once_stacked_sphere(self):
-        delta = sp.stack_over_facet(sp.boundary_simplex(4), as_face((1, 2, 3, 4)), 6)
-        ball = sp.stacked_ball(delta, 4)
-        assert len(ball.facets) == 2
-        assert ball.vertices == delta.vertices
-
-    def test_nonzero_g2_rejected(self):
-        with pytest.raises(ValueError):
-            sp.stacked_ball(sp.cross_polytope(4), 4)
-
-    def test_octahedron_rejected(self):
-        # g2 vanishes but no vertex has a simplex boundary link
-        with pytest.raises(ValueError, match="degree"):
-            sp.stacked_ball(octahedron(), 3)
 
 
 faces_strategy = st.lists(

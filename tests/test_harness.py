@@ -1,13 +1,15 @@
 import pytest
 
 import spherig as sp
-from spherig.complexes import SimplicialComplex
+from spherig.certificates import certify_missing_face_edge, certify_star_rigidity, check
+from spherig.complexes import intersection
 from spherig.graphs import graph_of
 from spherig.harness import (
     FAIL,
     PASS,
     SKIP,
     CheckRecord,
+    CorpusEntry,
     Report,
     SuiteConfig,
     build_corpus,
@@ -21,7 +23,14 @@ from spherig.harness import (
     verify_negative_control,
     verify_star_rigidity,
 )
-from spherig.rigidity import decide_rigidity
+from spherig.rigidity import (
+    Embedding,
+    RigidityMatrix,
+    decide_rigidity,
+    derive_seed,
+    random_embedding,
+    rigidity_target,
+)
 
 
 class TestReport:
@@ -205,18 +214,11 @@ class TestCorpus:
         entries = build_corpus(("simplex", "cross-polytope"), (4, 5), seed=0)
         names = [e.name for e in entries]
         assert names == ["simplex-d4", "simplex-d5", "cross-d4", "cross-d5"]
-        for entry in entries:
-            entry.validate()
+        assert [e.d for e in entries] == [4, 5, 4, 5]
 
     def test_build_corpus_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
             build_corpus(("simplex", "moebius"), (4,), seed=0)
-
-    def test_corpus_validation_catches_tampering(self):
-        entry = build_corpus(("cross-polytope",), (4,), seed=0)[0]
-        entry.expected["g2"] = 7
-        with pytest.raises(ValueError, match="recomputed"):
-            entry.validate()
 
 
 class TestSuiteConfig:
@@ -253,8 +255,9 @@ class TestSuiteConfig:
     def test_base_config_is_overlaid(self):
         base = SuiteConfig(seed=42)
         config = SuiteConfig.from_text("trials = 1\n", base)
-        assert config.seed == 42
-        assert config.trials == 1
+        assert (config.seed, config.trials) == (42, 1)
+        assert SuiteConfig.from_text("seed = 9\n", base).seed == 9
+        assert base == SuiteConfig(seed=42)
 
 
 @pytest.fixture(scope="module")
@@ -291,3 +294,123 @@ class TestRunSuite:
             families=small_config.families, dims=(4,), trials=1, seed=14
         )
         assert run_suite(other).machine_format() != run_suite(small_config).machine_format()
+
+    def test_every_record_replays_from_its_machine_line(self, small_config):
+        report = run_suite(small_config)
+        corpus = {
+            e.name: e
+            for e in build_corpus(small_config.families, small_config.dims, small_config.seed)
+        }
+        for line in report.machine_format().splitlines():
+            assert replay(line, corpus, small_config.trials) == line
+            kind, instance, *_, seed = line.split("\t")
+            assert int(seed) == scheme_seed(kind, instance, small_config.seed)
+
+    def test_missing_face_edge_records_replay(self):
+        entry = CorpusEntry("j23", sp.join_spheres(2, 3), 5)
+        report = verify_missing_face_lemma(entry.complex, 5, trials=1, seed=4, name="j23")
+        assert {r.note for r in report.records} == {""}
+        for line in report.machine_format().splitlines():
+            assert replay(line, {"j23": entry}, 1) == line
+
+
+SEED_LABELS = {
+    "minus_edge": "minus-edge",
+    "missing_face": "missing-face",
+    "star_rigidity": "star",
+    "g2_stress": "g2-stress",
+    "contraction": "contraction",
+    "negative_control": "negative-control",
+}
+
+
+def scheme_seed(kind: str, instance: str, suite_seed: int) -> int:
+    """The sub-seed run_suite derives for a record from the suite seed."""
+    name, *parts = instance.split(":")
+    base = derive_seed(suite_seed, name)
+    fields = dict(part.split("=") for part in parts if "=" in part)
+    keys = ([fields["s"]] if "s" in fields else []) + (
+        fields["e"].split("-") if "e" in fields else []
+    )
+    # skip and vacuous records carry the entry's seed
+    if (not keys and kind != "g2_stress") or (kind == "contraction" and len(parts) == 1):
+        return base
+    return derive_seed(base, SEED_LABELS[kind], name, *keys)
+
+
+def replay(line: str, corpus: dict[str, CorpusEntry], trials: int) -> str:
+    """Recompute a machine line from its check, instance and seed fields.
+
+    Uses only the corpus and the public API, following the per-kind recipe
+    in the README.
+    """
+    kind, instance, _, _, _, seed_text = line.split("\t")
+    seed = int(seed_text)
+    name, *parts = instance.split(":")
+    fields = dict(part.split("=") for part in parts if "=" in part)
+
+    def pair(text: str) -> tuple[int, int]:
+        a, b = text.split("-")
+        return int(a), int(b)
+
+    def face(label: str) -> tuple[int, ...]:
+        return () if label == "empty" else tuple(int(v) for v in label.split("-"))
+
+    def ranked(rank: int, target: int, ok: bool = True) -> str:
+        verdict = PASS if ok and rank == target else FAIL
+        return "\t".join([kind, instance, verdict, str(rank), str(target), seed_text])
+
+    def plain(verdict: str) -> str:
+        return "\t".join([kind, instance, verdict, "-", "-", seed_text])
+
+    if kind == "negative_control":
+        family, d = name.split("-")[1], int(name.rsplit("-d", 1)[1])
+        gamma = {"simplex": sp.boundary_simplex, "cross": sp.cross_polytope}[family](d)
+        u, v_new = pair(fields["e"])
+        graph = graph_of(sp.stack_over_facet(gamma, gamma.sorted_facets()[0], v_new))
+        rank = decide_rigidity(graph.remove_edge(u, v_new), d, trials, seed).rank
+        return ranked(rank, rigidity_target(len(graph.vertices), d) - 1)
+
+    delta, d = corpus[name].complex, corpus[name].d
+    graph = graph_of(delta)
+    target = rigidity_target(len(graph.vertices), d)
+    if kind == "g2_stress":
+        return ranked(decide_rigidity(graph, d, trials, seed).stress_dim, delta.g2(d))
+    if kind == "star_rigidity":
+        ok = check(certify_star_rigidity(delta, face(fields["s"]), d), trials, seed)
+        return plain(PASS if ok else FAIL)
+    if kind == "minus_edge":
+        if "e" not in fields:
+            return plain(SKIP if not delta.is_prime(d) or delta.g2(d) <= 0 else FAIL)
+        rank = decide_rigidity(graph.remove_edge(*pair(fields["e"])), d, trials, seed).rank
+        return ranked(rank, target)
+    if kind == "missing_face":
+        if parts == ["vacuous"]:
+            qualifying = [f for f in delta.missing_faces() if 3 <= len(f) <= d - 1]
+            return plain(FAIL if qualifying else PASS)
+        sigma, edge = face(fields["s"]), pair(fields["e"])
+        rank = decide_rigidity(graph.remove_edge(*edge), d, trials, seed).rank
+        cert_ok = check(certify_missing_face_edge(delta, sigma, edge, d), trials, seed)
+        return ranked(rank, target, cert_ok)
+    assert kind == "contraction"
+    a, b = pair(fields["e"])
+    link = delta.link((a, b))
+    if len(parts) == 1:
+        qualifies = len(link.vertices) >= 4 and intersection(
+            delta.link([a]), delta.link([b])
+        ) == link
+        return plain(FAIL if qualifies else SKIP)
+    v_new = max(delta.vertices) + 1
+    g_minus = graph.remove_edge(a, b)
+    g_down = graph_of(delta.contract_edge((a, b), v_new))
+    if parts[-1] == "generic":
+        lhs = decide_rigidity(g_minus, 4, trials, derive_seed(seed, "generic-minus")).rank
+        rhs = decide_rigidity(g_down, 4, trials, derive_seed(seed, "generic-down")).rank
+        return ranked(lhs, rhs + 4)
+    coords = dict(random_embedding(g_minus, 4, derive_seed(seed, "degenerate")).coords)
+    coords[b] = coords[a]
+    down = {v: coords[v] for v in g_down.vertices if v != v_new}
+    down[v_new] = coords[a]
+    lhs = RigidityMatrix(g_minus, Embedding(4, coords)).rank()
+    rhs = RigidityMatrix(g_down, Embedding(4, down)).rank()
+    return ranked(lhs, rhs + 4)

@@ -179,10 +179,6 @@ class TestDecideRigidity:
             sub = rank_mod(m.rows[:i] + m.rows[i + 1 :], P)
             assert sub in (full - 1, full)
 
-    def test_stress_space_dim_helper(self):
-        g = graph_of(sp.cross_polytope(4))
-        assert sp.stress_space_dim(g, 4, seed=1) == 2
-
 
 class TestAgainstRationalOracle:
     @pytest.mark.parametrize(

@@ -1,8 +1,7 @@
 import pytest
 
 import spherig as sp
-from spherig.graphs import Graph
-from spherig.textio import format_facets, format_graph, parse_facets, parse_graph
+from spherig.textio import format_facets, parse_facets
 
 
 class TestFacetText:
@@ -25,26 +24,3 @@ class TestFacetText:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no facets"):
             parse_facets("# nothing here\n")
-
-
-class TestGraphText:
-    def test_round_trip_with_isolated_vertex(self):
-        g = Graph({1, 2, 3, 9}, [(1, 2), (2, 3)])
-        assert parse_graph(format_graph(g)) == g
-
-    def test_single_label_is_isolated_vertex(self):
-        g = parse_graph("1 2\n7\n")
-        assert g.vertices == frozenset({1, 2, 7})
-        assert g.degree(7) == 0
-
-    def test_format_lists_edges_then_isolated(self):
-        g = Graph({1, 2, 5}, [(1, 2)])
-        assert format_graph(g) == "1 2\n5\n"
-
-    def test_three_labels_rejected(self):
-        with pytest.raises(ValueError, match="1 or 2"):
-            parse_graph("1 2 3\n")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no vertices"):
-            parse_graph("")
