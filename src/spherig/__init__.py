@@ -16,6 +16,7 @@ from .rigidity import (
     RigidityVerdict,
     decide_rigidity,
     derive_seed,
+    edge_deletion_ranks,
     random_embedding,
     rank_mod,
     rigidity_target,

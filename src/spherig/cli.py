@@ -3,7 +3,9 @@
 Complexes flow through the facet-list text format (one facet per line,
 integer labels, '#' comments) on stdin/stdout or file paths.  Exit codes:
 0 on success / all checks pass, 1 when a query or verification answers
-negatively, 2 on usage or input errors.
+negatively, 2 on usage or input errors.  `g2` and `prime` answer only for
+pseudomanifolds and reject any other complex with exit 2; `rigid` takes the
+graph of any complex.
 
 The SPHERIG_SEED environment variable supplies the default seed; flags and
 config files override it.
@@ -49,6 +51,18 @@ def _read_complex(path: str) -> SimplicialComplex:
         return parse_facets(fh.read())
 
 
+def _read_sphere(path: str) -> SimplicialComplex:
+    """A complex for the sphere-only commands: pure, every ridge in exactly
+    two facets, and facets connected through ridges."""
+    delta = _read_complex(path)
+    if not delta.is_pseudomanifold(delta.dim + 1):
+        raise ValueError(
+            "input is not a pseudomanifold: the complex must be pure, with every "
+            "ridge in exactly two facets and the facets connected through ridges"
+        )
+    return delta
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spherig",
@@ -67,10 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def complex_input(p: argparse.ArgumentParser) -> None:
         p.add_argument("path", nargs="?", default="-", help="facet list file, or - for stdin")
 
-    g2 = sub.add_parser("g2", help="print g2 = f1 - d*f0 + C(d+1,2) of a complex")
+    g2 = sub.add_parser("g2", help="print g2 = f1 - d*f0 + C(d+1,2) of a pseudomanifold")
     complex_input(g2)
 
-    prime = sub.add_parser("prime", help="test primeness (no missing face of facet size)")
+    prime = sub.add_parser(
+        "prime", help="test primeness of a pseudomanifold (no missing face of facet size)"
+    )
     prime.add_argument("--dim", type=int, help="rigidity dimension d, default dim+1")
     complex_input(prime)
 
@@ -122,11 +138,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "g2":
-        print(_read_complex(args.path).g2())
+        print(_read_sphere(args.path).g2())
         return 0
 
     if args.command == "prime":
-        delta = _read_complex(args.path)
+        delta = _read_sphere(args.path)
         d = args.dim if args.dim is not None else delta.dim + 1
         result = delta.is_prime(d)
         print("prime" if result else "not prime")

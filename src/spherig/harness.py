@@ -42,7 +42,9 @@ from .rigidity import (
     RigidityMatrix,
     decide_rigidity,
     derive_seed,
+    edge_deletion_ranks,
     random_embedding,
+    rigid_verdict_memo,
     rigidity_target,
 )
 
@@ -178,7 +180,9 @@ def verify_minus_edge(
     """Every single-edge deletion must leave the graph d-rigid.
 
     Applies only to prime spheres with positive g2; inputs failing either
-    gate produce a single skip record, not failures.
+    gate produce a single skip record, not failures.  All edge records of
+    one graph share one sub-seed: one elimination at that seed ranks every
+    deletion.
     """
     if d < 4:
         raise ValueError("minus-edge verification needs d >= 4")
@@ -190,9 +194,8 @@ def verify_minus_edge(
         return
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
-    for a, b in graph.sorted_edges():
-        sub = derive_seed(seed, "minus-edge", name, a, b)
-        rank = decide_rigidity(graph.remove_edge(a, b), d, trials, sub).rank
+    sub = derive_seed(seed, "minus-edge", name)
+    for (a, b), rank in edge_deletion_ranks(graph, d, trials, sub).items():
         yield _ranked(f"{name}:e={a}-{b}", rank, target, sub)
 
 
@@ -229,22 +232,28 @@ def verify_missing_face_lemma(
     name: str = "complex",
 ) -> Iterator[_Outcome]:
     """Edges inside missing faces of dimension 2..d-2: the graph minus the
-    edge must be engine-rigid AND admit a passing Replacement certificate."""
+    edge must be engine-rigid AND admit a passing Replacement certificate.
+
+    A complex without such faces gets one skip record: nothing is checked,
+    so nothing passes.  The edge records of one graph share one sub-seed,
+    for the ranks and the certificates alike.
+    """
     if d < 4:
         raise ValueError("missing-face verification needs d >= 4")
     qualifying = [f for f in delta.missing_faces() if 2 <= len(f) - 1 <= d - 2]
     if not qualifying:
         yield _Outcome(
-            f"{name}:vacuous", PASS, seed=seed, note="no missing faces of dimension 2..d-2"
+            f"{name}:vacuous", SKIP, seed=seed, note="no missing faces of dimension 2..d-2"
         )
         return
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
+    sub = derive_seed(seed, "missing-face", name)
+    ranks = edge_deletion_ranks(graph, d, trials, sub)
     for sigma in qualifying:
         label = face_label(sigma)
         for a, b in combinations(sorted(sigma), 2):
-            sub = derive_seed(seed, "missing-face", name, label, a, b)
-            rank = decide_rigidity(graph.remove_edge(a, b), d, trials, sub).rank
+            rank = ranks[a, b]
             cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b), d), trials, sub)
             yield _Outcome(
                 f"{name}:s={label}:e={a}-{b}",
@@ -494,7 +503,12 @@ class SuiteConfig:
 
 
 def run_suite(config: SuiteConfig) -> Report:
-    """Run every applicable check over the configured corpus."""
+    """Run every applicable check over the configured corpus.
+
+    Each corpus entry runs inside its own rigid_verdict_memo, so repeated
+    rigid decisions within the entry reuse one verdict and no memo outlives
+    the entry.  A configuration that yields no record at all is an error.
+    """
     corpus = build_corpus(config.families, config.dims, config.seed)
     report = Report()
     for entry in corpus:
@@ -502,16 +516,17 @@ def run_suite(config: SuiteConfig) -> Report:
         options = dict(
             trials=config.trials, seed=derive_seed(config.seed, entry.name), name=entry.name
         )
-        for verify in (
-            verify_minus_edge,
-            verify_missing_face_lemma,
-            verify_star_rigidity,
-            verify_g2_stress,
-        ):
-            report.extend(verify(delta, d, **options))
-        if d == 4:
-            for edge in graph_of(delta).sorted_edges():
-                report.extend(verify_contraction_reduction(delta, edge, **options))
+        with rigid_verdict_memo():
+            for verify in (
+                verify_minus_edge,
+                verify_missing_face_lemma,
+                verify_star_rigidity,
+                verify_g2_stress,
+            ):
+                report.extend(verify(delta, d, **options))
+            if d == 4:
+                for edge in graph_of(delta).sorted_edges():
+                    report.extend(verify_contraction_reduction(delta, edge, **options))
     if "negative-control" in config.families:
         for d in config.dims:
             for label, gamma in (
@@ -527,4 +542,9 @@ def run_suite(config: SuiteConfig) -> Report:
                         name=label,
                     )
                 )
+    if not report.records:
+        raise ValueError(
+            f"families {', '.join(config.families)} give no complex at dims "
+            f"{', '.join(map(str, config.dims))}; the report would be empty"
+        )
     return report

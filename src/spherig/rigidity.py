@@ -6,7 +6,9 @@ falls short only when the point lands on a proper minor locus; by
 Schwartz-Zippel that happens with probability at most (matrix rows)/p per
 trial.  With p = 2**61 - 1 and max-over-trials aggregation the check is
 one-sided: a "rigid" answer is always correct, a "flexible" answer is wrong
-with negligible probability.
+with negligible probability.  edge_deletion_ranks answers every single-edge
+deletion of a graph from one elimination of its matrix, with the same
+guarantee (see its docstring).
 
 Field elements are plain Python ints in [0, p); there is no scalar wrapper
 class.  All randomness is drawn from seeded generators so every decision is
@@ -17,8 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .graphs import Graph
 
@@ -105,11 +110,17 @@ class RigidityMatrix:
 
 def rank_mod(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
     """Rank of an integer matrix over F_p by Gaussian elimination."""
-    rows = [r[:] for r in rows]
-    nrows = len(rows)
-    if nrows == 0:
+    if not rows:
         return 0
-    ncols = len(rows[0])
+    return _reduce([r[:] for r in rows], len(rows[0]), p)
+
+
+def _reduce(rows: list[list[int]], ncols: int, p: int) -> int:
+    """Row-reduce in place, pivoting on the first ncols columns only; return the rank.
+
+    Entries past ncols are carried along by every row operation.
+    """
+    nrows = len(rows)
     rank = 0
     for col in range(ncols):
         piv = next((i for i in range(rank, nrows) if rows[i][col] % p), None)
@@ -145,6 +156,45 @@ class RigidityVerdict:
     stress_dim: int
 
 
+# Labelled (graph, d) pairs already decided rigid at rank == target, while a
+# rigid_verdict_memo block is open; None outside one.
+_known_rigid: ContextVar[set[tuple[Graph, int]] | None] = ContextVar(
+    "spherig_known_rigid", default=None
+)
+
+
+@contextmanager
+def rigid_verdict_memo() -> Iterator[set[tuple[Graph, int]]]:
+    """Let decide_rigidity reuse rigid verdicts inside the block.
+
+    Only verdicts whose rank met the target are kept.  Their rank, target
+    and stress dimension are the graph's generic values at any seed (no
+    point exceeds the generic rank), so reusing one under another seed keeps
+    the one-sided guarantee.  Flexible verdicts are never kept: a rank
+    shortfall at one seed says nothing certain about another.  The memo is
+    dropped when the block ends; calls outside any block never see one.
+    """
+    memo: set[tuple[Graph, int]] = set()
+    token = _known_rigid.set(memo)
+    try:
+        yield memo
+    finally:
+        _known_rigid.reset(token)
+
+
+def _require_decidable(graph: Graph, d: int, trials: int) -> None:
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    n = len(graph.vertices)
+    if n <= d:
+        raise ValueError(
+            f"rigidity target needs at least d+1 = {d + 1} vertices, got {n}; "
+            "graphs this small are rigid exactly when complete"
+        )
+
+
 def decide_rigidity(
     graph: Graph,
     d: int,
@@ -157,20 +207,16 @@ def decide_rigidity(
     keeps the maximum rank.  Needs at least d+1 vertices; with exactly d+1
     the rank target degenerates to C(d+1,2), so the verdict is taken from
     completeness of the graph instead of the rank comparison (the two agree
-    at generic points).
+    at generic points).  Inside rigid_verdict_memo a graph already decided
+    rigid is answered without a new embedding.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _require_decidable(graph, d, trials)
     n = len(graph.vertices)
-    if n <= d:
-        raise ValueError(
-            f"rigidity target needs at least d+1 = {d + 1} vertices, got {n}; "
-            "graphs this small are rigid exactly when complete"
-        )
     f1 = len(graph.edges)
     target = rigidity_target(n, d)
+    memo = _known_rigid.get()
+    if memo is not None and (graph, d) in memo:
+        return RigidityVerdict(target, target, True, trials, f1 - target)
     best = 0
     cap = min(f1, target)
     for t in range(trials):
@@ -182,6 +228,8 @@ def decide_rigidity(
         is_rigid = f1 == comb(n, 2)
     else:
         is_rigid = best == target
+    if memo is not None and best == target:
+        memo.add((graph, d))
     return RigidityVerdict(
         rank=best,
         target_rank=target,
@@ -189,3 +237,51 @@ def decide_rigidity(
         trials=trials,
         stress_dim=f1 - best,
     )
+
+
+def edge_deletion_ranks(
+    graph: Graph,
+    d: int,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
+) -> dict[tuple[int, int], int]:
+    """decide_rigidity(graph - e, d, trials, seed).rank for every edge e, from
+    one elimination of the whole graph's matrix.
+
+    Keys are the edges as sorted pairs, in sorted order.  The matrix is
+    built once, at the first trial point of decide_rigidity with this seed.
+    That point depends only on the sorted vertex set, d and the seed, and
+    G - e has the same vertices as G, so it is also the first point that
+    decide_rigidity(G - e, ...) uses; R(G - e) there is R(G) without the row
+    of e.  Dropping a row keeps the rank exactly when the row is a
+    combination of the others, that is, when some stress (left-kernel
+    vector) of R(G) is nonzero on it.  So one elimination that yields the
+    rank r of R(G) and the rows some stress uses gives the rank of R(G - e)
+    at that point exactly: r on a stressed edge, r - 1 on any other.
+
+    decide_rigidity stops after its first trial once the rank reaches
+    min(f1(G - e), target); a value that falls short of that cap is
+    recomputed by decide_rigidity itself, with all its trials.  Each value
+    therefore equals decide_rigidity's exactly, not just with high
+    probability, and inherits its one-sided guarantee: a rank at a point
+    never exceeds the generic rank, so a value that meets the rigidity
+    target ("rigid") is always right, and only a shortfall can be wrong, by
+    Schwartz-Zippel with probability at most (matrix rows)/p per trial.
+    """
+    _require_decidable(graph, d, trials)
+    matrix = RigidityMatrix(graph, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
+    # Each row is extended by a unit vector that records which input rows it
+    # has become a combination of; the rows reduced to zero then carry a
+    # basis of the stresses in that extension.
+    m, ncols = matrix.shape
+    work = [row + [int(i == j) for j in range(m)] for i, row in enumerate(matrix.rows)]
+    rank = _reduce(work, ncols, DEFAULT_PRIME)
+    stressed = {j for row in work[rank:] for j in range(m) if row[ncols + j]}
+    cap = min(len(graph.edges) - 1, rigidity_target(len(graph.vertices), d))
+    ranks: dict[tuple[int, int], int] = {}
+    for i, (a, b) in enumerate(matrix.edge_order):
+        value = rank if i in stressed else rank - 1
+        if value < cap:
+            value = decide_rigidity(graph.remove_edge(a, b), d, trials, seed).rank
+        ranks[a, b] = value
+    return ranks

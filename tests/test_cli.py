@@ -64,6 +64,24 @@ class TestQueries:
         assert code == 1
         assert out.strip() == "not prime"
 
+    @pytest.mark.parametrize("command", ["prime", "g2"])
+    @pytest.mark.parametrize(
+        "facets",
+        [
+            "1 2 3\n1 2 4\n",  # a 2-disc: four ridges lie in one facet each
+            "1 2 3\n1 4\n",  # impure
+            "1 2 3\n1 2 4\n1 2 5\n1 3 4\n2 3 5\n",  # ridge 12 in three facets
+        ],
+    )
+    def test_sphere_commands_reject_non_pseudomanifolds(
+        self, capsys, monkeypatch, command, facets
+    ):
+        feed(monkeypatch, facets)
+        code, out, err = run(capsys, command)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "pseudomanifold" in err
+
     def test_missing_faces_output(self, capsys, monkeypatch):
         feed(monkeypatch, format_facets(sp.cross_polytope(3)))
         code, out, _ = run(capsys, "missing-faces")
@@ -107,6 +125,12 @@ class TestRigid:
         code, out, _ = run(capsys, "rigid", "--dim", "4", "--minus-edge", "1,6", "--seed", "3")
         assert code == 1
         assert "rigid=false" in out
+
+    def test_any_complex_graph_is_accepted(self, capsys, monkeypatch):
+        feed(monkeypatch, "1 2 3\n1 2 4\n")  # a 2-disc; its graph is K4 minus an edge
+        code, out, _ = run(capsys, "rigid", "--dim", "2", "--seed", "1")
+        assert code == 0
+        assert "rigid=true rank=5 target=5" in out
 
     def test_seed_env_var_is_the_default(self, capsys, monkeypatch):
         monkeypatch.setenv("SPHERIG_SEED", "77")
@@ -191,6 +215,14 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_config_with_an_empty_report_is_error_2(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("families = flip-walks\ndims = 5\n")  # flip walks are d = 4 only
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "empty" in err
 
     def test_machine_output_is_identical_across_processes(self, tmp_path):
         cfg = tmp_path / "suite.cfg"

@@ -1,6 +1,9 @@
+import contextlib
+
 import pytest
 
 import spherig as sp
+import spherig.rigidity
 from spherig.certificates import certify_missing_face_edge, certify_star_rigidity, check
 from spherig.complexes import intersection
 from spherig.graphs import graph_of
@@ -128,10 +131,24 @@ class TestMissingFaceLemma:
         assert "j23:s=1-2-3:e=1-2" in names
         assert "j23:s=4-5-6-7:e=6-7" in names
 
-    def test_no_qualifying_faces_is_a_vacuous_pass(self):
-        report = verify_missing_face_lemma(sp.cross_polytope(5), 5, name="x5")
-        assert [r.verdict for r in report.records] == [PASS]
+    def test_no_qualifying_faces_is_a_vacuous_skip(self):
+        report = verify_missing_face_lemma(sp.cross_polytope(5), 5, seed=4, name="x5")
+        assert [r.verdict for r in report.records] == [SKIP]
         assert report.records[0].instance == "x5:vacuous"
+        assert report.records[0].seed == 4
+
+    def test_edge_records_and_certificates_share_one_seed(self, monkeypatch):
+        cert_seeds = []
+
+        def spy(cert, trials, seed):
+            cert_seeds.append(seed)
+            return check(cert, trials, seed)
+
+        monkeypatch.setattr("spherig.harness.check", spy)
+        report = verify_missing_face_lemma(sp.join_spheres(2, 3), 5, seed=4, name="j23")
+        s = derive_seed(4, "missing-face", "j23")
+        assert {r.seed for r in report.records} == {s}
+        assert cert_seeds == [s] * len(report.records)
 
 
 class TestContraction:
@@ -306,6 +323,32 @@ class TestRunSuite:
             kind, instance, *_, seed = line.split("\t")
             assert int(seed) == scheme_seed(kind, instance, small_config.seed)
 
+    def test_each_entry_has_its_own_memo_and_none_outlives_the_suite(
+        self, small_config, monkeypatch
+    ):
+        kept = []
+        real = spherig.rigidity.rigid_verdict_memo
+
+        @contextlib.contextmanager
+        def spy():
+            with real() as memo:
+                kept.append(memo)
+                yield memo
+
+        monkeypatch.setattr("spherig.harness.rigid_verdict_memo", spy)
+        run_suite(small_config)
+        assert spherig.rigidity._known_rigid.get() is None
+        assert len(kept) == len(build_corpus(small_config.families, (4,), small_config.seed))
+        assert len({id(memo) for memo in kept}) == len(kept)
+        # each memo held rigid verdicts only
+        for memo in kept:
+            assert memo and all(decide_rigidity(g, d, seed=1).is_rigid for g, d in memo)
+
+    def test_empty_report_is_rejected(self):
+        config = SuiteConfig(families=("flip-walks",), dims=(5,), trials=1, seed=1)
+        with pytest.raises(ValueError, match="report would be empty"):
+            run_suite(config)
+
     def test_missing_face_edge_records_replay(self):
         entry = CorpusEntry("j23", sp.join_spheres(2, 3), 5)
         report = verify_missing_face_lemma(entry.complex, 5, trials=1, seed=4, name="j23")
@@ -335,6 +378,9 @@ def scheme_seed(kind: str, instance: str, suite_seed: int) -> int:
     # skip and vacuous records carry the entry's seed
     if (not keys and kind != "g2_stress") or (kind == "contraction" and len(parts) == 1):
         return base
+    # the edge records of one graph share the graph's seed
+    if kind in ("minus_edge", "missing_face"):
+        keys = []
     return derive_seed(base, SEED_LABELS[kind], name, *keys)
 
 
@@ -387,7 +433,7 @@ def replay(line: str, corpus: dict[str, CorpusEntry], trials: int) -> str:
     if kind == "missing_face":
         if parts == ["vacuous"]:
             qualifying = [f for f in delta.missing_faces() if 3 <= len(f) <= d - 1]
-            return plain(FAIL if qualifying else PASS)
+            return plain(FAIL if qualifying else SKIP)
         sigma, edge = face(fields["s"]), pair(fields["e"])
         rank = decide_rigidity(graph.remove_edge(*edge), d, trials, seed).rank
         cert_ok = check(certify_missing_face_edge(delta, sigma, edge, d), trials, seed)

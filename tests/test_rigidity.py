@@ -4,15 +4,20 @@ from math import comb
 import pytest
 
 import spherig as sp
+import spherig.rigidity
 from spherig.graphs import Graph, complete_graph, graph_of
+from spherig.harness import DEFAULT_FAMILIES, build_corpus
 from spherig.rigidity import (
     DEFAULT_PRIME,
+    DEFAULT_TRIALS,
     Embedding,
     RigidityMatrix,
     decide_rigidity,
     derive_seed,
+    edge_deletion_ranks,
     random_embedding,
     rank_mod,
+    rigid_verdict_memo,
     rigidity_target,
 )
 
@@ -199,3 +204,102 @@ class TestAgainstRationalOracle:
         g = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
         verdict = decide_rigidity(g, 4, seed=0)
         assert verdict.rank == rational_rigidity_rank(g, 4, random.Random(12))
+
+
+class TestEdgeDeletionRanks:
+    SEED = 20260823
+
+    def test_matches_per_edge_decisions_on_the_default_corpus(self):
+        checked = 0
+        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), self.SEED):
+            graph = graph_of(entry.complex)
+            s = derive_seed(self.SEED, entry.name)
+            ranks = edge_deletion_ranks(graph, entry.d, DEFAULT_TRIALS, s)
+            assert list(ranks) == graph.sorted_edges(), entry.name
+            for (a, b), rank in ranks.items():
+                slow = decide_rigidity(graph.remove_edge(a, b), entry.d, DEFAULT_TRIALS, s)
+                assert rank == slow.rank, (entry.name, a, b)
+                checked += 1
+        assert checked == 848
+
+    def test_matches_rational_rank_on_small_spheres(self, small_spheres):
+        rng = random.Random(17)
+        for name, delta, d in small_spheres:
+            if len(delta.vertices) > 8:
+                continue
+            graph = graph_of(delta)
+            for (a, b), rank in edge_deletion_ranks(graph, d, seed=5).items():
+                exact = rational_rigidity_rank(graph.remove_edge(a, b), d, rng)
+                assert rank == exact, (name, a, b)
+
+    def test_unstressed_edges_fall_back_to_decide_rigidity(self, monkeypatch):
+        # the new vertex has degree d, so no stress uses its edges; each of
+        # their deletions falls short of the target and is decided afresh
+        facet = (1, 3, 5, 7)
+        graph = graph_of(sp.stack_over_facet(sp.cross_polytope(4), facet, 9))
+        target = rigidity_target(9, 4)
+        fallbacks = []
+        real = spherig.rigidity.decide_rigidity
+
+        def spy(g, d, trials, seed):
+            fallbacks.append(sorted(graph.edges - g.edges)[0])
+            return real(g, d, trials, seed)
+
+        monkeypatch.setattr(spherig.rigidity, "decide_rigidity", spy)
+        ranks = edge_deletion_ranks(graph, 4, 2, seed=3)
+        assert sorted(fallbacks) == [frozenset((u, 9)) for u in facet]
+        for (a, b), rank in ranks.items():
+            assert rank == (target - 1 if b == 9 else target), (a, b)
+            assert rank == real(graph.remove_edge(a, b), 4, 2, 3).rank
+
+    def test_stress_free_graph_loses_rank_on_every_edge(self):
+        graph = graph_of(sp.boundary_simplex(5))
+        ranks = edge_deletion_ranks(graph, 5, seed=1)
+        assert set(ranks.values()) == {len(graph.edges) - 1}
+
+    def test_too_few_vertices_rejected_like_decide_rigidity(self):
+        graph = complete_graph(range(1, 5))
+        with pytest.raises(ValueError, match="at least d\\+1") as fast:
+            edge_deletion_ranks(graph, 4)
+        with pytest.raises(ValueError) as slow:
+            decide_rigidity(graph, 4)
+        assert str(fast.value) == str(slow.value)
+
+
+class TestRigidVerdictMemo:
+    def test_keeps_rigid_verdicts_only(self):
+        rigid = graph_of(sp.cross_polytope(4))
+        flexible = rigid.remove_edge(1, 3).remove_edge(1, 5).remove_edge(1, 6)
+        with rigid_verdict_memo() as memo:
+            assert not decide_rigidity(flexible, 4, seed=1).is_rigid
+            assert memo == set()
+            assert decide_rigidity(rigid, 4, seed=1).is_rigid
+            assert memo == {(rigid, 4)}
+
+    def test_hit_equals_a_fresh_decision(self, monkeypatch):
+        graph = graph_of(sp.cross_polytope(4))
+        fresh = decide_rigidity(graph, 4, trials=2, seed=8)
+        with rigid_verdict_memo():
+            decide_rigidity(graph, 4, trials=2, seed=1)
+
+            def no_embedding(*args):
+                raise AssertionError("a memo hit drew a new embedding")
+
+            monkeypatch.setattr(spherig.rigidity, "random_embedding", no_embedding)
+            assert decide_rigidity(graph, 4, trials=2, seed=8) == fresh
+
+    def test_memo_is_keyed_by_dimension(self):
+        graph = graph_of(sp.cross_polytope(4))
+        with rigid_verdict_memo() as memo:
+            decide_rigidity(graph, 4, seed=1)
+            assert not decide_rigidity(graph, 5, seed=1).is_rigid
+            assert memo == {(graph, 4)}
+
+    def test_no_memo_outside_the_block(self):
+        assert spherig.rigidity._known_rigid.get() is None
+        with rigid_verdict_memo() as outer:
+            with rigid_verdict_memo() as inner:
+                decide_rigidity(graph_of(sp.cross_polytope(4)), 4, seed=1)
+            assert len(inner) == 1 and outer == set()
+            assert spherig.rigidity._known_rigid.get() is outer
+        assert spherig.rigidity._known_rigid.get() is None
