@@ -1,11 +1,19 @@
-"""Simplicial complexes stored as facet lists, with derived face queries.
+"""Simplicial complexes stored as facet lists, with a face index built once.
 
 A complex is represented purely combinatorially by its inclusion-maximal
 faces.  Vertices are non-negative integer labels; a face is a frozenset of
-labels.  All other queries (face enumeration, f-vector, links, stars,
-missing faces, ...) are derived from the facet list on demand, which is
-plenty fast for the desk-scale complexes this library targets (tens of
-vertices).
+labels.  A complex never changes after construction, so derived data is
+computed at most once, on first use, and kept on the instance:
+
+- the vertex set, dimension and purity;
+- the face index: every face as an int bitmask with one bit per position
+  in the sorted vertex list (positions, not labels, so a label like 10**12
+  costs one bit).  `has_face` is one lookup in it;
+- the missing faces, computed from the index.  `missing_faces` hands out a
+  fresh list of the cached tuple, so callers may change what they get.
+
+Face enumeration, the f-vector, links and stars scan the facet list and do
+not build the index: a link is a transient complex, usually read once.
 """
 
 from __future__ import annotations
@@ -85,9 +93,34 @@ class SimplicialComplex:
         """Facets as sorted tuples in lexicographic order (deterministic)."""
         return sorted(tuple(sorted(f)) for f in self.facets)
 
+    @cached_property
+    def _vertex_bits(self) -> dict[int, int]:
+        """Each vertex's bit in a face mask: 1 << its position in sorted order."""
+        return {v: 1 << i for i, v in enumerate(sorted(self.vertices))}
+
+    @cached_property
+    def _face_index(self) -> frozenset[int]:
+        """Every face, the empty one included, as a mask of vertex bits."""
+        bits = self._vertex_bits
+        masks: set[int] = set()
+        for facet in self.facets:
+            full = sum(bits[v] for v in facet)
+            sub = full
+            while True:  # every submask of full, full itself down to 0
+                masks.add(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & full
+        return frozenset(masks)
+
     def has_face(self, face: Iterable[int]) -> bool:
-        f = as_face(face)
-        return any(f <= g for g in self.facets)
+        bits = self._vertex_bits
+        mask = 0
+        for v in as_face(face):
+            if v not in bits:
+                return False
+            mask |= bits[v]
+        return mask in self._face_index
 
     def faces_of_dim(self, k: int) -> set[frozenset[int]]:
         """All faces of dimension k (k = -1 gives the empty face)."""
@@ -130,19 +163,22 @@ class SimplicialComplex:
 
     # -- structural operations -------------------------------------------
 
+    def _facets_containing(self, f: frozenset[int]) -> list[frozenset[int]]:
+        # one facet scan both finds the star and shows f is a face, without
+        # building the index for a complex that may only be linked once
+        found = [g for g in self.facets if f <= g]
+        if not found:
+            raise ValueError(f"{sorted(f)} is not a face of the complex")
+        return found
+
     def link(self, face: Iterable[int]) -> "SimplicialComplex":
         """Link of a face: all faces disjoint from it that extend it to a face."""
         f = as_face(face)
-        if not self.has_face(f):
-            raise ValueError(f"{sorted(f)} is not a face of the complex")
-        return SimplicialComplex(g - f for g in self.facets if f <= g)
+        return SimplicialComplex(g - f for g in self._facets_containing(f))
 
     def star(self, face: Iterable[int]) -> "SimplicialComplex":
         """Closed star of a face: all facets containing it."""
-        f = as_face(face)
-        if not self.has_face(f):
-            raise ValueError(f"{sorted(f)} is not a face of the complex")
-        return SimplicialComplex(g for g in self.facets if f <= g)
+        return SimplicialComplex(self._facets_containing(as_face(face)))
 
     def delete_vertex(self, v: int) -> "SimplicialComplex":
         """The subcomplex of faces avoiding v."""
@@ -184,24 +220,37 @@ class SimplicialComplex:
 
     # -- invariants -------------------------------------------------------
 
-    def missing_faces(self) -> list[frozenset[int]]:
-        """All minimal non-faces, sorted by size then lexicographically.
+    @cached_property
+    def _missing_faces(self) -> tuple[frozenset[int], ...]:
+        """The minimal non-faces, sorted by size then lexicographically.
 
-        A minimal non-face is one vertex away from the complex, so it is
-        enough to scan face-plus-vertex candidates rather than all subsets.
+        A minimal non-face minus its highest vertex is a face, so it is
+        enough to scan each face of the index plus one vertex above all of
+        the face's own: every candidate comes up exactly once.
         """
-        found: set[frozenset[int]] = set()
-        verts = sorted(self.vertices)
-        for face in self.all_faces():
-            for v in verts:
-                if v in face:
+        index = self._face_index
+        order = sorted(self.vertices)
+        found: list[frozenset[int]] = []
+        for face in index:
+            for i in range(face.bit_length(), len(order)):
+                candidate = face | (1 << i)
+                if candidate in index:
                     continue
-                candidate = face | {v}
-                if candidate in found or self.has_face(candidate):
-                    continue
-                if all(self.has_face(candidate - {u}) for u in candidate):
-                    found.add(candidate)
-        return sorted(found, key=lambda f: (len(f), sorted(f)))
+                rest = face
+                while rest:  # drop each lower vertex in turn
+                    low = rest & -rest
+                    if (candidate ^ low) not in index:
+                        break
+                    rest ^= low
+                else:
+                    found.append(
+                        frozenset(v for j, v in enumerate(order) if (candidate >> j) & 1)
+                    )
+        return tuple(sorted(found, key=lambda f: (len(f), sorted(f))))
+
+    def missing_faces(self) -> list[frozenset[int]]:
+        """All minimal non-faces, sorted by size then lexicographically."""
+        return list(self._missing_faces)
 
     def is_prime(self, d: int) -> bool:
         """True when no missing face has facet size (pure (d-1)-complexes only)."""

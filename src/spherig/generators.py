@@ -233,15 +233,12 @@ def random_flip_walk(
     delta: SimplicialComplex,
     steps: int,
     seed: int = 0,
-    keep_prime: bool = False,
     d: int | None = None,
 ) -> list[SimplicialComplex]:
     """Seeded random walk in the bistellar flip graph; returns one complex per step.
 
     Moves that would drop the vertex count below d+2 are never taken (the
-    rigidity rank target stops making sense there).  With keep_prime, steps
-    landing on non-prime complexes are walked through but left out of the
-    returned list.
+    rigidity rank target stops making sense there).
     """
     if d is None:
         d = delta.dim + 1
@@ -255,6 +252,5 @@ def random_flip_walk(
         if not moves:
             break
         current = bistellar_flip(current, rng.choice(moves))
-        if not keep_prime or current.is_prime(d):
-            out.append(current)
+        out.append(current)
     return out

@@ -373,7 +373,17 @@ FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks", "negat
 DEFAULT_FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks")
 
 FLIP_WALK_KEEP = 6
+# The cap selects the default corpus, so the machine report depends on it.
+# Primeness does not limit it: traced flip walks (bench/run.py --workload
+# flip-walks --trace 1, cap 14) spend 0.16 ms per missing_faces call on
+# 8-11 vertices and 0.41 ms on 12-14.  What grows with the cap is the verify
+# work per harvested sphere: each edge gets a deletion rank and a
+# contraction check, each vertex a star certificate.
 FLIP_WALK_MAX_VERTICES = 11
+
+# Every walk starts here.  One shared start lets the walks of a process share
+# its facet objects and its face index instead of rebuilding both per call.
+_FLIP_WALK_START = cross_polytope(4)
 
 
 def flip_walk_corpus(
@@ -386,17 +396,18 @@ def flip_walk_corpus(
     """Distinct prime 3-spheres with g2 > 0 harvested from short seeded flip walks.
 
     Walks start at the 4-cross-polytope and run unfiltered; outputs are kept
-    only when small enough to test cheaply (primeness scans scale badly with
-    the vertex count, and long walks drift toward many-vertex spheres).
+    only with at most max_vertices vertices.  Long walks drift toward
+    many-vertex spheres, and each verify check on a harvested sphere costs
+    more with every vertex and edge; testing primeness is cheap at any
+    vertex count the walks reach (see FLIP_WALK_MAX_VERTICES).
     """
-    start = cross_polytope(4)
     seen: set[frozenset[frozenset[int]]] = set()
     out: list[SimplicialComplex] = []
     for walk_index in range(max_walks):
         if len(out) >= count:
             break
         walk = random_flip_walk(
-            start, walk_steps, seed=derive_seed(seed, "walk", walk_index)
+            _FLIP_WALK_START, walk_steps, seed=derive_seed(seed, "walk", walk_index)
         )
         for delta in walk:
             if len(delta.vertices) > max_vertices or delta.facets in seen:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherig as sp
 from spherig.cli import main
@@ -239,3 +242,68 @@ class TestVerify:
             outputs.append(proc.stdout)
         assert len(outputs[0].splitlines()) == 91
         assert outputs[0] == outputs[1]
+
+
+# Malformed facet text of two kinds: junk lines (bad tokens, negative or huge
+# labels, comments, arbitrary text), and the facets of a real sphere with
+# facets dropped and junk lines mixed in, so that the commands' own checks
+# run and not just the parser.
+_token = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["x", "1.5", "0x1", "#", "-", "+3", "1_0", "\u0663", str(2**70)]),
+)
+_line = st.one_of(
+    st.lists(_token, max_size=5).map(" ".join),
+    st.sampled_from(["# comment", "", "   ", "\t"]),
+    st.text(max_size=8),
+)
+_SPHERES = [
+    format_facets(delta).splitlines()
+    for delta in (
+        sp.cross_polytope(3),
+        sp.cross_polytope(4),
+        sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9),
+        sp.cyclic_polytope_boundary(7, 4),
+    )
+]
+
+
+@st.composite
+def _damaged_sphere(draw) -> list[str]:
+    lines = list(draw(st.sampled_from(_SPHERES)))
+    for _ in range(draw(st.integers(0, 2))):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_line))
+    return lines
+
+
+_facet_text = st.one_of(st.lists(_line, max_size=8), _damaged_sphere()).map("\n".join)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["missing-faces"],
+        ["prime"],
+        ["g2"],
+        ["contract", "1", "2"],
+        ["decompose"],
+        ["rigid", "--dim", "3", "--seed", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@settings(max_examples=40, deadline=None)
+@given(text=_facet_text)
+def test_malformed_facet_text_never_raises(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import spherig as sp
 from spherig.complexes import SimplicialComplex, as_face, intersection
+from spherig.harness import flip_walk_corpus
 
 from oracles import brute_contract, brute_missing_faces, brute_prime_factors, closure
 
@@ -315,9 +316,15 @@ class TestPrimeFactors:
             sp.prime_factors(torus_7(), 3)
 
 
+# The face index keys faces by vertex position, so labels far apart (and
+# past 2**40) must behave like small ones.
+BIG = 2**40
+labels_strategy = st.sampled_from([0, 1, 2, 3, 4, 5, 6, BIG, BIG + 7, 10**12])
 faces_strategy = st.lists(
-    st.frozensets(st.integers(1, 7), min_size=1, max_size=4), min_size=1, max_size=9
+    st.frozensets(labels_strategy, min_size=1, max_size=4), min_size=1, max_size=9
 )
+# never drawn by faces_strategy, so always outside its complexes
+OUTSIDE = (7, 2**41, 10**15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,3 +351,71 @@ def test_random_complex_missing_faces_are_minimal_nonfaces(facet_list):
         assert not delta.has_face(sigma)
         for v in sigma:
             assert delta.has_face(sigma - {v})
+
+
+@settings(max_examples=80, deadline=None)
+@given(faces_strategy)
+def test_has_face_matches_closure(facet_list):
+    delta = SimplicialComplex.from_facets(facet_list)
+    faces = closure(delta.facets)
+    labels = sorted(delta.vertices) + [0, 1, BIG, BIG + 7, *OUTSIDE]
+    for face in faces:
+        assert delta.has_face(face)
+        for v in labels:
+            candidate = face | {v}
+            assert delta.has_face(candidate) == (candidate in faces), sorted(candidate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(faces_strategy)
+def test_missing_faces_list_is_the_callers_own(facet_list):
+    delta = SimplicialComplex.from_facets(facet_list)
+    expected = brute_missing_faces(delta.facets)
+    first = delta.missing_faces()
+    first.reverse()
+    first.append(frozenset({99}))
+    second = delta.missing_faces()
+    assert second == expected
+    second.clear()
+    assert delta.missing_faces() == expected
+
+
+def test_has_face_still_validates_labels():
+    delta = octahedron()
+    with pytest.raises(ValueError):
+        delta.has_face([1, -2])
+    with pytest.raises(ValueError):
+        delta.has_face(["1"])
+
+
+def test_links_and_skeleta_leave_the_index_unbuilt():
+    delta = sp.cyclic_polytope_boundary(8, 4)
+    delta.faces_of_dim(1)
+    sp.graph_of(delta)
+    delta.link([1, 2])
+    delta.star([1])
+    assert "_face_index" not in vars(delta)
+    assert delta.has_face([1, 2])
+    assert "_face_index" in vars(delta)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**62))
+def test_is_prime_matches_oracle_on_flip_walks(seed):
+    harvest = flip_walk_corpus(seed, count=4, max_vertices=14, max_walks=4)
+    walk = sp.random_flip_walk(sp.cross_polytope(4), 10, seed=seed)
+    for delta in harvest + walk:
+        brute = brute_missing_faces(delta.facets)
+        assert delta.missing_faces() == brute
+        assert delta.is_prime(4) == all(len(f) != 4 for f in brute)
+    assert all(delta.is_prime(4) for delta in harvest)
+
+
+def test_flip_walks_reach_non_prime_spheres():
+    # the walk branch of the test above decides both ways, not just "prime"
+    walk = sp.random_flip_walk(sp.cross_polytope(4), 10, seed=1)
+    verdicts = {delta.is_prime(4) for delta in walk}
+    assert verdicts == {True, False}
+    for delta in walk:
+        brute = brute_missing_faces(delta.facets)
+        assert delta.is_prime(4) == all(len(f) != 4 for f in brute)

@@ -258,9 +258,3 @@ class TestRandomWalk:
     def test_vertex_floor_is_respected(self):
         for delta in sp.random_flip_walk(sp.cross_polytope(4), 25, seed=1):
             assert len(delta.vertices) >= 6
-
-    def test_keep_prime_filters_output(self):
-        kept = sp.random_flip_walk(sp.cross_polytope(4), 12, seed=3, keep_prime=True)
-        unfiltered = sp.random_flip_walk(sp.cross_polytope(4), 12, seed=3)
-        assert all(delta.is_prime(4) for delta in kept)
-        assert [d for d in unfiltered if d.is_prime(4)] == kept
