@@ -54,14 +54,6 @@ class Certificate:
             raise ValueError(f"unknown rule {self.rule!r}")
 
 
-def _engine_rigid(graph: Graph, d: int, trials: int, seed: int) -> bool:
-    # graphs on <= d vertices fall outside the rank target; rigid iff complete
-    n = len(graph.vertices)
-    if n <= d:
-        return len(graph.edges) == n * (n - 1) // 2
-    return decide_rigidity(graph, d, trials, seed).is_rigid
-
-
 def check(
     cert: Certificate,
     trials: int = DEFAULT_TRIALS,
@@ -99,7 +91,7 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
         if node.rule == "CompleteLeaf":
             n = len(node.graph.vertices)
             return n >= d + 1 and len(node.graph.edges) == n * (n - 1) // 2
-        return _engine_rigid(node.graph, d, trials, derive_seed(seed, "leaf", path))
+        return decide_rigidity(node.graph, d, trials, derive_seed(seed, "leaf", path)).is_rigid
 
     if node.rule == "Cone":
         if len(node.children) != 1:
@@ -147,7 +139,7 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
         fail(f"unknown rule {node.rule}")
 
     if ok and cross_check:
-        ok = _engine_rigid(node.graph, d, trials, derive_seed(seed, "cross", path))
+        ok = decide_rigidity(node.graph, d, trials, derive_seed(seed, "cross", path)).is_rigid
     return ok
 
 

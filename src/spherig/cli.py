@@ -4,8 +4,11 @@ Complexes flow through the facet-list text format (one facet per line,
 integer labels, '#' comments) on stdin/stdout or file paths.  Exit codes:
 0 on success / all checks pass, 1 when a query or verification answers
 negatively, 2 on usage or input errors.  `g2` and `prime` answer only for
-pseudomanifolds and reject any other complex with exit 2; `rigid` takes the
-graph of any complex.
+pseudomanifolds and reject any other complex with exit 2; `prime` and
+`decompose` work in the rigidity dimension d = dim + 1 of their input.
+`rigid` takes the graph of any complex, with any number of vertices, and
+compares its rank with the one rigid rank for that size: C(n,2) on at most
+d+1 vertices, d*n - C(d+1,2) on more.
 
 The SPHERIG_SEED environment variable supplies the default seed; flags and
 config files override it.
@@ -87,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     prime = sub.add_parser(
         "prime", help="test primeness of a pseudomanifold (no missing face of facet size)"
     )
-    prime.add_argument("--dim", type=int, help="rigidity dimension d, default dim+1")
     complex_input(prime)
 
     missing = sub.add_parser("missing-faces", help="list all minimal non-faces")
@@ -106,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     complex_input(rigid)
 
     decompose = sub.add_parser("decompose", help="split a connected sum into prime factors")
-    decompose.add_argument("--dim", type=int, help="rigidity dimension d, default dim+1")
     complex_input(decompose)
 
     verify = sub.add_parser("verify", help="run the verification suite over a corpus")
@@ -143,8 +144,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "prime":
         delta = _read_sphere(args.path)
-        d = args.dim if args.dim is not None else delta.dim + 1
-        result = delta.is_prime(d)
+        result = delta.is_prime(delta.dim + 1)
         print("prime" if result else "not prime")
         return 0 if result else 1
 
@@ -177,8 +177,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "decompose":
         delta = _read_complex(args.path)
-        d = args.dim if args.dim is not None else delta.dim + 1
-        for i, factor in enumerate(prime_factors(delta, d)):
+        for i, factor in enumerate(prime_factors(delta, delta.dim + 1)):
             print(f"# factor {i}")
             sys.stdout.write(format_facets(factor))
         return 0

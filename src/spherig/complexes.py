@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def as_face(vertices: Iterable[int]) -> frozenset[int]:
@@ -134,15 +134,6 @@ class SimplicialComplex:
                     out.add(frozenset(combo))
         return out
 
-    def all_faces(self) -> Iterator[frozenset[int]]:
-        """Every face of the complex, the empty face included."""
-        seen: set[frozenset[int]] = set()
-        for k in range(-1, self.dim + 1):
-            for f in self.faces_of_dim(k):
-                if f not in seen:
-                    seen.add(f)
-                    yield f
-
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_{-1}, f_0, ..., f_dim), with f_{-1} = 1."""
         return tuple(len(self.faces_of_dim(k)) for k in range(-1, self.dim + 1))
@@ -179,12 +170,6 @@ class SimplicialComplex:
     def star(self, face: Iterable[int]) -> "SimplicialComplex":
         """Closed star of a face: all facets containing it."""
         return SimplicialComplex(self._facets_containing(as_face(face)))
-
-    def delete_vertex(self, v: int) -> "SimplicialComplex":
-        """The subcomplex of faces avoiding v."""
-        if v not in self.vertices:
-            raise ValueError(f"vertex {v} not in the complex")
-        return SimplicialComplex(f - {v} for f in self.facets)
 
     def contract_edge(self, edge: Iterable[int], new_label: int) -> "SimplicialComplex":
         """Contract an edge, merging its endpoints into a fresh vertex.

@@ -177,14 +177,13 @@ def _is_simplex_boundary(link: SimplicialComplex) -> frozenset[int] | None:
     return verts if link.facets == expected else None
 
 
-def legal_flips(delta: SimplicialComplex, d: int | None = None) -> list[FlipMove]:
-    """All bistellar moves applicable to a pure (d-1)-complex, in sorted order.
+def legal_flips(delta: SimplicialComplex) -> list[FlipMove]:
+    """All bistellar moves applicable to a pure complex, in sorted order.
 
     For a facet (the 0-flip, i.e. stacking) the incoming vertex is fixed to
     max(V)+1 so the enumeration stays deterministic.
     """
-    if d is None:
-        d = delta.dim + 1
+    d = delta.dim + 1
     delta._require_pure(d)
     fresh = max(delta.vertices) + 1
     moves: list[FlipMove] = []
@@ -230,23 +229,19 @@ def bistellar_flip(delta: SimplicialComplex, move: FlipMove) -> SimplicialComple
 
 
 def random_flip_walk(
-    delta: SimplicialComplex,
-    steps: int,
-    seed: int = 0,
-    d: int | None = None,
+    delta: SimplicialComplex, steps: int, seed: int = 0
 ) -> list[SimplicialComplex]:
     """Seeded random walk in the bistellar flip graph; returns one complex per step.
 
-    Moves that would drop the vertex count below d+2 are never taken (the
-    rigidity rank target stops making sense there).
+    Moves that would drop the vertex count below d+2, d = dim + 1, are never
+    taken, so the walk never returns to the boundary of the d-simplex.
     """
-    if d is None:
-        d = delta.dim + 1
+    d = delta.dim + 1
     rng = random.Random(derive_seed(seed, "flip-walk", steps))
     current = delta
     out: list[SimplicialComplex] = []
     for _ in range(steps):
-        moves = legal_flips(current, d)
+        moves = legal_flips(current)
         if len(current.vertices) <= d + 2:
             moves = [m for m in moves if len(m.face_out) != 1]
         if not moves:

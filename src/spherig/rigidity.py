@@ -1,14 +1,16 @@
 """Rigidity matrices over a large prime field and randomized rank decisions.
 
-Generic rank is decided by evaluating the matrix at uniformly random field
-points.  The rank at a specific point never exceeds the generic rank, and
-falls short only when the point lands on a proper minor locus; by
-Schwartz-Zippel that happens with probability at most (matrix rows)/p per
-trial.  With p = 2**61 - 1 and max-over-trials aggregation the check is
-one-sided: a "rigid" answer is always correct, a "flexible" answer is wrong
-with negligible probability.  edge_deletion_ranks answers every single-edge
-deletion of a graph from one elimination of its matrix, with the same
-guarantee (see its docstring).
+A graph on n vertices is generically d-rigid exactly when its rigidity
+matrix reaches rigidity_target(n, d), one closed form for every n: C(n,2)
+while n <= d+1 and d*n - C(d+1,2) above.  Generic rank is decided by
+evaluating the matrix at uniformly random field points.  The rank at a
+specific point never exceeds the generic rank, and falls short only when
+the point lands on a proper minor locus; by Schwartz-Zippel that happens
+with probability at most (matrix rows)/p per trial.  With p = 2**61 - 1 and
+max-over-trials aggregation the check is one-sided: a "rigid" answer is
+always correct, a "flexible" answer is wrong with negligible probability.
+edge_deletion_ranks answers every single-edge deletion of a graph from one
+elimination of its matrix, with the same guarantee (see its docstring).
 
 Field elements are plain Python ints in [0, p); there is no scalar wrapper
 class.  All randomness is drawn from seeded generators so every decision is
@@ -143,7 +145,16 @@ def _reduce(rows: list[list[int]], ncols: int, p: int) -> int:
 
 
 def rigidity_target(n_vertices: int, d: int) -> int:
-    """The full-rank value d*n - C(d+1,2) for frameworks on >= d+1 vertices."""
+    """The rank of a generically d-rigid framework on n vertices.
+
+    While n <= d+1, generic points are affinely independent and every edge
+    is an independent row, so the rigid rank is C(n,2), reached exactly by
+    the complete graph; above that it is d*n - C(d+1,2) (Asimow-Roth 1978).
+    The two forms agree at n = d and n = d+1: d*d - C(d+1,2) = C(d,2) and
+    d*(d+1) - C(d+1,2) = C(d+1,2).
+    """
+    if n_vertices <= d + 1:
+        return comb(n_vertices, 2)
     return d * n_vertices - comb(d + 1, 2)
 
 
@@ -182,17 +193,11 @@ def rigid_verdict_memo() -> Iterator[set[tuple[Graph, int]]]:
         _known_rigid.reset(token)
 
 
-def _require_decidable(graph: Graph, d: int, trials: int) -> None:
+def _require_decidable(d: int, trials: int) -> None:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if trials < 1:
         raise ValueError("need at least one trial")
-    n = len(graph.vertices)
-    if n <= d:
-        raise ValueError(
-            f"rigidity target needs at least d+1 = {d + 1} vertices, got {n}; "
-            "graphs this small are rigid exactly when complete"
-        )
 
 
 def decide_rigidity(
@@ -204,16 +209,13 @@ def decide_rigidity(
     """Randomized generic-rigidity decision for a graph in dimension d.
 
     Evaluates the matrix at `trials` independent random embeddings and
-    keeps the maximum rank.  Needs at least d+1 vertices; with exactly d+1
-    the rank target degenerates to C(d+1,2), so the verdict is taken from
-    completeness of the graph instead of the rank comparison (the two agree
-    at generic points).  Inside rigid_verdict_memo a graph already decided
+    keeps the maximum rank; the graph is rigid when that rank meets
+    rigidity_target.  Inside rigid_verdict_memo a graph already decided
     rigid is answered without a new embedding.
     """
-    _require_decidable(graph, d, trials)
-    n = len(graph.vertices)
+    _require_decidable(d, trials)
     f1 = len(graph.edges)
-    target = rigidity_target(n, d)
+    target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
     if memo is not None and (graph, d) in memo:
         return RigidityVerdict(target, target, True, trials, f1 - target)
@@ -224,11 +226,8 @@ def decide_rigidity(
         best = max(best, RigidityMatrix(graph, phi).rank())
         if best == cap:
             break
-    if n == d + 1:
-        is_rigid = f1 == comb(n, 2)
-    else:
-        is_rigid = best == target
-    if memo is not None and best == target:
+    is_rigid = best == target
+    if memo is not None and is_rigid:
         memo.add((graph, d))
     return RigidityVerdict(
         rank=best,
@@ -268,7 +267,7 @@ def edge_deletion_ranks(
     target ("rigid") is always right, and only a shortfall can be wrong, by
     Schwartz-Zippel with probability at most (matrix rows)/p per trial.
     """
-    _require_decidable(graph, d, trials)
+    _require_decidable(d, trials)
     matrix = RigidityMatrix(graph, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
     # Each row is extended by a unit vector that records which input rows it
     # has become a combination of; the rows reduced to zero then carry a

@@ -135,6 +135,17 @@ class TestRigid:
         assert code == 0
         assert "rigid=true rank=5 target=5" in out
 
+    def test_graph_on_at_most_d_vertices(self, capsys, monkeypatch):
+        # one target for every size: C(n,2) here, met only by the complete graph
+        feed(monkeypatch, "1 2 3\n")
+        code, out, _ = run(capsys, "rigid", "--dim", "4")
+        assert code == 0
+        assert "rigid=true rank=3 target=3" in out
+        feed(monkeypatch, "1 2\n2 3\n")
+        code, out, _ = run(capsys, "rigid", "--dim", "4")
+        assert code == 1
+        assert "rigid=false rank=2 target=3" in out
+
     def test_seed_env_var_is_the_default(self, capsys, monkeypatch):
         monkeypatch.setenv("SPHERIG_SEED", "77")
         feed(monkeypatch, format_facets(sp.cross_polytope(4)))

@@ -66,12 +66,6 @@ class TestBasicQueries:
         assert len(delta.faces_of_dim(1)) == 6
         assert delta.faces_of_dim(3) == set()
 
-    def test_all_faces_matches_closure(self, small_spheres):
-        for _, delta, _ in small_spheres:
-            listed = list(delta.all_faces())
-            assert len(listed) == len(set(listed))  # no duplicates from the generator
-            assert set(listed) == closure(delta.facets)
-
     def test_is_pure(self):
         assert octahedron().is_pure
         mixed = SimplicialComplex.from_facets([(1, 2, 3), (4, 5)])
@@ -135,16 +129,6 @@ class TestLinkStarDelete:
             star = delta.star((v,))
             link = delta.link((v,))
             assert star == sp.cone(link, v)
-
-    def test_delete_vertex(self):
-        deleted = octahedron().delete_vertex(1)
-        assert deleted == SimplicialComplex.from_facets(
-            [(2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6)]
-        )
-
-    def test_delete_missing_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            octahedron().delete_vertex(9)
 
 
 class TestRelabelContract:

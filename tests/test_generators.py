@@ -237,6 +237,13 @@ class TestFlips:
         with pytest.raises(ValueError, match="fresh"):
             sp.bistellar_flip(delta, FlipMove(frozenset({1, 2, 3, 4}), frozenset({5})))
 
+    def test_impure_complex_rejected(self):
+        impure = SimplicialComplex.from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(ValueError, match="pure"):
+            sp.legal_flips(impure)
+        with pytest.raises(ValueError, match="pure"):
+            sp.random_flip_walk(impure, 3, seed=1)
+
     def test_flip_requires_simplex_boundary_link(self):
         octa = sp.cross_polytope(3)
         with pytest.raises(ValueError, match="simplex boundary"):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -142,10 +143,6 @@ class TestDecideRigidity:
         assert verdict.rank == 22
         assert verdict.stress_dim == 2
 
-    def test_too_few_vertices_rejected(self):
-        with pytest.raises(ValueError, match="at least d\\+1"):
-            decide_rigidity(complete_graph(range(1, 5)), 4)
-
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):
             decide_rigidity(complete_graph(range(1, 5)), 3, trials=0)
@@ -183,6 +180,51 @@ class TestDecideRigidity:
         for i in range(len(m.rows)):
             sub = rank_mod(m.rows[:i] + m.rows[i + 1 :], P)
             assert sub in (full - 1, full)
+
+
+def graphs_on(n: int, rng: random.Random):
+    """Every graph on vertices 1..n up to n = 5; 40 seeded random ones above."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    if n <= 5:
+        masks = range(2 ** len(pairs))
+    else:
+        masks = [rng.getrandbits(len(pairs)) for _ in range(40)]
+    for mask in masks:
+        yield Graph(range(1, n + 1), (e for i, e in enumerate(pairs) if mask >> i & 1))
+
+
+class TestSmallGraphs:
+    """One target for every vertex count: C(n,2) up to d+1 vertices, where
+    only the complete graph is rigid, and d*n - C(d+1,2) above."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_rank_and_verdict_match_the_oracle(self, d):
+        rng = random.Random(d)
+        for n in range(1, d + 3):
+            for graph in graphs_on(n, rng):
+                verdict = decide_rigidity(graph, d, seed=n)
+                exact = rational_rigidity_rank(graph, d, rng)
+                assert verdict.rank == exact, (n, graph.sorted_edges())
+                assert verdict.target_rank == rigidity_target(n, d)
+                assert verdict.is_rigid == (exact == rigidity_target(n, d))
+                if n <= d + 1:
+                    assert verdict.is_rigid == (len(graph.edges) == comb(n, 2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_edge_deletion_ranks_match_per_edge_decisions(self, d):
+        rng = random.Random(d)
+        for n in range(1, d + 3):
+            for graph in graphs_on(n, rng):
+                ranks = edge_deletion_ranks(graph, d, seed=n)
+                assert list(ranks) == graph.sorted_edges()
+                for (a, b), rank in ranks.items():
+                    slow = decide_rigidity(graph.remove_edge(a, b), d, seed=n)
+                    assert rank == slow.rank, (n, graph.sorted_edges(), a, b)
+
+    def test_targets_agree_where_the_forms_meet(self):
+        for d in range(1, 8):
+            for n in (d, d + 1):
+                assert rigidity_target(n, d) == comb(n, 2) == d * n - comb(d + 1, 2)
 
 
 class TestAgainstRationalOracle:
@@ -256,14 +298,6 @@ class TestEdgeDeletionRanks:
         graph = graph_of(sp.boundary_simplex(5))
         ranks = edge_deletion_ranks(graph, 5, seed=1)
         assert set(ranks.values()) == {len(graph.edges) - 1}
-
-    def test_too_few_vertices_rejected_like_decide_rigidity(self):
-        graph = complete_graph(range(1, 5))
-        with pytest.raises(ValueError, match="at least d\\+1") as fast:
-            edge_deletion_ranks(graph, 4)
-        with pytest.raises(ValueError) as slow:
-            decide_rigidity(graph, 4)
-        assert str(fast.value) == str(slow.value)
 
 
 class TestRigidVerdictMemo:
