@@ -143,15 +143,14 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
     return ok
 
 
-def certify_star_rigidity(delta: SimplicialComplex, sigma: Iterable[int], d: int) -> Certificate:
-    """Certificate that the star of a face has a d-rigid graph.
+def certify_star_rigidity(delta: SimplicialComplex, sigma: Iterable[int]) -> Certificate:
+    """Certificate that the star of a face has a d-rigid graph, d = dim + 1.
 
     The star is the join of the face with its link, so the certificate is a
     tower of Cone rules over a rank test of the link's graph in dimension
     d - |sigma|.  An empty face gives a bare rank leaf for the whole graph.
     """
-    if d != delta.dim + 1:
-        raise ValueError(f"expected d = dim + 1 = {delta.dim + 1}, got {d}")
+    d = delta.dim + 1
     face = frozenset(sigma)
     if not delta.has_face(face):
         raise ValueError(f"{sorted(face)} is not a face")
@@ -174,17 +173,17 @@ def certify_star_rigidity(delta: SimplicialComplex, sigma: Iterable[int], d: int
 
 
 def certify_missing_face_edge(
-    delta: SimplicialComplex, sigma: Iterable[int], e: Iterable[int], d: int
+    delta: SimplicialComplex, sigma: Iterable[int], e: Iterable[int]
 ) -> Certificate:
-    """Certificate that deleting an edge inside a missing face keeps the graph d-rigid.
+    """Certificate that deleting an edge inside a missing face keeps the graph
+    d-rigid, d = dim + 1.
 
     For a missing face sigma of dimension 2..d-2 and an edge e inside it,
     the graph minus e restricted to W = V(star(sigma - e)) still contains
     the star's rigid graph, and completing W recovers a supergraph of the
     full graph; the Replacement rule combines the two.
     """
-    if d != delta.dim + 1:
-        raise ValueError(f"expected d = dim + 1 = {delta.dim + 1}, got {d}")
+    d = delta.dim + 1
     face = frozenset(sigma)
     if delta.has_face(face) or not all(delta.has_face(face - {v}) for v in face):
         raise ValueError(f"{sorted(face)} is not a missing face")
@@ -195,7 +194,7 @@ def certify_missing_face_edge(
     if len(edge) != 2 or not edge <= face:
         raise ValueError(f"{sorted(edge)} is not an edge inside {sorted(face)}")
     tau = face - edge
-    star_cert = certify_star_rigidity(delta, tau, d)
+    star_cert = certify_star_rigidity(delta, tau)
     w = delta.star(tau).vertices
     a, b = sorted(edge)
     claim = graph_of(delta).remove_edge(a, b)

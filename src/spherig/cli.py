@@ -4,8 +4,9 @@ Complexes flow through the facet-list text format (one facet per line,
 integer labels, '#' comments) on stdin/stdout or file paths.  Exit codes:
 0 on success / all checks pass, 1 when a query or verification answers
 negatively, 2 on usage or input errors.  `g2` and `prime` answer only for
-pseudomanifolds and reject any other complex with exit 2; `prime` and
-`decompose` work in the rigidity dimension d = dim + 1 of their input.
+pseudomanifolds and reject any other complex with exit 2.  `g2`, `prime`
+and `decompose` take the rigidity dimension d = dim + 1 from their input;
+only `rigid` asks for it (`--dim`), because a graph does not fix it.
 `rigid` takes the graph of any complex, with any number of vertices, and
 compares its rank with the one rigid rank for that size: C(n,2) on at most
 d+1 vertices, d*n - C(d+1,2) on more.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .complexes import SimplicialComplex, prime_factors
 from .generators import (
@@ -58,7 +60,7 @@ def _read_sphere(path: str) -> SimplicialComplex:
     """A complex for the sphere-only commands: pure, every ridge in exactly
     two facets, and facets connected through ridges."""
     delta = _read_complex(path)
-    if not delta.is_pseudomanifold(delta.dim + 1):
+    if not delta.is_pseudomanifold():
         raise ValueError(
             "input is not a pseudomanifold: the complex must be pure, with every "
             "ridge in exactly two facets and the facets connected through ridges"
@@ -144,7 +146,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "prime":
         delta = _read_sphere(args.path)
-        result = delta.is_prime(delta.dim + 1)
+        result = delta.is_prime()
         print("prime" if result else "not prime")
         return 0 if result else 1
 
@@ -176,8 +178,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if verdict.is_rigid else 1
 
     if args.command == "decompose":
-        delta = _read_complex(args.path)
-        for i, factor in enumerate(prime_factors(delta, delta.dim + 1)):
+        for i, factor in enumerate(prime_factors(_read_complex(args.path))):
             print(f"# factor {i}")
             sys.stdout.write(format_facets(factor))
         return 0
@@ -186,7 +187,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         base = SuiteConfig(seed=_default_seed())
         config = SuiteConfig.from_file(args.config, base) if args.config else base
         if args.seed is not None:
-            config.seed = args.seed
+            config = replace(config, seed=args.seed)
         report = run_suite(config)
         machine = report.machine_format()
         if args.machine == "-":

@@ -138,16 +138,10 @@ class SimplicialComplex:
         """Face counts (f_{-1}, f_0, ..., f_dim), with f_{-1} = 1."""
         return tuple(len(self.faces_of_dim(k)) for k in range(-1, self.dim + 1))
 
-    def g2(self, d: int | None = None) -> int:
-        """The invariant f_1 - d*f_0 + C(d+1,2) for d = dim + 1.
-
-        Passing d explicitly documents the intended rigidity dimension and is
-        checked against the complex.
-        """
-        if d is None:
-            d = self.dim + 1
-        if d != self.dim + 1:
-            raise ValueError(f"g2 expects d = dim + 1 = {self.dim + 1}, got {d}")
+    def g2(self) -> int:
+        """The invariant f_1 - d*f_0 + C(d+1,2) in the rigidity dimension
+        d = dim + 1 that the complex fixes."""
+        d = self.dim + 1
         f0 = len(self.vertices)
         f1 = len(self.faces_of_dim(1))
         return f1 - d * f0 + d * (d + 1) // 2
@@ -237,24 +231,24 @@ class SimplicialComplex:
         """All minimal non-faces, sorted by size then lexicographically."""
         return list(self._missing_faces)
 
-    def is_prime(self, d: int) -> bool:
-        """True when no missing face has facet size (pure (d-1)-complexes only)."""
-        self._require_pure(d)
-        return all(len(f) != d for f in self.missing_faces())
+    def is_prime(self) -> bool:
+        """True when no missing face has facet size (pure complexes only)."""
+        self._require_pure()
+        size = self.dim + 1
+        return all(len(f) != size for f in self.missing_faces())
 
-    def is_pseudomanifold(self, d: int) -> bool:
-        """Every (d-2)-face in exactly two facets, with connected facet adjacency.
+    def is_pseudomanifold(self) -> bool:
+        """Every ridge (codimension-1 face) in exactly two facets, with
+        connected facet adjacency.
 
         Purity is part of the definition, so an impure complex is simply not
-        a pseudomanifold; only a dimension mismatch is a usage error.
+        a pseudomanifold.
         """
-        if self.dim != d - 1:
-            raise ValueError(f"complex has dimension {self.dim}, expected {d - 1}")
         if not self.is_pure:
             return False
         ridge_facets: dict[frozenset[int], list[frozenset[int]]] = {}
         for facet in self.facets:
-            for combo in combinations(sorted(facet), d - 1):
+            for combo in combinations(sorted(facet), self.dim):
                 ridge_facets.setdefault(frozenset(combo), []).append(facet)
         if any(len(fs) != 2 for fs in ridge_facets.values()):
             return False
@@ -272,11 +266,9 @@ class SimplicialComplex:
                     stack.append(nxt)
         return len(seen) == len(self.facets)
 
-    def _require_pure(self, d: int) -> None:
+    def _require_pure(self) -> None:
         if not self.is_pure:
             raise ValueError("operation requires a pure complex")
-        if self.dim != d - 1:
-            raise ValueError(f"complex has dimension {self.dim}, expected {d - 1}")
 
     # -- dunder -----------------------------------------------------------
 
@@ -315,8 +307,8 @@ def cone(base: SimplicialComplex, apex: int) -> SimplicialComplex:
     return SimplicialComplex(f | {apex} for f in base.facets)
 
 
-def prime_factors(delta: SimplicialComplex, d: int) -> list[SimplicialComplex]:
-    """Split a connected sum of (d-1)-spheres into its prime factors.
+def prime_factors(delta: SimplicialComplex) -> list[SimplicialComplex]:
+    """Split a connected sum of spheres into its prime factors.
 
     Recursively cuts along each missing facet sigma: removing sigma's
     vertices must disconnect the rest, and each factor is the induced
@@ -325,9 +317,9 @@ def prime_factors(delta: SimplicialComplex, d: int) -> list[SimplicialComplex]:
     facet that fails to separate means the input is not a connected sum of
     spheres, and is reported as an error rather than guessed around.
     """
-    if not delta.is_pseudomanifold(d):
+    if not delta.is_pseudomanifold():
         raise ValueError("prime factor decomposition expects a pseudomanifold")
-    missing_facets = [f for f in delta.missing_faces() if len(f) == d]
+    missing_facets = [f for f in delta.missing_faces() if len(f) == delta.dim + 1]
     if not missing_facets:
         return [delta]
     sigma = missing_facets[0]
@@ -362,5 +354,5 @@ def prime_factors(delta: SimplicialComplex, d: int) -> list[SimplicialComplex]:
         piece = SimplicialComplex(
             [f for f in delta.facets if f <= keep] + [sigma]
         )
-        factors.extend(prime_factors(piece, d))
+        factors.extend(prime_factors(piece))
     return factors

@@ -184,7 +184,7 @@ def legal_flips(delta: SimplicialComplex) -> list[FlipMove]:
     max(V)+1 so the enumeration stays deterministic.
     """
     d = delta.dim + 1
-    delta._require_pure(d)
+    delta._require_pure()
     fresh = max(delta.vertices) + 1
     moves: list[FlipMove] = []
     for size in range(1, d + 1):

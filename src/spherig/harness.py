@@ -171,27 +171,27 @@ def _check_kind(kind: str):
 @_check_kind("minus_edge")
 def verify_minus_edge(
     delta: SimplicialComplex,
-    d: int,
     *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
-    """Every single-edge deletion must leave the graph d-rigid.
+    """Every single-edge deletion must leave the graph d-rigid, d = dim + 1.
 
     Applies only to prime spheres with positive g2; inputs failing either
     gate produce a single skip record, not failures.  All edge records of
     one graph share one sub-seed: one elimination at that seed ranks every
     deletion.
     """
-    if d < 4:
+    if delta.dim < 3:
         raise ValueError("minus-edge verification needs d >= 4")
-    if not delta.is_prime(d):
+    if not delta.is_prime():
         yield _Outcome(name, SKIP, seed=seed, note="not prime")
         return
-    if delta.g2(d) <= 0:
+    if delta.g2() <= 0:
         yield _Outcome(name, SKIP, seed=seed, note="g2 = 0")
         return
+    d = delta.dim + 1
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     sub = derive_seed(seed, "minus-edge", name)
@@ -202,16 +202,14 @@ def verify_minus_edge(
 @_check_kind("negative_control")
 def verify_negative_control(
     gamma: SimplicialComplex,
-    d: int,
     *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "control",
 ) -> Iterator[_Outcome]:
     """Stack over a facet, then delete an edge at the new vertex: rank must
-    fall short of the rigid target by exactly one."""
-    if d != gamma.dim + 1:
-        raise ValueError(f"expected d = dim + 1 = {gamma.dim + 1}, got {d}")
+    fall short of the rigid target by exactly one, in d = dim + 1."""
+    d = gamma.dim + 1
     facet = sorted(gamma.sorted_facets()[0])
     v_new = max(gamma.vertices) + 1
     graph = graph_of(stack_over_facet(gamma, facet, v_new))
@@ -225,7 +223,6 @@ def verify_negative_control(
 @_check_kind("missing_face")
 def verify_missing_face_lemma(
     delta: SimplicialComplex,
-    d: int,
     *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
@@ -238,8 +235,9 @@ def verify_missing_face_lemma(
     so nothing passes.  The edge records of one graph share one sub-seed,
     for the ranks and the certificates alike.
     """
-    if d < 4:
+    if delta.dim < 3:
         raise ValueError("missing-face verification needs d >= 4")
+    d = delta.dim + 1
     qualifying = [f for f in delta.missing_faces() if 2 <= len(f) - 1 <= d - 2]
     if not qualifying:
         yield _Outcome(
@@ -254,7 +252,7 @@ def verify_missing_face_lemma(
         label = face_label(sigma)
         for a, b in combinations(sorted(sigma), 2):
             rank = ranks[a, b]
-            cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b), d), trials, sub)
+            cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), trials, sub)
             yield _Outcome(
                 f"{name}:s={label}:e={a}-{b}",
                 PASS if (rank == target and cert_ok) else FAIL,
@@ -321,42 +319,38 @@ def verify_contraction_reduction(
 @_check_kind("star_rigidity")
 def verify_star_rigidity(
     delta: SimplicialComplex,
-    d: int,
     *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
-    """Certificates for the stars of all faces with |sigma| <= d-3 must pass."""
-    if d != delta.dim + 1:
-        raise ValueError(f"expected d = dim + 1 = {delta.dim + 1}, got {d}")
-    if d < 4:
+    """Certificates for the stars of all faces with |sigma| <= d-3 must
+    pass, d = dim + 1."""
+    if delta.dim < 3:
         raise ValueError("star verification needs d >= 4")
+    d = delta.dim + 1
     faces: list[frozenset[int]] = [frozenset()]
     for size in range(1, d - 2):
         faces.extend(sorted(delta.faces_of_dim(size - 1), key=sorted))
     for face in faces:
         label = face_label(face)
         sub = derive_seed(seed, "star", name, label)
-        ok = check(certify_star_rigidity(delta, face, d), trials, sub)
+        ok = check(certify_star_rigidity(delta, face), trials, sub)
         yield _Outcome(f"{name}:s={label}", PASS if ok else FAIL, seed=sub)
 
 
 @_check_kind("g2_stress")
 def verify_g2_stress(
     delta: SimplicialComplex,
-    d: int,
     *,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
     """The stress space dimension (edges minus rank) must equal g2."""
-    if d != delta.dim + 1:
-        raise ValueError(f"expected d = dim + 1 = {delta.dim + 1}, got {d}")
     sub = derive_seed(seed, "g2-stress", name)
-    stress_dim = decide_rigidity(graph_of(delta), d, trials, sub).stress_dim
-    yield _ranked(name, stress_dim, delta.g2(d), sub)
+    stress_dim = decide_rigidity(graph_of(delta), delta.dim + 1, trials, sub).stress_dim
+    yield _ranked(name, stress_dim, delta.g2(), sub)
 
 
 # -- corpus and suite -----------------------------------------------------
@@ -366,7 +360,11 @@ def verify_g2_stress(
 class CorpusEntry:
     name: str
     complex: SimplicialComplex
-    d: int
+
+    @property
+    def d(self) -> int:
+        """The rigidity dimension the sphere fixes."""
+        return self.complex.dim + 1
 
 
 FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks", "negative-control")
@@ -412,7 +410,7 @@ def flip_walk_corpus(
         for delta in walk:
             if len(delta.vertices) > max_vertices or delta.facets in seen:
                 continue
-            if delta.g2(4) <= 0 or not delta.is_prime(4):
+            if delta.g2() <= 0 or not delta.is_prime():
                 continue
             seen.add(delta.facets)
             out.append(delta)
@@ -431,34 +429,34 @@ def build_corpus(families: Iterable[str], dims: Iterable[int], seed: int) -> lis
             continue  # handled by run_suite, not a corpus of spheres to sweep
         for d in dims:
             if family == "simplex":
-                entries.append(CorpusEntry(f"simplex-d{d}", boundary_simplex(d), d))
+                entries.append(CorpusEntry(f"simplex-d{d}", boundary_simplex(d)))
             elif family == "cross-polytope":
-                entries.append(CorpusEntry(f"cross-d{d}", cross_polytope(d), d))
+                entries.append(CorpusEntry(f"cross-d{d}", cross_polytope(d)))
             elif family == "joins":
                 for p in range(2, d // 2 + 1):
                     entries.append(
-                        CorpusEntry(f"join-spheres-{p}-{d - p}", join_spheres(p, d - p), d)
+                        CorpusEntry(f"join-spheres-{p}-{d - p}", join_spheres(p, d - p))
                     )
                 for k in (4, 5, 6):
                     entries.append(
-                        CorpusEntry(f"join-cycle-d{d}-k{k}", join_simplex_cycle(d, k), d)
+                        CorpusEntry(f"join-cycle-d{d}-k{k}", join_simplex_cycle(d, k))
                     )
             elif family == "cyclic":
                 for n in (d + 2, d + 3):
                     entries.append(
-                        CorpusEntry(f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d), d)
+                        CorpusEntry(f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d))
                     )
             elif family == "flip-walks":
                 if d != 4:
                     continue
                 walk = flip_walk_corpus(derive_seed(seed, "corpus-walk"))
                 entries.extend(
-                    CorpusEntry(f"flip-walk-{i}", delta, 4) for i, delta in enumerate(walk)
+                    CorpusEntry(f"flip-walk-{i}", delta) for i, delta in enumerate(walk)
                 )
     return entries
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
     families: tuple[str, ...] = DEFAULT_FAMILIES
     dims: tuple[int, ...] = (4, 5, 6)
@@ -477,6 +475,11 @@ class SuiteConfig:
             raise ValueError("dims selects no dimension")
         if any(d < 4 for d in self.dims):
             raise ValueError("suite dimensions must be >= 4")
+        # a repeat would run, and report, every record of that entry again
+        for key, values in (("families", self.families), ("dims", self.dims)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{key} lists {', '.join(map(str, repeated))} more than once")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -523,7 +526,7 @@ def run_suite(config: SuiteConfig) -> Report:
     corpus = build_corpus(config.families, config.dims, config.seed)
     report = Report()
     for entry in corpus:
-        delta, d = entry.complex, entry.d
+        delta = entry.complex
         options = dict(
             trials=config.trials, seed=derive_seed(config.seed, entry.name), name=entry.name
         )
@@ -534,8 +537,8 @@ def run_suite(config: SuiteConfig) -> Report:
                 verify_star_rigidity,
                 verify_g2_stress,
             ):
-                report.extend(verify(delta, d, **options))
-            if d == 4:
+                report.extend(verify(delta, **options))
+            if entry.d == 4:
                 for edge in graph_of(delta).sorted_edges():
                     report.extend(verify_contraction_reduction(delta, edge, **options))
     if "negative-control" in config.families:
@@ -547,7 +550,6 @@ def run_suite(config: SuiteConfig) -> Report:
                 report.extend(
                     verify_negative_control(
                         gamma,
-                        d,
                         trials=config.trials,
                         seed=derive_seed(config.seed, label),
                         name=label,

@@ -66,7 +66,7 @@ def sweep_corpus() -> list[tuple[str, sp.SimplicialComplex, int]]:
         ("cyclic-7-4", sp.cyclic_polytope_boundary(7, 4), 4),
     ]
     c84 = sp.cyclic_polytope_boundary(8, 4)
-    if c84.is_prime(4):
+    if c84.is_prime():
         named.append(("cyclic-8-4", c84, 4))
     walks = flip_walk_corpus(SEED, count=20)
     assert len(walks) == 20
@@ -90,7 +90,7 @@ def test_02_every_edge_deletion_stays_rigid():
     ok = True
     checked = 0
     for name, delta, d in sweep_corpus():
-        assert delta.is_prime(d), name
+        assert delta.is_prime(), name
         graph = graph_of(delta)
         target = rigidity_target(len(graph.vertices), d)
         for a, b in graph.sorted_edges():
@@ -109,7 +109,7 @@ def test_03_negative_control():
     t0 = time.perf_counter()
     ok = True
     for name, gamma in (("simplex", sp.boundary_simplex(4)), ("cross", sp.cross_polytope(4))):
-        rep = verify_negative_control(gamma, 4, seed=SEED, name=name)
+        rep = verify_negative_control(gamma, seed=SEED, name=name)
         ok = ok and rep.count("pass") == len(rep.records) == 4
     elapsed = time.perf_counter() - t0
     report(3, "stack-then-delete drops the rank by exactly one on both controls",
@@ -125,7 +125,7 @@ def test_04_stress_dimension_equals_g2():
         verdict = decide_rigidity(
             graph_of(entry.complex), entry.d, seed=sp.derive_seed(SEED, entry.name)
         )
-        g2 = entry.complex.g2(entry.d)
+        g2 = entry.complex.g2()
         ok = ok and verdict.stress_dim == g2
         values.add(g2)
     elapsed = time.perf_counter() - t0
@@ -163,13 +163,13 @@ def generated_certificates():
         faces = [frozenset()]
         for size in range(1, d - 2):
             faces.extend(sorted(delta.faces_of_dim(size - 1), key=sorted))
-        certs.extend(certify_star_rigidity(delta, face, d) for face in faces)
+        certs.extend(certify_star_rigidity(delta, face) for face in faces)
     for delta, d in ((sp.join_spheres(2, 3), 5), (sp.join_simplex_cycle(4, 5), 4)):
         for sigma in delta.missing_faces():
             if not 2 <= len(sigma) - 1 <= d - 2:
                 continue
             certs.extend(
-                certify_missing_face_edge(delta, sigma, edge, d)
+                certify_missing_face_edge(delta, sigma, edge)
                 for edge in combinations(sorted(sigma), 2)
             )
     return certs
@@ -261,7 +261,7 @@ def test_08_combinatorial_oracles():
         for edge in graph_of(delta).sorted_edges():
             got = set(delta.contract_edge(edge, v_new).facets)
             ok = ok and got == brute_contract(delta.facets, *edge, v_new)
-        factors = {f.facets for f in sp.prime_factors(delta, d)}
+        factors = {f.facets for f in sp.prime_factors(delta)}
         ok = ok and factors == set(brute_prime_factors(delta.facets, d))
     elapsed = time.perf_counter() - t0
     report(8, f"missing faces, contractions and prime factors match brute force "

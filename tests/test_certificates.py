@@ -183,18 +183,18 @@ class TestGluing:
 class TestReplacement:
     def test_builder_output_passes(self):
         delta = sp.join_spheres(2, 3)
-        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2), 5)
+        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2))
         assert cert.rule == "Replacement"
         assert check(cert)
 
     def test_cross_check_exercises_every_internal_claim(self):
         delta = sp.join_spheres(2, 3)
-        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2), 5)
+        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2))
         assert check(cert, cross_check=True)
 
     def test_first_child_must_live_on_u(self):
         delta = sp.join_spheres(2, 3)
-        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2), 5)
+        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2))
         shrunk = Certificate(
             graph=cert.graph,
             d=5,
@@ -207,7 +207,7 @@ class TestReplacement:
 
     def test_second_child_must_complete_u(self):
         delta = sp.join_spheres(2, 3)
-        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2), 5)
+        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2))
         wrong = Certificate(
             graph=cert.graph,
             d=5,
@@ -239,13 +239,13 @@ class TestReplacement:
 class TestStarCertificates:
     def test_empty_face_gives_bare_rank_leaf(self):
         delta = sp.cross_polytope(4)
-        cert = certify_star_rigidity(delta, (), 4)
+        cert = certify_star_rigidity(delta, ())
         assert cert.rule == "RankLeaf"
         assert check(cert)
 
     def test_vertex_star_is_single_cone(self):
         delta = sp.cross_polytope(4)
-        cert = certify_star_rigidity(delta, (1,), 4)
+        cert = certify_star_rigidity(delta, (1,))
         assert cert.rule == "Cone"
         assert cert.apex == 1
         assert cert.children[0].rule == "RankLeaf"
@@ -254,7 +254,7 @@ class TestStarCertificates:
 
     def test_edge_star_is_cone_tower(self):
         delta = sp.cross_polytope(5)
-        cert = certify_star_rigidity(delta, (1, 3), 5)
+        cert = certify_star_rigidity(delta, (1, 3))
         assert (cert.rule, cert.apex, cert.d) == ("Cone", 3, 5)
         inner = cert.children[0]
         assert (inner.rule, inner.apex, inner.d) == ("Cone", 1, 4)
@@ -265,43 +265,39 @@ class TestStarCertificates:
         delta = sp.cross_polytope(5)
         for size in (0, 1, 2):
             for face in sorted(delta.faces_of_dim(size - 1), key=sorted):
-                assert check(certify_star_rigidity(delta, face, 5))
+                assert check(certify_star_rigidity(delta, face))
 
     def test_face_too_large_rejected(self):
         with pytest.raises(ValueError, match="d-3"):
-            certify_star_rigidity(sp.cross_polytope(5), (1, 3, 5), 5)
+            certify_star_rigidity(sp.cross_polytope(5), (1, 3, 5))
 
     def test_non_face_rejected(self):
         with pytest.raises(ValueError, match="not a face"):
-            certify_star_rigidity(sp.cross_polytope(4), (1, 2), 4)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            certify_star_rigidity(sp.cross_polytope(4), (1,), 5)
+            certify_star_rigidity(sp.cross_polytope(4), (1, 2))
 
 
 class TestMissingFaceCertificates:
     def test_join_cycle_missing_triangle(self):
         delta = sp.join_simplex_cycle(4, 5)
-        cert = certify_missing_face_edge(delta, (1, 2, 3), (2, 3), 4)
+        cert = certify_missing_face_edge(delta, (1, 2, 3), (2, 3))
         assert check(cert, cross_check=True)
         # the deleted edge really is gone from the claim graph
         assert not cert.graph.has_edge(2, 3)
 
     def test_large_missing_face_of_join(self):
         delta = sp.join_spheres(2, 3)
-        cert = certify_missing_face_edge(delta, (4, 5, 6, 7), (4, 5), 5)
+        cert = certify_missing_face_edge(delta, (4, 5, 6, 7), (4, 5))
         assert check(cert)
 
     def test_present_face_rejected(self):
         with pytest.raises(ValueError, match="missing face"):
-            certify_missing_face_edge(sp.join_spheres(2, 3), (1, 2), (1, 2), 5)
+            certify_missing_face_edge(sp.join_spheres(2, 3), (1, 2), (1, 2))
 
     def test_low_dimension_missing_face_rejected(self):
         # a missing edge has dimension 1, below the 2..d-2 window
         with pytest.raises(ValueError, match="dimension"):
-            certify_missing_face_edge(sp.cross_polytope(5), (1, 2), (1, 2), 5)
+            certify_missing_face_edge(sp.cross_polytope(5), (1, 2), (1, 2))
 
     def test_edge_outside_face_rejected(self):
         with pytest.raises(ValueError, match="edge inside"):
-            certify_missing_face_edge(sp.join_spheres(2, 3), (1, 2, 3), (4, 5), 5)
+            certify_missing_face_edge(sp.join_spheres(2, 3), (1, 2, 3), (4, 5))

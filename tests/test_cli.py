@@ -216,7 +216,15 @@ class TestVerify:
         assert "unknown family" in err
 
     @pytest.mark.parametrize(
-        "line", ["dims = 4..3", "dims =", "families =", "trials = 0"]
+        "line",
+        [
+            "dims = 4..3",
+            "dims =",
+            "families =",
+            "trials = 0",
+            "families = simplex, simplex",
+            "dims = 4, 4",
+        ],
     )
     def test_config_that_checks_nothing_is_error_2(self, capsys, monkeypatch, tmp_path, line):
         def no_suite(config):

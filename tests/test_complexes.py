@@ -93,11 +93,7 @@ class TestG2:
         ],
     )
     def test_known_values(self, delta_fn, d, expected):
-        assert delta_fn().g2(d) == expected
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            octahedron().g2(4)
+        assert delta_fn().g2() == expected
 
 
 class TestLinkStarDelete:
@@ -149,7 +145,7 @@ class TestRelabelContract:
     def test_contract_octahedron_edge_gives_5_vertex_sphere(self):
         out = octahedron().contract_edge((1, 3), 9)
         assert out.f_vector()[1] == 5
-        assert out.is_pseudomanifold(3)
+        assert out.is_pseudomanifold()
 
     def test_contract_nonedge_rejected(self):
         with pytest.raises(ValueError):
@@ -199,41 +195,41 @@ class TestMissingFaces:
             "cyclic-8-4": True,
         }
         for name, delta, d in small_spheres:
-            assert delta.is_prime(d) == expected[name], name
+            assert delta.is_prime() == expected[name], name
 
     def test_stacked_sphere_is_not_prime(self):
         delta = sp.boundary_simplex(4)
         facet = min(delta.sorted_facets(), key=sorted)
         stacked = sp.stack_over_facet(delta, facet, 6)
-        assert not stacked.is_prime(4)
+        assert not stacked.is_prime()
 
 
 class TestPseudomanifold:
     def test_spheres_pass(self, small_spheres):
         for _, delta, d in small_spheres:
-            assert delta.is_pseudomanifold(d)
+            assert delta.is_pseudomanifold()
 
     def test_torus_passes(self):
-        assert torus_7().is_pseudomanifold(3)
+        assert torus_7().is_pseudomanifold()
 
     def test_overused_ridge_fails(self):
         # three triangles around one edge
         delta = SimplicialComplex.from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)])
-        assert not delta.is_pseudomanifold(3)
+        assert not delta.is_pseudomanifold()
 
     def test_boundary_ridge_fails(self):
         ball = SimplicialComplex.from_facets([(1, 2, 3)])
-        assert not ball.is_pseudomanifold(3)
+        assert not ball.is_pseudomanifold()
 
     def test_disconnected_fails(self):
         two = sp.boundary_simplex(3)
         other = sp.boundary_simplex(3).relabel({v: v + 10 for v in range(1, 5)})
         both = SimplicialComplex.from_facets(list(two.facets) + list(other.facets))
-        assert not both.is_pseudomanifold(3)
+        assert not both.is_pseudomanifold()
 
     def test_impure_fails(self):
         mixed = SimplicialComplex.from_facets([(1, 2, 3), (4, 5)])
-        assert not mixed.is_pseudomanifold(3)
+        assert not mixed.is_pseudomanifold()
 
 
 class TestJoinConeSuspension:
@@ -267,12 +263,12 @@ class TestJoinConeSuspension:
 class TestPrimeFactors:
     def test_prime_input_returns_itself(self):
         delta = sp.cross_polytope(4)
-        assert sp.prime_factors(delta, 4) == [delta]
+        assert sp.prime_factors(delta) == [delta]
 
     def test_single_stacking(self):
         delta = sp.boundary_simplex(4)
         stacked = sp.stack_over_facet(delta, as_face((1, 2, 3, 4)), 6)
-        factors = sp.prime_factors(stacked, 4)
+        factors = sp.prime_factors(stacked)
         assert len(factors) == 2
         assert all(f.f_vector() == (1, 5, 10, 10, 5) for f in factors)
 
@@ -280,9 +276,9 @@ class TestPrimeFactors:
         delta = sp.boundary_simplex(4)
         once = sp.stack_over_facet(delta, as_face((1, 2, 3, 4)), 6)
         twice = sp.stack_over_facet(once, as_face((1, 2, 3, 6)), 7)
-        factors = sp.prime_factors(twice, 4)
+        factors = sp.prime_factors(twice)
         assert len(factors) == 3
-        assert all(f.is_prime(4) for f in factors)
+        assert all(f.is_prime() for f in factors)
 
     def test_matches_oracle_on_sums(self, small_spheres):
         for _, delta, d in small_spheres:
@@ -291,13 +287,13 @@ class TestPrimeFactors:
             facet = min(delta.sorted_facets(), key=sorted)
             v_new = max(delta.vertices) + 1
             stacked = sp.stack_over_facet(delta, facet, v_new)
-            got = {f.facets for f in sp.prime_factors(stacked, 4)}
+            got = {f.facets for f in sp.prime_factors(stacked)}
             want = set(brute_prime_factors(stacked.facets, 4))
             assert got == want
 
     def test_nonseparating_missing_facet_rejected(self):
         with pytest.raises(ValueError, match="separate"):
-            sp.prime_factors(torus_7(), 3)
+            sp.prime_factors(torus_7())
 
 
 # The face index keys faces by vertex position, so labels far apart (and
@@ -391,15 +387,15 @@ def test_is_prime_matches_oracle_on_flip_walks(seed):
     for delta in harvest + walk:
         brute = brute_missing_faces(delta.facets)
         assert delta.missing_faces() == brute
-        assert delta.is_prime(4) == all(len(f) != 4 for f in brute)
-    assert all(delta.is_prime(4) for delta in harvest)
+        assert delta.is_prime() == all(len(f) != 4 for f in brute)
+    assert all(delta.is_prime() for delta in harvest)
 
 
 def test_flip_walks_reach_non_prime_spheres():
     # the walk branch of the test above decides both ways, not just "prime"
     walk = sp.random_flip_walk(sp.cross_polytope(4), 10, seed=1)
-    verdicts = {delta.is_prime(4) for delta in walk}
+    verdicts = {delta.is_prime() for delta in walk}
     assert verdicts == {True, False}
     for delta in walk:
         brute = brute_missing_faces(delta.facets)
-        assert delta.is_prime(4) == all(len(f) != 4 for f in brute)
+        assert delta.is_prime() == all(len(f) != 4 for f in brute)

@@ -29,13 +29,13 @@ class TestSimplexAndCross:
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_cross_polytope_g2(self, d):
-        assert sp.cross_polytope(d).g2(d) == d * (d - 3) // 2
+        assert sp.cross_polytope(d).g2() == d * (d - 3) // 2
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_cross_polytope_is_prime_pseudomanifold(self, d):
         delta = sp.cross_polytope(d)
-        assert delta.is_prime(d)
-        assert delta.is_pseudomanifold(d)
+        assert delta.is_prime()
+        assert delta.is_pseudomanifold()
         assert len(delta.facets) == 2**d
 
 
@@ -43,7 +43,7 @@ class TestJoins:
     def test_join_spheres_2_2(self):
         delta = sp.join_spheres(2, 2)
         assert delta.f_vector() == (1, 6, 15, 18, 9)
-        assert delta.g2(4) == 1
+        assert delta.g2() == 1
 
     def test_join_spheres_vertex_layout(self):
         delta = sp.join_spheres(2, 3)
@@ -55,7 +55,7 @@ class TestJoins:
 
     @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3), (2, 4)])
     def test_join_spheres_g2_is_1(self, p, q):
-        assert sp.join_spheres(p, q).g2(p + q) == 1
+        assert sp.join_spheres(p, q).g2() == 1
 
     def test_join_spheres_rejects_small_factors(self):
         with pytest.raises(ValueError):
@@ -70,9 +70,9 @@ class TestJoins:
     def test_join_simplex_cycle_4_5(self):
         delta = sp.join_simplex_cycle(4, 5)
         assert len(delta.vertices) == 8
-        assert delta.g2(4) == 1
-        assert delta.is_prime(4)
-        assert delta.is_pseudomanifold(4)
+        assert delta.g2() == 1
+        assert delta.is_prime()
+        assert delta.is_pseudomanifold()
 
     def test_join_simplex_cycle_missing_faces(self):
         delta = sp.join_simplex_cycle(4, 5)
@@ -108,12 +108,12 @@ class TestCyclicPolytope:
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_prime_pseudomanifold(self, n):
         delta = sp.cyclic_polytope_boundary(n, 4)
-        assert delta.is_prime(4)
-        assert delta.is_pseudomanifold(4)
+        assert delta.is_prime()
+        assert delta.is_pseudomanifold()
 
     def test_g2_values(self):
-        assert sp.cyclic_polytope_boundary(7, 4).g2(4) == 3
-        assert sp.cyclic_polytope_boundary(8, 4).g2(4) == 6
+        assert sp.cyclic_polytope_boundary(7, 4).g2() == 3
+        assert sp.cyclic_polytope_boundary(8, 4).g2() == 6
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +127,7 @@ class TestStackAndSum:
         f = stacked.f_vector()
         assert f[1] == 9
         assert len(stacked.facets) == 16 - 1 + 4
-        assert stacked.g2(4) == delta.g2(4)  # stacking never moves g2
+        assert stacked.g2() == delta.g2()  # stacking never moves g2
 
     def test_stack_validation(self):
         delta = sp.cross_polytope(4)
@@ -145,22 +145,22 @@ class TestStackAndSum:
         delta = sp.cross_polytope(4)
         summed = sp.connected_sum(delta, (1, 3, 5, 7), delta, (1, 3, 5, 7))
         assert len(summed.vertices) == 12
-        assert summed.is_pseudomanifold(4)
-        assert summed.g2(4) == 2 * delta.g2(4)
+        assert summed.is_pseudomanifold()
+        assert summed.g2() == 2 * delta.g2()
 
     def test_sum_with_explicit_matching(self):
         delta = sp.cross_polytope(4)
         matching = {1: 2, 3: 4, 5: 6, 7: 8}
         summed = sp.connected_sum(delta, (1, 3, 5, 7), delta, (2, 4, 6, 8), matching)
         assert len(summed.vertices) == 12
-        assert not summed.is_prime(4)
+        assert not summed.is_prime()
 
     def test_sum_factors_back_apart(self):
         delta = sp.cross_polytope(4)
         summed = sp.connected_sum(delta, (1, 3, 5, 7), delta, (1, 3, 5, 7))
-        factors = sp.prime_factors(summed, 4)
+        factors = sp.prime_factors(summed)
         assert len(factors) == 2
-        assert all(len(f.vertices) == 8 and f.g2(4) == 2 for f in factors)
+        assert all(len(f.vertices) == 8 and f.g2() == 2 for f in factors)
 
     def test_sum_validation(self):
         s4 = sp.boundary_simplex(4)
@@ -219,7 +219,7 @@ class TestFlips:
         delta = sp.cross_polytope(4)
         move = next(m for m in sp.legal_flips(delta) if m.kind == (3, 2))
         flipped = sp.bistellar_flip(delta, move)
-        assert flipped.is_pseudomanifold(4)
+        assert flipped.is_pseudomanifold()
         f = flipped.f_vector()
         assert f[1] - f[2] + f[3] - f[4] == 0
 
@@ -260,7 +260,7 @@ class TestRandomWalk:
 
     def test_walk_stays_a_pseudomanifold(self):
         for delta in sp.random_flip_walk(sp.cross_polytope(4), 12, seed=3):
-            assert delta.is_pseudomanifold(4)
+            assert delta.is_pseudomanifold()
 
     def test_vertex_floor_is_respected(self):
         for delta in sp.random_flip_walk(sp.cross_polytope(4), 25, seed=1):

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 
 import pytest
 
@@ -11,6 +13,7 @@ from spherig.harness import (
     FAIL,
     PASS,
     SKIP,
+    FAMILIES,
     CheckRecord,
     CorpusEntry,
     Report,
@@ -75,28 +78,28 @@ class TestReport:
 
 class TestMinusEdge:
     def test_cross_4_all_edges_pass(self):
-        report = verify_minus_edge(sp.cross_polytope(4), 4, trials=2, seed=7, name="x4")
+        report = verify_minus_edge(sp.cross_polytope(4), trials=2, seed=7, name="x4")
         assert len(report.records) == 24
         assert report.count(PASS) == 24
         assert all(r.rank == r.target == 22 for r in report.records)
 
     def test_non_prime_input_skips(self):
         stacked = sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9)
-        report = verify_minus_edge(stacked, 4, name="stacked")
+        report = verify_minus_edge(stacked, name="stacked")
         assert [r.verdict for r in report.records] == [SKIP]
         assert report.records[0].note == "not prime"
 
     def test_zero_g2_input_skips(self):
-        report = verify_minus_edge(sp.boundary_simplex(4), 4, name="s4")
+        report = verify_minus_edge(sp.boundary_simplex(4), name="s4")
         assert [r.verdict for r in report.records] == [SKIP]
         assert report.records[0].note == "g2 = 0"
 
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
-            verify_minus_edge(sp.cross_polytope(3), 3)
+            verify_minus_edge(sp.cross_polytope(3))
 
     def test_records_carry_reproducing_seed(self):
-        report = verify_minus_edge(sp.cross_polytope(4), 4, trials=1, seed=3, name="x4")
+        report = verify_minus_edge(sp.cross_polytope(4), trials=1, seed=3, name="x4")
         rec = report.records[0]
         a, b = (int(t) for t in rec.instance.split("e=")[1].split("-"))
         graph = graph_of(sp.cross_polytope(4)).remove_edge(a, b)
@@ -106,24 +109,20 @@ class TestMinusEdge:
 
 class TestNegativeControl:
     def test_simplex_control(self):
-        report = verify_negative_control(sp.boundary_simplex(4), 4, seed=1, name="s4")
+        report = verify_negative_control(sp.boundary_simplex(4), seed=1, name="s4")
         assert len(report.records) == 4  # one per edge at the fresh vertex
         assert report.count(PASS) == 4
         assert all(r.rank == r.target == 13 for r in report.records)
 
     def test_cross_control(self):
-        report = verify_negative_control(sp.cross_polytope(4), 4, seed=1, name="x4")
+        report = verify_negative_control(sp.cross_polytope(4), seed=1, name="x4")
         assert report.count(PASS) == len(report.records) == 4
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            verify_negative_control(sp.cross_polytope(4), 5)
 
 
 class TestMissingFaceLemma:
     def test_join_2_3_sweeps_both_missing_faces(self):
         delta = sp.join_spheres(2, 3)
-        report = verify_missing_face_lemma(delta, 5, trials=2, seed=4, name="j23")
+        report = verify_missing_face_lemma(delta, trials=2, seed=4, name="j23")
         # triangle {1,2,3} has 3 edges, the 4-set {4,5,6,7} has 6
         assert len(report.records) == 9
         assert report.count(PASS) == 9
@@ -132,7 +131,7 @@ class TestMissingFaceLemma:
         assert "j23:s=4-5-6-7:e=6-7" in names
 
     def test_no_qualifying_faces_is_a_vacuous_skip(self):
-        report = verify_missing_face_lemma(sp.cross_polytope(5), 5, seed=4, name="x5")
+        report = verify_missing_face_lemma(sp.cross_polytope(5), seed=4, name="x5")
         assert [r.verdict for r in report.records] == [SKIP]
         assert report.records[0].instance == "x5:vacuous"
         assert report.records[0].seed == 4
@@ -145,7 +144,7 @@ class TestMissingFaceLemma:
             return check(cert, trials, seed)
 
         monkeypatch.setattr("spherig.harness.check", spy)
-        report = verify_missing_face_lemma(sp.join_spheres(2, 3), 5, seed=4, name="j23")
+        report = verify_missing_face_lemma(sp.join_spheres(2, 3), seed=4, name="j23")
         s = derive_seed(4, "missing-face", "j23")
         assert {r.seed for r in report.records} == {s}
         assert cert_seeds == [s] * len(report.records)
@@ -198,7 +197,7 @@ class TestContraction:
 
 class TestStarAndStress:
     def test_star_rigidity_cross_5(self):
-        report = verify_star_rigidity(sp.cross_polytope(5), 5, trials=2, seed=8, name="x5")
+        report = verify_star_rigidity(sp.cross_polytope(5), trials=2, seed=8, name="x5")
         # empty face + 10 vertices + 40 edges
         assert len(report.records) == 51
         assert report.count(PASS) == 51
@@ -209,7 +208,7 @@ class TestStarAndStress:
             (sp.join_spheres(2, 2), 4, 1),
             (sp.boundary_simplex(5), 5, 0),
         ):
-            report = verify_g2_stress(delta, d, seed=3, name="c")
+            report = verify_g2_stress(delta, seed=3, name="c")
             rec = report.records[0]
             assert rec.verdict == PASS
             assert rec.rank == rec.target == g2
@@ -222,8 +221,8 @@ class TestCorpus:
         assert a == b
         assert len(a) == 4
         for delta in a:
-            assert delta.is_prime(4)
-            assert delta.g2(4) > 0
+            assert delta.is_prime()
+            assert delta.g2() > 0
             assert len(delta.vertices) <= 11
         assert len({delta.facets for delta in a}) == 4
 
@@ -275,6 +274,10 @@ class TestSuiteConfig:
         assert (config.seed, config.trials) == (42, 1)
         assert SuiteConfig.from_text("seed = 9\n", base).seed == 9
         assert base == SuiteConfig(seed=42)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SuiteConfig().seed = 1
 
 
 @pytest.fixture(scope="module")
@@ -344,14 +347,25 @@ class TestRunSuite:
         for memo in kept:
             assert memo and all(decide_rigidity(g, d, seed=1).is_rigid for g, d in memo)
 
+    def test_machine_report_digest_is_pinned(self):
+        # Every family at d = 4: 1,057 records of all six check kinds.  A
+        # change that alters the report's bytes on purpose updates the digest
+        # and says why.
+        config = SuiteConfig(families=FAMILIES, dims=(4,), seed=20260823)
+        report = run_suite(config).machine_format()
+        assert len(report.splitlines()) == 1057
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "2ecc92c85d0e8baa8123afa62fb17211b698a4323cdb0182878c2d8d9c2c8219"
+        )
+
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), trials=1, seed=1)
         with pytest.raises(ValueError, match="report would be empty"):
             run_suite(config)
 
     def test_missing_face_edge_records_replay(self):
-        entry = CorpusEntry("j23", sp.join_spheres(2, 3), 5)
-        report = verify_missing_face_lemma(entry.complex, 5, trials=1, seed=4, name="j23")
+        entry = CorpusEntry("j23", sp.join_spheres(2, 3))
+        report = verify_missing_face_lemma(entry.complex, trials=1, seed=4, name="j23")
         assert {r.note for r in report.records} == {""}
         for line in report.machine_format().splitlines():
             assert replay(line, {"j23": entry}, 1) == line
@@ -421,13 +435,13 @@ def replay(line: str, corpus: dict[str, CorpusEntry], trials: int) -> str:
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     if kind == "g2_stress":
-        return ranked(decide_rigidity(graph, d, trials, seed).stress_dim, delta.g2(d))
+        return ranked(decide_rigidity(graph, d, trials, seed).stress_dim, delta.g2())
     if kind == "star_rigidity":
-        ok = check(certify_star_rigidity(delta, face(fields["s"]), d), trials, seed)
+        ok = check(certify_star_rigidity(delta, face(fields["s"])), trials, seed)
         return plain(PASS if ok else FAIL)
     if kind == "minus_edge":
         if "e" not in fields:
-            return plain(SKIP if not delta.is_prime(d) or delta.g2(d) <= 0 else FAIL)
+            return plain(SKIP if not delta.is_prime() or delta.g2() <= 0 else FAIL)
         rank = decide_rigidity(graph.remove_edge(*pair(fields["e"])), d, trials, seed).rank
         return ranked(rank, target)
     if kind == "missing_face":
@@ -436,7 +450,7 @@ def replay(line: str, corpus: dict[str, CorpusEntry], trials: int) -> str:
             return plain(FAIL if qualifying else SKIP)
         sigma, edge = face(fields["s"]), pair(fields["e"])
         rank = decide_rigidity(graph.remove_edge(*edge), d, trials, seed).rank
-        cert_ok = check(certify_missing_face_edge(delta, sigma, edge, d), trials, seed)
+        cert_ok = check(certify_missing_face_edge(delta, sigma, edge), trials, seed)
         return ranked(rank, target, cert_ok)
     assert kind == "contraction"
     a, b = pair(fields["e"])
