@@ -3,7 +3,6 @@
 from .complexes import (
     SimplicialComplex,
     cone,
-    intersection,
     join,
     prime_factors,
 )

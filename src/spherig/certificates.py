@@ -101,9 +101,11 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
         child = node.children[0]
         if child.d != d - 1:
             fail(f"Cone child must claim dimension {d - 1}, claims {child.d}")
-        if node.apex in child.graph.vertices:
-            fail(f"apex {node.apex} already in the child graph")
-        if node.graph != cone_graph(child.graph, node.apex):
+        apex, base = node.apex, child.graph
+        if apex in base.vertices:
+            fail(f"apex {apex} already in the child graph")
+        claim, spokes = node.graph, {frozenset((apex, v)) for v in base.vertices}
+        if claim.vertices != base.vertices | {apex} or claim.edges != base.edges | spokes:
             fail("claim graph is not the cone over the child graph")
         ok = recurse()
     elif node.rule == "Gluing":
@@ -148,27 +150,20 @@ def certify_star_rigidity(delta: SimplicialComplex, sigma: Iterable[int]) -> Cer
 
     The star is the join of the face with its link, so the certificate is a
     tower of Cone rules over a rank test of the link's graph in dimension
-    d - |sigma|.  An empty face gives a bare rank leaf for the whole graph.
+    d - |sigma|; its top must be the star's graph, read from the same scan
+    of the facets.  An empty face gives a bare rank leaf for the whole graph.
     """
     d = delta.dim + 1
     face = frozenset(sigma)
-    if not delta.has_face(face):
-        raise ValueError(f"{sorted(face)} is not a face")
+    link_graph, star_graph = delta.link_star_graphs(face)  # rejects a non-face
     if len(face) > d - 3:
         raise ValueError(f"star certificates need |sigma| <= d-3, got {len(face)}")
     if not face:
-        return Certificate(graph=graph_of(delta), d=d, rule="RankLeaf")
-    link_graph = graph_of(delta.link(face))
+        return Certificate(graph=star_graph, d=d, rule="RankLeaf")
     cert = Certificate(graph=link_graph, d=d - len(face), rule="RankLeaf")
     for apex in sorted(face):
-        cert = Certificate(
-            graph=cone_graph(cert.graph, apex),
-            d=cert.d + 1,
-            rule="Cone",
-            children=(cert,),
-            apex=apex,
-        )
-    assert cert.graph == graph_of(delta.star(face))
+        cert = Certificate(cone_graph(cert.graph, apex), cert.d + 1, "Cone", (cert,), apex)
+    assert cert.graph == star_graph
     return cert
 
 
@@ -195,14 +190,8 @@ def certify_missing_face_edge(
         raise ValueError(f"{sorted(edge)} is not an edge inside {sorted(face)}")
     tau = face - edge
     star_cert = certify_star_rigidity(delta, tau)
-    w = delta.star(tau).vertices
+    w = star_cert.graph.vertices
     a, b = sorted(edge)
     claim = graph_of(delta).remove_edge(a, b)
     completed = Certificate(graph=union(claim, complete_graph(w)), d=d, rule="RankLeaf")
-    return Certificate(
-        graph=claim,
-        d=d,
-        rule="Replacement",
-        children=(star_cert, completed),
-        subset=frozenset(w),
-    )
+    return Certificate(claim, d, "Replacement", (star_cert, completed), subset=w)

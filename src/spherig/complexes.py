@@ -10,10 +10,11 @@ computed at most once, on first use, and kept on the instance:
   in the sorted vertex list (positions, not labels, so a label like 10**12
   costs one bit).  `has_face` is one lookup in it;
 - the missing faces, computed from the index.  `missing_faces` hands out a
-  fresh list of the cached tuple, so callers may change what they get.
+  fresh list of the cached tuple, so callers may change what they get;
+- the graph (1-skeleton) that `graphs.graph_of` returns.
 
-Face enumeration, the f-vector, links and stars scan the facet list and do
-not build the index: a link is a transient complex, usually read once.
+Face enumeration, the f-vector, links, stars and their graphs scan the
+facet list and do not build the index: a link is usually read once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
+from .graphs import Graph
+
 
 def as_face(vertices: Iterable[int]) -> frozenset[int]:
     """Normalize an iterable of vertex labels to a face (frozenset)."""
@@ -29,6 +32,14 @@ def as_face(vertices: Iterable[int]) -> frozenset[int]:
     if not all(isinstance(v, int) and v >= 0 for v in face):
         raise ValueError(f"vertex labels must be non-negative integers: {sorted(face)!r}")
     return face
+
+
+def _edges(faces: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
+    """Every pair of vertices that lie in one of the faces."""
+    pairs: set[tuple[int, int]] = set()
+    for f in faces:  # sorted pairs, so each edge is made once
+        pairs.update(combinations(sorted(f), 2))
+    return frozenset(map(frozenset, pairs))
 
 
 def _maximal(faces: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
@@ -113,6 +124,10 @@ class SimplicialComplex:
                 sub = (sub - 1) & full
         return frozenset(masks)
 
+    @cached_property
+    def _graph(self) -> Graph:
+        return Graph._trusted(self.vertices, _edges(self.facets))
+
     def has_face(self, face: Iterable[int]) -> bool:
         bits = self._vertex_bits
         mask = 0
@@ -164,6 +179,33 @@ class SimplicialComplex:
     def star(self, face: Iterable[int]) -> "SimplicialComplex":
         """Closed star of a face: all facets containing it."""
         return SimplicialComplex(self._facets_containing(as_face(face)))
+
+    def link_star_graphs(self, face: Iterable[int]) -> tuple[Graph, Graph]:
+        """The graphs of link(face) and star(face), from the facets F that
+        contain the face: their edges are the pairs of F - face and of F."""
+        f = as_face(face)
+        star = self._facets_containing(f)
+        link = [g - f for g in star]
+        return (
+            Graph._trusted(frozenset().union(*link), _edges(link)),
+            Graph._trusted(frozenset().union(*star), _edges(star)),
+        )
+
+    def link_condition(self, edge: Iterable[int]) -> bool:
+        """Whether link(a) and link(b) meet exactly in link(ab), for an edge ab.
+
+        link(ab) lies in both links, and their common faces are the subsets
+        of (F & G) - {a, b}, F and G facets at a and b; so the equation holds
+        exactly when each (F & G) | {a, b} is a face, an index lookup.
+        """
+        e = as_face(edge)
+        if len(e) != 2 or not self.has_face(e):
+            raise ValueError(f"{sorted(e)} is not an edge of the complex")
+        bits, index = self._vertex_bits, self._face_index
+        ab = sum(bits[v] for v in e)
+        mask = {f: sum(bits[v] for v in f) for f in self.facets if e & f}
+        at_a, at_b = ([mask[f] for f in mask if v in f] for v in e)
+        return all((fa & fb) | ab in index for fa in at_a for fb in at_b)
 
     def contract_edge(self, edge: Iterable[int], new_label: int) -> "SimplicialComplex":
         """Contract an edge, merging its endpoints into a fresh vertex.
@@ -244,7 +286,7 @@ class SimplicialComplex:
         Purity is part of the definition, so an impure complex is simply not
         a pseudomanifold.
         """
-        if not self.is_pure:
+        if not self.is_pure or self.dim < 0:
             return False
         ridge_facets: dict[frozenset[int], list[frozenset[int]]] = {}
         for facet in self.facets:
@@ -293,11 +335,6 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
         clash = sorted(left.vertices & right.vertices)
         raise ValueError(f"join requires disjoint vertex sets, shared: {clash}")
     return SimplicialComplex(f | g for f in left.facets for g in right.facets)
-
-
-def intersection(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex:
-    """The complex of faces common to both (pairwise facet intersections)."""
-    return SimplicialComplex(f & g for f in left.facets for g in right.facets)
 
 
 def cone(base: SimplicialComplex, apex: int) -> SimplicialComplex:

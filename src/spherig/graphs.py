@@ -2,7 +2,8 @@
 
 Only what the rigidity machinery needs: a vertex set, an edge set (2-element
 frozensets), and a few combinators.  Isolated vertices are allowed and
-matter, since they change the rigidity rank target.
+matter, since they change the rigidity rank target.  Only the public
+constructor checks each edge; the builders start from valid graphs or faces.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ class Graph:
             norm.add(edge)
         self.edges: frozenset[frozenset[int]] = frozenset(norm)
 
+    @classmethod
+    def _trusted(cls, vertices: frozenset[int], edges: frozenset[frozenset[int]]) -> "Graph":
+        """A graph from sets known to be valid, without checking each edge."""
+        graph = object.__new__(cls)
+        graph.vertices, graph.edges = vertices, edges
+        return graph
+
     def has_edge(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.edges
 
@@ -40,13 +48,13 @@ class Graph:
         keep = frozenset(subset)
         if not keep <= self.vertices:
             raise ValueError("restriction set is not a subset of the vertices")
-        return Graph(keep, (e for e in self.edges if e <= keep))
+        return Graph._trusted(keep, frozenset(e for e in self.edges if e <= keep))
 
     def remove_edge(self, a: int, b: int) -> "Graph":
         e = frozenset((a, b))
         if e not in self.edges:
             raise ValueError(f"({a},{b}) is not an edge")
-        return Graph(self.vertices, self.edges - {e})
+        return Graph._trusted(self.vertices, self.edges - {e})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -61,24 +69,23 @@ class Graph:
 
 
 def graph_of(delta: "SimplicialComplex") -> Graph:
-    """The 1-skeleton of a complex as a graph."""
-    return Graph(delta.vertices, delta.faces_of_dim(1))
+    """The 1-skeleton of a complex as a graph, computed once per complex."""
+    return delta._graph
 
 
 def complete_graph(vertices: Iterable[int]) -> Graph:
     vs = frozenset(vertices)
-    return Graph(vs, (frozenset(p) for p in combinations(sorted(vs), 2)))
+    return Graph._trusted(vs, frozenset(frozenset(p) for p in combinations(vs, 2)))
 
 
 def cone_graph(base: Graph, apex: int) -> Graph:
     """Add a fresh apex joined to every existing vertex."""
     if apex in base.vertices:
         raise ValueError(f"apex {apex} already a vertex")
-    return Graph(
-        base.vertices | {apex},
-        list(base.edges) + [frozenset((apex, v)) for v in base.vertices],
+    return Graph._trusted(
+        base.vertices | {apex}, base.edges | {frozenset((apex, v)) for v in base.vertices}
     )
 
 
 def union(g1: Graph, g2: Graph) -> Graph:
-    return Graph(g1.vertices | g2.vertices, g1.edges | g2.edges)
+    return Graph._trusted(g1.vertices | g2.vertices, g1.edges | g2.edges)

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .certificates import certify_missing_face_edge, certify_star_rigidity, check
-from .complexes import SimplicialComplex, intersection
+from .complexes import SimplicialComplex
 from .generators import (
     boundary_simplex,
     cross_polytope,
@@ -284,19 +284,17 @@ def verify_contraction_reduction(
     edge = frozenset(e)
     a, b = sorted(edge)
     base = f"{name}:e={a}-{b}"
-    link_e = delta.link(edge)
-    if len(link_e.vertices) < 4:
+    if len(delta.link_star_graphs(edge)[0].vertices) < 4:
         yield _Outcome(base, SKIP, seed=seed, note="link has < 4 vertices")
         return
-    if intersection(delta.link([a]), delta.link([b])) != link_e:
+    if not delta.link_condition(edge):
         yield _Outcome(
             base, SKIP, seed=seed, note="link(e) != link(a) * link(b) intersection"
         )
         return
     v_new = max(delta.vertices) + 1
-    contracted = delta.contract_edge(edge, v_new)
     g_minus = graph_of(delta).remove_edge(a, b)
-    g_down = graph_of(contracted)
+    g_down = graph_of(delta.contract_edge(edge, v_new))
     sub = derive_seed(seed, "contraction", name, a, b)
 
     # degenerate point: both endpoints at the same random location, and the

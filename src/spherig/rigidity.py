@@ -11,6 +11,7 @@ max-over-trials aggregation the check is one-sided: a "rigid" answer is
 always correct, a "flexible" answer is wrong with negligible probability.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring).
+Inside rigid_verdict_memo both record the graphs they find rigid.
 
 Field elements are plain Python ints in [0, p); there is no scalar wrapper
 class.  All randomness is drawn from seeded generators so every decision is
@@ -60,8 +61,6 @@ class Embedding:
 
 def random_embedding(graph: Graph, d: int, seed: int) -> Embedding:
     """Uniform random embedding of the graph's vertices; seed-deterministic."""
-    if d < 1:
-        raise ValueError("embedding dimension must be >= 1")
     rng = random.Random(derive_seed(seed, "embedding", d))
     coords = {
         v: tuple(rng.randrange(DEFAULT_PRIME) for _ in range(d))
@@ -176,7 +175,8 @@ _known_rigid: ContextVar[set[tuple[Graph, int]] | None] = ContextVar(
 
 @contextmanager
 def rigid_verdict_memo() -> Iterator[set[tuple[Graph, int]]]:
-    """Let decide_rigidity reuse rigid verdicts inside the block.
+    """Let decide_rigidity and edge_deletion_ranks reuse rigid verdicts
+    inside the block; edge_deletion_ranks also records each rigid G - e.
 
     Only verdicts whose rank met the target are kept.  Their rank, target
     and stress dimension are the graph's generic values at any seed (no
@@ -229,13 +229,7 @@ def decide_rigidity(
     is_rigid = best == target
     if memo is not None and is_rigid:
         memo.add((graph, d))
-    return RigidityVerdict(
-        rank=best,
-        target_rank=target,
-        is_rigid=is_rigid,
-        trials=trials,
-        stress_dim=f1 - best,
-    )
+    return RigidityVerdict(best, target, is_rigid, trials, f1 - best)
 
 
 def edge_deletion_ranks(
@@ -266,8 +260,19 @@ def edge_deletion_ranks(
     never exceeds the generic rank, so a value that meets the rigidity
     target ("rigid") is always right, and only a shortfall can be wrong, by
     Schwartz-Zippel with probability at most (matrix rows)/p per trial.
+
+    Inside rigid_verdict_memo, G and each G - e whose value meets the target
+    are recorded rigid: a rank at the target is the generic rank.  When
+    every G - e is recorded, each value is the target without a matrix: a
+    recorded G - e has the target as its cap, and a value below it would be
+    recomputed by decide_rigidity, which answers from the memo.
     """
     _require_decidable(d, trials)
+    target = rigidity_target(len(graph.vertices), d)
+    memo = _known_rigid.get()
+    minus = {} if memo is None else {e: graph.remove_edge(*e) for e in graph.sorted_edges()}
+    if minus and all((g, d) in memo for g in minus.values()):
+        return dict.fromkeys(minus, target)
     matrix = RigidityMatrix(graph, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
     # Each row is extended by a unit vector that records which input rows it
     # has become a combination of; the rows reduced to zero then carry a
@@ -276,11 +281,15 @@ def edge_deletion_ranks(
     work = [row + [int(i == j) for j in range(m)] for i, row in enumerate(matrix.rows)]
     rank = _reduce(work, ncols, DEFAULT_PRIME)
     stressed = {j for row in work[rank:] for j in range(m) if row[ncols + j]}
-    cap = min(len(graph.edges) - 1, rigidity_target(len(graph.vertices), d))
+    cap = min(len(graph.edges) - 1, target)
+    if memo is not None and rank == target:
+        memo.add((graph, d))
     ranks: dict[tuple[int, int], int] = {}
     for i, (a, b) in enumerate(matrix.edge_order):
         value = rank if i in stressed else rank - 1
         if value < cap:
             value = decide_rigidity(graph.remove_edge(a, b), d, trials, seed).rank
+        elif memo is not None and value == target:
+            memo.add((minus[a, b], d))
         ranks[a, b] = value
     return ranks

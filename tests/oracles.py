@@ -22,6 +22,12 @@ def closure(facets) -> set[frozenset[int]]:
     return faces
 
 
+def intersection(left, right) -> frozenset[frozenset[int]]:
+    """Facets of the complex of faces common to two complexes, from both closures."""
+    common = closure(left) & closure(right)
+    return frozenset(f for f in common if not any(f < g for g in common))
+
+
 def brute_missing_faces(facets) -> list[frozenset[int]]:
     """Minimal non-faces by scanning all vertex subsets up to size dim+2."""
     faces = closure(facets)

@@ -125,6 +125,29 @@ class TestCone:
             check(cert)
         assert err.value.path == "root.0"
 
+    @pytest.mark.parametrize(
+        "claim,apex,match",
+        [
+            (cone_graph(octa_graph(), 7), 1, "already in the child"),
+            (cone_graph(octa_graph(), 7).remove_edge(1, 7), 7, "not the cone"),
+            (union(cone_graph(octa_graph(), 7), Graph((1, 2), [(1, 2)])), 7, "not the cone"),
+            (Graph(range(1, 9), cone_graph(octa_graph(), 7).edges), 7, "not the cone"),
+        ],
+        ids=["apex-in-child", "missing-apex-edge", "extra-edge", "extra-vertex"],
+    )
+    def test_malformed_cone_raises_at_its_node(self, claim, apex, match):
+        # the set relations flag exactly the trees that rebuilding the cone
+        # flagged, one level down in a tower at the same node path
+        base = octa_graph()
+        assert apex in base.vertices or claim != cone_graph(base, apex)
+        bad = Certificate(graph=claim, d=4, rule="Cone", children=(leaf(base, 3),), apex=apex)
+        tower = Certificate(
+            graph=cone_graph(claim, 9), d=5, rule="Cone", children=(bad,), apex=9
+        )
+        with pytest.raises(CertificateError, match=match) as err:
+            check(tower)
+        assert err.value.path == "root.0"
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_engine_dimension_shift(self, seed):
         # coning the graph must shift the rigidity dimension by exactly one

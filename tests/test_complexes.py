@@ -3,10 +3,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spherig as sp
-from spherig.complexes import SimplicialComplex, as_face, intersection
-from spherig.harness import flip_walk_corpus
+from spherig.complexes import SimplicialComplex, as_face
+from spherig.graphs import Graph
+from spherig.harness import DEFAULT_FAMILIES, build_corpus, flip_walk_corpus
 
-from oracles import brute_contract, brute_missing_faces, brute_prime_factors, closure
+from oracles import (
+    brute_contract,
+    brute_missing_faces,
+    brute_prime_factors,
+    closure,
+    intersection,
+)
+
+
+SEED = 20260823
 
 
 def octahedron():
@@ -127,6 +137,64 @@ class TestLinkStarDelete:
             assert star == sp.cone(link, v)
 
 
+class TestGraphsFromFacets:
+    """The complex's graph, link graphs, star graphs and link condition read
+    from the facets, against the complexes and the oracle they replace."""
+
+    def test_graph_is_computed_once_and_matches_the_edges(self):
+        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), SEED):
+            delta = entry.complex
+            graph = sp.graph_of(delta)
+            assert graph is sp.graph_of(delta)
+            assert graph == Graph(delta.vertices, delta.faces_of_dim(1)), entry.name
+
+    def test_link_and_star_graphs_match_the_complexes_on_the_default_corpus(self):
+        checked = 0
+        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), SEED):
+            delta = entry.complex
+            for k in range(-1, delta.dim + 1):
+                for face in delta.faces_of_dim(k):
+                    link_graph, star_graph = delta.link_star_graphs(face)
+                    assert link_graph == sp.graph_of(delta.link(face)), (entry.name, face)
+                    assert star_graph == sp.graph_of(delta.star(face)), (entry.name, face)
+                    checked += 1
+        assert checked == 5123
+
+    def test_link_and_star_graphs_of_a_facet_and_of_the_empty_face(self):
+        delta = sp.boundary_simplex(3)
+        link_graph, star_graph = delta.link_star_graphs((1, 2, 3))
+        assert link_graph == Graph((), ())
+        assert star_graph == sp.complete_graph((1, 2, 3))
+        assert delta.link_star_graphs(()) == (sp.graph_of(delta), sp.graph_of(delta))
+
+    def test_link_and_star_graphs_of_a_non_face_rejected(self):
+        with pytest.raises(ValueError, match="not a face"):
+            octahedron().link_star_graphs((1, 2))
+
+    def test_link_and_star_graphs_leave_the_index_unbuilt(self):
+        delta = sp.cyclic_polytope_boundary(8, 4)
+        delta.link_star_graphs([1, 2])
+        assert "_face_index" not in vars(delta)
+
+    def test_link_condition_matches_the_intersection_oracle(self):
+        outcomes = []
+        for entry in build_corpus(DEFAULT_FAMILIES, (4,), SEED):
+            delta = entry.complex
+            for a, b in sp.graph_of(delta).sorted_edges():
+                common = intersection(delta.link([a]).facets, delta.link([b]).facets)
+                expected = common == delta.link([a, b]).facets
+                assert delta.link_condition((a, b)) == expected, (entry.name, a, b)
+                outcomes.append(expected)
+        assert len(outcomes) == 309
+        assert outcomes.count(False) == 107
+
+    def test_link_condition_needs_an_edge(self):
+        with pytest.raises(ValueError, match="not an edge"):
+            octahedron().link_condition((1, 2))
+        with pytest.raises(ValueError, match="not an edge"):
+            octahedron().link_condition((1, 3, 5))
+
+
 class TestRelabelContract:
     def test_relabel_roundtrip(self):
         delta = octahedron()
@@ -231,6 +299,11 @@ class TestPseudomanifold:
         mixed = SimplicialComplex.from_facets([(1, 2, 3), (4, 5)])
         assert not mixed.is_pseudomanifold()
 
+    def test_empty_face_complex_fails(self):
+        # the (-1)-complex, the link of a facet, has no ridges to count
+        assert not SimplicialComplex([()]).is_pseudomanifold()
+        assert not sp.boundary_simplex(3).link((1, 2, 3)).is_pseudomanifold()
+
 
 class TestJoinConeSuspension:
     def test_join_disjointness_enforced(self):
@@ -257,7 +330,7 @@ class TestJoinConeSuspension:
     def test_intersection(self):
         a = SimplicialComplex.from_facets([(1, 2, 3)])
         b = SimplicialComplex.from_facets([(2, 3, 4)])
-        assert intersection(a, b) == SimplicialComplex.from_facets([(2, 3)])
+        assert intersection(a.facets, b.facets) == SimplicialComplex.from_facets([(2, 3)]).facets
 
 
 class TestPrimeFactors:

@@ -89,3 +89,31 @@ class TestBuilders:
         u = union(complete_graph(range(1, 4)), complete_graph(range(3, 6)))
         assert len(u.vertices) == 5
         assert len(u.edges) == 6
+
+    def test_builders_match_the_validated_constructor(self):
+        # the builders skip per-edge validation; their output must be a graph
+        # the public constructor accepts and reproduces
+        g = graph_of(sp.cross_polytope(4))
+        built = [
+            g,
+            g.remove_edge(1, 3),
+            g.restrict({1, 3, 5, 8}),
+            complete_graph(range(1, 7)),
+            cone_graph(g, 9),
+            union(g, complete_graph((1, 2, 11))),
+            sp.cross_polytope(4).link_star_graphs((1, 3))[0],
+            sp.cross_polytope(4).link_star_graphs((1, 3))[1],
+        ]
+        for graph in built:
+            assert graph == Graph(graph.vertices, graph.edges)
+            assert all(len(e) == 2 and e <= graph.vertices for e in graph.edges)
+
+    def test_builders_still_reject_bad_input(self):
+        with pytest.raises(ValueError, match="not an edge"):
+            complete_graph(range(1, 4)).remove_edge(1, 5)
+        with pytest.raises(ValueError, match="already a vertex"):
+            cone_graph(complete_graph(range(1, 4)), 3)
+        with pytest.raises(ValueError, match="not a subset"):
+            complete_graph(range(1, 4)).restrict({1, 9})
+        with pytest.raises(ValueError, match="two distinct endpoints"):
+            Graph({1, 2}, [(1, 2, 3)])
