@@ -166,8 +166,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         delta = _read_complex(args.path)
         graph = graph_of(delta)
         if args.minus_edge:
-            a, _, b = args.minus_edge.partition(",")
-            graph = graph.remove_edge(int(a), int(b))
+            try:
+                a, b = map(int, args.minus_edge.split(","))
+            except ValueError:
+                raise ValueError(f"--minus-edge expects a,b, got {args.minus_edge!r}") from None
+            graph = graph.remove_edge(a, b)
         seed = args.seed if args.seed is not None else _default_seed()
         verdict = decide_rigidity(graph, args.dim, args.trials, seed)
         print(

@@ -13,8 +13,8 @@ computed at most once, on first use, and kept on the instance:
   fresh list of the cached tuple, so callers may change what they get;
 - the graph (1-skeleton) that `graphs.graph_of` returns.
 
-Face enumeration, the f-vector, links, stars and their graphs scan the
-facet list and do not build the index: a link is usually read once.
+Face enumeration, the f-vector, links and the graphs of links and stars
+scan the facet list and do not build the index: a link is usually read once.
 """
 
 from __future__ import annotations
@@ -175,10 +175,6 @@ class SimplicialComplex:
         """Link of a face: all faces disjoint from it that extend it to a face."""
         f = as_face(face)
         return SimplicialComplex(g - f for g in self._facets_containing(f))
-
-    def star(self, face: Iterable[int]) -> "SimplicialComplex":
-        """Closed star of a face: all facets containing it."""
-        return SimplicialComplex(self._facets_containing(as_face(face)))
 
     def link_star_graphs(self, face: Iterable[int]) -> tuple[Graph, Graph]:
         """The graphs of link(face) and star(face), from the facets F that

@@ -9,11 +9,13 @@ Six check kinds, each producing per-instance records:
   star_rigidity     star graphs of faces with |sigma| <= d-3 are rigid (certificates)
   g2_stress         left-kernel dimension of the rigidity matrix equals g2
 
-Each check kind is a generator that yields one outcome per instance; one
-runner times the outcomes and turns them into records.  Records carry the
-sub-seed that reproduces them.  The machine report format is one
-tab-separated line per record (check, instance, verdict, rank, target,
-seed), sorted, so equal configurations give byte-identical output.
+Each check kind is a generator that yields one outcome per instance; its
+decorator times the outcomes and turns them into records, which carry the
+sub-seed that reproduces them.  build_corpus alone knows the families, the
+negative controls among them; run_suite runs one loop over its entries.
+The machine report is one tab-separated line per record (check, instance,
+verdict, rank, target, seed), sorted, so equal configurations give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import functools
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .certificates import certify_missing_face_edge, certify_star_rigidity, check
 from .complexes import SimplicialComplex
@@ -49,6 +51,7 @@ from .rigidity import (
 )
 
 PASS, FAIL, SKIP = "pass", "fail", "skip"
+_COLUMNS = ("check", "instance", "verdict", "rank", "target", "seed")
 
 
 @dataclass
@@ -62,12 +65,13 @@ class CheckRecord:
     elapsed: float = 0.0
     note: str = ""
 
+    def fields(self) -> list[str]:
+        """The report columns as text, '-' for a missing rank or target."""
+        values = (getattr(self, column) for column in _COLUMNS)
+        return ["-" if v is None else str(v) for v in values]
+
     def machine_line(self) -> str:
-        rank = "-" if self.rank is None else str(self.rank)
-        target = "-" if self.target is None else str(self.target)
-        return "\t".join(
-            [self.check, self.instance, self.verdict, rank, target, str(self.seed)]
-        )
+        return "\t".join(self.fields())
 
 
 @dataclass
@@ -92,23 +96,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def human_format(self) -> str:
-        headers = ("check", "instance", "verdict", "rank", "target", "seed", "elapsed")
+        headers = (*_COLUMNS, "elapsed")
         rows = [
-            (
-                r.check,
-                r.instance,
-                r.verdict,
-                "-" if r.rank is None else str(r.rank),
-                "-" if r.target is None else str(r.target),
-                str(r.seed),
-                f"{r.elapsed:.3f}",
-            )
+            (*r.fields(), f"{r.elapsed:.3f}")
             for r in sorted(self.records, key=lambda r: (r.check, r.instance))
         ]
-        widths = [
-            max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-            for i, h in enumerate(headers)
-        ]
+        widths = [max(map(len, column)) for column in zip(headers, *rows)]
         out = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
         out.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows)
         out.append(
@@ -141,27 +134,24 @@ def _ranked(instance: str, rank: int, target: int, seed: int) -> _Outcome:
     return _Outcome(instance, PASS if rank == target else FAIL, rank, target, seed)
 
 
-def _run(kind: str, outcomes: Iterator[_Outcome]) -> Report:
-    """Record each outcome with the time the check kind took to produce it."""
-    report = Report()
-    t0 = time.perf_counter()
-    for o in outcomes:
-        elapsed = time.perf_counter() - t0
-        report.add(
-            CheckRecord(kind, o.instance, o.verdict, o.rank, o.target, o.seed, elapsed, o.note)
-        )
-        t0 = time.perf_counter()
-    return report
-
-
 def _check_kind(kind: str):
     """Make a generator of outcomes into a verify function: it takes the
-    generator's arguments and returns the Report of the outcomes."""
+    generator's arguments and returns the Report of the timed outcomes."""
 
     def decorate(outcomes):
         @functools.wraps(outcomes)
         def verify(*args, **kwargs) -> Report:
-            return _run(kind, outcomes(*args, **kwargs))
+            report = Report()
+            t0 = time.perf_counter()
+            for o in outcomes(*args, **kwargs):
+                elapsed = time.perf_counter() - t0
+                report.add(
+                    CheckRecord(
+                        kind, o.instance, o.verdict, o.rank, o.target, o.seed, elapsed, o.note
+                    )
+                )
+                t0 = time.perf_counter()
+            return report
 
         return verify
 
@@ -233,7 +223,9 @@ def verify_missing_face_lemma(
 
     A complex without such faces gets one skip record: nothing is checked,
     so nothing passes.  The edge records of one graph share one sub-seed,
-    for the ranks and the certificates alike.
+    for the ranks and the certificates alike.  Each rank is one
+    decide_rigidity of the graph minus the edge; inside run_suite that is a
+    memo hit on the rigid deletion verify_minus_edge recorded.
     """
     if delta.dim < 3:
         raise ValueError("missing-face verification needs d >= 4")
@@ -245,19 +237,17 @@ def verify_missing_face_lemma(
         )
         return
     graph = graph_of(delta)
-    target = rigidity_target(len(graph.vertices), d)
     sub = derive_seed(seed, "missing-face", name)
-    ranks = edge_deletion_ranks(graph, d, trials, sub)
     for sigma in qualifying:
         label = face_label(sigma)
         for a, b in combinations(sorted(sigma), 2):
-            rank = ranks[a, b]
+            verdict = decide_rigidity(graph.remove_edge(a, b), d, trials, sub)
             cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), trials, sub)
             yield _Outcome(
                 f"{name}:s={label}:e={a}-{b}",
-                PASS if (rank == target and cert_ok) else FAIL,
-                rank,
-                target,
+                PASS if (verdict.is_rigid and cert_ok) else FAIL,
+                verdict.rank,
+                verdict.target_rank,
                 sub,
                 "" if cert_ok else "certificate rejected",
             )
@@ -358,15 +348,13 @@ def verify_g2_stress(
 class CorpusEntry:
     name: str
     complex: SimplicialComplex
+    control: bool = False  # a negative control: stacked over, not checked
 
     @property
     def d(self) -> int:
         """The rigidity dimension the sphere fixes."""
         return self.complex.dim + 1
 
-
-FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks", "negative-control")
-DEFAULT_FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks")
 
 FLIP_WALK_KEEP = 6
 # The cap selects the default corpus, so the machine report depends on it.
@@ -417,41 +405,38 @@ def flip_walk_corpus(
     return out
 
 
-def build_corpus(families: Iterable[str], dims: Iterable[int], seed: int) -> list[CorpusEntry]:
-    entries: list[CorpusEntry] = []
+FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks", "negative-control")
+DEFAULT_FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks")
+
+
+def _family_entries(family: str, d: int, seed: int) -> Iterator[CorpusEntry]:
+    """The entries one family gives at dimension d."""
+    if family == "simplex":
+        yield CorpusEntry(f"simplex-d{d}", boundary_simplex(d))
+    elif family == "cross-polytope":
+        yield CorpusEntry(f"cross-d{d}", cross_polytope(d))
+    elif family == "joins":
+        for p in range(2, d // 2 + 1):
+            yield CorpusEntry(f"join-spheres-{p}-{d - p}", join_spheres(p, d - p))
+        for k in (4, 5, 6):
+            yield CorpusEntry(f"join-cycle-d{d}-k{k}", join_simplex_cycle(d, k))
+    elif family == "cyclic":
+        for n in (d + 2, d + 3):
+            yield CorpusEntry(f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d))
+    elif family == "flip-walks" and d == 4:
+        walk = flip_walk_corpus(derive_seed(seed, "corpus-walk"))
+        yield from (CorpusEntry(f"flip-walk-{i}", delta) for i, delta in enumerate(walk))
+    elif family == "negative-control":
+        yield CorpusEntry(f"control-simplex-d{d}", boundary_simplex(d), control=True)
+        yield CorpusEntry(f"control-cross-d{d}", cross_polytope(d), control=True)
+
+
+def build_corpus(families: Sequence[str], dims: Sequence[int], seed: int) -> list[CorpusEntry]:
+    """Each family's entries at each dimension; every name is checked first."""
     for family in families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    for family in families:
-        if family == "negative-control":
-            continue  # handled by run_suite, not a corpus of spheres to sweep
-        for d in dims:
-            if family == "simplex":
-                entries.append(CorpusEntry(f"simplex-d{d}", boundary_simplex(d)))
-            elif family == "cross-polytope":
-                entries.append(CorpusEntry(f"cross-d{d}", cross_polytope(d)))
-            elif family == "joins":
-                for p in range(2, d // 2 + 1):
-                    entries.append(
-                        CorpusEntry(f"join-spheres-{p}-{d - p}", join_spheres(p, d - p))
-                    )
-                for k in (4, 5, 6):
-                    entries.append(
-                        CorpusEntry(f"join-cycle-d{d}-k{k}", join_simplex_cycle(d, k))
-                    )
-            elif family == "cyclic":
-                for n in (d + 2, d + 3):
-                    entries.append(
-                        CorpusEntry(f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d))
-                    )
-            elif family == "flip-walks":
-                if d != 4:
-                    continue
-                walk = flip_walk_corpus(derive_seed(seed, "corpus-walk"))
-                entries.extend(
-                    CorpusEntry(f"flip-walk-{i}", delta) for i, delta in enumerate(walk)
-                )
-    return entries
+    return [entry for f in families for d in dims for entry in _family_entries(f, d, seed)]
 
 
 @dataclass(frozen=True)
@@ -466,9 +451,7 @@ class SuiteConfig:
         # any corpus is built
         if not self.families:
             raise ValueError("families lists no family")
-        for family in self.families:
-            if family not in FAMILIES:
-                raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+        build_corpus(self.families, (), self.seed)  # rejects an unknown family, builds nothing
         if not self.dims:
             raise ValueError("dims selects no dimension")
         if any(d < 4 for d in self.dims):
@@ -489,70 +472,65 @@ class SuiteConfig:
     @classmethod
     def from_text(cls, text: str, base: "SuiteConfig | None" = None) -> "SuiteConfig":
         """A new config: base (the defaults when None) overlaid with the
-        text's key=value lines.  base itself is left unchanged."""
+        text's key=value lines, each key at most once.  base itself is left
+        unchanged.  An error in a line names the line."""
         values: dict[str, object] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
-            key, value = key.strip(), value.strip()
-            if key == "families":
-                values["families"] = tuple(t.strip() for t in value.split(",") if t.strip())
-            elif key == "dims":
-                if ".." in value:
-                    lo, hi = value.split("..")
-                    values["dims"] = tuple(range(int(lo), int(hi) + 1))
+            try:
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"expected key=value, got {line!r}")
+                key, value = key.strip(), value.strip()
+                if key in values:
+                    raise ValueError(f"{key} is given more than once")
+                if key == "families":
+                    values[key] = tuple(t.strip() for t in value.split(",") if t.strip())
+                elif key == "dims":
+                    lo, dots, hi = value.partition("..")
+                    if dots:
+                        values[key] = tuple(range(int(lo), int(hi) + 1))
+                    else:
+                        values[key] = tuple(int(t) for t in value.split(",") if t.strip())
+                elif key in ("trials", "seed"):
+                    values[key] = int(value)
                 else:
-                    values["dims"] = tuple(int(t) for t in value.split(",") if t.strip())
-            elif key in ("trials", "seed"):
-                values[key] = int(value)
-            else:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+                    raise ValueError(f"unknown key {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"config line {lineno}: {exc}") from None
         return replace(base if base is not None else cls(), **values)
 
 
 def run_suite(config: SuiteConfig) -> Report:
     """Run every applicable check over the configured corpus.
 
-    Each corpus entry runs inside its own rigid_verdict_memo, so repeated
-    rigid decisions within the entry reuse one verdict and no memo outlives
-    the entry.  A configuration that yields no record at all is an error.
+    Each corpus entry, a sphere or a negative control, runs inside its own
+    rigid_verdict_memo, so repeated rigid decisions within the entry reuse
+    one verdict and no memo outlives the entry.  A configuration that yields
+    no record at all is an error.
     """
-    corpus = build_corpus(config.families, config.dims, config.seed)
     report = Report()
-    for entry in corpus:
+    for entry in build_corpus(config.families, config.dims, config.seed):
         delta = entry.complex
         options = dict(
             trials=config.trials, seed=derive_seed(config.seed, entry.name), name=entry.name
         )
         with rigid_verdict_memo():
-            for verify in (
-                verify_minus_edge,
-                verify_missing_face_lemma,
-                verify_star_rigidity,
-                verify_g2_stress,
-            ):
-                report.extend(verify(delta, **options))
-            if entry.d == 4:
-                for edge in graph_of(delta).sorted_edges():
-                    report.extend(verify_contraction_reduction(delta, edge, **options))
-    if "negative-control" in config.families:
-        for d in config.dims:
-            for label, gamma in (
-                (f"control-simplex-d{d}", boundary_simplex(d)),
-                (f"control-cross-d{d}", cross_polytope(d)),
-            ):
-                report.extend(
-                    verify_negative_control(
-                        gamma,
-                        trials=config.trials,
-                        seed=derive_seed(config.seed, label),
-                        name=label,
-                    )
-                )
+            if entry.control:
+                report.extend(verify_negative_control(delta, **options))
+            else:
+                for verify in (
+                    verify_minus_edge,
+                    verify_missing_face_lemma,
+                    verify_star_rigidity,
+                    verify_g2_stress,
+                ):
+                    report.extend(verify(delta, **options))
+                if entry.d == 4:
+                    for edge in graph_of(delta).sorted_edges():
+                        report.extend(verify_contraction_reduction(delta, edge, **options))
     if not report.records:
         raise ValueError(
             f"families {', '.join(config.families)} give no complex at dims "

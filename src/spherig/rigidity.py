@@ -11,7 +11,8 @@ max-over-trials aggregation the check is one-sided: a "rigid" answer is
 always correct, a "flexible" answer is wrong with negligible probability.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring).
-Inside rigid_verdict_memo both record the graphs they find rigid.
+Inside rigid_verdict_memo both record the graphs they find rigid, and
+decide_rigidity answers a recorded graph without a new embedding.
 
 Field elements are plain Python ints in [0, p); there is no scalar wrapper
 class.  All randomness is drawn from seeded generators so every decision is
@@ -175,8 +176,9 @@ _known_rigid: ContextVar[set[tuple[Graph, int]] | None] = ContextVar(
 
 @contextmanager
 def rigid_verdict_memo() -> Iterator[set[tuple[Graph, int]]]:
-    """Let decide_rigidity and edge_deletion_ranks reuse rigid verdicts
-    inside the block; edge_deletion_ranks also records each rigid G - e.
+    """Inside the block, decide_rigidity and edge_deletion_ranks record the
+    graphs they find rigid (edge_deletion_ranks: G and each rigid G - e),
+    and decide_rigidity answers a recorded graph from the memo.
 
     Only verdicts whose rank met the target are kept.  Their rank, target
     and stress dimension are the graph's generic values at any seed (no
@@ -262,17 +264,11 @@ def edge_deletion_ranks(
     Schwartz-Zippel with probability at most (matrix rows)/p per trial.
 
     Inside rigid_verdict_memo, G and each G - e whose value meets the target
-    are recorded rigid: a rank at the target is the generic rank.  When
-    every G - e is recorded, each value is the target without a matrix: a
-    recorded G - e has the target as its cap, and a value below it would be
-    recomputed by decide_rigidity, which answers from the memo.
+    are recorded rigid: a rank at the target is the generic rank.
     """
     _require_decidable(d, trials)
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
-    minus = {} if memo is None else {e: graph.remove_edge(*e) for e in graph.sorted_edges()}
-    if minus and all((g, d) in memo for g in minus.values()):
-        return dict.fromkeys(minus, target)
     matrix = RigidityMatrix(graph, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
     # Each row is extended by a unit vector that records which input rows it
     # has become a combination of; the rows reduced to zero then carry a
@@ -290,6 +286,6 @@ def edge_deletion_ranks(
         if value < cap:
             value = decide_rigidity(graph.remove_edge(a, b), d, trials, seed).rank
         elif memo is not None and value == target:
-            memo.add((minus[a, b], d))
+            memo.add((graph.remove_edge(a, b), d))
         ranks[a, b] = value
     return ranks

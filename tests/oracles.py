@@ -28,6 +28,11 @@ def intersection(left, right) -> frozenset[frozenset[int]]:
     return frozenset(f for f in common if not any(f < g for g in common))
 
 
+def star(facets, face) -> frozenset[frozenset[int]]:
+    """Facets of the closed star of a face: every facet that contains it."""
+    return frozenset(frozenset(f) for f in facets if set(face) <= set(f))
+
+
 def brute_missing_faces(facets) -> list[frozenset[int]]:
     """Minimal non-faces by scanning all vertex subsets up to size dim+2."""
     faces = closure(facets)

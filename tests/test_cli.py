@@ -129,6 +129,13 @@ class TestRigid:
         assert code == 1
         assert "rigid=false" in out
 
+    @pytest.mark.parametrize("value", ["1", "1,3,5", "x,3", "1;3"])
+    def test_malformed_minus_edge_is_error_2(self, capsys, monkeypatch, value):
+        feed(monkeypatch, format_facets(sp.cross_polytope(4)))
+        code, out, err = run(capsys, "rigid", "--dim", "4", "--minus-edge", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: --minus-edge expects a,b, got {value!r}\n"
+
     def test_any_complex_graph_is_accepted(self, capsys, monkeypatch):
         feed(monkeypatch, "1 2 3\n1 2 4\n")  # a 2-disc; its graph is K4 minus an edge
         code, out, _ = run(capsys, "rigid", "--dim", "2", "--seed", "1")
@@ -237,6 +244,28 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("families = simplex\ndims = 4..5..6\n", "invalid literal for int()"),
+            ("# a comment\ntrials = x\n", "invalid literal for int()"),
+            ("seed = 1\nseed = 2\n", "seed is given more than once"),
+            ("dims = 4\ndims = 5\n", "dims is given more than once"),
+        ],
+    )
+    def test_config_line_errors_name_the_line(
+        self, capsys, monkeypatch, tmp_path, text, message
+    ):
+        def no_suite(config):
+            raise AssertionError("the suite ran on a rejected config")
+
+        monkeypatch.setattr("spherig.cli.run_suite", no_suite)
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config line 2: {message}")
 
     def test_config_with_an_empty_report_is_error_2(self, capsys, tmp_path):
         cfg = tmp_path / "suite.cfg"

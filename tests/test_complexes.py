@@ -13,6 +13,7 @@ from oracles import (
     brute_prime_factors,
     closure,
     intersection,
+    star,
 )
 
 
@@ -124,17 +125,19 @@ class TestLinkStarDelete:
             octahedron().link((1, 2))
 
     def test_star_of_vertex_in_octahedron(self):
-        star = octahedron().star((1,))
-        assert star == SimplicialComplex.from_facets(
-            [(1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6)]
-        )
+        delta = octahedron()
+        expected = SimplicialComplex.from_facets([(1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6)])
+        assert star(delta.facets, (1,)) == expected.facets
+        assert delta.link_star_graphs((1,))[1] == sp.graph_of(expected)
 
     def test_star_is_cone_over_link(self, small_spheres):
         for _, delta, _ in small_spheres:
             v = min(delta.vertices)
-            star = delta.star((v,))
             link = delta.link((v,))
-            assert star == sp.cone(link, v)
+            assert SimplicialComplex(star(delta.facets, (v,))) == sp.cone(link, v)
+            link_graph, star_graph = delta.link_star_graphs((v,))
+            assert link_graph == sp.graph_of(link)
+            assert star_graph == sp.cone_graph(link_graph, v)
 
 
 class TestGraphsFromFacets:
@@ -156,7 +159,8 @@ class TestGraphsFromFacets:
                 for face in delta.faces_of_dim(k):
                     link_graph, star_graph = delta.link_star_graphs(face)
                     assert link_graph == sp.graph_of(delta.link(face)), (entry.name, face)
-                    assert star_graph == sp.graph_of(delta.star(face)), (entry.name, face)
+                    oracle = SimplicialComplex(star(delta.facets, face))
+                    assert star_graph == sp.graph_of(oracle), (entry.name, face)
                     checked += 1
         assert checked == 5123
 
@@ -446,7 +450,7 @@ def test_links_and_skeleta_leave_the_index_unbuilt():
     delta.faces_of_dim(1)
     sp.graph_of(delta)
     delta.link([1, 2])
-    delta.star([1])
+    delta.link_star_graphs([1])
     assert "_face_index" not in vars(delta)
     assert delta.has_face([1, 2])
     assert "_face_index" in vars(delta)

@@ -12,6 +12,7 @@ from spherig.harness import (
     FAIL,
     PASS,
     SKIP,
+    DEFAULT_FAMILIES,
     FAMILIES,
     CheckRecord,
     CorpusEntry,
@@ -29,10 +30,12 @@ from spherig.harness import (
     verify_star_rigidity,
 )
 from spherig.rigidity import (
+    DEFAULT_TRIALS,
     Embedding,
     RigidityMatrix,
     decide_rigidity,
     derive_seed,
+    edge_deletion_ranks,
     random_embedding,
     rigidity_target,
 )
@@ -150,6 +153,20 @@ class TestMissingFaceLemma:
         assert {r.seed for r in report.records} == {s}
         assert cert_seeds == [s] * len(report.records)
 
+    def test_ranks_equal_the_edge_deletion_ranks_outside_a_memo(self):
+        seed, checked = 20260823, 0
+        assert spherig.rigidity._known_rigid.get() is None
+        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), seed):
+            report = verify_missing_face_lemma(entry.complex, seed=seed, name=entry.name)
+            sub = derive_seed(seed, "missing-face", entry.name)
+            ranks = edge_deletion_ranks(graph_of(entry.complex), entry.d, DEFAULT_TRIALS, sub)
+            for record in report.records:
+                if record.verdict != SKIP:
+                    edge = tuple(int(v) for v in record.instance.rsplit("e=", 1)[1].split("-"))
+                    assert record.rank == ranks[edge], record.instance
+                    checked += 1
+        assert checked == 313
+
 
 class TestContraction:
     def test_qualifying_edge_of_cross_4(self):
@@ -232,6 +249,18 @@ class TestCorpus:
         names = [e.name for e in entries]
         assert names == ["simplex-d4", "simplex-d5", "cross-d4", "cross-d5"]
         assert [e.d for e in entries] == [4, 5, 4, 5]
+
+    def test_negative_controls_are_entries_of_their_own_family(self):
+        entries = build_corpus(("negative-control", "simplex"), (4, 5), seed=0)
+        assert [(e.name, e.control) for e in entries] == [
+            ("control-simplex-d4", True),
+            ("control-cross-d4", True),
+            ("control-simplex-d5", True),
+            ("control-cross-d5", True),
+            ("simplex-d4", False),
+            ("simplex-d5", False),
+        ]
+        assert entries[1].complex == sp.cross_polytope(4)
 
     def test_build_corpus_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -342,11 +371,32 @@ class TestRunSuite:
         monkeypatch.setattr("spherig.harness.rigid_verdict_memo", spy)
         run_suite(small_config)
         assert spherig.rigidity._known_rigid.get() is None
-        assert len(kept) == len(build_corpus(small_config.families, (4,), small_config.seed))
+        corpus = build_corpus(small_config.families, (4,), small_config.seed)
+        assert len(kept) == len(corpus)
         assert len({id(memo) for memo in kept}) == len(kept)
-        # each memo held rigid verdicts only
-        for memo in kept:
-            assert memo and all(decide_rigidity(g, d, seed=1).is_rigid for g, d in memo)
+        # each memo held rigid verdicts only; a control decides flexible
+        # graphs only, so its memo stays empty
+        for entry, memo in zip(corpus, kept):
+            if entry.control:
+                assert memo == set(), entry.name
+            else:
+                assert memo and all(decide_rigidity(g, d, seed=1).is_rigid for g, d in memo)
+        assert [e.control for e in corpus] == [False, True, True]
+
+    def test_control_records_equal_the_negative_control_at_dims_4_to_6(self):
+        seed = 20260823
+        config = SuiteConfig(families=("negative-control",), dims=(4, 5, 6), seed=seed)
+        expected = Report()
+        for d in (4, 5, 6):
+            for label, gamma in (
+                (f"control-simplex-d{d}", sp.boundary_simplex(d)),
+                (f"control-cross-d{d}", sp.cross_polytope(d)),
+            ):
+                expected.extend(
+                    verify_negative_control(gamma, seed=derive_seed(seed, label), name=label)
+                )
+        assert len(expected.records) == 2 * (4 + 5 + 6)
+        assert run_suite(config).machine_format() == expected.machine_format()
 
     def test_machine_report_digest_is_pinned(self):
         # Every family at d = 4: 1,057 records of all six check kinds.  A
@@ -424,15 +474,12 @@ def replay(line: str, corpus: dict[str, CorpusEntry], trials: int) -> str:
     def plain(verdict: str) -> str:
         return "\t".join([kind, instance, verdict, "-", "-", seed_text])
 
+    delta, d = corpus[name].complex, corpus[name].d
     if kind == "negative_control":
-        family, d = name.split("-")[1], int(name.rsplit("-d", 1)[1])
-        gamma = {"simplex": sp.boundary_simplex, "cross": sp.cross_polytope}[family](d)
         u, v_new = pair(fields["e"])
-        graph = graph_of(sp.stack_over_facet(gamma, gamma.sorted_facets()[0], v_new))
+        graph = graph_of(sp.stack_over_facet(delta, delta.sorted_facets()[0], v_new))
         rank = decide_rigidity(graph.remove_edge(u, v_new), d, trials, seed).rank
         return ranked(rank, rigidity_target(len(graph.vertices), d) - 1)
-
-    delta, d = corpus[name].complex, corpus[name].d
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     if kind == "g2_stress":
