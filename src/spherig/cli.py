@@ -11,8 +11,8 @@ only `rigid` asks for it (`--dim`), because a graph does not fix it.
 compares its rank with the one rigid rank for that size: C(n,2) on at most
 d+1 vertices, d*n - C(d+1,2) on more.
 
-The SPHERIG_SEED environment variable supplies the default seed; flags and
-config files override it.
+The SPHERIG_SEED environment variable supplies the default seed; config
+files override it, and it is not read at all when `--seed` is given.
 """
 
 from __future__ import annotations
@@ -46,7 +46,10 @@ GEN_FAMILIES = {
 
 def _default_seed() -> int:
     value = os.environ.get("SPHERIG_SEED", "")
-    return int(value) if value else 0
+    try:
+        return int(value) if value else 0
+    except ValueError:
+        raise ValueError(f"SPHERIG_SEED must be an integer, got {value!r}") from None
 
 
 def _read_complex(path: str) -> SimplicialComplex:
@@ -187,7 +190,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        base = SuiteConfig(seed=_default_seed())
+        base = SuiteConfig(seed=_default_seed() if args.seed is None else args.seed)
         config = SuiteConfig.from_file(args.config, base) if args.config else base
         if args.seed is not None:
             config = replace(config, seed=args.seed)

@@ -473,7 +473,8 @@ class SuiteConfig:
     def from_text(cls, text: str, base: "SuiteConfig | None" = None) -> "SuiteConfig":
         """A new config: base (the defaults when None) overlaid with the
         text's key=value lines, each key at most once.  base itself is left
-        unchanged.  An error in a line names the line."""
+        unchanged.  A value that does not parse, or that the config would
+        reject, raises an error that names its line."""
         values: dict[str, object] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -498,6 +499,7 @@ class SuiteConfig:
                     values[key] = int(value)
                 else:
                     raise ValueError(f"unknown key {key!r}")
+                replace(cls(), **{key: values[key]})  # checks the value here, at its line
             except ValueError as exc:
                 raise ValueError(f"config line {lineno}: {exc}") from None
         return replace(base if base is not None else cls(), **values)

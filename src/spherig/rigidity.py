@@ -11,8 +11,9 @@ max-over-trials aggregation the check is one-sided: a "rigid" answer is
 always correct, a "flexible" answer is wrong with negligible probability.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring).
-Inside rigid_verdict_memo both record the graphs they find rigid, and
-decide_rigidity answers a recorded graph without a new embedding.
+Inside rigid_verdict_memo both record the shapes of the graphs they find
+rigid (the graph relabelled 0..n-1 in sorted vertex order, with d), and
+decide_rigidity answers a graph of a recorded shape without a new embedding.
 
 Field elements are plain Python ints in [0, p); there is no scalar wrapper
 class.  All randomness is drawn from seeded generators so every decision is
@@ -167,32 +168,52 @@ class RigidityVerdict:
     stress_dim: int
 
 
-# Labelled (graph, d) pairs already decided rigid at rank == target, while a
-# rigid_verdict_memo block is open; None outside one.
-_known_rigid: ContextVar[set[tuple[Graph, int]] | None] = ContextVar(
+# Shapes (see _shape) of graphs already decided rigid at rank == target,
+# while a rigid_verdict_memo block is open; None outside one.
+_known_rigid: ContextVar[set[tuple[int, int, int]] | None] = ContextVar(
     "spherig_known_rigid", default=None
 )
 
 
 @contextmanager
-def rigid_verdict_memo() -> Iterator[set[tuple[Graph, int]]]:
+def rigid_verdict_memo() -> Iterator[set[tuple[int, int, int]]]:
     """Inside the block, decide_rigidity and edge_deletion_ranks record the
-    graphs they find rigid (edge_deletion_ranks: G and each rigid G - e),
-    and decide_rigidity answers a recorded graph from the memo.
+    shapes of the graphs they find rigid (edge_deletion_ranks: G and each
+    rigid G - e), and decide_rigidity answers a graph of a recorded shape
+    from the memo.
 
-    Only verdicts whose rank met the target are kept.  Their rank, target
-    and stress dimension are the graph's generic values at any seed (no
-    point exceeds the generic rank), so reusing one under another seed keeps
-    the one-sided guarantee.  Flexible verdicts are never kept: a rank
+    The shape of (G, d) is (d, n, mask): G's n vertices renumbered 0..n-1 in
+    sorted order, edge {i<j} setting bit j(j-1)/2 + i of the mask.  Two
+    graphs share a shape exactly when relabelling one in sorted order gives
+    the other, so they are isomorphic.  A recorded shape was proved rigid:
+    some graph of that shape had rank == target at some point.  Isomorphic
+    graphs share n, f1, the target and the generic rank (relabelling
+    permutes the rows and column blocks of the rigidity matrix), and no
+    point exceeds the generic rank, so the memo's rank, target and stress
+    dimension are exact for every graph of the shape at any seed; a hit
+    keeps the one-sided guarantee.  Flexible verdicts are never kept: a rank
     shortfall at one seed says nothing certain about another.  The memo is
     dropped when the block ends; calls outside any block never see one.
     """
-    memo: set[tuple[Graph, int]] = set()
+    memo: set[tuple[int, int, int]] = set()
     token = _known_rigid.set(memo)
     try:
         yield memo
     finally:
         _known_rigid.reset(token)
+
+
+def _edge_bits(vertex_order: list[int], edge_order: list[tuple[int, int]]) -> list[int]:
+    """The shape-mask bit of each (a, b), a < b, in edge_order: with a and b
+    at sorted positions i < j, bit j(j-1)/2 + i."""
+    pos = {v: i for i, v in enumerate(vertex_order)}
+    return [1 << (pos[b] * (pos[b] - 1) // 2 + pos[a]) for a, b in edge_order]
+
+
+def _shape(graph: Graph, d: int) -> tuple[int, int, int]:
+    """The memo key of (graph, d); see rigid_verdict_memo."""
+    bits = _edge_bits(sorted(graph.vertices), graph.sorted_edges())
+    return d, len(graph.vertices), sum(bits)
 
 
 def _require_decidable(d: int, trials: int) -> None:
@@ -219,8 +240,10 @@ def decide_rigidity(
     f1 = len(graph.edges)
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
-    if memo is not None and (graph, d) in memo:
-        return RigidityVerdict(target, target, True, trials, f1 - target)
+    if memo is not None:
+        shape = _shape(graph, d)
+        if shape in memo:
+            return RigidityVerdict(target, target, True, trials, f1 - target)
     best = 0
     cap = min(f1, target)
     for t in range(trials):
@@ -230,7 +253,7 @@ def decide_rigidity(
             break
     is_rigid = best == target
     if memo is not None and is_rigid:
-        memo.add((graph, d))
+        memo.add(shape)
     return RigidityVerdict(best, target, is_rigid, trials, f1 - best)
 
 
@@ -263,8 +286,10 @@ def edge_deletion_ranks(
     target ("rigid") is always right, and only a shortfall can be wrong, by
     Schwartz-Zippel with probability at most (matrix rows)/p per trial.
 
-    Inside rigid_verdict_memo, G and each G - e whose value meets the target
-    are recorded rigid: a rank at the target is the generic rank.
+    Inside rigid_verdict_memo, the shapes of G and of each G - e whose value
+    meets the target are recorded rigid: a rank at the target is the generic
+    rank.  The shape of G - e is G's with the bit of e cleared, so no G - e
+    is built except for a fallback.
     """
     _require_decidable(d, trials)
     target = rigidity_target(len(graph.vertices), d)
@@ -278,14 +303,17 @@ def edge_deletion_ranks(
     rank = _reduce(work, ncols, DEFAULT_PRIME)
     stressed = {j for row in work[rank:] for j in range(m) if row[ncols + j]}
     cap = min(len(graph.edges) - 1, target)
-    if memo is not None and rank == target:
-        memo.add((graph, d))
+    if memo is not None:
+        bits = _edge_bits(matrix.vertex_order, matrix.edge_order)
+        n, mask = len(matrix.vertex_order), sum(bits)
+        if rank == target:
+            memo.add((d, n, mask))
     ranks: dict[tuple[int, int], int] = {}
     for i, (a, b) in enumerate(matrix.edge_order):
         value = rank if i in stressed else rank - 1
         if value < cap:
             value = decide_rigidity(graph.remove_edge(a, b), d, trials, seed).rank
         elif memo is not None and value == target:
-            memo.add((graph.remove_edge(a, b), d))
+            memo.add((d, n, mask & ~bits[i]))
         ranks[a, b] = value
     return ranks

@@ -148,3 +148,19 @@ def rational_rigidity_rank(graph, d: int, rng) -> int:
             row[col_of[v] + k] = -diff
         rows.append(row)
     return rational_rank(rows)
+
+
+def sorted_relabelling(graph) -> tuple[int, frozenset[tuple[int, int]]]:
+    """Vertex count and edges (i, j), i < j, of a graph relabelled 0..n-1 in
+    sorted vertex order."""
+    pos = {v: i for i, v in enumerate(sorted(graph.vertices))}
+    return len(pos), frozenset(tuple(sorted(pos[v] for v in e)) for e in graph.edges)
+
+
+def shape_edges(n: int, mask: int) -> frozenset[tuple[int, int]]:
+    """The edges (i, j), i < j, on 0..n-1 whose bit j(j-1)/2 + i is set in a
+    rigid-verdict memo mask, read off pair by pair."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    if mask >> len(pairs):
+        raise ValueError(f"mask {mask:#x} has bits beyond the {len(pairs)} pairs of {n} vertices")
+    return frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)

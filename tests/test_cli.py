@@ -162,6 +162,16 @@ class TestRigid:
         assert from_env == from_flag
         assert "seed=77" in from_env
 
+    def test_bad_seed_env_var_is_read_only_without_a_seed_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPHERIG_SEED", "abc")
+        feed(monkeypatch, format_facets(sp.cross_polytope(4)))
+        code, out, _ = run(capsys, "rigid", "--dim", "4", "--seed", "5")
+        assert code == 0 and "seed=5" in out
+        feed(monkeypatch, format_facets(sp.cross_polytope(4)))
+        code, out, err = run(capsys, "rigid", "--dim", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: SPHERIG_SEED must be an integer, got 'abc'\n"
+
 
 class TestDecompose:
     def test_prime_input_is_one_factor(self, capsys, monkeypatch):
@@ -222,28 +232,30 @@ class TestVerify:
         assert code == 2
         assert "unknown family" in err
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "dims = 4..3",
-            "dims =",
-            "families =",
-            "trials = 0",
-            "families = simplex, simplex",
-            "dims = 4, 4",
-        ],
-    )
+    # each rejected value, with the error that names its line (line 3 below)
+    REJECTED = {
+        "dims = 4..3": "dims selects no dimension",
+        "dims =": "dims selects no dimension",
+        "dims = 3": "suite dimensions must be >= 4",
+        "families =": "families lists no family",
+        "families = spheres": "unknown family 'spheres'; known: ",
+        "trials = 0": "trials must be >= 1",
+        "families = simplex, simplex": "families lists simplex more than once",
+        "dims = 4, 4": "dims lists 4 more than once",
+    }
+
+    @pytest.mark.parametrize("line", list(REJECTED))
     def test_config_that_checks_nothing_is_error_2(self, capsys, monkeypatch, tmp_path, line):
         def no_suite(config):
             raise AssertionError("the suite ran on a rejected config")
 
         monkeypatch.setattr("spherig.cli.run_suite", no_suite)
         cfg = tmp_path / "suite.cfg"
-        cfg.write_text(self.CONFIG + line + "\n")
+        cfg.write_text(f"# suite\nseed = 3\n{line}\n")
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith(f"error: config line 3: {self.REJECTED[line]}")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -266,6 +278,19 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: config line 2: {message}")
+
+    def test_bad_seed_env_var_is_read_only_without_a_seed_flag(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(self.CONFIG)
+        _, expected, _ = run(capsys, "verify", "--config", str(cfg), "--seed", "5", "--machine", "-")
+        monkeypatch.setenv("SPHERIG_SEED", "abc")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg), "--seed", "5", "--machine", "-")
+        assert (code, out) == (0, expected)
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: SPHERIG_SEED must be an integer, got 'abc'\n"
 
     def test_config_with_an_empty_report_is_error_2(self, capsys, tmp_path):
         cfg = tmp_path / "suite.cfg"

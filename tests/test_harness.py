@@ -7,7 +7,7 @@ import pytest
 import spherig as sp
 import spherig.rigidity
 from spherig.certificates import certify_missing_face_edge, certify_star_rigidity, check
-from spherig.graphs import graph_of
+from spherig.graphs import Graph, graph_of
 from spherig.harness import (
     FAIL,
     PASS,
@@ -40,7 +40,7 @@ from spherig.rigidity import (
     rigidity_target,
 )
 
-from oracles import intersection
+from oracles import intersection, shape_edges
 
 
 class TestReport:
@@ -374,13 +374,17 @@ class TestRunSuite:
         corpus = build_corpus(small_config.families, (4,), small_config.seed)
         assert len(kept) == len(corpus)
         assert len({id(memo) for memo in kept}) == len(kept)
-        # each memo held rigid verdicts only; a control decides flexible
-        # graphs only, so its memo stays empty
+        # each memo held rigid shapes only, each decoded back into a graph and
+        # decided afresh; a control decides flexible graphs only, so its memo
+        # stays empty
         for entry, memo in zip(corpus, kept):
             if entry.control:
                 assert memo == set(), entry.name
             else:
-                assert memo and all(decide_rigidity(g, d, seed=1).is_rigid for g, d in memo)
+                assert memo and all(
+                    decide_rigidity(Graph(range(n), shape_edges(n, mask)), d, seed=1).is_rigid
+                    for d, n, mask in memo
+                )
         assert [e.control for e in corpus] == [False, True, True]
 
     def test_control_records_equal_the_negative_control_at_dims_4_to_6(self):

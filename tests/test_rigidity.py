@@ -3,6 +3,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spherig as sp
 import spherig.rigidity
@@ -22,9 +24,10 @@ from spherig.rigidity import (
     rigidity_target,
 )
 
-from oracles import rational_rank, rational_rigidity_rank
+from oracles import rational_rank, rational_rigidity_rank, shape_edges, sorted_relabelling
 
 P = DEFAULT_PRIME
+shape = spherig.rigidity._shape
 
 
 class TestDeriveSeed:
@@ -300,6 +303,14 @@ class TestEdgeDeletionRanks:
         assert set(ranks.values()) == {len(graph.edges) - 1}
 
 
+def relabel(graph: Graph, label) -> Graph:
+    return Graph((label(v) for v in graph.vertices), ((label(a), label(b)) for a, b in graph.edges))
+
+
+def fail_on_embedding(*args):
+    raise AssertionError("a memo hit drew a new embedding")
+
+
 class TestRigidVerdictMemo:
     def test_keeps_rigid_verdicts_only(self):
         rigid = graph_of(sp.cross_polytope(4))
@@ -308,26 +319,99 @@ class TestRigidVerdictMemo:
             assert not decide_rigidity(flexible, 4, seed=1).is_rigid
             assert memo == set()
             assert decide_rigidity(rigid, 4, seed=1).is_rigid
-            assert memo == {(rigid, 4)}
+            assert memo == {shape(rigid, 4)}
 
     def test_hit_equals_a_fresh_decision(self, monkeypatch):
         graph = graph_of(sp.cross_polytope(4))
         fresh = decide_rigidity(graph, 4, trials=2, seed=8)
         with rigid_verdict_memo():
             decide_rigidity(graph, 4, trials=2, seed=1)
-
-            def no_embedding(*args):
-                raise AssertionError("a memo hit drew a new embedding")
-
-            monkeypatch.setattr(spherig.rigidity, "random_embedding", no_embedding)
+            monkeypatch.setattr(spherig.rigidity, "random_embedding", fail_on_embedding)
             assert decide_rigidity(graph, 4, trials=2, seed=8) == fresh
+
+    def test_relabelled_rigid_graph_hits_and_draws_no_embedding(self, monkeypatch):
+        graph = graph_of(sp.cross_polytope(4))
+        relabelled = relabel(graph, lambda v: 3 * v + 10)
+        assert relabelled != graph
+        fresh = decide_rigidity(relabelled, 4, trials=2, seed=8)
+        with rigid_verdict_memo() as memo:
+            decide_rigidity(graph, 4, trials=2, seed=1)
+            monkeypatch.setattr(spherig.rigidity, "random_embedding", fail_on_embedding)
+            assert decide_rigidity(relabelled, 4, trials=2, seed=8) == fresh
+            assert memo == {shape(relabelled, 4)}
+
+    def test_relabelled_flexible_graph_never_hits(self, monkeypatch):
+        rigid = graph_of(sp.cross_polytope(4))
+        flexible = rigid.remove_edge(1, 3).remove_edge(1, 5).remove_edge(1, 6)
+        drawn = []
+        real = spherig.rigidity.random_embedding
+
+        def counted(*args):
+            drawn.append(args)
+            return real(*args)
+
+        with rigid_verdict_memo() as memo:
+            decide_rigidity(rigid, 4, seed=1)
+            assert not decide_rigidity(flexible, 4, seed=1).is_rigid
+            monkeypatch.setattr(spherig.rigidity, "random_embedding", counted)
+            for label in (lambda v: v + 20, lambda v: 9 - v):
+                assert not decide_rigidity(relabel(flexible, label), 4, seed=2).is_rigid
+            assert memo == {shape(rigid, 4)}
+        # each decision drew its own embedding: its 21 edges are independent
+        # and reach the cap of 21 in the first trial
+        assert len(drawn) == 2
 
     def test_memo_is_keyed_by_dimension(self):
         graph = graph_of(sp.cross_polytope(4))
         with rigid_verdict_memo() as memo:
             decide_rigidity(graph, 4, seed=1)
             assert not decide_rigidity(graph, 5, seed=1).is_rigid
-            assert memo == {(graph, 4)}
+            assert not decide_rigidity(relabel(graph, lambda v: v + 1), 5, seed=1).is_rigid
+            assert memo == {shape(graph, 4)}
+
+    def test_memo_is_keyed_by_vertex_count(self):
+        # an isolated vertex past the others leaves the edge mask as it is
+        graph = graph_of(sp.cross_polytope(4))
+        padded = Graph(graph.vertices | {9}, graph.edges)
+        with rigid_verdict_memo() as memo:
+            decide_rigidity(graph, 4, seed=1)
+            verdict = decide_rigidity(padded, 4, seed=1)
+            assert not verdict.is_rigid
+            assert verdict.target_rank == rigidity_target(9, 4) == verdict.rank + 4
+            assert memo == {shape(graph, 4)}
+        assert shape(padded, 4)[::2] == shape(graph, 4)[::2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equal_shapes_exactly_when_the_sorted_relabellings_agree(self, data):
+        n = data.draw(st.integers(2, 7))
+        pairs = list(combinations(range(n), 2))
+        edges = data.draw(st.frozensets(st.sampled_from(pairs)))
+        pair = data.draw(st.sampled_from(pairs))
+        other_n, other_edges = data.draw(
+            st.sampled_from(
+                [
+                    (n, edges),
+                    (n, edges ^ {pair}),
+                    (n + 1, edges),
+                    (n, frozenset(pairs) - edges),
+                ]
+            )
+            | st.tuples(st.just(n), st.frozensets(st.sampled_from(pairs)))
+        )
+        d, other_d = data.draw(st.sampled_from([(4, 4), (4, 5)]))
+
+        def labelled(size, chosen):
+            labels = sorted(data.draw(st.sets(st.integers(-40, 40), min_size=size, max_size=size)))
+            return Graph(labels, [(labels[i], labels[j]) for i, j in chosen])
+
+        g, h = labelled(n, edges), labelled(other_n, other_edges)
+        assert (shape(g, d) == shape(h, other_d)) == (
+            d == other_d and sorted_relabelling(g) == sorted_relabelling(h)
+        )
+        for graph, dim in ((g, d), (h, other_d)):
+            key_d, key_n, mask = shape(graph, dim)
+            assert (key_d, (key_n, shape_edges(key_n, mask))) == (dim, sorted_relabelling(graph))
 
     def test_no_memo_outside_the_block(self):
         assert spherig.rigidity._known_rigid.get() is None
@@ -351,8 +435,8 @@ class TestMemoLearnsFromEdgeDeletions:
         graph = self.stacked()
         with rigid_verdict_memo() as memo:
             ranks = edge_deletion_ranks(graph, 4, 2, seed=3)
-            rigid = {(graph.remove_edge(a, b), 4) for a, b in ranks if b != 9}
-            assert memo == {(graph, 4)} | rigid
+            rigid = {shape(graph.remove_edge(a, b), 4) for a, b in ranks if b != 9}
+            assert memo == {shape(graph, 4)} | rigid
             # a second call, at another seed, gives the same ranks
             assert edge_deletion_ranks(graph, 4, 2, seed=4) == edge_deletion_ranks(
                 graph, 4, 2, seed=3
