@@ -2,7 +2,6 @@
 
 from .complexes import (
     SimplicialComplex,
-    cone,
     join,
     prime_factors,
 )
@@ -31,7 +30,6 @@ from .generators import (
     FlipMove,
     bistellar_flip,
     boundary_simplex,
-    connected_sum,
     cross_polytope,
     cycle_complex,
     cyclic_polytope_boundary,

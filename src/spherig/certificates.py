@@ -54,29 +54,22 @@ class Certificate:
             raise ValueError(f"unknown rule {self.rule!r}")
 
 
-def check(
-    cert: Certificate,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    cross_check: bool = False,
-) -> bool:
+def check(cert: Certificate, trials: int = DEFAULT_TRIALS, seed: int = 0) -> bool:
     """Validate a certificate tree.
 
-    With cross_check every internal node's claim is additionally re-tested
-    by the rank engine (for exercising the calculus in tests; normally the
-    composition rules are taken on faith).
+    Only the leaves are decided by the rank engine, each with its own
+    sub-seed of seed; the composition rules are taken on faith.
     """
-    return _check(cert, trials, seed, cross_check, "root")
+    return _check(cert, trials, seed, "root")
 
 
-def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: str) -> bool:
+def _check(node: Certificate, trials: int, seed: int, path: str) -> bool:
     def fail(message: str):
         raise CertificateError(path, message)
 
     def recurse() -> bool:
         return all(
-            _check(ch, trials, seed, cross_check, f"{path}.{i}")
-            for i, ch in enumerate(node.children)
+            _check(ch, trials, seed, f"{path}.{i}") for i, ch in enumerate(node.children)
         )
 
     d = node.d
@@ -107,7 +100,7 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
         claim, spokes = node.graph, {frozenset((apex, v)) for v in base.vertices}
         if claim.vertices != base.vertices | {apex} or claim.edges != base.edges | spokes:
             fail("claim graph is not the cone over the child graph")
-        ok = recurse()
+        return recurse()
     elif node.rule == "Gluing":
         if len(node.children) != 2:
             fail("Gluing takes exactly two children")
@@ -118,7 +111,7 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
             fail("claim graph is not the union of the children")
         if len(g1.vertices & g2.vertices) < d:
             return False
-        ok = recurse()
+        return recurse()
     elif node.rule == "Replacement":
         if len(node.children) != 2:
             fail("Replacement takes exactly two children")
@@ -136,13 +129,9 @@ def _check(node: Certificate, trials: int, seed: int, cross_check: bool, path: s
             fail("first child's graph is not a subgraph of the claim restricted to U")
         if completed.graph != union(node.graph, complete_graph(subset)):
             fail("second child must claim the claim graph with U completed")
-        ok = recurse()
+        return recurse()
     else:  # pragma: no cover - __post_init__ rejects unknown rules
         fail(f"unknown rule {node.rule}")
-
-    if ok and cross_check:
-        ok = decide_rigidity(node.graph, d, trials, derive_seed(seed, "cross", path)).is_rigid
-    return ok
 
 
 def certify_star_rigidity(delta: SimplicialComplex, sigma: Iterable[int]) -> Certificate:

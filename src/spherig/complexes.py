@@ -13,8 +13,8 @@ computed at most once, on first use, and kept on the instance:
   fresh list of the cached tuple, so callers may change what they get;
 - the graph (1-skeleton) that `graphs.graph_of` returns.
 
-Face enumeration, the f-vector, links and the graphs of links and stars
-scan the facet list and do not build the index: a link is usually read once.
+Face enumeration, links and the graphs of links and stars scan the facet
+list and do not build the index: a link is usually read once.
 """
 
 from __future__ import annotations
@@ -148,10 +148,6 @@ class SimplicialComplex:
                 for combo in combinations(sorted(facet), size):
                     out.add(frozenset(combo))
         return out
-
-    def f_vector(self) -> tuple[int, ...]:
-        """Face counts (f_{-1}, f_0, ..., f_dim), with f_{-1} = 1."""
-        return tuple(len(self.faces_of_dim(k)) for k in range(-1, self.dim + 1))
 
     def g2(self) -> int:
         """The invariant f_1 - d*f_0 + C(d+1,2) in the rigidity dimension
@@ -331,13 +327,6 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
         clash = sorted(left.vertices & right.vertices)
         raise ValueError(f"join requires disjoint vertex sets, shared: {clash}")
     return SimplicialComplex(f | g for f in left.facets for g in right.facets)
-
-
-def cone(base: SimplicialComplex, apex: int) -> SimplicialComplex:
-    """Cone over a complex: every facet gains the fresh apex."""
-    if apex in base.vertices:
-        raise ValueError(f"apex {apex} already a vertex of the base")
-    return SimplicialComplex(f | {apex} for f in base.facets)
 
 
 def prime_factors(delta: SimplicialComplex) -> list[SimplicialComplex]:

@@ -117,43 +117,6 @@ def stack_over_facet(
     return SimplicialComplex(new_facets)
 
 
-def connected_sum(
-    delta1: SimplicialComplex,
-    facet1: Iterable[int],
-    delta2: SimplicialComplex,
-    facet2: Iterable[int],
-    matching: dict[int, int] | None = None,
-) -> SimplicialComplex:
-    """Glue two pure complexes along a facet of each and remove it.
-
-    `matching` maps each vertex of facet1 to its partner in facet2; omitted,
-    vertices are matched in sorted order.  Vertices of delta2 outside facet2
-    keep their labels unless that collides with delta1, in which case they
-    get fresh labels above both vertex sets.
-    """
-    f1, f2 = as_face(facet1), as_face(facet2)
-    if f1 not in delta1.facets:
-        raise ValueError(f"{sorted(f1)} is not a facet of the first complex")
-    if f2 not in delta2.facets:
-        raise ValueError(f"{sorted(f2)} is not a facet of the second complex")
-    if len(f1) != len(f2):
-        raise ValueError("glued facets must have the same dimension")
-    if matching is None:
-        matching = dict(zip(sorted(f1), sorted(f2)))
-    if set(matching.keys()) != set(f1) or set(matching.values()) != set(f2):
-        raise ValueError("matching must be a bijection from the first facet to the second")
-    relabel = {matching[v]: v for v in f1}
-    fresh = max(delta1.vertices | delta2.vertices) + 1
-    for v in sorted(delta2.vertices - f2):
-        if v in delta1.vertices:
-            relabel[v] = fresh
-            fresh += 1
-    moved = delta2.relabel(relabel)
-    new_facets = [g for g in delta1.facets if g != f1]
-    new_facets.extend(g for g in moved.facets if g != f1)
-    return SimplicialComplex(new_facets)
-
-
 @dataclass(frozen=True)
 class FlipMove:
     """A bistellar move: swap face_out (whose link is the boundary of face_in)
@@ -161,10 +124,6 @@ class FlipMove:
 
     face_out: frozenset[int]
     face_in: frozenset[int]
-
-    @property
-    def kind(self) -> tuple[int, int]:
-        return (len(self.face_out), len(self.face_in))
 
 
 def _is_simplex_boundary(link: SimplicialComplex) -> frozenset[int] | None:

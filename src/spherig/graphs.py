@@ -37,9 +37,6 @@ class Graph:
         graph.vertices, graph.edges = vertices, edges
         return graph
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self.edges
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 

@@ -96,14 +96,18 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def human_format(self) -> str:
-        headers = (*_COLUMNS, "elapsed")
+        """An aligned table of the records with their timings and notes (why
+        a record skipped or failed), which the machine report leaves out."""
+        headers = (*_COLUMNS, "elapsed", "note")
         rows = [
-            (*r.fields(), f"{r.elapsed:.3f}")
+            (*r.fields(), f"{r.elapsed:.3f}", r.note)
             for r in sorted(self.records, key=lambda r: (r.check, r.instance))
         ]
         widths = [max(map(len, column)) for column in zip(headers, *rows)]
-        out = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        out.extend("  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows)
+        out = [
+            "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+            for row in (headers, *rows)
+        ]
         out.append(
             f"total: {self.count(PASS)} pass, {self.count(FAIL)} fail, {self.count(SKIP)} skip"
         )

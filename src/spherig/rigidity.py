@@ -83,8 +83,6 @@ class RigidityMatrix:
         missing = graph.vertices - embedding.coords.keys()
         if missing:
             raise ValueError(f"embedding lacks coordinates for vertices {sorted(missing)}")
-        self.graph = graph
-        self.embedding = embedding
         self.d = embedding.d
         self.vertex_order: list[int] = sorted(graph.vertices)
         self.edge_order: list[tuple[int, int]] = graph.sorted_edges()

@@ -98,6 +98,27 @@ MUTANTS = [
         "        if False:\n",
         RIGIDITY_TESTS,
     ),
+    (
+        "flip-walk-corpus-without-dedup",
+        "src/spherig/harness.py",
+        "if len(delta.vertices) > max_vertices or delta.facets in seen:",
+        "if len(delta.vertices) > max_vertices:",
+        ("tests/test_harness.py::TestCorpus",),
+    ),
+    (
+        "cone-check-without-edge-relation",
+        "src/spherig/certificates.py",
+        " or claim.edges != base.edges | spokes",
+        "",
+        ("tests/test_certificates.py::TestCone",),
+    ),
+    (
+        "link-condition-without-ab-bits",
+        "src/spherig/complexes.py",
+        "(fa & fb) | ab in index",
+        "(fa & fb) in index",
+        ("tests/test_complexes.py::TestGraphsFromFacets",),
+    ),
 ]
 
 # Mutants known to be equivalent, kept out of MUTANTS:

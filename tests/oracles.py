@@ -2,12 +2,14 @@
 
 Everything here trades efficiency for obviousness: full face closures as
 explicit sets, subset scans over the whole power set, exact rational
-elimination.  Nothing imports the algorithms under test; the only library
-type that appears is SimplicialComplex as a plain container of facets.
+elimination.  The builders (cone, connected_sum) return plain facet sets.
+Nothing imports the algorithms under test; the only library type that
+appears is SimplicialComplex as a plain container of facets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +22,40 @@ def closure(facets) -> set[frozenset[int]]:
         for k in range(1, len(ordered) + 1):
             faces.update(frozenset(c) for c in combinations(ordered, k))
     return faces
+
+
+def f_vector(facets) -> tuple[int, ...]:
+    """Face counts (f_{-1}, f_0, ..., f_dim) of the closure, with f_{-1} = 1."""
+    sizes = Counter(len(f) for f in closure(facets))
+    return tuple(sizes[k] for k in range(max(sizes) + 1))
+
+
+def cone(facets, apex: int) -> frozenset[frozenset[int]]:
+    """Facets of the cone over a complex: every facet gains the apex."""
+    return frozenset(frozenset(f) | {apex} for f in facets)
+
+
+def connected_sum(facets1, facet1, facets2, facet2, matching=None) -> frozenset[frozenset[int]]:
+    """Facets of two complexes glued along a facet of each, which is then removed.
+
+    `matching` maps each vertex of facet1 to its partner in facet2, in sorted
+    order when omitted.  Vertices of the second complex outside facet2 keep
+    their labels unless the first complex uses them; those get fresh labels
+    above both vertex sets.
+    """
+    facets1 = {frozenset(f) for f in facets1}
+    facets2 = {frozenset(f) for f in facets2}
+    f1, f2 = frozenset(facet1), frozenset(facet2)
+    assert f1 in facets1 and f2 in facets2, "oracle: glue along a facet of each complex"
+    matching = matching or dict(zip(sorted(f1), sorted(f2)))
+    relabel = {matching[v]: v for v in f1}
+    used1, used2 = set().union(*facets1), set().union(*facets2)
+    fresh = max(used1 | used2) + 1
+    for v in sorted(used2 - f2):
+        if v in used1:
+            relabel[v], fresh = fresh, fresh + 1
+    moved = {frozenset(relabel.get(v, v) for v in g) for g in facets2}
+    return frozenset((facets1 | moved) - {f1})
 
 
 def intersection(left, right) -> frozenset[frozenset[int]]:

@@ -12,6 +12,8 @@ from oracles import (
     brute_missing_faces,
     brute_prime_factors,
     closure,
+    cone,
+    f_vector,
     intersection,
     star,
 )
@@ -61,10 +63,10 @@ class TestConstruction:
 
 class TestBasicQueries:
     def test_f_vector_tetrahedron_boundary(self):
-        assert sp.boundary_simplex(3).f_vector() == (1, 4, 6, 4)
+        assert f_vector(sp.boundary_simplex(3).facets) == (1, 4, 6, 4)
 
     def test_f_vector_octahedron(self):
-        assert octahedron().f_vector() == (1, 6, 12, 8)
+        assert f_vector(octahedron().facets) == (1, 6, 12, 8)
 
     def test_has_face(self):
         delta = octahedron()
@@ -72,10 +74,14 @@ class TestBasicQueries:
         assert delta.has_face(())
         assert not delta.has_face((1, 2))
 
-    def test_faces_of_dim(self):
+    def test_faces_of_dim(self, small_spheres):
         delta = sp.boundary_simplex(3)
         assert len(delta.faces_of_dim(1)) == 6
         assert delta.faces_of_dim(3) == set()
+        for _, delta, _ in small_spheres:
+            faces = closure(delta.facets)
+            for k in range(-1, delta.dim + 1):
+                assert delta.faces_of_dim(k) == {f for f in faces if len(f) == k + 1}
 
     def test_is_pure(self):
         assert octahedron().is_pure
@@ -84,7 +90,7 @@ class TestBasicQueries:
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_euler_characteristic_of_spheres(self, d):
-        f = sp.cross_polytope(d).f_vector()
+        f = f_vector(sp.cross_polytope(d).facets)
         chi = sum((-1) ** i * f[i + 1] for i in range(d))
         assert chi == 1 + (-1) ** (d - 1)
 
@@ -134,7 +140,7 @@ class TestLinkStarDelete:
         for _, delta, _ in small_spheres:
             v = min(delta.vertices)
             link = delta.link((v,))
-            assert SimplicialComplex(star(delta.facets, (v,))) == sp.cone(link, v)
+            assert star(delta.facets, (v,)) == cone(link.facets, v)
             link_graph, star_graph = delta.link_star_graphs((v,))
             assert link_graph == sp.graph_of(link)
             assert star_graph == sp.cone_graph(link_graph, v)
@@ -216,7 +222,7 @@ class TestRelabelContract:
 
     def test_contract_octahedron_edge_gives_5_vertex_sphere(self):
         out = octahedron().contract_edge((1, 3), 9)
-        assert out.f_vector()[1] == 5
+        assert len(out.vertices) == 5
         assert out.is_pseudomanifold()
 
     def test_contract_nonedge_rejected(self):
@@ -320,15 +326,15 @@ class TestJoinConeSuspension:
         a = sp.boundary_simplex(2)
         b = sp.boundary_simplex(2).relabel({v: v + 10 for v in range(1, 4)})
         joined = sp.join(a, b)
-        fa, fb, fj = a.f_vector(), b.f_vector(), joined.f_vector()
+        fa, fb, fj = (f_vector(c.facets) for c in (a, b, joined))
         for k in range(len(fj)):
             assert fj[k] == sum(
                 fa[i] * fb[k - i] for i in range(k + 1) if i < len(fa) and k - i < len(fb)
             )
 
     def test_cone_over_cycle(self):
-        wheel = sp.cone(sp.cycle_complex(list(range(1, 6))), 9)
-        assert wheel.f_vector() == (1, 6, 10, 5)
+        wheel = SimplicialComplex(cone(sp.cycle_complex(list(range(1, 6))).facets, 9))
+        assert f_vector(wheel.facets) == (1, 6, 10, 5)
         assert wheel.link((9,)) == sp.cycle_complex(list(range(1, 6)))
 
     def test_intersection(self):
@@ -347,7 +353,7 @@ class TestPrimeFactors:
         stacked = sp.stack_over_facet(delta, as_face((1, 2, 3, 4)), 6)
         factors = sp.prime_factors(stacked)
         assert len(factors) == 2
-        assert all(f.f_vector() == (1, 5, 10, 10, 5) for f in factors)
+        assert all(f_vector(f.facets) == (1, 5, 10, 10, 5) for f in factors)
 
     def test_double_stacking_gives_three_factors(self):
         delta = sp.boundary_simplex(4)

@@ -25,8 +25,8 @@ class TestGraph:
     def test_degree_and_has_edge(self):
         g = complete_graph(range(1, 5))
         assert sum(1 in e for e in g.edges) == 3
-        assert g.has_edge(1, 2)
-        assert not g.has_edge(1, 5)
+        assert frozenset((1, 2)) in g.edges
+        assert frozenset((1, 5)) not in g.edges
 
     def test_sorted_edges(self):
         g = Graph({1, 2, 3}, [(3, 1), (1, 2)])
@@ -43,7 +43,7 @@ class TestGraph:
     def test_add_edges_and_remove_edge(self):
         g = path_graph(4)
         grown = Graph(g.vertices, [*g.edges, (1, 4)])
-        assert grown.has_edge(1, 4)
+        assert frozenset((1, 4)) in grown.edges
         assert grown.remove_edge(1, 4) == g
 
     def test_remove_missing_edge_rejected(self):
@@ -67,7 +67,7 @@ class TestBuilders:
         g = graph_of(sp.cross_polytope(3))
         assert len(g.vertices) == 6
         assert len(g.edges) == 12
-        assert not g.has_edge(1, 2)
+        assert frozenset((1, 2)) not in g.edges
 
     def test_graph_of_cyclic_polytope_is_complete(self):
         g = graph_of(sp.cyclic_polytope_boundary(7, 4))
@@ -79,7 +79,7 @@ class TestBuilders:
     def test_cone_graph(self):
         g = cone_graph(path_graph(3), 9)
         assert sum(9 in e for e in g.edges) == 3
-        assert g.has_edge(9, 2)
+        assert frozenset((9, 2)) in g.edges
 
     def test_cone_graph_apex_collision_rejected(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,17 @@ class TestReport:
         assert text.endswith("total: 1 pass, 0 fail, 0 skip\n")
         assert text.splitlines()[0].startswith("check")
 
+    def test_human_format_says_why_a_record_skipped(self):
+        report = verify_minus_edge(sp.boundary_simplex(4), seed=5, name="simplex-d4")
+        report.add(CheckRecord("minus_edge", "cross-d4:e=1-3", PASS, 22, 22, seed=6))
+        header, passed, skipped = report.human_format().splitlines()[:3]
+        assert header.split() == ["check", "instance", "verdict", "rank", "target", "seed",
+                                  "elapsed", "note"]
+        assert skipped.split()[:3] == ["minus_edge", "simplex-d4", "skip"]
+        assert skipped.endswith("  g2 = 0")
+        assert passed.endswith("0.000")  # no note, no trailing blanks
+        assert "g2 = 0" not in report.machine_format()
+
     def test_face_label(self):
         assert face_label((3, 1, 2)) == "1-2-3"
         assert face_label(()) == "empty"
@@ -243,6 +254,11 @@ class TestCorpus:
             assert delta.g2() > 0
             assert len(delta.vertices) <= 11
         assert len({delta.facets for delta in a}) == 4
+
+    def test_flip_walk_corpus_keeps_each_sphere_once(self):
+        # the walks at this seed revisit spheres: kept again, the 40 would be 35 distinct
+        spheres = flip_walk_corpus(20260823, count=40)
+        assert len({delta.facets for delta in spheres}) == len(spheres) == 40
 
     def test_build_corpus_families_and_dims(self):
         entries = build_corpus(("simplex", "cross-polytope"), (4, 5), seed=0)
