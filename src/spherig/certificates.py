@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .complexes import SimplicialComplex
 from .graphs import Graph, complete_graph, cone_graph, graph_of, union
-from .rigidity import DEFAULT_TRIALS, decide_rigidity, derive_seed
+from .rigidity import decide_rigidity, derive_seed
 
 RULES = ("RankLeaf", "CompleteLeaf", "Cone", "Gluing", "Replacement")
 
@@ -54,23 +54,21 @@ class Certificate:
             raise ValueError(f"unknown rule {self.rule!r}")
 
 
-def check(cert: Certificate, trials: int = DEFAULT_TRIALS, seed: int = 0) -> bool:
+def check(cert: Certificate, seed: int = 0) -> bool:
     """Validate a certificate tree.
 
     Only the leaves are decided by the rank engine, each with its own
     sub-seed of seed; the composition rules are taken on faith.
     """
-    return _check(cert, trials, seed, "root")
+    return _check(cert, seed, "root")
 
 
-def _check(node: Certificate, trials: int, seed: int, path: str) -> bool:
+def _check(node: Certificate, seed: int, path: str) -> bool:
     def fail(message: str):
         raise CertificateError(path, message)
 
     def recurse() -> bool:
-        return all(
-            _check(ch, trials, seed, f"{path}.{i}") for i, ch in enumerate(node.children)
-        )
+        return all(_check(ch, seed, f"{path}.{i}") for i, ch in enumerate(node.children))
 
     d = node.d
     if d < 1:
@@ -84,7 +82,7 @@ def _check(node: Certificate, trials: int, seed: int, path: str) -> bool:
         if node.rule == "CompleteLeaf":
             n = len(node.graph.vertices)
             return n >= d + 1 and len(node.graph.edges) == n * (n - 1) // 2
-        return decide_rigidity(node.graph, d, trials, derive_seed(seed, "leaf", path)).is_rigid
+        return decide_rigidity(node.graph, d, seed=derive_seed(seed, "leaf", path)).is_rigid
 
     if node.rule == "Cone":
         if len(node.children) != 1:

@@ -9,17 +9,17 @@ and `decompose` take the rigidity dimension d = dim + 1 from their input;
 only `rigid` asks for it (`--dim`), because a graph does not fix it.
 `rigid` takes the graph of any complex, with any number of vertices, and
 compares its rank with the one rigid rank for that size: C(n,2) on at most
-d+1 vertices, d*n - C(d+1,2) on more.
+d+1 vertices, d*n - C(d+1,2) on more, at up to DEFAULT_TRIALS random points.
 
-The SPHERIG_SEED environment variable supplies the default seed; config
-files override it, and it is not read at all when `--seed` is given.
+The seed is `--seed` when given, else the config file's `seed`, else 0.
+No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .complexes import SimplicialComplex, prime_factors
@@ -32,7 +32,7 @@ from .generators import (
 )
 from .graphs import graph_of
 from .harness import SuiteConfig, run_suite
-from .rigidity import DEFAULT_TRIALS, decide_rigidity
+from .rigidity import decide_rigidity
 from .textio import format_facets, parse_facets
 
 GEN_FAMILIES = {
@@ -42,14 +42,6 @@ GEN_FAMILIES = {
     "join-simplex-cycle": (join_simplex_cycle, "d k"),
     "cyclic": (cyclic_polytope_boundary, "n d"),
 }
-
-
-def _default_seed() -> int:
-    value = os.environ.get("SPHERIG_SEED", "")
-    try:
-        return int(value) if value else 0
-    except ValueError:
-        raise ValueError(f"SPHERIG_SEED must be an integer, got {value!r}") from None
 
 
 def _read_complex(path: str) -> SimplicialComplex:
@@ -108,15 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rigid = sub.add_parser("rigid", help="decide generic rigidity of a complex's graph")
     rigid.add_argument("--dim", type=int, required=True, help="rigidity dimension d")
     rigid.add_argument("--minus-edge", metavar="a,b", help="delete this edge first")
-    rigid.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    rigid.add_argument("--seed", type=int, default=None)
+    rigid.add_argument("--seed", type=int, default=0)
     complex_input(rigid)
 
     decompose = sub.add_parser("decompose", help="split a connected sum into prime factors")
     complex_input(decompose)
 
     verify = sub.add_parser("verify", help="run the verification suite over a corpus")
-    verify.add_argument("--config", help="key=value file: families, dims, trials, seed")
+    verify.add_argument("--config", help="key=value file: families, dims, seed")
     verify.add_argument("--seed", type=int, default=None, help="override the suite seed")
     verify.add_argument(
         "--machine", metavar="PATH",
@@ -174,12 +165,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             except ValueError:
                 raise ValueError(f"--minus-edge expects a,b, got {args.minus_edge!r}") from None
             graph = graph.remove_edge(a, b)
-        seed = args.seed if args.seed is not None else _default_seed()
-        verdict = decide_rigidity(graph, args.dim, args.trials, seed)
+        verdict = decide_rigidity(graph, args.dim, seed=args.seed)
         print(
             f"rigid={str(verdict.is_rigid).lower()} rank={verdict.rank} "
             f"target={verdict.target_rank} stress={verdict.stress_dim} "
-            f"trials={verdict.trials} seed={seed}"
+            f"trials={verdict.trials} seed={args.seed}"
         )
         return 0 if verdict.is_rigid else 1
 
@@ -190,19 +180,17 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        base = SuiteConfig(seed=_default_seed() if args.seed is None else args.seed)
-        config = SuiteConfig.from_file(args.config, base) if args.config else base
+        config = SuiteConfig.from_file(args.config) if args.config else SuiteConfig()
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        report = run_suite(config)
-        machine = report.machine_format()
-        if args.machine == "-":
-            sys.stdout.write(machine)
-        else:
-            if args.machine:
-                with open(args.machine, "w") as fh:
-                    fh.write(machine)
-            sys.stdout.write(report.human_format())
+        to_file = args.machine not in (None, "-")
+        # the report file is opened first, so a bad path fails before the suite runs
+        with open(args.machine, "w") if to_file else nullcontext() as fh:
+            report = run_suite(config)
+            machine = report.machine_format()
+            if to_file:
+                fh.write(machine)
+        sys.stdout.write(machine if args.machine == "-" else report.human_format())
         return 0 if report.ok else 1
 
     raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 from .graphs import Graph
+
+_Node = TypeVar("_Node")
 
 
 def as_face(vertices: Iterable[int]) -> frozenset[int]:
@@ -40,6 +42,25 @@ def _edges(faces: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
     for f in faces:  # sorted pairs, so each edge is made once
         pairs.update(combinations(sorted(f), 2))
     return frozenset(map(frozenset, pairs))
+
+
+def _components(adjacency: dict[_Node, set[_Node]]) -> list[set[_Node]]:
+    """The vertex sets of the connected components of a graph given by its
+    adjacency sets, in no particular order."""
+    components: list[set[_Node]] = []
+    unseen = set(adjacency)
+    while unseen:
+        start = unseen.pop()
+        comp = {start}
+        stack = [start]
+        while stack:
+            for nxt in adjacency[stack.pop()]:
+                if nxt not in comp:
+                    comp.add(nxt)
+                    stack.append(nxt)
+        unseen -= comp
+        components.append(comp)
+    return components
 
 
 def _maximal(faces: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
@@ -154,7 +175,7 @@ class SimplicialComplex:
         d = dim + 1 that the complex fixes."""
         d = self.dim + 1
         f0 = len(self.vertices)
-        f1 = len(self.faces_of_dim(1))
+        f1 = len(self._graph.edges)
         return f1 - d * f0 + d * (d + 1) // 2
 
     # -- structural operations -------------------------------------------
@@ -290,15 +311,7 @@ class SimplicialComplex:
         for pair in ridge_facets.values():
             adjacency[pair[0]].add(pair[1])
             adjacency[pair[1]].add(pair[0])
-        start = next(iter(self.facets))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.facets)
+        return len(_components(adjacency)) == 1
 
     def _require_pure(self) -> None:
         if not self.is_pure:
@@ -352,19 +365,7 @@ def prime_factors(delta: SimplicialComplex) -> list[SimplicialComplex]:
         for a, b in combinations(core, 2):
             adjacency[a].add(b)
             adjacency[b].add(a)
-    components: list[set[int]] = []
-    unseen = set(outside)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        unseen -= comp
-        components.append(comp)
+    components = _components(adjacency)
     if len(components) < 2:
         raise ValueError(
             f"missing facet {sorted(sigma)} does not separate the complex; "

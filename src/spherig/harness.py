@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -39,7 +39,6 @@ from .generators import (
 )
 from .graphs import graph_of
 from .rigidity import (
-    DEFAULT_TRIALS,
     Embedding,
     RigidityMatrix,
     decide_rigidity,
@@ -166,7 +165,6 @@ def _check_kind(kind: str):
 def verify_minus_edge(
     delta: SimplicialComplex,
     *,
-    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
@@ -189,7 +187,7 @@ def verify_minus_edge(
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     sub = derive_seed(seed, "minus-edge", name)
-    for (a, b), rank in edge_deletion_ranks(graph, d, trials, sub).items():
+    for (a, b), rank in edge_deletion_ranks(graph, d, sub).items():
         yield _ranked(f"{name}:e={a}-{b}", rank, target, sub)
 
 
@@ -197,7 +195,6 @@ def verify_minus_edge(
 def verify_negative_control(
     gamma: SimplicialComplex,
     *,
-    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "control",
 ) -> Iterator[_Outcome]:
@@ -210,7 +207,7 @@ def verify_negative_control(
     expected = rigidity_target(len(graph.vertices), d) - 1
     for u in facet:
         sub = derive_seed(seed, "negative-control", name, u, v_new)
-        rank = decide_rigidity(graph.remove_edge(u, v_new), d, trials, sub).rank
+        rank = decide_rigidity(graph.remove_edge(u, v_new), d, seed=sub).rank
         yield _ranked(f"{name}:e={u}-{v_new}", rank, expected, sub)
 
 
@@ -218,7 +215,6 @@ def verify_negative_control(
 def verify_missing_face_lemma(
     delta: SimplicialComplex,
     *,
-    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
@@ -245,8 +241,8 @@ def verify_missing_face_lemma(
     for sigma in qualifying:
         label = face_label(sigma)
         for a, b in combinations(sorted(sigma), 2):
-            verdict = decide_rigidity(graph.remove_edge(a, b), d, trials, sub)
-            cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), trials, sub)
+            verdict = decide_rigidity(graph.remove_edge(a, b), d, seed=sub)
+            cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), sub)
             yield _Outcome(
                 f"{name}:s={label}:e={a}-{b}",
                 PASS if (verdict.is_rigid and cert_ok) else FAIL,
@@ -262,7 +258,6 @@ def verify_contraction_reduction(
     delta: SimplicialComplex,
     e: Iterable[int],
     *,
-    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
@@ -303,8 +298,8 @@ def verify_contraction_reduction(
     rhs = RigidityMatrix(g_down, Embedding(4, down_coords)).rank()
     yield _ranked(f"{base}:degenerate", lhs, rhs + 4, sub)
 
-    lhs_gen = decide_rigidity(g_minus, 4, trials, derive_seed(sub, "generic-minus")).rank
-    rhs_gen = decide_rigidity(g_down, 4, trials, derive_seed(sub, "generic-down")).rank
+    lhs_gen = decide_rigidity(g_minus, 4, seed=derive_seed(sub, "generic-minus")).rank
+    rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
     yield _ranked(f"{base}:generic", lhs_gen, rhs_gen + 4, sub)
 
 
@@ -312,7 +307,6 @@ def verify_contraction_reduction(
 def verify_star_rigidity(
     delta: SimplicialComplex,
     *,
-    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
@@ -327,7 +321,7 @@ def verify_star_rigidity(
     for face in faces:
         label = face_label(face)
         sub = derive_seed(seed, "star", name, label)
-        ok = check(certify_star_rigidity(delta, face), trials, sub)
+        ok = check(certify_star_rigidity(delta, face), sub)
         yield _Outcome(f"{name}:s={label}", PASS if ok else FAIL, seed=sub)
 
 
@@ -335,13 +329,12 @@ def verify_star_rigidity(
 def verify_g2_stress(
     delta: SimplicialComplex,
     *,
-    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
     """The stress space dimension (edges minus rank) must equal g2."""
     sub = derive_seed(seed, "g2-stress", name)
-    stress_dim = decide_rigidity(graph_of(delta), delta.dim + 1, trials, sub).stress_dim
+    stress_dim = decide_rigidity(graph_of(delta), delta.dim + 1, seed=sub).stress_dim
     yield _ranked(name, stress_dim, delta.g2(), sub)
 
 
@@ -447,7 +440,6 @@ def build_corpus(families: Sequence[str], dims: Sequence[int], seed: int) -> lis
 class SuiteConfig:
     families: tuple[str, ...] = DEFAULT_FAMILIES
     dims: tuple[int, ...] = (4, 5, 6)
-    trials: int = DEFAULT_TRIALS
     seed: int = 0
 
     def __post_init__(self):
@@ -465,19 +457,16 @@ class SuiteConfig:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ValueError(f"{key} lists {', '.join(map(str, repeated))} more than once")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
     @classmethod
-    def from_file(cls, path: str, base: "SuiteConfig | None" = None) -> "SuiteConfig":
+    def from_file(cls, path: str) -> "SuiteConfig":
         with open(path) as fh:
-            return cls.from_text(fh.read(), base)
+            return cls.from_text(fh.read())
 
     @classmethod
-    def from_text(cls, text: str, base: "SuiteConfig | None" = None) -> "SuiteConfig":
-        """A new config: base (the defaults when None) overlaid with the
-        text's key=value lines, each key at most once.  base itself is left
-        unchanged.  A value that does not parse, or that the config would
+    def from_text(cls, text: str) -> "SuiteConfig":
+        """The defaults overlaid with the text's key=value lines, each key at
+        most once.  A value that does not parse, or that the config would
         reject, raises an error that names its line."""
         values: dict[str, object] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -499,14 +488,14 @@ class SuiteConfig:
                         values[key] = tuple(range(int(lo), int(hi) + 1))
                     else:
                         values[key] = tuple(int(t) for t in value.split(",") if t.strip())
-                elif key in ("trials", "seed"):
+                elif key == "seed":
                     values[key] = int(value)
                 else:
                     raise ValueError(f"unknown key {key!r}")
-                replace(cls(), **{key: values[key]})  # checks the value here, at its line
+                cls(**{key: values[key]})  # checks the value here, at its line
             except ValueError as exc:
                 raise ValueError(f"config line {lineno}: {exc}") from None
-        return replace(base if base is not None else cls(), **values)
+        return cls(**values)
 
 
 def run_suite(config: SuiteConfig) -> Report:
@@ -520,9 +509,7 @@ def run_suite(config: SuiteConfig) -> Report:
     report = Report()
     for entry in build_corpus(config.families, config.dims, config.seed):
         delta = entry.complex
-        options = dict(
-            trials=config.trials, seed=derive_seed(config.seed, entry.name), name=entry.name
-        )
+        options = dict(seed=derive_seed(config.seed, entry.name), name=entry.name)
         with rigid_verdict_memo():
             if entry.control:
                 report.extend(verify_negative_control(delta, **options))

@@ -109,18 +109,20 @@ class RigidityMatrix:
         return rank_mod(self.rows)
 
 
-def rank_mod(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination."""
+def rank_mod(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix over F_p, p = DEFAULT_PRIME, by Gaussian elimination."""
     if not rows:
         return 0
-    return _reduce([r[:] for r in rows], len(rows[0]), p)
+    return _reduce([r[:] for r in rows], len(rows[0]))
 
 
-def _reduce(rows: list[list[int]], ncols: int, p: int) -> int:
-    """Row-reduce in place, pivoting on the first ncols columns only; return the rank.
+def _reduce(rows: list[list[int]], ncols: int) -> int:
+    """Row-reduce over F_p, p = DEFAULT_PRIME, in place, pivoting on the
+    first ncols columns only; return the rank.
 
     Entries past ncols are carried along by every row operation.
     """
+    p = DEFAULT_PRIME
     nrows = len(rows)
     rank = 0
     for col in range(ncols):
@@ -214,13 +216,6 @@ def _shape(graph: Graph, d: int) -> tuple[int, int, int]:
     return d, len(graph.vertices), sum(bits)
 
 
-def _require_decidable(d: int, trials: int) -> None:
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-
-
 def decide_rigidity(
     graph: Graph,
     d: int,
@@ -234,7 +229,10 @@ def decide_rigidity(
     rigidity_target.  Inside rigid_verdict_memo a graph already decided
     rigid is answered without a new embedding.
     """
-    _require_decidable(d, trials)
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     f1 = len(graph.edges)
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
@@ -255,13 +253,8 @@ def decide_rigidity(
     return RigidityVerdict(best, target, is_rigid, trials, f1 - best)
 
 
-def edge_deletion_ranks(
-    graph: Graph,
-    d: int,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> dict[tuple[int, int], int]:
-    """decide_rigidity(graph - e, d, trials, seed).rank for every edge e, from
+def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, int], int]:
+    """decide_rigidity(graph - e, d, seed=seed).rank for every edge e, from
     one elimination of the whole graph's matrix.
 
     Keys are the edges as sorted pairs, in sorted order.  The matrix is
@@ -277,8 +270,8 @@ def edge_deletion_ranks(
 
     decide_rigidity stops after its first trial once the rank reaches
     min(f1(G - e), target); a value that falls short of that cap is
-    recomputed by decide_rigidity itself, with all its trials.  Each value
-    therefore equals decide_rigidity's exactly, not just with high
+    recomputed by decide_rigidity itself, which may draw further points.
+    Each value therefore equals decide_rigidity's exactly, not just with high
     probability, and inherits its one-sided guarantee: a rank at a point
     never exceeds the generic rank, so a value that meets the rigidity
     target ("rigid") is always right, and only a shortfall can be wrong, by
@@ -289,7 +282,8 @@ def edge_deletion_ranks(
     rank.  The shape of G - e is G's with the bit of e cleared, so no G - e
     is built except for a fallback.
     """
-    _require_decidable(d, trials)
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
     matrix = RigidityMatrix(graph, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
@@ -298,7 +292,7 @@ def edge_deletion_ranks(
     # basis of the stresses in that extension.
     m, ncols = matrix.shape
     work = [row + [int(i == j) for j in range(m)] for i, row in enumerate(matrix.rows)]
-    rank = _reduce(work, ncols, DEFAULT_PRIME)
+    rank = _reduce(work, ncols)
     stressed = {j for row in work[rank:] for j in range(m) if row[ncols + j]}
     cap = min(len(graph.edges) - 1, target)
     if memo is not None:
@@ -310,7 +304,7 @@ def edge_deletion_ranks(
     for i, (a, b) in enumerate(matrix.edge_order):
         value = rank if i in stressed else rank - 1
         if value < cap:
-            value = decide_rigidity(graph.remove_edge(a, b), d, trials, seed).rank
+            value = decide_rigidity(graph.remove_edge(a, b), d, seed=seed).rank
         elif memo is not None and value == target:
             memo.add((d, n, mask & ~bits[i]))
         ranks[a, b] = value

@@ -119,11 +119,39 @@ MUTANTS = [
         "(fa & fb) in index",
         ("tests/test_complexes.py::TestGraphsFromFacets",),
     ),
+    (
+        "empty-report-allowed",
+        "src/spherig/harness.py",
+        "    if not report.records:\n",
+        "    if False:\n",
+        ("tests/test_harness.py::TestRunSuite::test_empty_report_is_rejected",),
+    ),
+    (
+        "vacuous-missing-face-passes",
+        "src/spherig/harness.py",
+        'f"{name}:vacuous", SKIP,',
+        'f"{name}:vacuous", PASS,',
+        (
+            "tests/test_harness.py::TestMissingFaceLemma"
+            "::test_no_qualifying_faces_is_a_vacuous_skip",
+        ),
+    ),
+    (
+        "legal-flips-without-purity-check",
+        "src/spherig/generators.py",
+        "    delta._require_pure()\n",
+        "",
+        ("tests/test_generators.py::TestFlips::test_impure_complex_rejected",),
+    ),
 ]
 
 # Mutants known to be equivalent, kept out of MUTANTS:
 # - rigidity_target branching on n_vertices <= d instead of <= d + 1: at
 #   n = d + 1 both forms give C(d+1, 2).
+# - the degenerate contraction point drawn from derive_seed(seed, ...), the
+#   entry's seed, instead of the record's sub-seed: the rank at a random
+#   point of the degenerate locus is the same for almost every point, so
+#   neither the report nor a replay can show which seed drew the point.
 
 
 def run_tests(copy: Path, tests: list[str]) -> int:

@@ -156,25 +156,6 @@ class TestRigid:
         assert code == 1
         assert "rigid=false rank=2 target=3" in out
 
-    def test_seed_env_var_is_the_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHERIG_SEED", "77")
-        feed(monkeypatch, format_facets(sp.cross_polytope(4)))
-        _, from_env, _ = run(capsys, "rigid", "--dim", "4")
-        feed(monkeypatch, format_facets(sp.cross_polytope(4)))
-        _, from_flag, _ = run(capsys, "rigid", "--dim", "4", "--seed", "77")
-        assert from_env == from_flag
-        assert "seed=77" in from_env
-
-    def test_bad_seed_env_var_is_read_only_without_a_seed_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHERIG_SEED", "abc")
-        feed(monkeypatch, format_facets(sp.cross_polytope(4)))
-        code, out, _ = run(capsys, "rigid", "--dim", "4", "--seed", "5")
-        assert code == 0 and "seed=5" in out
-        feed(monkeypatch, format_facets(sp.cross_polytope(4)))
-        code, out, err = run(capsys, "rigid", "--dim", "4")
-        assert (code, out) == (2, "")
-        assert err == "error: SPHERIG_SEED must be an integer, got 'abc'\n"
-
 
 class TestDecompose:
     def test_prime_input_is_one_factor(self, capsys, monkeypatch):
@@ -194,7 +175,7 @@ class TestDecompose:
 
 
 class TestVerify:
-    CONFIG = "families = cross-polytope, negative-control\ndims = 4\ntrials = 1\nseed = 11\n"
+    CONFIG = "families = cross-polytope, negative-control\ndims = 4\nseed = 11\n"
 
     def test_verify_passes_and_reports(self, capsys, tmp_path):
         cfg = tmp_path / "suite.cfg"
@@ -241,9 +222,9 @@ class TestVerify:
         "dims = 3": "suite dimensions must be >= 4",
         "families =": "families lists no family",
         "families = spheres": "unknown family 'spheres'; known: ",
-        "trials = 0": "trials must be >= 1",
         "families = simplex, simplex": "families lists simplex more than once",
         "dims = 4, 4": "dims lists 4 more than once",
+        "trials = 3": "unknown key 'trials'",
     }
 
     @pytest.mark.parametrize("line", list(REJECTED))
@@ -263,7 +244,6 @@ class TestVerify:
         "text, message",
         [
             ("families = simplex\ndims = 4..5..6\n", "invalid literal for int()"),
-            ("# a comment\ntrials = x\n", "invalid literal for int()"),
             ("seed = 1\nseed = 2\n", "seed is given more than once"),
             ("dims = 4\ndims = 5\n", "dims is given more than once"),
         ],
@@ -281,19 +261,6 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: config line 2: {message}")
 
-    def test_bad_seed_env_var_is_read_only_without_a_seed_flag(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        cfg = tmp_path / "suite.cfg"
-        cfg.write_text(self.CONFIG)
-        _, expected, _ = run(capsys, "verify", "--config", str(cfg), "--seed", "5", "--machine", "-")
-        monkeypatch.setenv("SPHERIG_SEED", "abc")
-        code, out, _ = run(capsys, "verify", "--config", str(cfg), "--seed", "5", "--machine", "-")
-        assert (code, out) == (0, expected)
-        code, out, err = run(capsys, "verify", "--config", str(cfg))
-        assert (code, out) == (2, "")
-        assert err == "error: SPHERIG_SEED must be an integer, got 'abc'\n"
-
     def test_config_with_an_empty_report_is_error_2(self, capsys, tmp_path):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text("families = flip-walks\ndims = 5\n")  # flip walks are d = 4 only
@@ -301,6 +268,18 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "empty" in err
+
+    def test_unwritable_machine_path_fails_before_the_suite_runs(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_suite(config):
+            raise AssertionError("the suite ran before the report file was opened")
+
+        monkeypatch.setattr("spherig.cli.run_suite", no_suite)
+        path = tmp_path / "missing" / "report.tsv"
+        code, out, err = run(capsys, "verify", "--machine", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and str(path) in err
 
     def test_machine_output_is_identical_across_processes(self, tmp_path):
         cfg = tmp_path / "suite.cfg"

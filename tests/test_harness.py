@@ -30,7 +30,6 @@ from spherig.harness import (
     verify_star_rigidity,
 )
 from spherig.rigidity import (
-    DEFAULT_TRIALS,
     Embedding,
     RigidityMatrix,
     decide_rigidity,
@@ -93,7 +92,7 @@ class TestReport:
 
 class TestMinusEdge:
     def test_cross_4_all_edges_pass(self):
-        report = verify_minus_edge(sp.cross_polytope(4), trials=2, seed=7, name="x4")
+        report = verify_minus_edge(sp.cross_polytope(4), seed=7, name="x4")
         assert len(report.records) == 24
         assert report.count(PASS) == 24
         assert all(r.rank == r.target == 22 for r in report.records)
@@ -114,11 +113,11 @@ class TestMinusEdge:
             verify_minus_edge(sp.cross_polytope(3))
 
     def test_records_carry_reproducing_seed(self):
-        report = verify_minus_edge(sp.cross_polytope(4), trials=1, seed=3, name="x4")
+        report = verify_minus_edge(sp.cross_polytope(4), seed=3, name="x4")
         rec = report.records[0]
         a, b = (int(t) for t in rec.instance.split("e=")[1].split("-"))
         graph = graph_of(sp.cross_polytope(4)).remove_edge(a, b)
-        again = decide_rigidity(graph, 4, 1, rec.seed)
+        again = decide_rigidity(graph, 4, seed=rec.seed)
         assert again.rank == rec.rank
 
 
@@ -137,7 +136,7 @@ class TestNegativeControl:
 class TestMissingFaceLemma:
     def test_join_2_3_sweeps_both_missing_faces(self):
         delta = sp.join_spheres(2, 3)
-        report = verify_missing_face_lemma(delta, trials=2, seed=4, name="j23")
+        report = verify_missing_face_lemma(delta, seed=4, name="j23")
         # triangle {1,2,3} has 3 edges, the 4-set {4,5,6,7} has 6
         assert len(report.records) == 9
         assert report.count(PASS) == 9
@@ -154,9 +153,9 @@ class TestMissingFaceLemma:
     def test_edge_records_and_certificates_share_one_seed(self, monkeypatch):
         cert_seeds = []
 
-        def spy(cert, trials, seed):
+        def spy(cert, seed):
             cert_seeds.append(seed)
-            return check(cert, trials, seed)
+            return check(cert, seed)
 
         monkeypatch.setattr("spherig.harness.check", spy)
         report = verify_missing_face_lemma(sp.join_spheres(2, 3), seed=4, name="j23")
@@ -170,7 +169,7 @@ class TestMissingFaceLemma:
         for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), seed):
             report = verify_missing_face_lemma(entry.complex, seed=seed, name=entry.name)
             sub = derive_seed(seed, "missing-face", entry.name)
-            ranks = edge_deletion_ranks(graph_of(entry.complex), entry.d, DEFAULT_TRIALS, sub)
+            ranks = edge_deletion_ranks(graph_of(entry.complex), entry.d, sub)
             for record in report.records:
                 if record.verdict != SKIP:
                     edge = tuple(int(v) for v in record.instance.rsplit("e=", 1)[1].split("-"))
@@ -226,7 +225,7 @@ class TestContraction:
 
 class TestStarAndStress:
     def test_star_rigidity_cross_5(self):
-        report = verify_star_rigidity(sp.cross_polytope(5), trials=2, seed=8, name="x5")
+        report = verify_star_rigidity(sp.cross_polytope(5), seed=8, name="x5")
         # empty face + 10 vertices + 40 edges
         assert len(report.records) == 51
         assert report.count(PASS) == 51
@@ -291,11 +290,10 @@ class TestSuiteConfig:
 
     def test_parse_range_and_overrides(self):
         config = SuiteConfig.from_text(
-            "# comment\nfamilies = simplex, cyclic\ndims = 4..6\ntrials = 2\nseed = 9\n"
+            "# comment\nfamilies = simplex, cyclic\ndims = 4..6\nseed = 9\n"
         )
         assert config.families == ("simplex", "cyclic")
         assert config.dims == (4, 5, 6)
-        assert config.trials == 2
         assert config.seed == 9
 
     def test_parse_dim_list(self):
@@ -314,13 +312,6 @@ class TestSuiteConfig:
         with pytest.raises(ValueError, match=">= 4"):
             SuiteConfig.from_text("dims = 3\n")
 
-    def test_base_config_is_overlaid(self):
-        base = SuiteConfig(seed=42)
-        config = SuiteConfig.from_text("trials = 1\n", base)
-        assert (config.seed, config.trials) == (42, 1)
-        assert SuiteConfig.from_text("seed = 9\n", base).seed == 9
-        assert base == SuiteConfig(seed=42)
-
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SuiteConfig().seed = 1
@@ -328,9 +319,7 @@ class TestSuiteConfig:
 
 @pytest.fixture(scope="module")
 def small_config():
-    return SuiteConfig(
-        families=("cross-polytope", "negative-control"), dims=(4,), trials=1, seed=13
-    )
+    return SuiteConfig(families=("cross-polytope", "negative-control"), dims=(4,), seed=13)
 
 
 class TestRunSuite:
@@ -356,9 +345,7 @@ class TestRunSuite:
         ).machine_format()
 
     def test_seed_changes_the_report(self, small_config):
-        other = SuiteConfig(
-            families=small_config.families, dims=(4,), trials=1, seed=14
-        )
+        other = SuiteConfig(families=small_config.families, dims=(4,), seed=14)
         assert run_suite(other).machine_format() != run_suite(small_config).machine_format()
 
     def test_every_record_replays_from_its_machine_line(self, small_config):
@@ -368,7 +355,7 @@ class TestRunSuite:
             for e in build_corpus(small_config.families, small_config.dims, small_config.seed)
         }
         for line in report.machine_format().splitlines():
-            assert replay(line, corpus, small_config.trials) == line
+            assert replay(line, corpus) == line
             kind, instance, *_, seed = line.split("\t")
             assert int(seed) == scheme_seed(kind, instance, small_config.seed)
 
@@ -430,16 +417,16 @@ class TestRunSuite:
         )
 
     def test_empty_report_is_rejected(self):
-        config = SuiteConfig(families=("flip-walks",), dims=(5,), trials=1, seed=1)
+        config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)
         with pytest.raises(ValueError, match="report would be empty"):
             run_suite(config)
 
     def test_missing_face_edge_records_replay(self):
         entry = CorpusEntry("j23", sp.join_spheres(2, 3))
-        report = verify_missing_face_lemma(entry.complex, trials=1, seed=4, name="j23")
+        report = verify_missing_face_lemma(entry.complex, seed=4, name="j23")
         assert {r.note for r in report.records} == {""}
         for line in report.machine_format().splitlines():
-            assert replay(line, {"j23": entry}, 1) == line
+            assert replay(line, {"j23": entry}) == line
 
 
 SEED_LABELS = {
@@ -469,7 +456,7 @@ def scheme_seed(kind: str, instance: str, suite_seed: int) -> int:
     return derive_seed(base, SEED_LABELS[kind], name, *keys)
 
 
-def replay(line: str, corpus: dict[str, CorpusEntry], trials: int) -> str:
+def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
     """Recompute a machine line from its check, instance and seed fields.
 
     Uses only the corpus and the public API, following the per-kind recipe
@@ -498,27 +485,27 @@ def replay(line: str, corpus: dict[str, CorpusEntry], trials: int) -> str:
     if kind == "negative_control":
         u, v_new = pair(fields["e"])
         graph = graph_of(sp.stack_over_facet(delta, delta.sorted_facets()[0], v_new))
-        rank = decide_rigidity(graph.remove_edge(u, v_new), d, trials, seed).rank
+        rank = decide_rigidity(graph.remove_edge(u, v_new), d, seed=seed).rank
         return ranked(rank, rigidity_target(len(graph.vertices), d) - 1)
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     if kind == "g2_stress":
-        return ranked(decide_rigidity(graph, d, trials, seed).stress_dim, delta.g2())
+        return ranked(decide_rigidity(graph, d, seed=seed).stress_dim, delta.g2())
     if kind == "star_rigidity":
-        ok = check(certify_star_rigidity(delta, face(fields["s"])), trials, seed)
+        ok = check(certify_star_rigidity(delta, face(fields["s"])), seed)
         return plain(PASS if ok else FAIL)
     if kind == "minus_edge":
         if "e" not in fields:
             return plain(SKIP if not delta.is_prime() or delta.g2() <= 0 else FAIL)
-        rank = decide_rigidity(graph.remove_edge(*pair(fields["e"])), d, trials, seed).rank
+        rank = decide_rigidity(graph.remove_edge(*pair(fields["e"])), d, seed=seed).rank
         return ranked(rank, target)
     if kind == "missing_face":
         if parts == ["vacuous"]:
             qualifying = [f for f in delta.missing_faces() if 3 <= len(f) <= d - 1]
             return plain(FAIL if qualifying else SKIP)
         sigma, edge = face(fields["s"]), pair(fields["e"])
-        rank = decide_rigidity(graph.remove_edge(*edge), d, trials, seed).rank
-        cert_ok = check(certify_missing_face_edge(delta, sigma, edge), trials, seed)
+        rank = decide_rigidity(graph.remove_edge(*edge), d, seed=seed).rank
+        cert_ok = check(certify_missing_face_edge(delta, sigma, edge), seed)
         return ranked(rank, target, cert_ok)
     assert kind == "contraction"
     a, b = pair(fields["e"])
@@ -532,8 +519,8 @@ def replay(line: str, corpus: dict[str, CorpusEntry], trials: int) -> str:
     g_minus = graph.remove_edge(a, b)
     g_down = graph_of(delta.contract_edge((a, b), v_new))
     if parts[-1] == "generic":
-        lhs = decide_rigidity(g_minus, 4, trials, derive_seed(seed, "generic-minus")).rank
-        rhs = decide_rigidity(g_down, 4, trials, derive_seed(seed, "generic-down")).rank
+        lhs = decide_rigidity(g_minus, 4, seed=derive_seed(seed, "generic-minus")).rank
+        rhs = decide_rigidity(g_down, 4, seed=derive_seed(seed, "generic-down")).rank
         return ranked(lhs, rhs + 4)
     coords = dict(random_embedding(g_minus, 4, derive_seed(seed, "degenerate")).coords)
     coords[b] = coords[a]

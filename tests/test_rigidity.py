@@ -12,7 +12,6 @@ from spherig.graphs import Graph, complete_graph, graph_of
 from spherig.harness import DEFAULT_FAMILIES, build_corpus
 from spherig.rigidity import (
     DEFAULT_PRIME,
-    DEFAULT_TRIALS,
     Embedding,
     RigidityMatrix,
     decide_rigidity,
@@ -94,19 +93,19 @@ class TestRigidityMatrix:
 
 class TestRankMod:
     def test_zero_matrix(self):
-        assert rank_mod([[0, 0], [0, 0]], 7) == 0
+        assert rank_mod([[0, 0], [0, 0]]) == 0
 
     def test_identity(self):
-        assert rank_mod([[1, 0], [0, 1]], 7) == 2
+        assert rank_mod([[1, 0], [0, 1]]) == 2
 
     def test_multiples_of_p_vanish(self):
-        assert rank_mod([[7, 14]], 7) == 0
+        assert rank_mod([[P, 2 * P]]) == 0
 
     def test_dependent_rows(self):
-        assert rank_mod([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 101) == 2
+        assert rank_mod([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
 
     def test_empty(self):
-        assert rank_mod([], 7) == 0
+        assert rank_mod([]) == 0
 
     def test_agrees_with_rational_rank_on_random_matrices(self):
         rng = random.Random(3)
@@ -117,7 +116,7 @@ class TestRankMod:
             ncols = len(rows[0])
             for _ in range(rng.randrange(5)):
                 rows.append([rng.randrange(-9, 10) for _ in range(ncols)])
-            assert rank_mod([r[:] for r in rows], P) == rational_rank(rows)
+            assert rank_mod([r[:] for r in rows]) == rational_rank(rows)
 
 
 class TestDecideRigidity:
@@ -179,9 +178,9 @@ class TestDecideRigidity:
     def test_rank_monotone_under_row_deletion(self):
         g = graph_of(sp.cross_polytope(3))
         m = RigidityMatrix(g, random_embedding(g, 3, 4))
-        full = rank_mod(m.rows, P)
+        full = rank_mod(m.rows)
         for i in range(len(m.rows)):
-            sub = rank_mod(m.rows[:i] + m.rows[i + 1 :], P)
+            sub = rank_mod(m.rows[:i] + m.rows[i + 1 :])
             assert sub in (full - 1, full)
 
 
@@ -259,10 +258,10 @@ class TestEdgeDeletionRanks:
         for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), self.SEED):
             graph = graph_of(entry.complex)
             s = derive_seed(self.SEED, entry.name)
-            ranks = edge_deletion_ranks(graph, entry.d, DEFAULT_TRIALS, s)
+            ranks = edge_deletion_ranks(graph, entry.d, s)
             assert list(ranks) == graph.sorted_edges(), entry.name
             for (a, b), rank in ranks.items():
-                slow = decide_rigidity(graph.remove_edge(a, b), entry.d, DEFAULT_TRIALS, s)
+                slow = decide_rigidity(graph.remove_edge(a, b), entry.d, seed=s)
                 assert rank == slow.rank, (entry.name, a, b)
                 checked += 1
         assert checked == 848
@@ -286,16 +285,16 @@ class TestEdgeDeletionRanks:
         fallbacks = []
         real = spherig.rigidity.decide_rigidity
 
-        def spy(g, d, trials, seed):
+        def spy(g, d, *, seed):
             fallbacks.append(sorted(graph.edges - g.edges)[0])
-            return real(g, d, trials, seed)
+            return real(g, d, seed=seed)
 
         monkeypatch.setattr(spherig.rigidity, "decide_rigidity", spy)
-        ranks = edge_deletion_ranks(graph, 4, 2, seed=3)
+        ranks = edge_deletion_ranks(graph, 4, seed=3)
         assert sorted(fallbacks) == [frozenset((u, 9)) for u in facet]
         for (a, b), rank in ranks.items():
             assert rank == (target - 1 if b == 9 else target), (a, b)
-            assert rank == real(graph.remove_edge(a, b), 4, 2, 3).rank
+            assert rank == real(graph.remove_edge(a, b), 4, seed=3).rank
 
     def test_stress_free_graph_loses_rank_on_every_edge(self):
         graph = graph_of(sp.boundary_simplex(5))
@@ -323,21 +322,21 @@ class TestRigidVerdictMemo:
 
     def test_hit_equals_a_fresh_decision(self, monkeypatch):
         graph = graph_of(sp.cross_polytope(4))
-        fresh = decide_rigidity(graph, 4, trials=2, seed=8)
+        fresh = decide_rigidity(graph, 4, seed=8)
         with rigid_verdict_memo():
-            decide_rigidity(graph, 4, trials=2, seed=1)
+            decide_rigidity(graph, 4, seed=1)
             monkeypatch.setattr(spherig.rigidity, "random_embedding", fail_on_embedding)
-            assert decide_rigidity(graph, 4, trials=2, seed=8) == fresh
+            assert decide_rigidity(graph, 4, seed=8) == fresh
 
     def test_relabelled_rigid_graph_hits_and_draws_no_embedding(self, monkeypatch):
         graph = graph_of(sp.cross_polytope(4))
         relabelled = relabel(graph, lambda v: 3 * v + 10)
         assert relabelled != graph
-        fresh = decide_rigidity(relabelled, 4, trials=2, seed=8)
+        fresh = decide_rigidity(relabelled, 4, seed=8)
         with rigid_verdict_memo() as memo:
-            decide_rigidity(graph, 4, trials=2, seed=1)
+            decide_rigidity(graph, 4, seed=1)
             monkeypatch.setattr(spherig.rigidity, "random_embedding", fail_on_embedding)
-            assert decide_rigidity(relabelled, 4, trials=2, seed=8) == fresh
+            assert decide_rigidity(relabelled, 4, seed=8) == fresh
             assert memo == {shape(relabelled, 4)}
 
     def test_relabelled_flexible_graph_never_hits(self, monkeypatch):
@@ -434,19 +433,19 @@ class TestMemoLearnsFromEdgeDeletions:
     def test_records_the_rigid_graph_and_its_rigid_deletions_only(self):
         graph = self.stacked()
         with rigid_verdict_memo() as memo:
-            ranks = edge_deletion_ranks(graph, 4, 2, seed=3)
+            ranks = edge_deletion_ranks(graph, 4, seed=3)
             rigid = {shape(graph.remove_edge(a, b), 4) for a, b in ranks if b != 9}
             assert memo == {shape(graph, 4)} | rigid
             # a second call, at another seed, gives the same ranks
-            assert edge_deletion_ranks(graph, 4, 2, seed=4) == edge_deletion_ranks(
-                graph, 4, 2, seed=3
+            assert edge_deletion_ranks(graph, 4, seed=4) == edge_deletion_ranks(
+                graph, 4, seed=3
             ) == ranks
         assert all(ranks[a, b] < rigidity_target(9, 4) for a, b in ranks if b == 9)
 
     def test_flexible_graph_is_never_recorded(self):
         graph = self.stacked().remove_edge(1, 9)
         with rigid_verdict_memo() as memo:
-            ranks = edge_deletion_ranks(graph, 4, 2, seed=3)
+            ranks = edge_deletion_ranks(graph, 4, seed=3)
         assert not decide_rigidity(graph, 4, seed=3).is_rigid
         assert max(ranks.values()) < rigidity_target(9, 4)
         assert memo == set()
@@ -464,7 +463,7 @@ class TestMemoLearnsFromEdgeDeletions:
         for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), self.SEED):
             graph = graph_of(entry.complex)
             seeds = [derive_seed(self.SEED, entry.name, k) for k in (1, 2)]
-            outside = [edge_deletion_ranks(graph, entry.d, DEFAULT_TRIALS, s) for s in seeds]
+            outside = [edge_deletion_ranks(graph, entry.d, s) for s in seeds]
             with rigid_verdict_memo():
-                inside = [edge_deletion_ranks(graph, entry.d, DEFAULT_TRIALS, s) for s in seeds]
+                inside = [edge_deletion_ranks(graph, entry.d, s) for s in seeds]
             assert inside == outside, entry.name
