@@ -11,8 +11,11 @@ Six check kinds, each producing per-instance records:
 
 Each check kind is a generator that yields one outcome per instance; its
 decorator times the outcomes and turns them into records, which carry the
-sub-seed that reproduces them.  build_corpus alone knows the families, the
-negative controls among them; run_suite runs one loop over its entries.
+sub-seed that reproduces them.  A degenerate contraction record takes both
+of its ranks from one elimination (contraction_ranks); the generic record
+decides G - e and the contracted graph apart.  build_corpus alone knows the
+families, the negative controls among them; run_suite runs one loop over
+its entries, each inside its own rigid_verdict_memo.
 The machine report is one tab-separated line per record (check, instance,
 verdict, rank, target, seed), sorted, so equal configurations give
 byte-identical output.
@@ -40,7 +43,7 @@ from .generators import (
 from .graphs import graph_of
 from .rigidity import (
     Embedding,
-    RigidityMatrix,
+    contraction_ranks,
     decide_rigidity,
     derive_seed,
     edge_deletion_ranks,
@@ -263,17 +266,24 @@ def verify_contraction_reduction(
 ) -> Iterator[_Outcome]:
     """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
     contraction)) + 4, checked at a degenerate embedding that merges the
-    endpoints and again at independent generic points.
+    endpoints and again at independent generic points.  The degenerate
+    record ranks G-e and the contraction from one elimination.
 
-    Qualification: the edge's link has >= 4 vertices and equals the
-    intersection of the endpoint links.  Unqualified edges are skips.
+    Qualification: the edge's link has >= 4 vertices, counted from the
+    facets that contain the edge, and equals the intersection of the
+    endpoint links.  Unqualified edges are skips; an e that is not an edge
+    of the complex raises ValueError.
     """
     if delta.dim != 3:
         raise ValueError("contraction verification is specific to 3-spheres (d = 4)")
-    edge = frozenset(e)
+    pair = tuple(e)
+    edge = frozenset(pair)
+    star = [f for f in delta.facets if edge <= f]
+    if len(pair) != 2 or len(edge) != 2 or not star:
+        raise ValueError(f"{pair} is not an edge of the complex")
     a, b = sorted(edge)
     base = f"{name}:e={a}-{b}"
-    if len(delta.link_star_graphs(edge)[0].vertices) < 4:
+    if len(frozenset().union(*star) - edge) < 4:
         yield _Outcome(base, SKIP, seed=seed, note="link has < 4 vertices")
         return
     if not delta.link_condition(edge):
@@ -281,23 +291,17 @@ def verify_contraction_reduction(
             base, SKIP, seed=seed, note="link(e) != link(a) * link(b) intersection"
         )
         return
-    v_new = max(delta.vertices) + 1
     g_minus = graph_of(delta).remove_edge(a, b)
-    g_down = graph_of(delta.contract_edge(edge, v_new))
     sub = derive_seed(seed, "contraction", name, a, b)
 
-    # degenerate point: both endpoints at the same random location, and the
-    # merged vertex of the contraction placed right there
-    phi = random_embedding(g_minus, 4, derive_seed(sub, "degenerate"))
-    shared = phi.coords[a]
-    coords = dict(phi.coords)
-    coords[b] = shared
-    down_coords = {v: coords[v] for v in g_down.vertices if v != v_new}
-    down_coords[v_new] = shared
-    lhs = RigidityMatrix(g_minus, Embedding(4, coords)).rank()
-    rhs = RigidityMatrix(g_down, Embedding(4, down_coords)).rank()
+    # degenerate point: both endpoints at the same random location, where
+    # the merged vertex of the contraction sits too
+    coords = dict(random_embedding(g_minus, 4, derive_seed(sub, "degenerate")).coords)
+    coords[b] = coords[a]
+    lhs, rhs = contraction_ranks(g_minus, a, b, Embedding(4, coords))
     yield _ranked(f"{base}:degenerate", lhs, rhs + 4, sub)
 
+    g_down = graph_of(delta.contract_edge(edge, max(delta.vertices) + 1))
     lhs_gen = decide_rigidity(g_minus, 4, seed=derive_seed(sub, "generic-minus")).rank
     rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
     yield _ranked(f"{base}:generic", lhs_gen, rhs_gen + 4, sub)

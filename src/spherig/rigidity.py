@@ -10,10 +10,13 @@ with probability at most (matrix rows)/p per trial.  With p = 2**61 - 1 and
 max-over-trials aggregation the check is one-sided: a "rigid" answer is
 always correct, a "flexible" answer is wrong with negligible probability.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
-elimination of its matrix, with the same guarantee (see its docstring).
-Inside rigid_verdict_memo both record the shapes of the graphs they find
-rigid (the graph relabelled 0..n-1 in sorted vertex order, with d), and
-decide_rigidity answers a graph of a recorded shape without a new embedding.
+elimination of its matrix, with the same guarantee (see its docstring), and
+contraction_ranks gives the ranks of G - ab and of G/ab at a point that
+merges a and b from one elimination too.  Inside rigid_verdict_memo
+decide_rigidity and edge_deletion_ranks record the shapes of the graphs they
+find rigid (the graph relabelled 0..n-1 in sorted vertex order, with d), and
+decide_rigidity answers a graph that contains a recorded shape on the same
+vertex count without a new embedding.
 
 Field elements are plain Python ints in [0, p); there is no scalar wrapper
 class.  All randomness is drawn from seeded generators so every decision is
@@ -179,8 +182,9 @@ _known_rigid: ContextVar[set[tuple[int, int, int]] | None] = ContextVar(
 def rigid_verdict_memo() -> Iterator[set[tuple[int, int, int]]]:
     """Inside the block, decide_rigidity and edge_deletion_ranks record the
     shapes of the graphs they find rigid (edge_deletion_ranks: G and each
-    rigid G - e), and decide_rigidity answers a graph of a recorded shape
-    from the memo.
+    rigid G - e), and decide_rigidity answers from the memo a graph whose
+    shape contains a recorded one: same d, same n, and a mask that holds the
+    recorded mask's bits.
 
     The shape of (G, d) is (d, n, mask): G's n vertices renumbered 0..n-1 in
     sorted order, edge {i<j} setting bit j(j-1)/2 + i of the mask.  Two
@@ -188,12 +192,18 @@ def rigid_verdict_memo() -> Iterator[set[tuple[int, int, int]]]:
     the other, so they are isomorphic.  A recorded shape was proved rigid:
     some graph of that shape had rank == target at some point.  Isomorphic
     graphs share n, f1, the target and the generic rank (relabelling
-    permutes the rows and column blocks of the rigidity matrix), and no
-    point exceeds the generic rank, so the memo's rank, target and stress
-    dimension are exact for every graph of the shape at any seed; a hit
-    keeps the one-sided guarantee.  Flexible verdicts are never kept: a rank
-    shortfall at one seed says nothing certain about another.  The memo is
-    dropped when the block ends; calls outside any block never see one.
+    permutes the rows and column blocks of the rigidity matrix).  If the
+    recorded mask M lies inside G's mask, the sorted relabelling of G
+    contains a rigid graph on the same n vertices.  Adding edges only adds
+    rows, so G's generic rank is at least the target, and no rank exceeds
+    it (the target is the rank of the complete graph on n vertices, which
+    contains G).  So the memo's rank == target and stress dimension
+    f1 - target are exact for G at any seed, and a hit keeps the one-sided
+    guarantee.  The argument runs one way only: a graph inside a recorded
+    rigid one (say G - e) may be flexible, and is never answered.  Flexible
+    verdicts are never kept: a rank shortfall at one seed says nothing
+    certain about another.  The memo is dropped when the block ends; calls
+    outside any block never see one.
     """
     memo: set[tuple[int, int, int]] = set()
     token = _known_rigid.set(memo)
@@ -226,8 +236,9 @@ def decide_rigidity(
 
     Evaluates the matrix at `trials` independent random embeddings and
     keeps the maximum rank; the graph is rigid when that rank meets
-    rigidity_target.  Inside rigid_verdict_memo a graph already decided
-    rigid is answered without a new embedding.
+    rigidity_target.  Inside rigid_verdict_memo a graph that contains one
+    already decided rigid, on as many vertices, is answered without a new
+    embedding.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -238,7 +249,10 @@ def decide_rigidity(
     memo = _known_rigid.get()
     if memo is not None:
         shape = _shape(graph, d)
-        if shape in memo:
+        n, mask = shape[1:]
+        if shape in memo or any(
+            (kd, kn) == (d, n) and not kmask & ~mask for kd, kn, kmask in memo
+        ):
             return RigidityVerdict(target, target, True, trials, f1 - target)
     best = 0
     cap = min(f1, target)
@@ -251,6 +265,43 @@ def decide_rigidity(
     if memo is not None and is_rigid:
         memo.add(shape)
     return RigidityVerdict(best, target, is_rigid, trials, f1 - best)
+
+
+def contraction_ranks(
+    graph: Graph, a: int, b: int, embedding: Embedding
+) -> tuple[int, int]:
+    """(rank R(G - ab), rank R(G/ab)) at an embedding that puts a and b at one
+    point, from one elimination; graph is G - ab.
+
+    G/ab merges a and b into one vertex at their common point.  Change the
+    velocity variables by v_b = v_a + w, which is invertible: b's column
+    block is added into a's, and b's block becomes w's, placed last.  The
+    rank is unchanged.  Now the row of an edge bx reads like that of ax
+    outside the w block, since phi(b) = phi(a).  So the columns before the
+    w block hold exactly R(G/ab) at the merged point, a common neighbour of
+    a and b only repeating a row.  Elimination pivots column by column and
+    leaves each pivot row zero left of its pivot, so the pivot rows nonzero
+    before the w block number rank R(G/ab), and all pivot rows number
+    rank R(G - ab).  Both values are the ranks of the two matrices at this
+    point, not estimates.
+    """
+    if a == b or not {a, b} <= graph.vertices:
+        raise ValueError(f"({a}, {b}) are not two vertices of the graph")
+    matrix = RigidityMatrix(graph, embedding)
+    if embedding.coords[a] != embedding.coords[b]:
+        raise ValueError(f"the embedding puts {a} and {b} at different points")
+    d, p = matrix.d, DEFAULT_PRIME
+    ia, ib = (matrix.vertex_order.index(v) * d for v in (a, b))
+    rows: list[list[int]] = []
+    for row in matrix.rows:
+        w = row[ib : ib + d]
+        for k in range(d):
+            row[ia + k] = (row[ia + k] + w[k]) % p
+        rows.append(row[:ib] + row[ib + d :] + w)
+    ncols = matrix.shape[1]
+    rank = _reduce(rows, ncols)
+    split = ncols - d
+    return rank, sum(1 for row in rows[:rank] if any(row[:split]))
 
 
 def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, int], int]:

@@ -99,6 +99,33 @@ MUTANTS = [
         RIGIDITY_TESTS,
     ),
     (
+        "memo-subset-test-reversed",
+        RIGIDITY,
+        "not kmask & ~mask for",
+        "not mask & ~kmask for",
+        (
+            "tests/test_rigidity.py::TestMemoAnswersSupergraphs"
+            "::test_subgraph_of_a_recorded_graph_never_hits",
+        ),
+    ),
+    (
+        "contraction-w-not-folded-into-a",
+        RIGIDITY,
+        "            row[ia + k] = (row[ia + k] + w[k]) % p\n",
+        "            row[ia + k] = row[ia + k] % p\n",
+        (
+            "tests/test_harness.py::TestContraction"
+            "::test_merged_elimination_equals_two_matrices_on_the_d4_corpus",
+        ),
+    ),
+    (
+        "contraction-split-one-block-late",
+        RIGIDITY,
+        "    split = ncols - d\n",
+        "    split = ncols\n",
+        ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
+    ),
+    (
         "flip-walk-corpus-without-dedup",
         "src/spherig/harness.py",
         "if len(delta.vertices) > max_vertices or delta.facets in seen:",

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import re
 
 import pytest
 
@@ -32,6 +33,7 @@ from spherig.harness import (
 from spherig.rigidity import (
     Embedding,
     RigidityMatrix,
+    contraction_ranks,
     decide_rigidity,
     derive_seed,
     edge_deletion_ranks,
@@ -221,6 +223,36 @@ class TestContraction:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
             verify_contraction_reduction(sp.cross_polytope(5), (1, 3))
+
+    @pytest.mark.parametrize("e", [(1, 2), (1, 1), (1, 3, 5)])
+    def test_what_is_not_an_edge_is_rejected_by_name(self, e):
+        with pytest.raises(ValueError, match=re.escape(f"{e} is not an edge")):
+            verify_contraction_reduction(sp.cross_polytope(4), e)
+
+    def test_merged_elimination_equals_two_matrices_on_the_d4_corpus(self):
+        # every edge, qualifying or not, at its own seeded degenerate point
+        seed, checked = 20260823, 0
+        for entry in build_corpus(DEFAULT_FAMILIES, (4,), seed):
+            graph = graph_of(entry.complex)
+            for a, b in graph.sorted_edges():
+                g_minus = graph.remove_edge(a, b)
+                coords = degenerate_point(g_minus, a, b, derive_seed(seed, entry.name, a, b))
+                merged = contraction_ranks(g_minus, a, b, Embedding(4, coords))
+                assert merged == two_matrix_ranks(entry.complex, a, b, coords), (entry.name, a, b)
+                checked += 1
+        assert checked == 309
+
+    def test_every_contraction_record_of_the_d4_suite_replays(self):
+        config = SuiteConfig(dims=(4,), seed=20260823)
+        corpus = {e.name: e for e in build_corpus(config.families, config.dims, config.seed)}
+        lines = [
+            line
+            for line in run_suite(config).machine_format().splitlines()
+            if line.startswith("contraction\t")
+        ]
+        assert len(lines) == 488
+        for line in lines:
+            assert replay(line, corpus) == line
 
 
 class TestStarAndStress:
@@ -416,6 +448,20 @@ class TestRunSuite:
             "2ecc92c85d0e8baa8123afa62fb17211b698a4323cdb0182878c2d8d9c2c8219"
         )
 
+    def test_default_suite_builds_at_most_473_matrices(self, monkeypatch):
+        # one matrix per degenerate contraction point, none for a graph that
+        # holds a rigid one the entry's memo recorded
+        built = []
+        real = RigidityMatrix.__init__
+
+        def counted(self, graph, embedding):
+            built.append(graph)
+            real(self, graph, embedding)
+
+        monkeypatch.setattr(RigidityMatrix, "__init__", counted)
+        assert run_suite(SuiteConfig(seed=20260823)).ok
+        assert len(built) <= 473
+
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)
         with pytest.raises(ValueError, match="report would be empty"):
@@ -515,17 +561,34 @@ def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
             delta.link([a]).facets, delta.link([b]).facets
         ) == link.facets
         return plain(FAIL if qualifies else SKIP)
-    v_new = max(delta.vertices) + 1
     g_minus = graph.remove_edge(a, b)
-    g_down = graph_of(delta.contract_edge((a, b), v_new))
     if parts[-1] == "generic":
+        g_down = graph_of(delta.contract_edge((a, b), max(delta.vertices) + 1))
         lhs = decide_rigidity(g_minus, 4, seed=derive_seed(seed, "generic-minus")).rank
         rhs = decide_rigidity(g_down, 4, seed=derive_seed(seed, "generic-down")).rank
         return ranked(lhs, rhs + 4)
-    coords = dict(random_embedding(g_minus, 4, derive_seed(seed, "degenerate")).coords)
-    coords[b] = coords[a]
-    down = {v: coords[v] for v in g_down.vertices if v != v_new}
-    down[v_new] = coords[a]
-    lhs = RigidityMatrix(g_minus, Embedding(4, coords)).rank()
-    rhs = RigidityMatrix(g_down, Embedding(4, down)).rank()
+    coords = degenerate_point(g_minus, a, b, derive_seed(seed, "degenerate"))
+    lhs, rhs = two_matrix_ranks(delta, a, b, coords)
     return ranked(lhs, rhs + 4)
+
+
+def degenerate_point(g_minus: Graph, a: int, b: int, seed: int) -> dict:
+    """The coordinates of random_embedding(g_minus, 4, seed) with b moved onto a."""
+    coords = dict(random_embedding(g_minus, 4, seed).coords)
+    coords[b] = coords[a]
+    return coords
+
+
+def two_matrix_ranks(delta, a: int, b: int, coords: dict) -> tuple[int, int]:
+    """The ranks of R(G - ab) at coords and of R(G/ab) with the merged vertex
+    m = max vertex + 1 at a's point, from two matrices: the oracle for
+    contraction_ranks."""
+    m = max(delta.vertices) + 1
+    g_down = graph_of(delta.contract_edge((a, b), m))
+    down = {v: coords[v] for v in g_down.vertices if v != m}
+    down[m] = coords[a]
+    g_minus = graph_of(delta).remove_edge(a, b)
+    return (
+        RigidityMatrix(g_minus, Embedding(4, coords)).rank(),
+        RigidityMatrix(g_down, Embedding(4, down)).rank(),
+    )

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from spherig.rigidity import (
     DEFAULT_PRIME,
     Embedding,
     RigidityMatrix,
+    contraction_ranks,
     decide_rigidity,
     derive_seed,
     edge_deletion_ranks,
@@ -302,6 +304,29 @@ class TestEdgeDeletionRanks:
         assert set(ranks.values()) == {len(graph.edges) - 1}
 
 
+class TestContractionRanks:
+    def merged(self, graph: Graph, a: int, b: int, seed: int) -> Embedding:
+        coords = dict(random_embedding(graph, 4, seed).coords)
+        coords[b] = coords[a]
+        return Embedding(4, coords)
+
+    def test_cross_4_edge(self):
+        # G - 13 keeps the rank 22 of G; the contraction has 7 vertices, rank 18
+        graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
+        assert contraction_ranks(graph, 1, 3, self.merged(graph, 1, 3, 5)) == (22, 18)
+
+    def test_embedding_that_separates_a_and_b_is_rejected(self):
+        graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
+        with pytest.raises(ValueError, match="puts 1 and 3 at different points"):
+            contraction_ranks(graph, 1, 3, random_embedding(graph, 4, 5))
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 99)])
+    def test_a_and_b_must_be_two_vertices_of_the_graph(self, a, b):
+        graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
+        with pytest.raises(ValueError, match=f"\\({a}, {b}\\) are not two vertices"):
+            contraction_ranks(graph, a, b, self.merged(graph, 1, 3, 5))
+
+
 def relabel(graph: Graph, label) -> Graph:
     return Graph((label(v) for v in graph.vertices), ((label(a), label(b)) for a, b in graph.edges))
 
@@ -420,6 +445,99 @@ class TestRigidVerdictMemo:
             assert len(inner) == 1 and outer == set()
             assert spherig.rigidity._known_rigid.get() is outer
         assert spherig.rigidity._known_rigid.get() is None
+
+
+class TestMemoAnswersSupergraphs:
+    """A graph that holds a recorded rigid shape on as many vertices, in the
+    same dimension, is answered from the memo; nothing else is."""
+
+    def cross_4_plus(self, *edges) -> tuple[Graph, Graph]:
+        graph = graph_of(sp.cross_polytope(4))
+        return graph, Graph(graph.vertices, graph.edges | {frozenset(e) for e in edges})
+
+    def test_supergraph_on_the_same_vertices_hits_and_draws_no_embedding(self, monkeypatch):
+        graph, bigger = self.cross_4_plus((1, 2))
+        bigger = relabel(bigger, lambda v: 3 * v + 10)
+        fresh = decide_rigidity(bigger, 4, seed=8)
+        assert fresh.is_rigid and fresh.stress_dim == 3
+        with rigid_verdict_memo() as memo:
+            decide_rigidity(graph, 4, seed=1)
+            monkeypatch.setattr(spherig.rigidity, "random_embedding", fail_on_embedding)
+            assert decide_rigidity(bigger, 4, seed=8) == fresh
+            assert memo == {shape(graph, 4)}
+
+    def test_subgraph_of_a_recorded_graph_never_hits(self):
+        # no stress uses the degree-4 vertex 9's edges: G - e flexes
+        graph = graph_of(sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9))
+        with rigid_verdict_memo() as memo:
+            assert decide_rigidity(graph, 4, seed=1).is_rigid
+            verdict = decide_rigidity(graph.remove_edge(1, 9), 4, seed=1)
+            assert memo == {shape(graph, 4)}
+        assert not verdict.is_rigid
+        assert verdict.rank == rigidity_target(9, 4) - 1
+
+    def test_supergraph_on_more_vertices_never_hits(self):
+        # vertex 9 sorts last, so G's edges keep their bits in the mask
+        graph = graph_of(sp.cross_polytope(4))
+        bigger = Graph(graph.vertices | {9}, graph.edges | {frozenset((v, 9)) for v in (1, 3, 5)})
+        assert shape(graph, 4)[2] & ~shape(bigger, 4)[2] == 0
+        with rigid_verdict_memo() as memo:
+            decide_rigidity(graph, 4, seed=1)
+            verdict = decide_rigidity(bigger, 4, seed=1)
+            assert memo == {shape(graph, 4)}
+        assert not verdict.is_rigid
+        assert verdict.rank == rigidity_target(9, 4) - 1
+
+    def test_supergraph_in_another_dimension_never_hits(self):
+        octahedron = graph_of(sp.cross_polytope(3))
+        bigger = Graph(octahedron.vertices, octahedron.edges | {frozenset((1, 2))})
+        with rigid_verdict_memo() as memo:
+            assert decide_rigidity(octahedron, 3, seed=1).is_rigid
+            verdict = decide_rigidity(bigger, 4, seed=1)
+            assert memo == {shape(octahedron, 3)}
+        # 13 edges cannot reach the 4-dimensional target of 14 on 6 vertices
+        assert not verdict.is_rigid and verdict.rank == 13
+
+    def test_supergraphs_are_decided_afresh_outside_a_block(self, monkeypatch):
+        graph, bigger = self.cross_4_plus((1, 2))
+        with rigid_verdict_memo():
+            decide_rigidity(graph, 4, seed=1)
+        decide_rigidity(graph, 4, seed=1)
+        drawn = []
+        real = spherig.rigidity.random_embedding
+
+        def counted(*args):
+            drawn.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spherig.rigidity, "random_embedding", counted)
+        assert decide_rigidity(bigger, 4, seed=8).is_rigid
+        assert len(drawn) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_hit_is_rigid_by_the_rational_oracle(self, data):
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(2, 7))
+        pairs = list(combinations(range(n), 2))
+        recorded = frozenset(pairs) - data.draw(st.frozensets(st.sampled_from(pairs), max_size=4))
+        added = data.draw(st.frozensets(st.sampled_from(pairs)))
+
+        def labelled(chosen):
+            labels = sorted(data.draw(st.sets(st.integers(-40, 40), min_size=n, max_size=n)))
+            return Graph(labels, [(labels[i], labels[j]) for i, j in chosen])
+
+        graph, bigger = labelled(recorded), labelled(recorded | added)
+        real = spherig.rigidity.random_embedding
+        with rigid_verdict_memo():
+            recorded_rigid = decide_rigidity(graph, d, seed=1).is_rigid
+            with mock.patch.object(spherig.rigidity, "random_embedding", wraps=real) as spy:
+                verdict = decide_rigidity(bigger, d, seed=2)
+        hit = not spy.called
+        assert hit == recorded_rigid
+        if hit:
+            exact = rational_rigidity_rank(bigger, d, random.Random(n))
+            assert verdict.is_rigid and verdict.rank == exact == rigidity_target(n, d)
 
 
 class TestMemoLearnsFromEdgeDeletions:
