@@ -10,6 +10,9 @@ only `rigid` asks for it (`--dim`), because a graph does not fix it.
 `rigid` takes the graph of any complex, with any number of vertices, and
 compares its rank with the one rigid rank for that size: C(n,2) on at most
 d+1 vertices, d*n - C(d+1,2) on more, at up to DEFAULT_TRIALS random points.
+It stops early at the rank cap or at decide_rigidity's peeling bound, where a
+shortfall is exact; the `trials=` field of its line is that budget, not the
+number of points drawn.
 
 The seed is `--seed` when given, else the config file's `seed`, else 0.
 No environment variable is read.

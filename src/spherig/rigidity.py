@@ -8,7 +8,8 @@ specific point never exceeds the generic rank, and falls short only when
 the point lands on a proper minor locus; by Schwartz-Zippel that happens
 with probability at most (matrix rows)/p per trial.  With p = 2**61 - 1 and
 max-over-trials aggregation the check is one-sided: a "rigid" answer is
-always correct, a "flexible" answer is wrong with negligible probability.
+always correct, and a "flexible" answer is exact at the peeling bound of
+decide_rigidity and wrong with negligible probability elsewhere.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring), and
 contraction_ranks gives the ranks of G - ab and of G/ab at a point that
@@ -201,8 +202,7 @@ def rigid_verdict_memo() -> Iterator[set[tuple[int, int, int]]]:
     f1 - target are exact for G at any seed, and a hit keeps the one-sided
     guarantee.  The argument runs one way only: a graph inside a recorded
     rigid one (say G - e) may be flexible, and is never answered.  Flexible
-    verdicts are never kept: a rank shortfall at one seed says nothing
-    certain about another.  The memo is dropped when the block ends; calls
+    verdicts are never kept.  The memo is dropped when the block ends; calls
     outside any block never see one.
     """
     memo: set[tuple[int, int, int]] = set()
@@ -226,6 +226,35 @@ def _shape(graph: Graph, d: int) -> tuple[int, int, int]:
     return d, len(graph.vertices), sum(bits)
 
 
+def _rank_bound(graph: Graph, d: int) -> int:
+    """An upper bound on the generic rank of the graph's d-rigidity matrix.
+
+    While more than d+1 vertices remain, peel the first vertex in sorted
+    order of degree <= d and add its degree to a sum; the bound is that sum
+    plus min(f1, rigidity_target) of the core left over.  Deleting a vertex
+    of degree k deletes its k rows and d zero columns, so rank R(G) <=
+    rank R(G - v) + k at every point, in any order; the core's rank is at
+    most its edge count and at most the rank of the complete graph on its
+    vertices.  The bound is never above min(f1, target): the degrees and
+    the core's edges add up to f1, and each peel runs on more than d+1
+    vertices, where removing one lowers the target by exactly d.
+    """
+    nbrs: dict[int, set[int]] = {v: set() for v in graph.vertices}
+    for a, b in graph.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    peeled = 0
+    while len(nbrs) > d + 1:
+        v = next((v for v in sorted(nbrs) if len(nbrs[v]) <= d), None)
+        if v is None:
+            break
+        peeled += len(nbrs[v])
+        for u in nbrs.pop(v):
+            nbrs[u].discard(v)
+    core_edges = sum(len(s) for s in nbrs.values()) // 2
+    return peeled + min(core_edges, rigidity_target(len(nbrs), d))
+
+
 def decide_rigidity(
     graph: Graph,
     d: int,
@@ -234,10 +263,15 @@ def decide_rigidity(
 ) -> RigidityVerdict:
     """Randomized generic-rigidity decision for a graph in dimension d.
 
-    Evaluates the matrix at `trials` independent random embeddings and
-    keeps the maximum rank; the graph is rigid when that rank meets
-    rigidity_target.  Inside rigid_verdict_memo a graph that contains one
-    already decided rigid, on as many vertices, is answered without a new
+    Evaluates the matrix at up to `trials` independent random embeddings
+    and keeps the maximum rank; the graph is rigid when that rank meets
+    rigidity_target.  The loop stops once the rank reaches min(f1, target),
+    or, after a first point that falls short of it, the peeling bound
+    _rank_bound.  A rank at a point never exceeds the generic rank, which
+    never exceeds the bound, so a rank at the bound is the generic rank:
+    the remaining trials could only return it again, and a shortfall there
+    is exact.  Inside rigid_verdict_memo a graph that contains one already
+    decided rigid, on as many vertices, is answered without a new
     embedding.
     """
     if d < 1:
@@ -259,6 +293,8 @@ def decide_rigidity(
     for t in range(trials):
         phi = random_embedding(graph, d, derive_seed(seed, "trial", t))
         best = max(best, RigidityMatrix(graph, phi).rank())
+        if t == 0 and best < cap:
+            cap = _rank_bound(graph, d)
         if best == cap:
             break
     is_rigid = best == target

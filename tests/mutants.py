@@ -31,7 +31,6 @@ ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600
 
 RIGIDITY = "src/spherig/rigidity.py"
-RIGIDITY_TESTS = ("tests/test_rigidity.py",)
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
@@ -40,63 +39,75 @@ MUTANTS = [
         RIGIDITY,
         "    return d, len(graph.vertices), sum(bits)\n",
         "    return d, 0, sum(bits)\n",
-        RIGIDITY_TESTS,
+        ("tests/test_rigidity.py::TestRigidVerdictMemo::test_memo_is_keyed_by_vertex_count",),
     ),
     (
         "shape-without-d",
         RIGIDITY,
         "    return d, len(graph.vertices), sum(bits)\n",
         "    return 0, len(graph.vertices), sum(bits)\n",
-        RIGIDITY_TESTS,
+        ("tests/test_rigidity.py::TestRigidVerdictMemo::test_memo_is_keyed_by_dimension",),
     ),
     (
         "pair-bit-with-i-and-j-swapped",
         RIGIDITY,
         "pos[b] * (pos[b] - 1) // 2 + pos[a]",
         "pos[a] * (pos[a] - 1) // 2 + pos[b]",
-        RIGIDITY_TESTS,
+        (
+            "tests/test_rigidity.py::TestMemoAnswersSupergraphs"
+            "::test_supergraph_on_more_vertices_never_hits",
+        ),
     ),
     (
         "deletion-clears-the-previous-edge-bit",
         RIGIDITY,
         "memo.add((d, n, mask & ~bits[i]))",
         "memo.add((d, n, mask & ~bits[i - 1]))",
-        RIGIDITY_TESTS,
+        (
+            "tests/test_rigidity.py::TestMemoLearnsFromEdgeDeletions"
+            "::test_records_the_rigid_graph_and_its_rigid_deletions_only",
+        ),
     ),
     (
         "memo-keeps-flexible-verdicts",
         RIGIDITY,
         "    if memo is not None and is_rigid:\n        memo.add(shape)\n",
         "    if memo is not None:\n        memo.add(shape)\n",
-        RIGIDITY_TESTS,
+        ("tests/test_rigidity.py::TestRigidVerdictMemo::test_keeps_rigid_verdicts_only",),
     ),
     (
         "memo-not-reset",
         RIGIDITY,
         "        _known_rigid.reset(token)\n",
         "        pass\n",
-        RIGIDITY_TESTS,
+        ("tests/test_rigidity.py::TestRigidVerdictMemo::test_no_memo_outside_the_block",),
     ),
     (
         "no-complete-graph-target",
         RIGIDITY,
         "    if n_vertices <= d + 1:\n        return comb(n_vertices, 2)\n",
         "",
-        RIGIDITY_TESTS,
+        ("tests/test_rigidity.py::TestSmallGraphs::test_rank_and_verdict_match_the_oracle[2]",),
     ),
     (
         "deletion-ranks-without-stress-support",
         RIGIDITY,
         "value = rank if i in stressed else rank - 1",
         "value = rank",
-        RIGIDITY_TESTS,
+        (
+            "tests/test_rigidity.py::TestEdgeDeletionRanks"
+            "::test_stress_free_graph_loses_rank_on_every_edge",
+        ),
     ),
     (
         "deletion-ranks-without-fallback",
         RIGIDITY,
         "        if value < cap:\n",
         "        if False:\n",
-        RIGIDITY_TESTS,
+        (
+            "tests/test_rigidity.py::TestEdgeDeletionRanks"
+            "::test_unstressed_edges_fall_back_to_decide_rigidity",
+        ),
     ),
     (
         "memo-subset-test-reversed",
@@ -126,25 +137,71 @@ MUTANTS = [
         ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
     ),
     (
+        "bound-never-tightens",
+        RIGIDITY,
+        "    return peeled + min(core_edges, rigidity_target(len(nbrs), d))\n",
+        "    return min(len(graph.edges), rigidity_target(len(graph.vertices), d))\n",
+        (
+            "tests/test_rigidity.py::TestTrialCount"
+            "::test_first_point_at_the_bound_draws_one_embedding",
+        ),
+    ),
+    (
+        "peel-counts-degree-minus-one",
+        RIGIDITY,
+        "        peeled += len(nbrs[v])\n",
+        "        peeled += len(nbrs[v]) - 1\n",
+        (
+            "tests/test_rigidity.py::TestRankBound"
+            "::test_bound_lies_between_the_oracle_rank_and_the_cap",
+        ),
+    ),
+    (
         "flip-walk-corpus-without-dedup",
         "src/spherig/harness.py",
         "if len(delta.vertices) > max_vertices or delta.facets in seen:",
         "if len(delta.vertices) > max_vertices:",
-        ("tests/test_harness.py::TestCorpus",),
+        ("tests/test_harness.py::TestCorpus::test_flip_walk_corpus_keeps_each_sphere_once",),
     ),
     (
         "cone-check-without-edge-relation",
         "src/spherig/certificates.py",
         " or claim.edges != base.edges | spokes",
         "",
-        ("tests/test_certificates.py::TestCone",),
+        (
+            "tests/test_certificates.py::TestCone"
+            "::test_malformed_cone_raises_at_its_node[extra-edge]",
+        ),
     ),
     (
         "link-condition-without-ab-bits",
         "src/spherig/complexes.py",
         "(fa & fb) | ab in index",
         "(fa & fb) in index",
-        ("tests/test_complexes.py::TestGraphsFromFacets",),
+        (
+            "tests/test_complexes.py::TestGraphsFromFacets"
+            "::test_link_condition_matches_the_intersection_oracle",
+        ),
+    ),
+    (
+        "label-bits-instead-of-positions",
+        "src/spherig/complexes.py",
+        "        return {v: 1 << i for i, v in enumerate(sorted(self.vertices))}\n",
+        "        return {v: 1 << v for v in self.vertices}\n",
+        ("tests/test_complexes.py::TestMissingFaces::test_octahedron",),
+    ),
+    (
+        "missing-face-cache-handed-out",
+        "src/spherig/complexes.py",
+        "        return tuple(sorted(found, key=lambda f: (len(f), sorted(f))))\n\n"
+        "    def missing_faces(self) -> list[frozenset[int]]:\n"
+        '        """All minimal non-faces, sorted by size then lexicographically."""\n'
+        "        return list(self._missing_faces)\n",
+        "        return sorted(found, key=lambda f: (len(f), sorted(f)))\n\n"
+        "    def missing_faces(self) -> list[frozenset[int]]:\n"
+        '        """All minimal non-faces, sorted by size then lexicographically."""\n'
+        "        return self._missing_faces\n",
+        ("tests/test_complexes.py::test_missing_faces_list_is_the_callers_own",),
     ),
     (
         "empty-report-allowed",
@@ -179,6 +236,9 @@ MUTANTS = [
 #   entry's seed, instead of the record's sub-seed: the rank at a random
 #   point of the degenerate locus is the same for almost every point, so
 #   neither the report nor a replay can show which seed drew the point.
+# - _rank_bound peeling in another order, or stopping its peel early: every
+#   order and every stopping point gives a valid bound, at worst a looser
+#   one, and a looser bound only draws more points for the same verdict.
 
 
 def run_tests(copy: Path, tests: list[str]) -> int:

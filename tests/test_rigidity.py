@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import spherig as sp
 import spherig.rigidity
 from spherig.graphs import Graph, complete_graph, graph_of
-from spherig.harness import DEFAULT_FAMILIES, build_corpus
+from spherig.harness import DEFAULT_FAMILIES, build_corpus, verify_negative_control
 from spherig.rigidity import (
     DEFAULT_PRIME,
     Embedding,
@@ -29,6 +29,20 @@ from oracles import rational_rank, rational_rigidity_rank, shape_edges, sorted_r
 
 P = DEFAULT_PRIME
 shape = spherig.rigidity._shape
+rank_bound = spherig.rigidity._rank_bound
+
+
+def count_embeddings(monkeypatch) -> list:
+    """Patch random_embedding to record its calls; return the record."""
+    drawn = []
+    real = spherig.rigidity.random_embedding
+
+    def counted(*args):
+        drawn.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spherig.rigidity, "random_embedding", counted)
+    return drawn
 
 
 class TestDeriveSeed:
@@ -231,6 +245,40 @@ class TestSmallGraphs:
                 assert rigidity_target(n, d) == comb(n, 2) == d * n - comb(d + 1, 2)
 
 
+class TestRankBound:
+    """The peeling bound lies between the exact generic rank and
+    min(f1, target), and meets the rank where a stacked vertex lost an edge."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_bound_lies_between_the_oracle_rank_and_the_cap(self, d):
+        rng = random.Random(d)
+        tightened = 0
+        for n in range(1, 8):
+            for graph in graphs_on(n, rng):
+                bound = rank_bound(graph, d)
+                cap = min(len(graph.edges), rigidity_target(n, d))
+                assert rational_rigidity_rank(graph, d, rng) <= bound <= cap, (
+                    n,
+                    graph.sorted_edges(),
+                )
+                tightened += bound < cap
+        # on at most 7 vertices the bound falls below the cap only for d <= 2;
+        # the stacked chains below cover larger d
+        assert (tightened > 0) == (d <= 2)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_bound_is_exact_on_stacked_chains_minus_an_edge(self, d):
+        rng = random.Random(d)
+        delta = sp.cyclic_polytope_boundary(d + 2, d)
+        for v in range(d + 3, d + 9):
+            facet = rng.choice(delta.sorted_facets())
+            delta = sp.stack_over_facet(delta, facet, v)
+            graph = graph_of(delta).remove_edge(rng.choice(facet), v)
+            bound = rank_bound(graph, d)
+            assert bound == rigidity_target(v, d) - 1 < len(graph.edges)
+            assert decide_rigidity(graph, d, seed=v).rank == bound
+
+
 class TestAgainstRationalOracle:
     @pytest.mark.parametrize(
         "build,d",
@@ -292,8 +340,11 @@ class TestEdgeDeletionRanks:
             return real(g, d, seed=seed)
 
         monkeypatch.setattr(spherig.rigidity, "decide_rigidity", spy)
+        drawn = count_embeddings(monkeypatch)
         ranks = edge_deletion_ranks(graph, 4, seed=3)
         assert sorted(fallbacks) == [frozenset((u, 9)) for u in facet]
+        # one point for the whole graph, and each fallback settles at its first
+        assert len(drawn) == 1 + len(facet)
         for (a, b), rank in ranks.items():
             assert rank == (target - 1 if b == 9 else target), (a, b)
             assert rank == real(graph.remove_edge(a, b), 4, seed=3).rank
@@ -367,17 +418,10 @@ class TestRigidVerdictMemo:
     def test_relabelled_flexible_graph_never_hits(self, monkeypatch):
         rigid = graph_of(sp.cross_polytope(4))
         flexible = rigid.remove_edge(1, 3).remove_edge(1, 5).remove_edge(1, 6)
-        drawn = []
-        real = spherig.rigidity.random_embedding
-
-        def counted(*args):
-            drawn.append(args)
-            return real(*args)
-
         with rigid_verdict_memo() as memo:
             decide_rigidity(rigid, 4, seed=1)
             assert not decide_rigidity(flexible, 4, seed=1).is_rigid
-            monkeypatch.setattr(spherig.rigidity, "random_embedding", counted)
+            drawn = count_embeddings(monkeypatch)
             for label in (lambda v: v + 20, lambda v: 9 - v):
                 assert not decide_rigidity(relabel(flexible, label), 4, seed=2).is_rigid
             assert memo == {shape(rigid, 4)}
@@ -503,14 +547,7 @@ class TestMemoAnswersSupergraphs:
         with rigid_verdict_memo():
             decide_rigidity(graph, 4, seed=1)
         decide_rigidity(graph, 4, seed=1)
-        drawn = []
-        real = spherig.rigidity.random_embedding
-
-        def counted(*args):
-            drawn.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(spherig.rigidity, "random_embedding", counted)
+        drawn = count_embeddings(monkeypatch)
         assert decide_rigidity(bigger, 4, seed=8).is_rigid
         assert len(drawn) == 1
 
@@ -585,3 +622,62 @@ class TestMemoLearnsFromEdgeDeletions:
             with rigid_verdict_memo():
                 inside = [edge_deletion_ranks(graph, entry.d, s) for s in seeds]
             assert inside == outside, entry.name
+
+
+class TestTrialCount:
+    """A decision stops at the first point whose rank meets the peeling
+    bound; rigid decisions and memo hits never compute it."""
+
+    def stacked_minus_edge(self, d: int) -> Graph:
+        cross = sp.cross_polytope(d)
+        facet = cross.sorted_facets()[0]
+        graph = graph_of(sp.stack_over_facet(cross, facet, 2 * d + 1))
+        return graph.remove_edge(facet[0], 2 * d + 1)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_first_point_at_the_bound_draws_one_embedding(self, d, monkeypatch):
+        graph = self.stacked_minus_edge(d)
+        drawn = count_embeddings(monkeypatch)
+        verdict = decide_rigidity(graph, d, seed=3)
+        assert len(drawn) == 1
+        assert not verdict.is_rigid and verdict.trials == 3
+        assert verdict.rank == rank_bound(graph, d) == rigidity_target(2 * d + 1, d) - 1
+        assert len(graph.edges) > verdict.rank
+
+    def test_a_point_below_the_bound_draws_the_next(self, monkeypatch):
+        # the first point puts every vertex at the origin, rank 0
+        graph = self.stacked_minus_edge(4)
+        drawn = count_embeddings(monkeypatch)
+        counted = spherig.rigidity.random_embedding
+
+        def origin_first(g, d, seed):
+            phi = counted(g, d, seed)
+            if len(drawn) == 1:
+                return Embedding(d, {v: (0,) * d for v in phi.coords})
+            return phi
+
+        monkeypatch.setattr(spherig.rigidity, "random_embedding", origin_first)
+        verdict = decide_rigidity(graph, 4, seed=3)
+        assert len(drawn) == 2
+        assert verdict.rank == rigidity_target(9, 4) - 1
+
+    def test_rigid_graphs_and_memo_hits_never_compute_the_bound(self, monkeypatch):
+        def no_bound(*args):
+            raise AssertionError("a rigid decision computed the peeling bound")
+
+        monkeypatch.setattr(spherig.rigidity, "_rank_bound", no_bound)
+        graph = graph_of(sp.cross_polytope(4))
+        stacked = graph_of(sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9))
+        with rigid_verdict_memo():
+            assert decide_rigidity(graph, 4, seed=1).is_rigid
+            assert decide_rigidity(relabel(graph, lambda v: v + 10), 4, seed=2).is_rigid
+            assert decide_rigidity(stacked, 4, seed=1).is_rigid
+        assert decide_rigidity(complete_graph(range(1, 6)), 4).is_rigid
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_negative_control_draws_one_embedding_per_record(self, d, monkeypatch):
+        drawn = count_embeddings(monkeypatch)
+        report = verify_negative_control(sp.cross_polytope(d), seed=5, name="control")
+        assert len(report.records) == d
+        assert all(r.verdict == "pass" for r in report.records)
+        assert len(drawn) == len(report.records)
