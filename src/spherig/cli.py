@@ -12,7 +12,10 @@ compares its rank with the one rigid rank for that size: C(n,2) on at most
 d+1 vertices, d*n - C(d+1,2) on more, at up to DEFAULT_TRIALS random points.
 It stops early at the rank cap or at decide_rigidity's peeling bound, where a
 shortfall is exact; the `trials=` field of its line is that budget, not the
-number of points drawn.
+number of points drawn.  At each point the same peel adds the degree of
+every peeled vertex whose edge directions are independent there, and only
+the core is eliminated, until its rank reaches the cap; the rank is the full
+matrix's rank at that point either way.
 
 The seed is `--seed` when given, else the config file's `seed`, else 0.
 No environment variable is read.

@@ -10,6 +10,14 @@ with probability at most (matrix rows)/p per trial.  With p = 2**61 - 1 and
 max-over-trials aggregation the check is one-sided: a "rigid" answer is
 always correct, and a "flexible" answer is exact at the peeling bound of
 decide_rigidity and wrong with negligible probability elsewhere.
+
+Every rank comes from one elimination kernel, _echelon, which inserts rows
+one at a time into an echelon basis and can stop once the rank reaches a
+cap.  decide_rigidity takes the rank at a point from a peel of the graph:
+a vertex of degree k <= d whose k edge directions are independent there
+adds exactly k (the 0-extension step of Tay-Whiteley 1985), so only the
+core left over is eliminated, and only until the rank reaches its cap.
+The result is the full matrix's rank at that point, not an estimate.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring), and
 contraction_ranks gives the ranks of G - ab and of G/ab at a point that
@@ -31,8 +39,10 @@ import random
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import islice
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import Graph
 
@@ -90,20 +100,7 @@ class RigidityMatrix:
         self.d = embedding.d
         self.vertex_order: list[int] = sorted(graph.vertices)
         self.edge_order: list[tuple[int, int]] = graph.sorted_edges()
-        col_of = {v: i * self.d for i, v in enumerate(self.vertex_order)}
-        p, d = DEFAULT_PRIME, self.d
-        ncols = d * len(self.vertex_order)
-        rows: list[list[int]] = []
-        for u, v in self.edge_order:
-            row = [0] * ncols
-            pu, pv = embedding.coords[u], embedding.coords[v]
-            cu, cv = col_of[u], col_of[v]
-            for k in range(d):
-                diff = (pu[k] - pv[k]) % p
-                row[cu + k] = diff
-                row[cv + k] = (-diff) % p
-            rows.append(row)
-        self.rows = rows
+        self.rows = list(_matrix_rows(self.edge_order, self.vertex_order, embedding))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -113,40 +110,74 @@ class RigidityMatrix:
         return rank_mod(self.rows)
 
 
+def _matrix_rows(
+    edge_order: list[tuple[int, int]], vertex_order: list[int], embedding: Embedding
+) -> Iterator[list[int]]:
+    """The rigidity-matrix rows of the edges, one at a time, over one d-sized
+    column block per vertex of vertex_order (see RigidityMatrix)."""
+    p, d = DEFAULT_PRIME, embedding.d
+    col_of = {v: i * d for i, v in enumerate(vertex_order)}
+    ncols = d * len(vertex_order)
+    for u, v in edge_order:
+        row = [0] * ncols
+        pu, pv = embedding.coords[u], embedding.coords[v]
+        cu, cv = col_of[u], col_of[v]
+        for k in range(d):
+            diff = (pu[k] - pv[k]) % p
+            row[cu + k] = diff
+            row[cv + k] = (-diff) % p
+        yield row
+
+
 def rank_mod(rows: list[list[int]]) -> int:
     """Rank of an integer matrix over F_p, p = DEFAULT_PRIME, by Gaussian elimination."""
     if not rows:
         return 0
-    return _reduce([r[:] for r in rows], len(rows[0]))
+    p = DEFAULT_PRIME
+    return len(_echelon(([x % p for x in row] for row in rows), len(rows[0]))[0])
 
 
-def _reduce(rows: list[list[int]], ncols: int) -> int:
-    """Row-reduce over F_p, p = DEFAULT_PRIME, in place, pivoting on the
-    first ncols columns only; return the rank.
+def _echelon(
+    rows: Iterable[list[int]], ncols: int, stop: int | None = None
+) -> tuple[list[int], list[list[int]]]:
+    """Insert rows with entries in [0, p), p = DEFAULT_PRIME, one at a time
+    into an echelon basis over F_p, pivoting on the first ncols columns only.
 
-    Entries past ncols are carried along by every row operation.
+    Returns the pivot columns, in the order the rows that own them came in,
+    and, for each row that reduced to zero on the first ncols columns, its
+    entries past them.  A row is reduced by the pivot row of its leading
+    column until its leading column has none, where it becomes a pivot row,
+    or it has no leading column left.  A pivot row keeps only its entries
+    after its pivot and the inverse of its pivot entry; it is never
+    normalised, and it is zero left of its pivot, so reducing by it leaves
+    earlier columns alone.  Entries past ncols are carried along by every
+    reduction.  Reading ends as soon as there are stop pivots, so the rank
+    of the rows read is then stop; a caller passes a stop that the rank of
+    all the rows cannot exceed, and that rank is then stop too.  Rows are
+    read lazily, so rows past the stop are never built.  The input rows
+    are not changed.
     """
     p = DEFAULT_PRIME
-    nrows = len(rows)
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[col], -1, p)
-        tail = prow[col:]
-        for i in range(rank + 1, nrows):
-            r = rows[i]
-            f = r[col] % p
-            if f:
-                g = f * inv % p
-                r[col:] = [(a - g * b) % p for a, b in zip(r[col:], tail)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    basis: dict[int, tuple[int, list[int]]] = {}
+    zeros: list[list[int]] = []
+    for r in rows:
+        o = 0  # r holds the row's entries from column o on
+        c = next((j for j, x in enumerate(r) if x), ncols)
+        pivot = basis.get(c)
+        while pivot is not None:
+            inv, tail = pivot
+            h = p - r[c - o] * inv % p  # r - (r[c] / pivot entry) * pivot row
+            r = [(a + h * b) % p for a, b in zip(islice(r, c - o + 1, None), tail)]
+            o = c + 1
+            c = o if r and r[0] else next((j for j, x in enumerate(r, o) if x), ncols)
+            pivot = basis.get(c)
+        if c < ncols:
+            basis[c] = (pow(r[c - o], -1, p), r[c - o + 1 :])
+            if len(basis) == stop:
+                break
+        else:
+            zeros.append(r[ncols - o :])
+    return list(basis), zeros
 
 
 def rigidity_target(n_vertices: int, d: int) -> int:
@@ -226,33 +257,83 @@ def _shape(graph: Graph, d: int) -> tuple[int, int, int]:
     return d, len(graph.vertices), sum(bits)
 
 
-def _rank_bound(graph: Graph, d: int) -> int:
-    """An upper bound on the generic rank of the graph's d-rigidity matrix.
+# The peeled vertices in peel order, each with its neighbours when peeled,
+# then the core's vertices and edges, both sorted (see _peel).
+Peel = tuple[list[tuple[int, list[int]]], list[int], list[tuple[int, int]]]
 
-    While more than d+1 vertices remain, peel the first vertex in sorted
-    order of degree <= d and add its degree to a sum; the bound is that sum
-    plus min(f1, rigidity_target) of the core left over.  Deleting a vertex
-    of degree k deletes its k rows and d zero columns, so rank R(G) <=
-    rank R(G - v) + k at every point, in any order; the core's rank is at
-    most its edge count and at most the rank of the complete graph on its
-    vertices.  The bound is never above min(f1, target): the degrees and
-    the core's edges add up to f1, and each peel runs on more than d+1
-    vertices, where removing one lowers the target by exactly d.
+
+def _peel(graph: Graph, d: int) -> Peel:
+    """While more than d+1 vertices remain, remove the first vertex in sorted
+    order of degree <= d; what is left is the core.
+
+    A vertex's degree only falls as others go, so a vertex of degree <= d
+    stays one until it is removed; a heap of those vertices gives the
+    first of them in sorted order at every step.
     """
     nbrs: dict[int, set[int]] = {v: set() for v in graph.vertices}
     for a, b in graph.edges:
         nbrs[a].add(b)
         nbrs[b].add(a)
-    peeled = 0
-    while len(nbrs) > d + 1:
-        v = next((v for v in sorted(nbrs) if len(nbrs[v]) <= d), None)
-        if v is None:
-            break
-        peeled += len(nbrs[v])
-        for u in nbrs.pop(v):
+    low = sorted(v for v, around in nbrs.items() if len(around) <= d)
+    peeled: list[tuple[int, list[int]]] = []
+    while len(nbrs) > d + 1 and low:
+        v = heappop(low)
+        around = nbrs.pop(v)
+        peeled.append((v, sorted(around)))
+        for u in around:
             nbrs[u].discard(v)
-    core_edges = sum(len(s) for s in nbrs.values()) // 2
-    return peeled + min(core_edges, rigidity_target(len(nbrs), d))
+            if len(nbrs[u]) == d:
+                heappush(low, u)
+    core = sorted(nbrs)
+    return peeled, core, [(a, b) for a in core for b in sorted(nbrs[a]) if a < b]
+
+
+def _rank_bound(peel: Peel, d: int) -> int:
+    """An upper bound on the generic rank of a graph's d-rigidity matrix,
+    from its peel (see _peel): the peeled vertices' degrees at removal plus
+    min(f1, rigidity_target) of the core.
+
+    Deleting a vertex of degree k deletes its k rows and d zero columns, so
+    rank R(G) <= rank R(G - v) + k at every point, in any order; the core's
+    rank is at most its edge count and at most the rank of the complete
+    graph on its vertices.  The bound is never above min(f1, target): the
+    degrees and the core's edges add up to f1, and each peel runs on more
+    than d+1 vertices, where removing one lowers the target by exactly d.
+    """
+    peeled, core, core_edges = peel
+    degrees = sum(len(around) for _, around in peeled)
+    return degrees + min(len(core_edges), rigidity_target(len(core), d))
+
+
+def _rank_at(graph: Graph, peel: Peel, phi: Embedding, cap: int) -> int:
+    """The rank of the graph's rigidity matrix at phi, given its peel and a
+    cap that no rank of the matrix at any point exceeds.
+
+    Order the rows and column blocks by peeled vertex in peel order, then
+    the core: a peeled vertex's rows are its edges at removal, which go only
+    to vertices peeled later or to the core.  The matrix is then block upper
+    triangular, and the diagonal block of a vertex v of peel degree k holds
+    the k directions phi(v) - phi(u) to its neighbours at removal.  Where
+    those directions are independent, the block has full row rank k, and
+    the rank is exactly the sum of the k plus the rank of the core's own
+    matrix: a combination of rows that vanishes puts no weight on the first
+    block's rows, which alone reach its columns and are independent there,
+    and then none on the next block's.  So only the core is eliminated, and
+    its elimination stops once the sum reaches cap, which the sum then
+    equals.  If any peeled vertex's directions are dependent at phi, which
+    a random point does with probability at most d/p per vertex, the full
+    matrix is eliminated instead.  Either way the value is the rank of the
+    whole matrix at phi, not an estimate.
+    """
+    peeled, core, core_edges = peel
+    d, p, coords = phi.d, DEFAULT_PRIME, phi.coords
+    for v, around in peeled:
+        directions = ([(a - b) % p for a, b in zip(coords[v], coords[u])] for u in around)
+        if len(_echelon(directions, d)[0]) < len(around):
+            return RigidityMatrix(graph, phi).rank()
+    degrees = len(graph.edges) - len(core_edges)
+    rows = _matrix_rows(core_edges, core, phi)
+    return degrees + len(_echelon(rows, d * len(core), cap - degrees)[0])
 
 
 def decide_rigidity(
@@ -270,9 +351,14 @@ def decide_rigidity(
     _rank_bound.  A rank at a point never exceeds the generic rank, which
     never exceeds the bound, so a rank at the bound is the generic rank:
     the remaining trials could only return it again, and a shortfall there
-    is exact.  Inside rigid_verdict_memo a graph that contains one already
-    decided rigid, on as many vertices, is answered without a new
-    embedding.
+    is exact.  Each point's rank comes from _rank_at over one _peel of the
+    graph: a peeled vertex whose directions are independent there adds its
+    peel degree, only the core is eliminated, and the elimination ends once
+    the rank reaches the current cap.  That value is the full matrix's rank
+    at the point exactly, so the verdict and the one-sided guarantee are
+    those of eliminating the whole matrix at every point.  Inside
+    rigid_verdict_memo a graph that contains one already decided rigid, on
+    as many vertices, is answered without a new embedding.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -290,11 +376,12 @@ def decide_rigidity(
             return RigidityVerdict(target, target, True, trials, f1 - target)
     best = 0
     cap = min(f1, target)
+    peel = _peel(graph, d)
     for t in range(trials):
         phi = random_embedding(graph, d, derive_seed(seed, "trial", t))
-        best = max(best, RigidityMatrix(graph, phi).rank())
+        best = max(best, _rank_at(graph, peel, phi, cap))
         if t == 0 and best < cap:
-            cap = _rank_bound(graph, d)
+            cap = _rank_bound(peel, d)
         if best == cap:
             break
     is_rigid = best == target
@@ -315,11 +402,11 @@ def contraction_ranks(
     rank is unchanged.  Now the row of an edge bx reads like that of ax
     outside the w block, since phi(b) = phi(a).  So the columns before the
     w block hold exactly R(G/ab) at the merged point, a common neighbour of
-    a and b only repeating a row.  Elimination pivots column by column and
-    leaves each pivot row zero left of its pivot, so the pivot rows nonzero
-    before the w block number rank R(G/ab), and all pivot rows number
-    rank R(G - ab).  Both values are the ranks of the two matrices at this
-    point, not estimates.
+    a and b only repeating a row.  In any echelon form each pivot row is
+    zero left of its pivot, so the pivot rows whose pivots lie before the w
+    block stay independent there and the others vanish there: their number
+    is rank R(G/ab), and all pivot rows number rank R(G - ab).  Both values
+    are the ranks of the two matrices at this point, not estimates.
     """
     if a == b or not {a, b} <= graph.vertices:
         raise ValueError(f"({a}, {b}) are not two vertices of the graph")
@@ -335,9 +422,9 @@ def contraction_ranks(
             row[ia + k] = (row[ia + k] + w[k]) % p
         rows.append(row[:ib] + row[ib + d :] + w)
     ncols = matrix.shape[1]
-    rank = _reduce(rows, ncols)
+    pivots = _echelon(rows, ncols)[0]
     split = ncols - d
-    return rank, sum(1 for row in rows[:rank] if any(row[:split]))
+    return len(pivots), sum(1 for c in pivots if c < split)
 
 
 def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, int], int]:
@@ -353,7 +440,14 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     combination of the others, that is, when some stress (left-kernel
     vector) of R(G) is nonzero on it.  So one elimination that yields the
     rank r of R(G) and the rows some stress uses gives the rank of R(G - e)
-    at that point exactly: r on a stressed edge, r - 1 on any other.
+    at that point exactly: r on a stressed edge, r - 1 on any other.  The
+    elimination inserts the rows in order, each extended by its unit
+    vector, so the extension of a row records the input rows it has become
+    a combination of.  Each of the m - r rows that reduce to zero gives a
+    stress with weight 1 on its own row and none on later rows.  These
+    stresses are triangular, hence independent, and there are as many as
+    the left kernel's dimension, so they are a basis; an edge is stressed
+    exactly when one of them is nonzero on it.
 
     decide_rigidity stops after its first trial once the rank reaches
     min(f1(G - e), target); a value that falls short of that cap is
@@ -374,13 +468,13 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
     matrix = RigidityMatrix(graph, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
-    # Each row is extended by a unit vector that records which input rows it
-    # has become a combination of; the rows reduced to zero then carry a
-    # basis of the stresses in that extension.
+    # the rows that reduce to zero carry a basis of the stresses in their
+    # unit-vector extensions (see above)
     m, ncols = matrix.shape
-    work = [row + [int(i == j) for j in range(m)] for i, row in enumerate(matrix.rows)]
-    rank = _reduce(work, ncols)
-    stressed = {j for row in work[rank:] for j in range(m) if row[ncols + j]}
+    work = (row + [int(i == j) for j in range(m)] for i, row in enumerate(matrix.rows))
+    pivots, zeros = _echelon(work, ncols)
+    rank = len(pivots)
+    stressed = {j for extension in zeros for j, x in enumerate(extension) if x}
     cap = min(len(graph.edges) - 1, target)
     if memo is not None:
         bits = _edge_bits(matrix.vertex_order, matrix.edge_order)

@@ -139,8 +139,8 @@ MUTANTS = [
     (
         "bound-never-tightens",
         RIGIDITY,
-        "    return peeled + min(core_edges, rigidity_target(len(nbrs), d))\n",
-        "    return min(len(graph.edges), rigidity_target(len(graph.vertices), d))\n",
+        "    return degrees + min(len(core_edges), rigidity_target(len(core), d))\n",
+        "    return min(degrees + len(core_edges), rigidity_target(len(peeled) + len(core), d))\n",
         (
             "tests/test_rigidity.py::TestTrialCount"
             "::test_first_point_at_the_bound_draws_one_embedding",
@@ -149,12 +149,36 @@ MUTANTS = [
     (
         "peel-counts-degree-minus-one",
         RIGIDITY,
-        "        peeled += len(nbrs[v])\n",
-        "        peeled += len(nbrs[v]) - 1\n",
+        "    degrees = sum(len(around) for _, around in peeled)\n",
+        "    degrees = sum(len(around) - 1 for _, around in peeled)\n",
         (
             "tests/test_rigidity.py::TestRankBound"
             "::test_bound_lies_between_the_oracle_rank_and_the_cap",
         ),
+    ),
+    (
+        "point-peel-without-independence-check",
+        RIGIDITY,
+        "        if len(_echelon(directions, d)[0]) < len(around):\n",
+        "        if False:\n",
+        (
+            "tests/test_rigidity.py::TestRankAtAPoint"
+            "::test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback",
+        ),
+    ),
+    (
+        "echelon-stops-one-pivot-early",
+        RIGIDITY,
+        "            if len(basis) == stop:\n",
+        "            if stop is not None and len(basis) == stop - 1:\n",
+        ("tests/test_rigidity.py::TestRankAtAPoint::test_complete_graph_minus_an_edge[4]",),
+    ),
+    (
+        "contraction-counts-the-first-w-pivot",
+        RIGIDITY,
+        "sum(1 for c in pivots if c < split)",
+        "sum(1 for c in pivots if c <= split)",
+        ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
     ),
     (
         "flip-walk-corpus-without-dedup",
@@ -236,9 +260,13 @@ MUTANTS = [
 #   entry's seed, instead of the record's sub-seed: the rank at a random
 #   point of the degenerate locus is the same for almost every point, so
 #   neither the report nor a replay can show which seed drew the point.
-# - _rank_bound peeling in another order, or stopping its peel early: every
-#   order and every stopping point gives a valid bound, at worst a looser
-#   one, and a looser bound only draws more points for the same verdict.
+# - _peel removing its vertices in another order, or stopping early: every
+#   order and every stopping point gives a valid bound for _rank_bound, at
+#   worst a looser one, and a looser bound only draws more points for the
+#   same verdict.  _rank_at over such a peel is still block triangular, so
+#   it gives the full matrix's rank at the point exactly, only with more of
+#   it eliminated (or, where another order meets dependent directions, with
+#   the full matrix eliminated).
 
 
 def run_tests(copy: Path, tests: list[str]) -> int:

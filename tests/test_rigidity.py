@@ -29,7 +29,10 @@ from oracles import rational_rank, rational_rigidity_rank, shape_edges, sorted_r
 
 P = DEFAULT_PRIME
 shape = spherig.rigidity._shape
-rank_bound = spherig.rigidity._rank_bound
+
+
+def rank_bound(graph: Graph, d: int) -> int:
+    return spherig.rigidity._rank_bound(spherig.rigidity._peel(graph, d), d)
 
 
 def count_embeddings(monkeypatch) -> list:
@@ -43,6 +46,26 @@ def count_embeddings(monkeypatch) -> list:
 
     monkeypatch.setattr(spherig.rigidity, "random_embedding", counted)
     return drawn
+
+
+def first_point(graph: Graph, d: int, seed: int) -> Embedding:
+    """The first trial point of decide_rigidity(graph, d, seed=seed)."""
+    return random_embedding(graph, d, derive_seed(seed, "trial", 0))
+
+
+def full_rank_at(graph: Graph, phi: Embedding) -> int:
+    """The rank of the whole rigidity matrix at phi, with nothing peeled."""
+    return rank_mod(RigidityMatrix(graph, phi).rows)
+
+
+def stacked_chain(d: int, rng: random.Random, last: int):
+    """Graphs of stackings over random facets, from C(d+2, d) up to vertex
+    `last`, each minus an edge between its newest vertex and that facet."""
+    delta = sp.cyclic_polytope_boundary(d + 2, d)
+    for v in range(d + 3, last + 1):
+        facet = rng.choice(delta.sorted_facets())
+        delta = sp.stack_over_facet(delta, facet, v)
+        yield graph_of(delta).remove_edge(rng.choice(facet), v)
 
 
 class TestDeriveSeed:
@@ -268,12 +291,8 @@ class TestRankBound:
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_bound_is_exact_on_stacked_chains_minus_an_edge(self, d):
-        rng = random.Random(d)
-        delta = sp.cyclic_polytope_boundary(d + 2, d)
-        for v in range(d + 3, d + 9):
-            facet = rng.choice(delta.sorted_facets())
-            delta = sp.stack_over_facet(delta, facet, v)
-            graph = graph_of(delta).remove_edge(rng.choice(facet), v)
+        for graph in stacked_chain(d, random.Random(d), d + 8):
+            v = max(graph.vertices)
             bound = rank_bound(graph, d)
             assert bound == rigidity_target(v, d) - 1 < len(graph.edges)
             assert decide_rigidity(graph, d, seed=v).rank == bound
@@ -681,3 +700,156 @@ class TestTrialCount:
         assert len(report.records) == d
         assert all(r.verdict == "pass" for r in report.records)
         assert len(drawn) == len(report.records)
+
+
+class TestRankAtAPoint:
+    """The rank decide_rigidity takes at a point, where peeled vertices add
+    their degrees and only the core is eliminated, is the whole matrix's
+    rank at that point; with one trial the verdict's rank is that rank."""
+
+    SEED = 20260823
+
+    def test_default_corpus_graphs_and_their_deletions(self):
+        rng = random.Random(23)
+        checked = peeled = exact = 0
+        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), self.SEED):
+            graph = graph_of(entry.complex)
+            s = derive_seed(self.SEED, entry.name)
+            for h in [graph] + [graph.remove_edge(a, b) for a, b in graph.sorted_edges()]:
+                rank = decide_rigidity(h, entry.d, trials=1, seed=s).rank
+                assert rank == full_rank_at(h, first_point(h, entry.d, s)), entry.name
+                checked += 1
+                peeled += bool(spherig.rigidity._peel(h, entry.d)[0])
+                if len(h.vertices) <= entry.d + 1:
+                    assert rank == rational_rigidity_rank(h, entry.d, rng), entry.name
+                    exact += 1
+        assert (checked, peeled, exact) == (848 + 31, 401, 49)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_stacked_chains_minus_an_edge(self, d):
+        rng = random.Random(-d)
+        for graph in stacked_chain(d, random.Random(d), d + 8):
+            n = len(graph.vertices)
+            rank = decide_rigidity(graph, d, trials=1, seed=n).rank
+            assert rank == full_rank_at(graph, first_point(graph, d, n)) == rigidity_target(n, d) - 1
+            if n <= d + 4:
+                assert rank == rational_rigidity_rank(graph, d, rng)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_complete_graph_minus_an_edge(self, d):
+        rng = random.Random(d)
+        for n in range(d + 2, d + 7):
+            graph = complete_graph(range(1, n + 1)).remove_edge(1, n)
+            rank = decide_rigidity(graph, d, trials=1, seed=n).rank
+            assert rank == full_rank_at(graph, first_point(graph, d, n)) == rigidity_target(n, d)
+            if n <= d + 3:
+                assert rank == rational_rigidity_rank(graph, d, rng)
+
+    def stacked_cross(self) -> Graph:
+        # vertex 9 peels with neighbours 3, 5, 7; the core is the cross
+        # polytope on 1..8, rigid at rank 22, with 1 and 2 not adjacent
+        graph = graph_of(sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9))
+        return graph.remove_edge(1, 9)
+
+    def rank_at(self, graph: Graph, coords: dict, monkeypatch) -> tuple[int, int]:
+        """decide_rigidity's one-trial rank at coords, which must be the full
+        matrix's, and how often it fell back to the full matrix."""
+        phi = Embedding(4, coords)
+        monkeypatch.setattr(spherig.rigidity, "random_embedding", lambda *args: phi)
+        fallbacks = []
+        real = RigidityMatrix.rank
+
+        def counted(matrix):
+            fallbacks.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(RigidityMatrix, "rank", counted)
+        rank = decide_rigidity(graph, 4, trials=1, seed=1).rank
+        assert rank == full_rank_at(graph, phi)
+        return rank, len(fallbacks)
+
+    def test_every_vertex_at_the_origin(self, monkeypatch):
+        graph = self.stacked_cross()
+        coords = {v: (0, 0, 0, 0) for v in graph.vertices}
+        assert self.rank_at(graph, coords, monkeypatch) == (0, 1)
+
+    def test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback(self, monkeypatch):
+        graph = self.stacked_cross()
+        assert spherig.rigidity._peel(graph, 4)[0] == [(9, [3, 5, 7])]
+        coords = dict(first_point(graph, 4, 1).coords)
+        generic = full_rank_at(graph, Embedding(4, coords))
+        coords[9] = tuple((2 * x - y) % P for x, y in zip(coords[3], coords[5]))
+        # the core is rigid, so the dependent directions cost one rank; the
+        # peeled sum alone would still read 3 + 22
+        assert self.rank_at(graph, coords, monkeypatch) == (generic - 1, 1)
+        assert generic == 3 + 22
+
+    @pytest.mark.parametrize(
+        "merged,fallbacks,rank",
+        [
+            # two core vertices at one point: the core's elimination sees it
+            ([(1, 2)], 0, 25),
+            ([(1, 2), (3, 4)], 0, 24),
+            # the peeled vertex on a neighbour, or two of its neighbours at
+            # one point: its directions are dependent
+            ([(5, 9)], 1, 24),
+            ([(3, 5)], 1, 24),
+        ],
+    )
+    def test_two_vertices_at_one_point(self, merged, fallbacks, rank, monkeypatch):
+        graph = self.stacked_cross()
+        coords = dict(first_point(graph, 4, 1).coords)
+        for a, b in merged:
+            coords[b] = coords[a]
+        assert self.rank_at(graph, coords, monkeypatch) == (rank, fallbacks)
+
+
+class TestDoingLess:
+    """The fast paths leave work out: a lost one fails here, not only in
+    the benchmark."""
+
+    def spy_echelon(self, monkeypatch) -> list[tuple[int, int, int | None]]:
+        """Patch _echelon to record (ncols, rows read, stop) per call."""
+        calls = []
+        real = spherig.rigidity._echelon
+
+        def counted(rows, ncols, stop=None):
+            read = 0
+
+            def reading():
+                nonlocal read
+                for row in rows:
+                    read += 1
+                    yield row
+
+            try:
+                return real(reading(), ncols, stop)
+            finally:
+                calls.append((ncols, read, stop))
+
+        monkeypatch.setattr(spherig.rigidity, "_echelon", counted)
+        return calls
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_stacked_chain_minus_an_edge_eliminates_only_its_core(self, d, monkeypatch):
+        graphs = list(stacked_chain(d, random.Random(d), d + 8))
+        calls = self.spy_echelon(monkeypatch)
+        for graph in graphs:
+            calls.clear()
+            verdict = decide_rigidity(graph, d, seed=1)
+            assert verdict.rank == rigidity_target(len(graph.vertices), d) - 1
+            # one point; every other call checks one peeled vertex's directions
+            core = [(ncols, read) for ncols, read, _ in calls if ncols > d]
+            assert core == [(d * (d + 2), comb(d + 2, 2))]
+            assert len(calls) == 1 + len(graph.vertices) - (d + 2)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_complete_graph_minus_an_edge_stops_before_its_last_row(self, d, monkeypatch):
+        n = 2 * d
+        graph = complete_graph(range(1, n + 1)).remove_edge(1, n)
+        calls = self.spy_echelon(monkeypatch)
+        assert decide_rigidity(graph, d, seed=1).is_rigid
+        target = rigidity_target(n, d)
+        [(ncols, read, stop)] = calls
+        assert (ncols, stop) == (d * n, target)
+        assert target <= read < len(graph.edges)
