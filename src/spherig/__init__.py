@@ -10,13 +10,11 @@ from .rigidity import (
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
     Embedding,
-    RigidityMatrix,
     RigidityVerdict,
     decide_rigidity,
     derive_seed,
     edge_deletion_ranks,
     random_embedding,
-    rank_mod,
     rigidity_target,
 )
 from .certificates import (

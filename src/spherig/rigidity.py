@@ -11,13 +11,15 @@ max-over-trials aggregation the check is one-sided: a "rigid" answer is
 always correct, and a "flexible" answer is exact at the peeling bound of
 decide_rigidity and wrong with negligible probability elsewhere.
 
-Every rank comes from one elimination kernel, _echelon, which inserts rows
-one at a time into an echelon basis and can stop once the rank reaches a
-cap.  decide_rigidity takes the rank at a point from a peel of the graph:
-a vertex of degree k <= d whose k edge directions are independent there
-adds exactly k (the 0-extension step of Tay-Whiteley 1985), so only the
-core left over is eliminated, and only until the rank reaches its cap.
-The result is the full matrix's rank at that point, not an estimate.
+Every rigidity matrix comes from one builder, _matrix_rows, which yields
+its rows lazily over a given edge and vertex order, and every rank from one
+elimination kernel, _echelon, which inserts rows one at a time into an
+echelon basis and can stop once the rank reaches a cap.  decide_rigidity
+takes the rank at a point from a peel of the graph: a vertex of degree
+k <= d whose k edge directions are independent there adds exactly k (the
+0-extension step of Tay-Whiteley 1985), so only the core left over is
+eliminated, and only until the rank reaches its cap.  The result is the
+full matrix's rank at that point, not an estimate.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring), and
 contraction_ranks gives the ranks of G - ab and of G/ab at a point that
@@ -85,36 +87,17 @@ def random_embedding(graph: Graph, d: int, seed: int) -> Embedding:
     return Embedding(d, coords)
 
 
-class RigidityMatrix:
-    """The edge-by-coordinate incidence matrix of a graph at an embedding.
-
-    Rows follow sorted edge order; columns come in d-sized blocks, one per
-    vertex in sorted order.  The row of edge {u,v} carries phi(u)-phi(v) in
-    u's block and the negative in v's block.
-    """
-
-    def __init__(self, graph: Graph, embedding: Embedding):
-        missing = graph.vertices - embedding.coords.keys()
-        if missing:
-            raise ValueError(f"embedding lacks coordinates for vertices {sorted(missing)}")
-        self.d = embedding.d
-        self.vertex_order: list[int] = sorted(graph.vertices)
-        self.edge_order: list[tuple[int, int]] = graph.sorted_edges()
-        self.rows = list(_matrix_rows(self.edge_order, self.vertex_order, embedding))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), self.d * len(self.vertex_order)
-
-    def rank(self) -> int:
-        return rank_mod(self.rows)
-
-
 def _matrix_rows(
     edge_order: list[tuple[int, int]], vertex_order: list[int], embedding: Embedding
 ) -> Iterator[list[int]]:
-    """The rigidity-matrix rows of the edges, one at a time, over one d-sized
-    column block per vertex of vertex_order (see RigidityMatrix)."""
+    """The rigidity matrix of the edges at an embedding, one row at a time.
+
+    Every rigidity matrix is built here.  Rows follow edge_order; columns
+    come in d-sized blocks, one per vertex in vertex_order.  The row of edge
+    (u, v) carries phi(u) - phi(v) in u's block and the negative in v's
+    block, entries in [0, p), p = DEFAULT_PRIME.  Rows are built as they
+    are read, so an elimination that stops early never builds the rest.
+    """
     p, d = DEFAULT_PRIME, embedding.d
     col_of = {v: i * d for i, v in enumerate(vertex_order)}
     ncols = d * len(vertex_order)
@@ -127,14 +110,6 @@ def _matrix_rows(
             row[cu + k] = diff
             row[cv + k] = (-diff) % p
         yield row
-
-
-def rank_mod(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over F_p, p = DEFAULT_PRIME, by Gaussian elimination."""
-    if not rows:
-        return 0
-    p = DEFAULT_PRIME
-    return len(_echelon(([x % p for x in row] for row in rows), len(rows[0]))[0])
 
 
 def _echelon(
@@ -322,15 +297,17 @@ def _rank_at(graph: Graph, peel: Peel, phi: Embedding, cap: int) -> int:
     its elimination stops once the sum reaches cap, which the sum then
     equals.  If any peeled vertex's directions are dependent at phi, which
     a random point does with probability at most d/p per vertex, the full
-    matrix is eliminated instead.  Either way the value is the rank of the
-    whole matrix at phi, not an estimate.
+    matrix is eliminated instead, also only until its rank reaches cap.
+    Either way the value is the rank of the whole matrix at phi, not an
+    estimate.
     """
     peeled, core, core_edges = peel
     d, p, coords = phi.d, DEFAULT_PRIME, phi.coords
     for v, around in peeled:
         directions = ([(a - b) % p for a, b in zip(coords[v], coords[u])] for u in around)
         if len(_echelon(directions, d)[0]) < len(around):
-            return RigidityMatrix(graph, phi).rank()
+            rows = _matrix_rows(graph.sorted_edges(), sorted(graph.vertices), phi)
+            return len(_echelon(rows, d * len(graph.vertices), cap)[0])
     degrees = len(graph.edges) - len(core_edges)
     rows = _matrix_rows(core_edges, core, phi)
     return degrees + len(_echelon(rows, d * len(core), cap - degrees)[0])
@@ -398,32 +375,36 @@ def contraction_ranks(
 
     G/ab merges a and b into one vertex at their common point.  Change the
     velocity variables by v_b = v_a + w, which is invertible: b's column
-    block is added into a's, and b's block becomes w's, placed last.  The
-    rank is unchanged.  Now the row of an edge bx reads like that of ax
-    outside the w block, since phi(b) = phi(a).  So the columns before the
-    w block hold exactly R(G/ab) at the merged point, a common neighbour of
-    a and b only repeating a row.  In any echelon form each pivot row is
-    zero left of its pivot, so the pivot rows whose pivots lie before the w
-    block stay independent there and the others vanish there: their number
-    is rank R(G/ab), and all pivot rows number rank R(G - ab).  Both values
-    are the ranks of the two matrices at this point, not estimates.
+    block is added into a's, and b's block becomes w's.  The rank is
+    unchanged.  Now the row of an edge bx reads like that of ax outside the
+    w block, since phi(b) = phi(a).  So the columns before the w block hold
+    exactly R(G/ab) at the merged point, a common neighbour of a and b only
+    repeating a row.  In any echelon form each pivot row is zero left of its
+    pivot, so the pivot rows whose pivots lie before the w block stay
+    independent there and the others vanish there: their number is rank
+    R(G/ab), and all pivot rows number rank R(G - ab).  Both values are the
+    ranks of the two matrices at this point, not estimates.
+
+    The rows are built once, over the column blocks of sorted(V - {b}) and
+    then b's, which is w's.  Only the row of an edge at b has entries in b's
+    block, and it has zeros in a's (the row of ab, if the graph has it, is
+    zero at this point), so adding b's block into a's copies it there.
     """
     if a == b or not {a, b} <= graph.vertices:
         raise ValueError(f"({a}, {b}) are not two vertices of the graph")
-    matrix = RigidityMatrix(graph, embedding)
+    missing = graph.vertices - embedding.coords.keys()
+    if missing:
+        raise ValueError(f"embedding lacks coordinates for vertices {sorted(missing)}")
     if embedding.coords[a] != embedding.coords[b]:
         raise ValueError(f"the embedding puts {a} and {b} at different points")
-    d, p = matrix.d, DEFAULT_PRIME
-    ia, ib = (matrix.vertex_order.index(v) * d for v in (a, b))
-    rows: list[list[int]] = []
-    for row in matrix.rows:
-        w = row[ib : ib + d]
-        for k in range(d):
-            row[ia + k] = (row[ia + k] + w[k]) % p
-        rows.append(row[:ib] + row[ib + d :] + w)
-    ncols = matrix.shape[1]
-    pivots = _echelon(rows, ncols)[0]
-    split = ncols - d
+    d, edges = embedding.d, graph.sorted_edges()
+    order = sorted(graph.vertices - {b}) + [b]
+    ia, split = order.index(a) * d, d * len(order) - d
+    rows = list(_matrix_rows(edges, order, embedding))
+    for edge, row in zip(edges, rows):
+        if b in edge:
+            row[ia : ia + d] = row[-d:]
+    pivots = _echelon(rows, d * len(order))[0]
     return len(pivots), sum(1 for c in pivots if c < split)
 
 
@@ -467,22 +448,23 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
         raise ValueError("dimension must be >= 1")
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
-    matrix = RigidityMatrix(graph, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
+    order, edges = sorted(graph.vertices), graph.sorted_edges()
+    rows = _matrix_rows(edges, order, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
     # the rows that reduce to zero carry a basis of the stresses in their
     # unit-vector extensions (see above)
-    m, ncols = matrix.shape
-    work = (row + [int(i == j) for j in range(m)] for i, row in enumerate(matrix.rows))
-    pivots, zeros = _echelon(work, ncols)
+    m = len(edges)
+    work = (row + [int(i == j) for j in range(m)] for i, row in enumerate(rows))
+    pivots, zeros = _echelon(work, d * len(order))
     rank = len(pivots)
     stressed = {j for extension in zeros for j, x in enumerate(extension) if x}
     cap = min(len(graph.edges) - 1, target)
     if memo is not None:
-        bits = _edge_bits(matrix.vertex_order, matrix.edge_order)
-        n, mask = len(matrix.vertex_order), sum(bits)
+        bits = _edge_bits(order, edges)
+        n, mask = len(order), sum(bits)
         if rank == target:
             memo.add((d, n, mask))
     ranks: dict[tuple[int, int], int] = {}
-    for i, (a, b) in enumerate(matrix.edge_order):
+    for i, (a, b) in enumerate(edges):
         value = rank if i in stressed else rank - 1
         if value < cap:
             value = decide_rigidity(graph.remove_edge(a, b), d, seed=seed).rank

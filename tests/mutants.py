@@ -122,8 +122,8 @@ MUTANTS = [
     (
         "contraction-w-not-folded-into-a",
         RIGIDITY,
-        "            row[ia + k] = (row[ia + k] + w[k]) % p\n",
-        "            row[ia + k] = row[ia + k] % p\n",
+        "            row[ia : ia + d] = row[-d:]\n",
+        "            pass\n",
         (
             "tests/test_harness.py::TestContraction"
             "::test_merged_elimination_equals_two_matrices_on_the_d4_corpus",
@@ -132,8 +132,8 @@ MUTANTS = [
     (
         "contraction-split-one-block-late",
         RIGIDITY,
-        "    split = ncols - d\n",
-        "    split = ncols\n",
+        "    ia, split = order.index(a) * d, d * len(order) - d\n",
+        "    ia, split = order.index(a) * d, d * len(order)\n",
         ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
     ),
     (
@@ -165,6 +165,25 @@ MUTANTS = [
             "tests/test_rigidity.py::TestRankAtAPoint"
             "::test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback",
         ),
+    ),
+    (
+        "fallback-eliminates-only-the-core",
+        RIGIDITY,
+        "            rows = _matrix_rows(graph.sorted_edges(), sorted(graph.vertices), phi)\n",
+        "            rows = _matrix_rows(core_edges, core, phi)\n",
+        (
+            "tests/test_rigidity.py::TestRankAtAPoint"
+            "::test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback",
+        ),
+    ),
+    (
+        "contraction-without-coverage-check",
+        RIGIDITY,
+        "    missing = graph.vertices - embedding.coords.keys()\n"
+        "    if missing:\n"
+        '        raise ValueError(f"embedding lacks coordinates for vertices {sorted(missing)}")\n',
+        "",
+        ("tests/test_rigidity.py::TestContractionRanks::test_embedding_must_cover_vertices",),
     ),
     (
         "echelon-stops-one-pivot-early",

@@ -2,7 +2,8 @@
 
 Everything here trades efficiency for obviousness: full face closures as
 explicit sets, subset scans over the whole power set, exact rational
-elimination.  The builders (cone, connected_sum) return plain facet sets.
+elimination, column-by-column elimination mod p.  The builders (cone,
+connected_sum) return plain facet sets.
 Nothing imports the algorithms under test; the only library type that
 appears is SimplicialComplex as a plain container of facets.
 """
@@ -184,6 +185,48 @@ def rational_rigidity_rank(graph, d: int, rng) -> int:
             row[col_of[v] + k] = -diff
         rows.append(row)
     return rational_rank(rows)
+
+
+PRIME = 2**61 - 1  # the field of the rigidity matrices under test
+
+
+def rigidity_rows_mod_p(graph, coords, d: int) -> list[list[int]]:
+    """The rigidity matrix of a graph at coords over F_p, p = 2**61 - 1.
+
+    One row per edge {u < v} in sorted order and d columns per vertex in
+    sorted order; the row holds coords[u] - coords[v] in u's columns, the
+    negative in v's, and zeros elsewhere, each entry reduced into [0, p).
+    """
+    order = sorted(graph.vertices)
+    rows = []
+    for u, v in sorted(tuple(sorted(e)) for e in graph.edges):
+        row = [0] * (d * len(order))
+        for k in range(d):
+            row[order.index(u) * d + k] = (coords[u][k] - coords[v][k]) % PRIME
+            row[order.index(v) * d + k] = (coords[v][k] - coords[u][k]) % PRIME
+        rows.append(row)
+    return rows
+
+
+def rank_mod_p(rows) -> int:
+    """Rank over F_p, p = 2**61 - 1, column by column: take a row not yet
+    used with a nonzero entry in the column, scale it to a leading 1 and
+    clear the column from every row below it."""
+    rows = [[x % PRIME for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        scale = pow(rows[rank][col], PRIME - 2, PRIME)  # Fermat inverse
+        prow = rows[rank] = [x * scale % PRIME for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col]
+            if factor:
+                rows[i] = [(x - factor * y) % PRIME for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
 
 
 def sorted_relabelling(graph) -> tuple[int, frozenset[tuple[int, int]]]:

@@ -32,7 +32,6 @@ from spherig.harness import (
 )
 from spherig.rigidity import (
     Embedding,
-    RigidityMatrix,
     contraction_ranks,
     decide_rigidity,
     derive_seed,
@@ -41,7 +40,7 @@ from spherig.rigidity import (
     rigidity_target,
 )
 
-from oracles import intersection, shape_edges
+from oracles import intersection, rank_mod_p, rigidity_rows_mod_p, shape_edges
 
 
 class TestReport:
@@ -448,19 +447,24 @@ class TestRunSuite:
             "2ecc92c85d0e8baa8123afa62fb17211b698a4323cdb0182878c2d8d9c2c8219"
         )
 
-    def test_default_suite_builds_at_most_473_matrices(self, monkeypatch):
+    def test_default_suite_builds_473_matrices_of_7921_rows(self, monkeypatch):
         # one matrix per degenerate contraction point, none for a graph that
-        # holds a rigid one the entry's memo recorded
-        built = []
-        real = RigidityMatrix.__init__
+        # holds a rigid one the entry's memo recorded; a full-matrix build
+        # where a peeled core would do, or an elimination that no longer
+        # stops at its cap, reads more rows
+        built = read = 0
+        real = spherig.rigidity._matrix_rows
 
-        def counted(self, graph, embedding):
-            built.append(graph)
-            real(self, graph, embedding)
+        def counted(edge_order, vertex_order, embedding):
+            nonlocal built, read
+            built += 1
+            for row in real(edge_order, vertex_order, embedding):
+                read += 1
+                yield row
 
-        monkeypatch.setattr(RigidityMatrix, "__init__", counted)
+        monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
-        assert len(built) <= 473
+        assert (built, read) == (473, 7921)
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)
@@ -589,6 +593,6 @@ def two_matrix_ranks(delta, a: int, b: int, coords: dict) -> tuple[int, int]:
     down[m] = coords[a]
     g_minus = graph_of(delta).remove_edge(a, b)
     return (
-        RigidityMatrix(g_minus, Embedding(4, coords)).rank(),
-        RigidityMatrix(g_down, Embedding(4, down)).rank(),
+        rank_mod_p(rigidity_rows_mod_p(g_minus, coords, 4)),
+        rank_mod_p(rigidity_rows_mod_p(g_down, down, 4)),
     )

@@ -14,21 +14,32 @@ from spherig.harness import DEFAULT_FAMILIES, build_corpus, verify_negative_cont
 from spherig.rigidity import (
     DEFAULT_PRIME,
     Embedding,
-    RigidityMatrix,
     contraction_ranks,
     decide_rigidity,
     derive_seed,
     edge_deletion_ranks,
     random_embedding,
-    rank_mod,
     rigid_verdict_memo,
     rigidity_target,
 )
 
-from oracles import rational_rank, rational_rigidity_rank, shape_edges, sorted_relabelling
+from oracles import (
+    rank_mod_p,
+    rational_rank,
+    rational_rigidity_rank,
+    rigidity_rows_mod_p,
+    shape_edges,
+    sorted_relabelling,
+)
 
 P = DEFAULT_PRIME
 shape = spherig.rigidity._shape
+matrix_rows = spherig.rigidity._matrix_rows
+
+
+def echelon_rank(rows: list[list[int]], ncols: int) -> int:
+    """The rank the elimination kernel finds for rows with entries in [0, p)."""
+    return len(spherig.rigidity._echelon(rows, ncols)[0])
 
 
 def rank_bound(graph: Graph, d: int) -> int:
@@ -54,8 +65,8 @@ def first_point(graph: Graph, d: int, seed: int) -> Embedding:
 
 
 def full_rank_at(graph: Graph, phi: Embedding) -> int:
-    """The rank of the whole rigidity matrix at phi, with nothing peeled."""
-    return rank_mod(RigidityMatrix(graph, phi).rows)
+    """The rank of the whole rigidity matrix at phi, from the oracle."""
+    return rank_mod_p(rigidity_rows_mod_p(graph, phi.coords, phi.d))
 
 
 def stacked_chain(d: int, rng: random.Random, last: int):
@@ -103,19 +114,17 @@ class TestEmbedding:
 
 
 class TestRigidityMatrix:
+    """_matrix_rows, the one rigidity-matrix builder."""
+
     def test_single_edge_rows(self):
-        g = Graph({1, 2}, [(1, 2)])
         phi = Embedding(2, {1: (0, 0), 2: (1, 0)})
-        m = RigidityMatrix(g, phi)
-        assert m.shape == (1, 4)
-        assert m.rows == [[P - 1, 0, 1, 0]]
+        assert list(matrix_rows([(1, 2)], [1, 2], phi)) == [[P - 1, 0, 1, 0]]
 
     def test_row_blocks_are_skew(self):
         g = graph_of(sp.cross_polytope(3))
         phi = random_embedding(g, 3, 5)
-        m = RigidityMatrix(g, phi)
-        order = m.vertex_order
-        for row, (u, v) in zip(m.rows, m.edge_order):
+        order, edges = sorted(g.vertices), g.sorted_edges()
+        for row, (u, v) in zip(matrix_rows(edges, order, phi), edges):
             cu = order.index(u) * 3
             cv = order.index(v) * 3
             for k in range(3):
@@ -124,27 +133,35 @@ class TestRigidityMatrix:
                 if not (cu <= j < cu + 3 or cv <= j < cv + 3):
                     assert x == 0
 
-    def test_embedding_must_cover_vertices(self):
-        g = Graph({1, 2}, [(1, 2)])
-        with pytest.raises(ValueError):
-            RigidityMatrix(g, Embedding(2, {1: (0, 0)}))
+    @pytest.mark.parametrize(
+        "graph,d",
+        [
+            (graph_of(sp.cross_polytope(3)), 3),
+            (graph_of(sp.cross_polytope(4)).remove_edge(1, 3), 4),
+            (graph_of(sp.cyclic_polytope_boundary(9, 6)), 6),
+            (Graph([2, 30, 7, 11], [(30, 2), (7, 11), (2, 11)]), 2),
+        ],
+    )
+    def test_rows_match_the_oracle_entry_by_entry(self, graph, d):
+        phi = random_embedding(graph, d, 5)
+        rows = list(matrix_rows(graph.sorted_edges(), sorted(graph.vertices), phi))
+        assert rows == rigidity_rows_mod_p(graph, phi.coords, d)
 
 
 class TestRankMod:
+    """_echelon, the one elimination kernel, on rows with entries in [0, p)."""
+
     def test_zero_matrix(self):
-        assert rank_mod([[0, 0], [0, 0]]) == 0
+        assert echelon_rank([[0, 0], [0, 0]], 2) == 0
 
     def test_identity(self):
-        assert rank_mod([[1, 0], [0, 1]]) == 2
-
-    def test_multiples_of_p_vanish(self):
-        assert rank_mod([[P, 2 * P]]) == 0
+        assert echelon_rank([[1, 0], [0, 1]], 2) == 2
 
     def test_dependent_rows(self):
-        assert rank_mod([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
+        assert echelon_rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 3) == 2
 
     def test_empty(self):
-        assert rank_mod([]) == 0
+        assert echelon_rank([], 3) == 0
 
     def test_agrees_with_rational_rank_on_random_matrices(self):
         rng = random.Random(3)
@@ -155,7 +172,8 @@ class TestRankMod:
             ncols = len(rows[0])
             for _ in range(rng.randrange(5)):
                 rows.append([rng.randrange(-9, 10) for _ in range(ncols)])
-            assert rank_mod([r[:] for r in rows]) == rational_rank(rows)
+            field_rows = [[x % P for x in r] for r in rows]
+            assert echelon_rank(field_rows, ncols) == rational_rank(rows)
 
 
 class TestDecideRigidity:
@@ -216,11 +234,13 @@ class TestDecideRigidity:
 
     def test_rank_monotone_under_row_deletion(self):
         g = graph_of(sp.cross_polytope(3))
-        m = RigidityMatrix(g, random_embedding(g, 3, 4))
-        full = rank_mod(m.rows)
-        for i in range(len(m.rows)):
-            sub = rank_mod(m.rows[:i] + m.rows[i + 1 :])
+        rows = rigidity_rows_mod_p(g, random_embedding(g, 3, 4).coords, 3)
+        full = rank_mod_p(rows)
+        assert echelon_rank(rows, 18) == full
+        for i in range(len(rows)):
+            sub = rank_mod_p(rows[:i] + rows[i + 1 :])
             assert sub in (full - 1, full)
+            assert echelon_rank(rows[:i] + rows[i + 1 :], 18) == sub
 
 
 def graphs_on(n: int, rng: random.Random):
@@ -395,6 +415,13 @@ class TestContractionRanks:
         graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
         with pytest.raises(ValueError, match=f"\\({a}, {b}\\) are not two vertices"):
             contraction_ranks(graph, a, b, self.merged(graph, 1, 3, 5))
+
+    def test_embedding_must_cover_vertices(self):
+        graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
+        coords = dict(self.merged(graph, 1, 3, 5).coords)
+        del coords[2], coords[8]
+        with pytest.raises(ValueError, match=r"lacks coordinates for vertices \[2, 8\]"):
+            contraction_ranks(graph, 1, 3, Embedding(4, coords))
 
 
 def relabel(graph: Graph, label) -> Graph:
@@ -757,13 +784,13 @@ class TestRankAtAPoint:
         phi = Embedding(4, coords)
         monkeypatch.setattr(spherig.rigidity, "random_embedding", lambda *args: phi)
         fallbacks = []
-        real = RigidityMatrix.rank
 
-        def counted(matrix):
-            fallbacks.append(matrix)
-            return real(matrix)
+        def counted(edge_order, vertex_order, embedding):
+            if vertex_order == sorted(graph.vertices):
+                fallbacks.append(edge_order)
+            return matrix_rows(edge_order, vertex_order, embedding)
 
-        monkeypatch.setattr(RigidityMatrix, "rank", counted)
+        monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         rank = decide_rigidity(graph, 4, trials=1, seed=1).rank
         assert rank == full_rank_at(graph, phi)
         return rank, len(fallbacks)
