@@ -15,7 +15,9 @@ shortfall is exact; the `trials=` field of its line is that budget, not the
 number of points drawn.  At each point the same peel adds the degree of
 every peeled vertex whose edge directions are independent there, and only
 the core is eliminated, until its rank reaches the cap; the rank is the full
-matrix's rank at that point either way.
+matrix's rank at that point either way.  The elimination reads rows and
+columns in attach order (each vertex's edges back to vertices placed before
+it), which changes how much it reads, never the rank.
 
 The seed is `--seed` when given, else the config file's `seed`, else 0.
 No environment variable is read.

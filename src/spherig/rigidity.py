@@ -20,6 +20,12 @@ k <= d whose k edge directions are independent there adds exactly k (the
 0-extension step of Tay-Whiteley 1985), so only the core left over is
 eliminated, and only until the rank reaches its cap.  The result is the
 full matrix's rank at that point, not an estimate.
+Every elimination reads its rows and column blocks in the order of
+_attach_order: each vertex's edges back to vertices placed before it, the
+latest-placed vertex's block first, so a row's leading entry lies in its
+own vertex's block and meets only that vertex's pivots.  Permuting rows and
+columns leaves the rank alone, so no value depends on the order; only the
+work does.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring), and
 contraction_ranks gives the ranks of G - ab and of G/ab at a point that
@@ -110,6 +116,43 @@ def _matrix_rows(
             row[cu + k] = diff
             row[cv + k] = (-diff) % p
         yield row
+
+
+def _attach_order(
+    vertices: Iterable[int], edges: Iterable[Iterable[int]], d: int
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The column blocks and rows in which to eliminate a rigidity matrix.
+
+    Vertices are placed one at a time, each time the unplaced vertex with
+    the most placed neighbours, ties going to the smallest label (maximum
+    cardinality search, Tarjan-Yannakakis 1984).  The edges come as sorted
+    pairs: for each vertex in placement order, its first min(d, #earlier)
+    edges to earlier-placed vertices, in their placement order, then every
+    other edge in the same order.  The column blocks go latest-placed vertex
+    first.  Then the row of an edge from v back to an earlier u is zero in
+    the blocks before v's, so its leading entry lies in v's block, and until
+    v's block is full only v's own earlier rows reduce it.  Where each
+    vertex's first directions phi(v) - phi(u) are independent, every row of
+    the first part is a new pivot.
+    """
+    nbrs: dict[int, set[int]] = {v: set() for v in vertices}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    count = dict.fromkeys(nbrs, 0)  # placed neighbours of each unplaced vertex
+    placed: list[int] = []
+    first: list[tuple[int, int]] = []
+    rest: list[tuple[int, int]] = []
+    while count:
+        v = min(count, key=lambda u: (-count[u], u))
+        del count[v]
+        back = [(min(u, v), max(u, v)) for u in placed if u in nbrs[v]]
+        first += back[:d]
+        rest += back[d:]
+        placed.append(v)
+        for u in nbrs[v] & count.keys():
+            count[u] += 1
+    return placed[::-1], first + rest
 
 
 def _echelon(
@@ -299,17 +342,20 @@ def _rank_at(graph: Graph, peel: Peel, phi: Embedding, cap: int) -> int:
     a random point does with probability at most d/p per vertex, the full
     matrix is eliminated instead, also only until its rank reaches cap.
     Either way the value is the rank of the whole matrix at phi, not an
-    estimate.
+    estimate.  The core, or the full matrix, is read in _attach_order's
+    order of rows and column blocks; permuting rows and columns does not
+    change the rank, so a stop at cap is still exact.
     """
     peeled, core, core_edges = peel
     d, p, coords = phi.d, DEFAULT_PRIME, phi.coords
     for v, around in peeled:
         directions = ([(a - b) % p for a, b in zip(coords[v], coords[u])] for u in around)
         if len(_echelon(directions, d)[0]) < len(around):
-            rows = _matrix_rows(graph.sorted_edges(), sorted(graph.vertices), phi)
-            return len(_echelon(rows, d * len(graph.vertices), cap)[0])
+            order, edges = _attach_order(graph.vertices, graph.edges, d)
+            return len(_echelon(_matrix_rows(edges, order, phi), d * len(order), cap)[0])
     degrees = len(graph.edges) - len(core_edges)
-    rows = _matrix_rows(core_edges, core, phi)
+    order, edges = _attach_order(core, core_edges, d)
+    rows = _matrix_rows(edges, order, phi)
     return degrees + len(_echelon(rows, d * len(core), cap - degrees)[0])
 
 
@@ -383,12 +429,19 @@ def contraction_ranks(
     pivot, so the pivot rows whose pivots lie before the w block stay
     independent there and the others vanish there: their number is rank
     R(G/ab), and all pivot rows number rank R(G - ab).  Both values are the
-    ranks of the two matrices at this point, not estimates.
+    ranks of the two matrices at this point, not estimates.  The argument
+    needs only the w block last; it holds for any order of the blocks
+    before it and of the rows.  No rank at any point exceeds
+    min(f1, rigidity_target(n, d)), n the vertex count of G - ab, so the
+    elimination stops there: once the pivots reach it, every later row
+    reduces to zero on all columns, and the count of pivots before the
+    split is final.
 
-    The rows are built once, over the column blocks of sorted(V - {b}) and
-    then b's, which is w's.  Only the row of an edge at b has entries in b's
-    block, and it has zeros in a's (the row of ab, if the graph has it, is
-    zero at this point), so adding b's block into a's copies it there.
+    The rows are built once, lazily, in _attach_order's order of G - ab,
+    over its column blocks without b's, then b's, which is w's.  Only the
+    row of an edge at b has entries in b's block, and it has zeros in a's
+    (the row of ab, if the graph has it, is zero at this point), so adding
+    b's block into a's copies it there.
     """
     if a == b or not {a, b} <= graph.vertices:
         raise ValueError(f"({a}, {b}) are not two vertices of the graph")
@@ -397,14 +450,16 @@ def contraction_ranks(
         raise ValueError(f"embedding lacks coordinates for vertices {sorted(missing)}")
     if embedding.coords[a] != embedding.coords[b]:
         raise ValueError(f"the embedding puts {a} and {b} at different points")
-    d, edges = embedding.d, graph.sorted_edges()
-    order = sorted(graph.vertices - {b}) + [b]
+    d = embedding.d
+    blocks, edges = _attach_order(graph.vertices, graph.edges, d)
+    order = [v for v in blocks if v != b] + [b]
     ia, split = order.index(a) * d, d * len(order) - d
-    rows = list(_matrix_rows(edges, order, embedding))
-    for edge, row in zip(edges, rows):
-        if b in edge:
-            row[ia : ia + d] = row[-d:]
-    pivots = _echelon(rows, d * len(order))[0]
+    rows = (
+        row[:ia] + row[-d:] + row[ia + d :] if b in edge else row
+        for edge, row in zip(edges, _matrix_rows(edges, order, embedding))
+    )
+    cap = min(len(edges), rigidity_target(len(order), d))
+    pivots = _echelon(rows, d * len(order), cap)[0]
     return len(pivots), sum(1 for c in pivots if c < split)
 
 
@@ -422,13 +477,15 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     vector) of R(G) is nonzero on it.  So one elimination that yields the
     rank r of R(G) and the rows some stress uses gives the rank of R(G - e)
     at that point exactly: r on a stressed edge, r - 1 on any other.  The
-    elimination inserts the rows in order, each extended by its unit
-    vector, so the extension of a row records the input rows it has become
-    a combination of.  Each of the m - r rows that reduce to zero gives a
-    stress with weight 1 on its own row and none on later rows.  These
-    stresses are triangular, hence independent, and there are as many as
-    the left kernel's dimension, so they are a basis; an edge is stressed
-    exactly when one of them is nonzero on it.
+    elimination inserts the rows in _attach_order's order, each extended by
+    its unit vector, so the extension of a row records the input rows it has
+    become a combination of.  Each of the m - r rows that reduce to zero
+    gives a stress with weight 1 on its own row and none on later rows.  In
+    any row order these stresses are triangular, hence independent, and
+    there are as many as the left kernel's dimension, so they are a basis;
+    an edge is stressed exactly when one of them is nonzero on it.  The
+    extensions index rows by their position in that order, which is mapped
+    back to the edges before any value is read.
 
     decide_rigidity stops after its first trial once the rank reaches
     min(f1(G - e), target); a value that falls short of that cap is
@@ -449,14 +506,16 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
     order, edges = sorted(graph.vertices), graph.sorted_edges()
-    rows = _matrix_rows(edges, order, random_embedding(graph, d, derive_seed(seed, "trial", 0)))
+    blocks, attached = _attach_order(graph.vertices, graph.edges, d)
+    phi = random_embedding(graph, d, derive_seed(seed, "trial", 0))
+    rows = _matrix_rows(attached, blocks, phi)
     # the rows that reduce to zero carry a basis of the stresses in their
-    # unit-vector extensions (see above)
+    # unit-vector extensions (see above), indexed by position in attached
     m = len(edges)
     work = (row + [int(i == j) for j in range(m)] for i, row in enumerate(rows))
     pivots, zeros = _echelon(work, d * len(order))
     rank = len(pivots)
-    stressed = {j for extension in zeros for j, x in enumerate(extension) if x}
+    stressed = {attached[j] for extension in zeros for j, x in enumerate(extension) if x}
     cap = min(len(graph.edges) - 1, target)
     if memo is not None:
         bits = _edge_bits(order, edges)
@@ -465,7 +524,7 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
             memo.add((d, n, mask))
     ranks: dict[tuple[int, int], int] = {}
     for i, (a, b) in enumerate(edges):
-        value = rank if i in stressed else rank - 1
+        value = rank if (a, b) in stressed else rank - 1
         if value < cap:
             value = decide_rigidity(graph.remove_edge(a, b), d, seed=seed).rank
         elif memo is not None and value == target:

@@ -92,7 +92,7 @@ MUTANTS = [
     (
         "deletion-ranks-without-stress-support",
         RIGIDITY,
-        "value = rank if i in stressed else rank - 1",
+        "value = rank if (a, b) in stressed else rank - 1",
         "value = rank",
         (
             "tests/test_rigidity.py::TestEdgeDeletionRanks"
@@ -122,8 +122,8 @@ MUTANTS = [
     (
         "contraction-w-not-folded-into-a",
         RIGIDITY,
-        "            row[ia : ia + d] = row[-d:]\n",
-        "            pass\n",
+        "row[:ia] + row[-d:] + row[ia + d :] if b in edge else row",
+        "row",
         (
             "tests/test_harness.py::TestContraction"
             "::test_merged_elimination_equals_two_matrices_on_the_d4_corpus",
@@ -169,8 +169,8 @@ MUTANTS = [
     (
         "fallback-eliminates-only-the-core",
         RIGIDITY,
-        "            rows = _matrix_rows(graph.sorted_edges(), sorted(graph.vertices), phi)\n",
-        "            rows = _matrix_rows(core_edges, core, phi)\n",
+        "            order, edges = _attach_order(graph.vertices, graph.edges, d)\n",
+        "            order, edges = _attach_order(core, core_edges, d)\n",
         (
             "tests/test_rigidity.py::TestRankAtAPoint"
             "::test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback",
@@ -198,6 +198,46 @@ MUTANTS = [
         "sum(1 for c in pivots if c < split)",
         "sum(1 for c in pivots if c <= split)",
         ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
+    ),
+    (
+        "contraction-stops-one-below-cap",
+        RIGIDITY,
+        "    cap = min(len(edges), rigidity_target(len(order), d))\n",
+        "    cap = min(len(edges), rigidity_target(len(order), d)) - 1\n",
+        (
+            "tests/test_rigidity.py::TestContractionRanks"
+            "::test_matches_two_matrices_on_random_graphs",
+        ),
+    ),
+    (
+        "attach-order-ignored",
+        RIGIDITY,
+        "    return placed[::-1], first + rest\n",
+        "    return placed[::-1], sorted(first + rest)\n",
+        (
+            "tests/test_rigidity.py::TestDoingLess"
+            "::test_complete_graph_minus_an_edge_stops_before_its_last_row[6]",
+        ),
+    ),
+    (
+        "attach-prefix-not-capped-at-d",
+        RIGIDITY,
+        "        first += back[:d]\n        rest += back[d:]\n",
+        "        first += back\n",
+        (
+            "tests/test_rigidity.py::TestDoingLess"
+            "::test_complete_graph_minus_an_edge_stops_before_its_last_row[6]",
+        ),
+    ),
+    (
+        "deletion-stress-not-mapped-back",
+        RIGIDITY,
+        "stressed = {attached[j] for",
+        "stressed = {edges[j] for",
+        (
+            "tests/test_rigidity.py::TestAttachOrder"
+            "::test_edge_deletion_ranks_match_the_oracle_on_stacked_chains[4]",
+        ),
     ),
     (
         "flip-walk-corpus-without-dedup",

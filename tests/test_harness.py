@@ -230,7 +230,7 @@ class TestContraction:
 
     def test_merged_elimination_equals_two_matrices_on_the_d4_corpus(self):
         # every edge, qualifying or not, at its own seeded degenerate point
-        seed, checked = 20260823, 0
+        seed, checked, reordered = 20260823, 0, 0
         for entry in build_corpus(DEFAULT_FAMILIES, (4,), seed):
             graph = graph_of(entry.complex)
             for a, b in graph.sorted_edges():
@@ -239,7 +239,10 @@ class TestContraction:
                 merged = contraction_ranks(g_minus, a, b, Embedding(4, coords))
                 assert merged == two_matrix_ranks(entry.complex, a, b, coords), (entry.name, a, b)
                 checked += 1
-        assert checked == 309
+                attached = spherig.rigidity._attach_order(g_minus.vertices, g_minus.edges, 4)[1]
+                reordered += attached != g_minus.sorted_edges()
+        # every G - ab is read in an attach order other than sorted order
+        assert (checked, reordered) == (309, 309)
 
     def test_every_contraction_record_of_the_d4_suite_replays(self):
         config = SuiteConfig(dims=(4,), seed=20260823)
@@ -447,11 +450,12 @@ class TestRunSuite:
             "2ecc92c85d0e8baa8123afa62fb17211b698a4323cdb0182878c2d8d9c2c8219"
         )
 
-    def test_default_suite_builds_473_matrices_of_7921_rows(self, monkeypatch):
+    def test_default_suite_builds_473_matrices_of_7697_rows(self, monkeypatch):
         # one matrix per degenerate contraction point, none for a graph that
         # holds a rigid one the entry's memo recorded; a full-matrix build
         # where a peeled core would do, or an elimination that no longer
-        # stops at its cap, reads more rows
+        # stops at its cap or reads its rows out of attach order, reads more
+        # rows
         built = read = 0
         real = spherig.rigidity._matrix_rows
 
@@ -464,7 +468,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
-        assert (built, read) == (473, 7921)
+        assert (built, read) == (473, 7697)
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)

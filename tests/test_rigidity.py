@@ -176,6 +176,93 @@ class TestRankMod:
             assert echelon_rank(field_rows, ncols) == rational_rank(rows)
 
 
+def random_graph(rng: random.Random) -> Graph:
+    """A seeded random graph on 1..12 vertices with gaps in its labels, of
+    any density, so isolated vertices and several components occur."""
+    labels = rng.sample(range(40), rng.randrange(1, 13))
+    density = rng.choice((0.15, 0.4, 0.7, 1.0))
+    return Graph(labels, [e for e in combinations(labels, 2) if rng.random() < density])
+
+
+class TestAttachOrder:
+    """_attach_order, the order every elimination reads its rows and column
+    blocks in."""
+
+    def test_places_by_most_placed_neighbours_and_lists_every_edge_once(self):
+        rng = random.Random(19)
+        isolated = disconnected = 0
+        for _ in range(300):
+            graph, d = random_graph(rng), rng.randrange(1, 7)
+            blocks, edges = spherig.rigidity._attach_order(graph.vertices, graph.edges, d)
+            assert sorted(edges) == graph.sorted_edges()
+            placed = blocks[::-1]
+            assert sorted(placed) == sorted(graph.vertices)
+            # each step takes the most placed neighbours, then the smallest label
+            nbrs = {v: {u for e in graph.edges if v in e for u in e - {v}} for v in graph.vertices}
+            for i, v in enumerate(placed):
+                seen = set(placed[:i])
+                key = {u: (-len(nbrs[u] & seen), u) for u in placed[i:]}
+                assert key[v] == min(key.values())
+            # first each vertex's first min(d, #earlier) edges back, then the rest
+            place = {v: i for i, v in enumerate(placed)}
+            back = [
+                (u, v)
+                for v in placed
+                for u in sorted(nbrs[v], key=place.get)
+                if place[u] < place[v]
+            ]
+            per_vertex = {v: [e for e in back if e[1] == v][:d] for v in placed}
+            first = [e for v in placed for e in per_vertex[v]]
+            expected = first + [e for e in back if e not in first]
+            assert edges == [tuple(sorted(e)) for e in expected]
+            isolated += any(not around for around in nbrs.values())
+            disconnected += any(
+                not nbrs[v] & set(placed[:i]) for i, v in enumerate(placed) if i
+            )
+        # nothing passes vacuously
+        assert (isolated, disconnected) == (125, 98)
+
+    def deletions_against_the_oracle(self, graph: Graph, d: int, seed: int) -> tuple[int, int]:
+        """Check edge_deletion_ranks against each G - e's matrix at the first
+        point; return whether G is read out of sorted order, and how many of
+        its edges no stress uses."""
+        coords = first_point(graph, d, seed).coords
+        full = full_rank_at(graph, Embedding(d, coords))
+        unstressed = 0
+        for (a, b), rank in edge_deletion_ranks(graph, d, seed).items():
+            exact = rank_mod_p(rigidity_rows_mod_p(graph.remove_edge(a, b), coords, d))
+            assert rank == exact, (a, b)
+            unstressed += exact < full
+        edges = spherig.rigidity._attach_order(graph.vertices, graph.edges, d)[1]
+        return edges != graph.sorted_edges(), unstressed
+
+    def test_edge_deletion_ranks_match_the_oracle_on_the_d4_corpus(self):
+        seed, checked, reordered, free = 20260823, 0, 0, 0
+        for entry in build_corpus(DEFAULT_FAMILIES, (4,), seed):
+            graph = graph_of(entry.complex)
+            moved, unstressed = self.deletions_against_the_oracle(
+                graph, 4, derive_seed(seed, entry.name)
+            )
+            reordered += moved
+            checked += len(graph.edges)
+            free += unstressed
+        # no stress uses the 10 edges of the simplex boundary, which is read
+        # in sorted order; some stress uses every other corpus edge
+        assert (checked, reordered, free) == (309, 14, 10)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_edge_deletion_ranks_match_the_oracle_on_stacked_chains(self, d):
+        # C(d+2, d) keeps one stress; the last stacked vertex's d - 1 edges
+        # carry none.  The stresses found by position in attach order must be
+        # mapped back to their edges.
+        reordered = mixed = 0
+        for graph in stacked_chain(d, random.Random(d), d + 5):
+            moved, unstressed = self.deletions_against_the_oracle(graph, d, len(graph.vertices))
+            reordered += moved
+            mixed += moved and 0 < unstressed < len(graph.edges)
+        assert (reordered, mixed) == (3, 3)
+
+
 class TestDecideRigidity:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_complete_graph_on_d_plus_1(self, d):
@@ -404,6 +491,29 @@ class TestContractionRanks:
         # G - 13 keeps the rank 22 of G; the contraction has 7 vertices, rank 18
         graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
         assert contraction_ranks(graph, 1, 3, self.merged(graph, 1, 3, 5)) == (22, 18)
+
+    def test_matches_two_matrices_on_random_graphs(self):
+        # R(G - ab) at the merged point and R(G/ab), each from its own matrix
+        rng = random.Random(29)
+        checked = at_cap = 0
+        for _ in range(150):
+            graph, d = random_graph(rng), rng.randrange(2, 6)
+            if len(graph.vertices) < 2:
+                continue
+            a, b = rng.sample(sorted(graph.vertices), 2)
+            if frozenset((a, b)) in graph.edges:
+                graph = graph.remove_edge(a, b)
+            coords = dict(random_embedding(graph, d, rng.randrange(100)).coords)
+            coords[b] = coords[a]
+            merged_edges = [[a if v == b else v for v in e] for e in graph.edges]
+            down = Graph(graph.vertices - {b}, merged_edges)
+            minus = rank_mod_p(rigidity_rows_mod_p(graph, coords, d))
+            merged = rank_mod_p(rigidity_rows_mod_p(down, coords, d))
+            assert contraction_ranks(graph, a, b, Embedding(d, coords)) == (minus, merged)
+            checked += 1
+            at_cap += minus == min(len(graph.edges), rigidity_target(len(graph.vertices), d))
+        # the elimination stops at its cap on these, and is exact there
+        assert (checked, at_cap) == (140, 139)
 
     def test_embedding_that_separates_a_and_b_is_rejected(self):
         graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
@@ -786,7 +896,7 @@ class TestRankAtAPoint:
         fallbacks = []
 
         def counted(edge_order, vertex_order, embedding):
-            if vertex_order == sorted(graph.vertices):
+            if set(vertex_order) == graph.vertices:
                 fallbacks.append(edge_order)
             return matrix_rows(edge_order, vertex_order, embedding)
 
@@ -870,13 +980,16 @@ class TestDoingLess:
             assert core == [(d * (d + 2), comb(d + 2, 2))]
             assert len(calls) == 1 + len(graph.vertices) - (d + 2)
 
-    @pytest.mark.parametrize("d", [4, 5, 6])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_complete_graph_minus_an_edge_stops_before_its_last_row(self, d, monkeypatch):
-        n = 2 * d
-        graph = complete_graph(range(1, n + 1)).remove_edge(1, n)
+        # read in attach order, every row up to the target is a new pivot;
+        # from n = d+3 on, no vertex has degree <= d, so nothing is peeled
         calls = self.spy_echelon(monkeypatch)
-        assert decide_rigidity(graph, d, seed=1).is_rigid
-        target = rigidity_target(n, d)
-        [(ncols, read, stop)] = calls
-        assert (ncols, stop) == (d * n, target)
-        assert target <= read < len(graph.edges)
+        for n in range(d + 3, 21):
+            graph = complete_graph(range(1, n + 1)).remove_edge(1, n)
+            calls.clear()
+            assert decide_rigidity(graph, d, seed=1).is_rigid
+            target = rigidity_target(n, d)
+            [(ncols, read, stop)] = calls
+            assert (ncols, stop, read) == (d * n, target, target), n
+            assert read < len(graph.edges)
