@@ -64,12 +64,19 @@ def _components(adjacency: dict[_Node, set[_Node]]) -> list[set[_Node]]:
 
 
 def _maximal(faces: Iterable[frozenset[int]]) -> frozenset[frozenset[int]]:
-    """Inclusion-maximal members of a family of faces."""
-    by_size = sorted(set(faces), key=len, reverse=True)
-    kept: list[frozenset[int]] = []
-    for f in by_size:
-        if not any(f < g for g in kept):
-            kept.append(f)
+    """Inclusion-maximal members of a family of faces.
+
+    Only a strictly larger face can contain a face, so each size class is
+    compared with the faces kept from larger classes alone; a pure family
+    (every sphere and every link of one) makes no comparison at all.
+    """
+    by_size: dict[int, list[frozenset[int]]] = {}
+    for f in set(faces):
+        by_size.setdefault(len(f), []).append(f)
+    top, *rest = sorted(by_size, reverse=True)
+    kept = by_size[top]  # nothing is larger than the largest faces
+    for size in rest:
+        kept += [f for f in by_size[size] if not any(f < g for g in kept)]
     return frozenset(kept)
 
 

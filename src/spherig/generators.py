@@ -81,26 +81,53 @@ def join_simplex_cycle(d: int, k: int) -> SimplicialComplex:
     return join(simplex_part, cycle_part)
 
 
-def _gale_even(subset: tuple[int, ...], n: int) -> bool:
-    # evenness: any two non-members must have an even number of members between them
-    inside = set(subset)
-    outside = [i for i in range(1, n + 1) if i not in inside]
-    for a, b in combinations(outside, 2):
-        if sum(1 for s in subset if a < s < b) % 2:
-            return False
-    return True
-
-
 def cyclic_polytope_boundary(n: int, d: int) -> SimplicialComplex:
-    """Boundary complex of the cyclic polytope C(n, d), facets by Gale evenness."""
+    """Boundary complex of the cyclic polytope C(n, d), facets from Gale's blocks.
+
+    Gale's evenness condition (Gale 1963): a d-subset S of 1..n is a facet
+    exactly when any two non-members i < j have an even number of members
+    between them.  Split S into maximal runs of consecutive integers.  A
+    run touching neither 1 nor n lies between its two neighbours, which are
+    non-members with only that run between them, so the condition makes its
+    length even.  Conversely, if every such run is even, the members between
+    two non-members i < j form whole runs, none containing 1 or n, so their
+    number is even.  The facets are therefore the d-subsets made of an
+    initial run 1..a (a >= 0), runs of even length, and a final run ending
+    at n (possibly empty), with a gap between any two.
+
+    They are generated directly, in lexicographic order, by choosing the
+    initial run and then each further run's start and length; every choice
+    completes to at least one facet (the final run always fits after the
+    gap), so the work is proportional to the number of facets, not to
+    C(n, d).  That number is n/(n-m) C(n-m, m) for d = 2m and 2 C(n-m-1, m)
+    for d = 2m+1 (McMullen's Upper Bound Theorem; Ziegler, Lectures on
+    Polytopes, Cor. 0.8).
+    """
     if d < 2:
         raise ValueError("cyclic_polytope_boundary needs d >= 2")
     if n < d + 1:
         raise ValueError("cyclic_polytope_boundary needs n >= d+1")
-    facets = [
-        frozenset(c) for c in combinations(range(1, n + 1), d) if _gale_even(c, n)
-    ]
+    facets: list[frozenset[int]] = []
+    for a in range(d, -1, -1):  # the initial run 1..a, longest first
+        _gale_runs(n, a + 2, d - a, list(range(1, a + 1)), facets)
     return SimplicialComplex(facets)
+
+
+def _gale_runs(
+    n: int, start: int, left: int, chosen: list[int], facets: list[frozenset[int]]
+) -> None:
+    """Append every facet that adds `left` vertices from start..n to `chosen`
+    (start - 1 being a gap): runs of even length ending before n, then the
+    final run; `chosen` is restored on return."""
+    if left > 1:
+        for s in range(start, n - left + 1):
+            for length in range(left - left % 2, 1, -2):  # longest first
+                chosen.extend(range(s, s + length))
+                _gale_runs(n, s + length + 1, left - length, chosen, facets)
+                del chosen[-length:]
+    chosen.extend(range(n - left + 1, n + 1))
+    facets.append(frozenset(chosen))
+    del chosen[len(chosen) - left :]
 
 
 def stack_over_facet(

@@ -304,6 +304,26 @@ MUTANTS = [
         ),
     ),
     (
+        "gale-accepts-odd-interior-runs",
+        "src/spherig/generators.py",
+        "            for length in range(left - left % 2, 1, -2):  # longest first\n",
+        "            for length in range(left, 0, -1):  # longest first\n",
+        (
+            "tests/test_generators.py::TestCyclicPolytope"
+            "::test_facets_match_the_subset_filter[4]",
+        ),
+    ),
+    (
+        "maximal-skips-larger-faces",
+        "src/spherig/complexes.py",
+        "        kept += [f for f in by_size[size] if not any(f < g for g in kept)]\n",
+        "        kept += by_size[size]\n",
+        (
+            "tests/test_complexes.py::TestConstruction"
+            "::test_face_dominated_only_by_a_larger_face_listed_after_its_size_class",
+        ),
+    ),
+    (
         "legal-flips-without-purity-check",
         "src/spherig/generators.py",
         "    delta._require_pure()\n",

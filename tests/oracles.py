@@ -1,7 +1,8 @@
 """Brute-force reference implementations the real code is tested against.
 
 Everything here trades efficiency for obviousness: full face closures as
-explicit sets, subset scans over the whole power set, exact rational
+explicit sets, subset scans over the whole power set (Gale's evenness
+condition tested on every d-subset among them), exact rational
 elimination, column-by-column elimination mod p.  The builders (cone,
 connected_sum) return plain facet sets.
 Nothing imports the algorithms under test; the only library type that
@@ -57,6 +58,26 @@ def connected_sum(facets1, facet1, facets2, facet2, matching=None) -> frozenset[
             relabel[v], fresh = fresh, fresh + 1
     moved = {frozenset(relabel.get(v, v) for v in g) for g in facets2}
     return frozenset((facets1 | moved) - {f1})
+
+
+def maximal_faces(faces) -> frozenset[frozenset[int]]:
+    """The inclusion-maximal members of a family, each compared with every other."""
+    family = {frozenset(f) for f in faces}
+    return frozenset(f for f in family if not any(f < g for g in family))
+
+
+def gale_even_facets(n: int, d: int) -> frozenset[frozenset[int]]:
+    """Facets of the cyclic polytope C(n, d): every d-subset of 1..n that
+    passes Gale's evenness condition, tested pair by pair of non-members."""
+    out = set()
+    for subset in combinations(range(1, n + 1), d):
+        outside = [i for i in range(1, n + 1) if i not in subset]
+        if all(
+            sum(1 for s in subset if a < s < b) % 2 == 0
+            for a, b in combinations(outside, 2)
+        ):
+            out.add(frozenset(subset))
+    return frozenset(out)
 
 
 def intersection(left, right) -> frozenset[frozenset[int]]:

@@ -15,6 +15,7 @@ from oracles import (
     cone,
     f_vector,
     intersection,
+    maximal_faces,
     star,
 )
 
@@ -37,6 +38,13 @@ class TestConstruction:
     def test_facets_become_antichain(self):
         delta = SimplicialComplex.from_facets([(1, 2, 3), (1, 2), (4,)])
         assert delta.facets == frozenset({frozenset({1, 2, 3}), frozenset({4})})
+
+    def test_face_dominated_only_by_a_larger_face_listed_after_its_size_class(self):
+        # no other edge contains {1, 2}; only the triangle listed last does
+        delta = SimplicialComplex.from_facets([(1, 2), (3, 4), (2, 3), (5, 6), (1, 2, 7)])
+        assert delta.facets == frozenset(
+            map(frozenset, [(3, 4), (2, 3), (5, 6), (1, 2, 7)])
+        )
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -397,6 +405,18 @@ def test_random_complex_facets_form_antichain(facet_list):
     for f in delta.facets:
         for g in delta.facets:
             assert not f < g
+
+
+# few labels and mixed sizes, so that faces often contain one another
+mixed_faces_strategy = st.lists(
+    st.frozensets(st.integers(0, 5), min_size=1, max_size=5), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_faces_strategy)
+def test_random_family_keeps_exactly_its_maximal_faces(facet_list):
+    assert SimplicialComplex.from_facets(facet_list).facets == maximal_faces(facet_list)
 
 
 @settings(max_examples=60, deadline=None)

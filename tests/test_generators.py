@@ -1,10 +1,19 @@
+import io
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from itertools import combinations
+from math import comb
+from pathlib import Path
+
 import pytest
 
 import spherig as sp
 from spherig.complexes import SimplicialComplex, as_face
 from spherig.generators import FlipMove, _is_simplex_boundary
 
-from oracles import connected_sum, f_vector
+from oracles import connected_sum, f_vector, gale_even_facets
 
 
 def kind(move: FlipMove) -> tuple[int, int]:
@@ -130,6 +139,55 @@ class TestCyclicPolytope:
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
             sp.cyclic_polytope_boundary(4, 4)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_facets_match_the_subset_filter(self, d):
+        for n in range(d + 1, d + 9):
+            assert sp.cyclic_polytope_boundary(n, d).facets == gale_even_facets(n, d), (n, d)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_facet_count_is_the_upper_bound_theorem_closed_form(self, d):
+        m = d // 2
+        for n in range(d + 1, d + 23):
+            if d % 2:
+                expected = 2 * comb(n - m - 1, m)
+            else:
+                expected = n * comb(n - m, m) // (n - m)
+            assert len(sp.cyclic_polytope_boundary(n, d).facets) == expected, (n, d)
+        if d == 8:
+            assert expected == 17250  # C(30, 8), the CLI's timed case
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_every_half_dimensional_subset_is_a_face(self, d):
+        for n in range(d + 1, d + 9):
+            delta = sp.cyclic_polytope_boundary(n, d)
+            for subset in combinations(range(1, n + 1), d // 2):
+                assert delta.has_face(subset), (n, d, subset)
+
+    def test_facets_and_stackings_are_identical_across_processes(self):
+        script = (
+            "import random, spherig as sp\n"
+            "print(sp.cyclic_polytope_boundary(12, 6).sorted_facets())\n"
+            "delta, rng = sp.cyclic_polytope_boundary(8, 6), random.Random(20260823)\n"
+            "for v in range(9, 15):\n"
+            "    delta = sp.stack_over_facet(delta, rng.choice(delta.sorted_facets()), v)\n"
+            "print(delta.sorted_facets())\n"
+        )
+        src = str(Path(sp.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, stdout=subprocess.PIPE, text=True, timeout=120, check=True,
+            )
+            outputs.append(proc.stdout)
+        here = io.StringIO()
+        with redirect_stdout(here):
+            exec(script, {})
+        cyclic, stacked = here.getvalue().splitlines()
+        assert cyclic.count("(") == 112 and stacked.count("(") == 16 + 6 * 5
+        assert outputs == [here.getvalue()] * 2
 
 
 class TestStackAndSum:
