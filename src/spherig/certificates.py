@@ -8,9 +8,10 @@ node that the claim graph really is the one the rule builds from its
 children and that the rule's side conditions hold; only leaves ever touch
 the rank engine.  The composition rules themselves are trusted.
 
-Malformed trees (wrong child counts, missing rule data, claim graph not
-matching the construction) raise CertificateError with the node path;
-violated side conditions make check() return False.
+A node carries no rule data: the graphs determine it.  Malformed trees
+(wrong child counts or dimensions, claim graph not matching the
+construction) raise CertificateError with the node path; violated side
+conditions make check() return False.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex
-from .graphs import Graph, complete_graph, cone_graph, graph_of, union
+from .graphs import Graph, complete_graph, graph_of, union
 from .rigidity import decide_rigidity, derive_seed
 
 RULES = ("RankLeaf", "CompleteLeaf", "Cone", "Gluing", "Replacement")
@@ -37,17 +38,16 @@ class CertificateError(Exception):
 class Certificate:
     """One node of a rigidity proof tree.
 
-    rule_data lives in the optional fields: apex (Cone) and subset
-    (Replacement's U).  Children appear in rule order, e.g. Replacement
-    expects [restriction certificate, completed-graph certificate].
+    Children appear in rule order, e.g. Replacement expects [restriction
+    certificate, completed-graph certificate].  A Cone's apex set is the
+    claim's vertices outside its child's graph; a Replacement's U is its
+    first child's vertex set.
     """
 
     graph: Graph
     d: int
     rule: str
     children: tuple["Certificate", ...] = ()
-    apex: int | None = None
-    subset: frozenset[int] | None = None
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -77,8 +77,6 @@ def _check(node: Certificate, seed: int, path: str) -> bool:
     if node.rule in ("RankLeaf", "CompleteLeaf"):
         if node.children:
             fail(f"{node.rule} takes no children")
-        if node.apex is not None or node.subset is not None:
-            fail(f"{node.rule} takes no rule data")
         if node.rule == "CompleteLeaf":
             n = len(node.graph.vertices)
             return n >= d + 1 and len(node.graph.edges) == n * (n - 1) // 2
@@ -87,17 +85,20 @@ def _check(node: Certificate, seed: int, path: str) -> bool:
     if node.rule == "Cone":
         if len(node.children) != 1:
             fail("Cone takes exactly one child")
-        if node.apex is None:
-            fail("Cone needs an apex")
+        # The claim must be K_A * H for the child's graph H and its apex set
+        # A.  K_A * H is the cone over K_{A-a} * H for any a in A, so the cone
+        # lemma (Whiteley 1983), applied |A| times, makes it d-rigid exactly
+        # when H is (d - |A|)-rigid.
         child = node.children[0]
-        if child.d != d - 1:
-            fail(f"Cone child must claim dimension {d - 1}, claims {child.d}")
-        apex, base = node.apex, child.graph
-        if apex in base.vertices:
-            fail(f"apex {apex} already in the child graph")
-        claim, spokes = node.graph, {frozenset((apex, v)) for v in base.vertices}
-        if claim.vertices != base.vertices | {apex} or claim.edges != base.edges | spokes:
+        claim, base = node.graph, child.graph
+        apex = claim.vertices - base.vertices
+        if not apex:
+            fail("Cone needs an apex outside the child graph")
+        spokes = {frozenset((a, v)) for a in apex for v in claim.vertices if v != a}
+        if not base.vertices <= claim.vertices or claim.edges != base.edges | spokes:
             fail("claim graph is not the cone over the child graph")
+        if child.d != d - len(apex):
+            fail(f"Cone child must claim dimension {d - len(apex)}, claims {child.d}")
         return recurse()
     elif node.rule == "Gluing":
         if len(node.children) != 2:
@@ -113,16 +114,12 @@ def _check(node: Certificate, seed: int, path: str) -> bool:
     elif node.rule == "Replacement":
         if len(node.children) != 2:
             fail("Replacement takes exactly two children")
-        if node.subset is None:
-            fail("Replacement needs the subset U")
         if any(ch.d != d for ch in node.children):
             fail("Replacement children must claim the same dimension")
-        subset = node.subset
+        restricted, completed = node.children
+        subset = restricted.graph.vertices
         if not subset <= node.graph.vertices:
             fail("U is not a subset of the claim graph's vertices")
-        restricted, completed = node.children
-        if restricted.graph.vertices != subset:
-            fail("first child must claim a graph on exactly U")
         if not restricted.graph.edges <= node.graph.restrict(subset).edges:
             fail("first child's graph is not a subgraph of the claim restricted to U")
         if completed.graph != union(node.graph, complete_graph(subset)):
@@ -135,10 +132,10 @@ def _check(node: Certificate, seed: int, path: str) -> bool:
 def certify_star_rigidity(delta: SimplicialComplex, sigma: Iterable[int]) -> Certificate:
     """Certificate that the star of a face has a d-rigid graph, d = dim + 1.
 
-    The star is the join of the face with its link, so the certificate is a
-    tower of Cone rules over a rank test of the link's graph in dimension
-    d - |sigma|; its top must be the star's graph, read from the same scan
-    of the facets.  An empty face gives a bare rank leaf for the whole graph.
+    The star is the join of the face with its link, so the certificate is
+    one Cone, with the face as its apex set, over a rank test of the link's
+    graph in dimension d - |sigma|; both graphs are read from one scan of
+    the facets.  An empty face gives a bare rank leaf for the whole graph.
     """
     d = delta.dim + 1
     face = frozenset(sigma)
@@ -147,11 +144,8 @@ def certify_star_rigidity(delta: SimplicialComplex, sigma: Iterable[int]) -> Cer
         raise ValueError(f"star certificates need |sigma| <= d-3, got {len(face)}")
     if not face:
         return Certificate(graph=star_graph, d=d, rule="RankLeaf")
-    cert = Certificate(graph=link_graph, d=d - len(face), rule="RankLeaf")
-    for apex in sorted(face):
-        cert = Certificate(cone_graph(cert.graph, apex), cert.d + 1, "Cone", (cert,), apex)
-    assert cert.graph == star_graph
-    return cert
+    link_cert = Certificate(graph=link_graph, d=d - len(face), rule="RankLeaf")
+    return Certificate(graph=star_graph, d=d, rule="Cone", children=(link_cert,))
 
 
 def certify_missing_face_edge(
@@ -181,4 +175,4 @@ def certify_missing_face_edge(
     a, b = sorted(edge)
     claim = graph_of(delta).remove_edge(a, b)
     completed = Certificate(graph=union(claim, complete_graph(w)), d=d, rule="RankLeaf")
-    return Certificate(claim, d, "Replacement", (star_cert, completed), subset=w)
+    return Certificate(claim, d, "Replacement", (star_cert, completed))

@@ -1,6 +1,7 @@
 import pytest
 
 import spherig as sp
+from spherig.harness import DEFAULT_FAMILIES, build_corpus
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +22,11 @@ def small_spheres():
         ("cyclic-8-4", sp.cyclic_polytope_boundary(8, 4), 4),
     ]
     return entries
+
+
+@pytest.fixture(scope="session")
+def default_corpus():
+    """The default families at dims 4..6, seed 20260823, built once for every
+    sweep; d = 4 sweeps filter it by entry.d.  A test that counts work or
+    spies on per-complex caches builds its own corpus instead."""
+    return tuple(build_corpus(DEFAULT_FAMILIES, (4, 5, 6), 20260823))

@@ -257,6 +257,34 @@ MUTANTS = [
         ),
     ),
     (
+        "cone-shift-by-one",
+        "src/spherig/certificates.py",
+        "        if child.d != d - len(apex):\n",
+        "        if child.d != d - 1:\n",
+        ("tests/test_certificates.py::TestStarCertificates::test_edge_star_is_one_cone",),
+    ),
+    (
+        "cone-spokes-from-child-only",
+        "src/spherig/certificates.py",
+        "for a in apex for v in claim.vertices if v != a}",
+        "for a in apex for v in base.vertices}",
+        (
+            "tests/test_certificates.py::TestCone"
+            "::test_two_apex_claim_without_the_apex_edge_rejected",
+        ),
+    ),
+    (
+        "replacement-u-outside-claim",
+        "src/spherig/certificates.py",
+        "        if not subset <= node.graph.vertices:\n"
+        '            fail("U is not a subset of the claim graph\'s vertices")\n',
+        "",
+        (
+            "tests/test_certificates.py::TestReplacement"
+            "::test_first_child_outside_the_claim_raises_at_its_node",
+        ),
+    ),
+    (
         "link-condition-without-ab-bits",
         "src/spherig/complexes.py",
         "(fa & fb) | ab in index",

@@ -30,6 +30,10 @@ def every_claim_is_rigid(cert: Certificate) -> bool:
     )
 
 
+def node_count(cert: Certificate) -> int:
+    return 1 + sum(map(node_count, cert.children))
+
+
 def random_graph(rng: random.Random, n: int, prob: float) -> Graph:
     verts = range(1, n + 1)
     edges = [e for e in combinations(verts, 2) if rng.random() < prob]
@@ -72,11 +76,7 @@ class TestLeaves:
 class TestCone:
     def make(self, base: Graph, d: int, apex: int) -> Certificate:
         return Certificate(
-            graph=cone_graph(base, apex),
-            d=d + 1,
-            rule="Cone",
-            children=(leaf(base, d),),
-            apex=apex,
+            graph=cone_graph(base, apex), d=d + 1, rule="Cone", children=(leaf(base, d),)
         )
 
     def test_cone_over_octahedron(self):
@@ -86,73 +86,67 @@ class TestCone:
         assert not check(self.make(octa_graph().remove_edge(1, 3), 3, 7))
 
     def test_missing_apex_rejected(self):
-        cert = Certificate(
-            graph=cone_graph(octa_graph(), 7),
-            d=4,
-            rule="Cone",
-            children=(leaf(octa_graph(), 3),),
-        )
+        # a claim with no vertex outside the child graph has no apex
+        cert = Certificate(graph=octa_graph(), d=4, rule="Cone", children=(leaf(octa_graph(), 3),))
         with pytest.raises(CertificateError, match="apex"):
             check(cert)
 
     def test_wrong_child_dimension_rejected(self):
         cert = Certificate(
-            graph=cone_graph(octa_graph(), 7),
-            d=4,
-            rule="Cone",
-            children=(leaf(octa_graph(), 4),),
-            apex=7,
+            graph=cone_graph(octa_graph(), 7), d=4, rule="Cone", children=(leaf(octa_graph(), 4),)
         )
         with pytest.raises(CertificateError, match="dimension"):
             check(cert)
 
     def test_claim_must_be_the_cone(self):
+        # the child's graph has a vertex the claim lacks
+        base = union(octa_graph(), Graph((8,), ()))
         cert = Certificate(
-            graph=octa_graph(),
-            d=4,
-            rule="Cone",
-            children=(leaf(octa_graph(), 3),),
-            apex=7,
+            graph=cone_graph(octa_graph(), 7), d=4, rule="Cone", children=(leaf(base, 3),)
         )
         with pytest.raises(CertificateError, match="cone"):
             check(cert)
+
+    def test_two_apex_claim_without_the_apex_edge_rejected(self):
+        # K_A * H joins the apexes to each other too, not only to H
+        claim = cone_graph(cone_graph(octa_graph(), 7), 8)
+        good = Certificate(graph=claim, d=5, rule="Cone", children=(leaf(octa_graph(), 3),))
+        assert check(good)
+        bad = Certificate(
+            graph=claim.remove_edge(7, 8), d=5, rule="Cone", children=(leaf(octa_graph(), 3),)
+        )
+        with pytest.raises(CertificateError, match="not the cone"):
+            check(bad)
 
     def test_error_path_points_at_the_bad_node(self):
         bad_child = Certificate(
             graph=octa_graph(), d=3, rule="RankLeaf", children=(leaf(octa_graph(), 3),)
         )
         cert = Certificate(
-            graph=cone_graph(octa_graph(), 7),
-            d=4,
-            rule="Cone",
-            children=(bad_child,),
-            apex=7,
+            graph=cone_graph(octa_graph(), 7), d=4, rule="Cone", children=(bad_child,)
         )
         with pytest.raises(CertificateError) as err:
             check(cert)
         assert err.value.path == "root.0"
 
     @pytest.mark.parametrize(
-        "claim,apex,match",
+        "claim",
         [
-            (cone_graph(octa_graph(), 7), 1, "already in the child"),
-            (cone_graph(octa_graph(), 7).remove_edge(1, 7), 7, "not the cone"),
-            (union(cone_graph(octa_graph(), 7), Graph((1, 2), [(1, 2)])), 7, "not the cone"),
-            (Graph(range(1, 9), cone_graph(octa_graph(), 7).edges), 7, "not the cone"),
+            cone_graph(octa_graph(), 7).remove_edge(1, 7),
+            union(cone_graph(octa_graph(), 7), Graph((1, 2), [(1, 2)])),
+            Graph(range(1, 9), cone_graph(octa_graph(), 7).edges),
         ],
-        ids=["apex-in-child", "missing-apex-edge", "extra-edge", "extra-vertex"],
+        ids=["missing-apex-edge", "extra-edge", "extra-vertex"],
     )
-    def test_malformed_cone_raises_at_its_node(self, claim, apex, match):
+    def test_malformed_cone_raises_at_its_node(self, claim):
         # the set relations flag exactly the trees that rebuilding the cone
-        # flagged, one level down in a tower at the same node path
+        # flags, one level down at the same node path
         base = octa_graph()
-        assert apex in base.vertices or claim != cone_graph(base, apex)
-        bad = Certificate(graph=claim, d=4, rule="Cone", children=(leaf(base, 3),), apex=apex)
-        tower = Certificate(
-            graph=cone_graph(claim, 9), d=5, rule="Cone", children=(bad,), apex=9
-        )
-        with pytest.raises(CertificateError, match=match) as err:
-            check(tower)
+        assert claim != cone_graph(base, 7)
+        bad = Certificate(graph=claim, d=4, rule="Cone", children=(leaf(base, 3),))
+        top = Certificate(graph=cone_graph(claim, 9), d=5, rule="Cone", children=(bad,))
+        with pytest.raises(CertificateError, match="not the cone") as err:
+            check(top)
         assert err.value.path == "root.0"
 
     @pytest.mark.parametrize("seed", range(10))
@@ -165,6 +159,19 @@ class TestCone:
         base = decide_rigidity(g, d - 1, seed=seed).is_rigid
         coned = decide_rigidity(cone_graph(g, n + 1), d, seed=seed).is_rigid
         assert base == coned
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_iterated_cone_matches_the_engine_on_the_claim(self, seed):
+        # one node over |A| apexes decides what the engine decides for K_A * H
+        rng = random.Random(100 + seed)
+        n, k = rng.randint(4, 8), rng.randint(1, 3)
+        d = k + rng.choice([2, 3])
+        g = random_graph(rng, n, rng.choice([0.5, 0.7, 0.9]))
+        claim = g
+        for apex in range(n + 1, n + k + 1):
+            claim = cone_graph(claim, apex)
+        cert = Certificate(graph=claim, d=d, rule="Cone", children=(leaf(g, d - k),))
+        assert check(cert, seed) == decide_rigidity(claim, d, seed=seed).is_rigid
 
 
 class TestGluing:
@@ -222,18 +229,20 @@ class TestReplacement:
         cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2))
         assert every_claim_is_rigid(cert)
 
-    def test_first_child_must_live_on_u(self):
-        delta = sp.join_spheres(2, 3)
-        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2))
-        shrunk = Certificate(
-            graph=cert.graph,
-            d=5,
+    def test_first_child_outside_the_claim_raises_at_its_node(self):
+        # U, read from the first child, must lie inside the claim's vertices
+        g = complete_graph(range(1, 7))
+        u = frozenset((1, 2, 3, 4, 9))
+        node = Certificate(
+            graph=g,
+            d=4,
             rule="Replacement",
-            children=cert.children,
-            subset=cert.subset - {1},
+            children=(leaf(complete_graph(u), 4), leaf(union(g, complete_graph(u)), 4)),
         )
-        with pytest.raises(CertificateError, match="exactly U"):
-            check(shrunk)
+        top = Certificate(graph=cone_graph(g, 7), d=5, rule="Cone", children=(node,))
+        with pytest.raises(CertificateError, match="U is not a subset") as err:
+            check(top)
+        assert err.value.path == "root.0"
 
     def test_second_child_must_complete_u(self):
         delta = sp.join_spheres(2, 3)
@@ -243,7 +252,6 @@ class TestReplacement:
             d=5,
             rule="Replacement",
             children=(cert.children[0], leaf(cert.graph, 5)),
-            subset=cert.subset,
         )
         with pytest.raises(CertificateError, match="completed"):
             check(wrong)
@@ -260,7 +268,6 @@ class TestReplacement:
                 leaf(complete_graph(range(1, 6)), 4),
                 leaf(union(g.remove_edge(1, 2), complete_graph(u)), 4),
             ),
-            subset=u,
         )
         with pytest.raises(CertificateError, match="subgraph"):
             check(cert)
@@ -276,21 +283,32 @@ class TestStarCertificates:
     def test_vertex_star_is_single_cone(self):
         delta = sp.cross_polytope(4)
         cert = certify_star_rigidity(delta, (1,))
+        (link,) = cert.children
         assert cert.rule == "Cone"
-        assert cert.apex == 1
-        assert cert.children[0].rule == "RankLeaf"
-        assert cert.children[0].d == 3
+        assert cert.graph.vertices - link.graph.vertices == {1}
+        assert (link.rule, link.d) == ("RankLeaf", 3)
         assert check(cert)
 
-    def test_edge_star_is_cone_tower(self):
+    def test_edge_star_is_one_cone(self):
         delta = sp.cross_polytope(5)
         cert = certify_star_rigidity(delta, (1, 3))
-        assert (cert.rule, cert.apex, cert.d) == ("Cone", 3, 5)
-        inner = cert.children[0]
-        assert (inner.rule, inner.apex, inner.d) == ("Cone", 1, 4)
-        assert inner.children[0].d == 3
+        (link,) = cert.children
+        assert (cert.rule, cert.d) == ("Cone", 5)
+        assert cert.graph.vertices - link.graph.vertices == {1, 3}
+        assert (link.rule, link.d, link.children) == ("RankLeaf", 3, ())
         assert check(cert)
         assert every_claim_is_rigid(cert)
+
+    def test_every_star_certificate_of_cross_6_has_at_most_two_nodes(self):
+        delta = sp.cross_polytope(6)
+        checked = 0
+        for size in range(4):
+            for face in sorted(delta.faces_of_dim(size - 1), key=sorted):
+                cert = certify_star_rigidity(delta, face)
+                assert node_count(cert) <= 2, face
+                assert check(cert, seed=checked), face
+                checked += 1
+        assert checked == 1 + 12 + 60 + 160
 
     def test_every_small_face_of_cross_5_passes(self):
         delta = sp.cross_polytope(5)

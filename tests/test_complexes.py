@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import spherig as sp
 from spherig.complexes import SimplicialComplex, as_face
 from spherig.graphs import Graph
-from spherig.harness import DEFAULT_FAMILIES, build_corpus, flip_walk_corpus
+from spherig.harness import flip_walk_corpus
 
 from oracles import (
     brute_contract,
@@ -18,9 +18,6 @@ from oracles import (
     maximal_faces,
     star,
 )
-
-
-SEED = 20260823
 
 
 def octahedron():
@@ -158,16 +155,18 @@ class TestGraphsFromFacets:
     """The complex's graph, link graphs, star graphs and link condition read
     from the facets, against the complexes and the oracle they replace."""
 
-    def test_graph_is_computed_once_and_matches_the_edges(self):
-        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), SEED):
+    def test_graph_is_computed_once_and_matches_the_edges(self, default_corpus):
+        for entry in default_corpus:
             delta = entry.complex
             graph = sp.graph_of(delta)
             assert graph is sp.graph_of(delta)
             assert graph == Graph(delta.vertices, delta.faces_of_dim(1)), entry.name
 
-    def test_link_and_star_graphs_match_the_complexes_on_the_default_corpus(self):
+    def test_link_and_star_graphs_match_the_complexes_on_the_default_corpus(
+        self, default_corpus
+    ):
         checked = 0
-        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), SEED):
+        for entry in default_corpus:
             delta = entry.complex
             for k in range(-1, delta.dim + 1):
                 for face in delta.faces_of_dim(k):
@@ -194,9 +193,9 @@ class TestGraphsFromFacets:
         delta.link_star_graphs([1, 2])
         assert "_face_index" not in vars(delta)
 
-    def test_link_condition_matches_the_intersection_oracle(self):
+    def test_link_condition_matches_the_intersection_oracle(self, default_corpus):
         outcomes = []
-        for entry in build_corpus(DEFAULT_FAMILIES, (4,), SEED):
+        for entry in (e for e in default_corpus if e.d == 4):
             delta = entry.complex
             for a, b in sp.graph_of(delta).sorted_edges():
                 common = intersection(delta.link([a]).facets, delta.link([b]).facets)

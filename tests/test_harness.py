@@ -13,7 +13,6 @@ from spherig.harness import (
     FAIL,
     PASS,
     SKIP,
-    DEFAULT_FAMILIES,
     FAMILIES,
     CheckRecord,
     CorpusEntry,
@@ -164,10 +163,10 @@ class TestMissingFaceLemma:
         assert {r.seed for r in report.records} == {s}
         assert cert_seeds == [s] * len(report.records)
 
-    def test_ranks_equal_the_edge_deletion_ranks_outside_a_memo(self):
+    def test_ranks_equal_the_edge_deletion_ranks_outside_a_memo(self, default_corpus):
         seed, checked = 20260823, 0
         assert spherig.rigidity._known_rigid.get() is None
-        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), seed):
+        for entry in default_corpus:
             report = verify_missing_face_lemma(entry.complex, seed=seed, name=entry.name)
             sub = derive_seed(seed, "missing-face", entry.name)
             ranks = edge_deletion_ranks(graph_of(entry.complex), entry.d, sub)
@@ -228,10 +227,10 @@ class TestContraction:
         with pytest.raises(ValueError, match=re.escape(f"{e} is not an edge")):
             verify_contraction_reduction(sp.cross_polytope(4), e)
 
-    def test_merged_elimination_equals_two_matrices_on_the_d4_corpus(self):
+    def test_merged_elimination_equals_two_matrices_on_the_d4_corpus(self, default_corpus):
         # every edge, qualifying or not, at its own seeded degenerate point
         seed, checked, reordered = 20260823, 0, 0
-        for entry in build_corpus(DEFAULT_FAMILIES, (4,), seed):
+        for entry in (e for e in default_corpus if e.d == 4):
             graph = graph_of(entry.complex)
             for a, b in graph.sorted_edges():
                 g_minus = graph.remove_edge(a, b)
@@ -244,9 +243,9 @@ class TestContraction:
         # every G - ab is read in an attach order other than sorted order
         assert (checked, reordered) == (309, 309)
 
-    def test_every_contraction_record_of_the_d4_suite_replays(self):
+    def test_every_contraction_record_of_the_d4_suite_replays(self, default_corpus):
         config = SuiteConfig(dims=(4,), seed=20260823)
-        corpus = {e.name: e for e in build_corpus(config.families, config.dims, config.seed)}
+        corpus = {e.name: e for e in default_corpus if e.d == 4}
         lines = [
             line
             for line in run_suite(config).machine_format().splitlines()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import spherig as sp
 import spherig.rigidity
 from spherig.graphs import Graph, complete_graph, graph_of
-from spherig.harness import DEFAULT_FAMILIES, build_corpus, verify_negative_control
+from spherig.harness import verify_negative_control
 from spherig.rigidity import (
     DEFAULT_PRIME,
     Embedding,
@@ -236,9 +236,9 @@ class TestAttachOrder:
         edges = spherig.rigidity._attach_order(graph.vertices, graph.edges, d)[1]
         return edges != graph.sorted_edges(), unstressed
 
-    def test_edge_deletion_ranks_match_the_oracle_on_the_d4_corpus(self):
+    def test_edge_deletion_ranks_match_the_oracle_on_the_d4_corpus(self, default_corpus):
         seed, checked, reordered, free = 20260823, 0, 0, 0
-        for entry in build_corpus(DEFAULT_FAMILIES, (4,), seed):
+        for entry in (e for e in default_corpus if e.d == 4):
             graph = graph_of(entry.complex)
             moved, unstressed = self.deletions_against_the_oracle(
                 graph, 4, derive_seed(seed, entry.name)
@@ -429,9 +429,9 @@ class TestAgainstRationalOracle:
 class TestEdgeDeletionRanks:
     SEED = 20260823
 
-    def test_matches_per_edge_decisions_on_the_default_corpus(self):
+    def test_matches_per_edge_decisions_on_the_default_corpus(self, default_corpus):
         checked = 0
-        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), self.SEED):
+        for entry in default_corpus:
             graph = graph_of(entry.complex)
             s = derive_seed(self.SEED, entry.name)
             ranks = edge_deletion_ranks(graph, entry.d, s)
@@ -768,10 +768,10 @@ class TestMemoLearnsFromEdgeDeletions:
         assert closed == set()
         assert spherig.rigidity._known_rigid.get() is None
 
-    def test_ranks_in_a_block_equal_ranks_outside_on_the_default_corpus(self):
+    def test_ranks_in_a_block_equal_ranks_outside_on_the_default_corpus(self, default_corpus):
         # every graph twice in one block: the second call meets a memo that
         # holds the graph and its rigid deletions
-        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), self.SEED):
+        for entry in default_corpus:
             graph = graph_of(entry.complex)
             seeds = [derive_seed(self.SEED, entry.name, k) for k in (1, 2)]
             outside = [edge_deletion_ranks(graph, entry.d, s) for s in seeds]
@@ -846,10 +846,10 @@ class TestRankAtAPoint:
 
     SEED = 20260823
 
-    def test_default_corpus_graphs_and_their_deletions(self):
+    def test_default_corpus_graphs_and_their_deletions(self, default_corpus):
         rng = random.Random(23)
         checked = peeled = exact = 0
-        for entry in build_corpus(DEFAULT_FAMILIES, (4, 5, 6), self.SEED):
+        for entry in default_corpus:
             graph = graph_of(entry.complex)
             s = derive_seed(self.SEED, entry.name)
             for h in [graph] + [graph.remove_edge(a, b) for a, b in graph.sorted_edges()]:
