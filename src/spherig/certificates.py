@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex
-from .graphs import Graph, complete_graph, graph_of, union
+from .graphs import Graph, complete_graph, cone_graph, graph_of, union
 from .rigidity import decide_rigidity, derive_seed
 
 RULES = ("RankLeaf", "CompleteLeaf", "Cone", "Gluing", "Replacement")
@@ -94,8 +94,7 @@ def _check(node: Certificate, seed: int, path: str) -> bool:
         apex = claim.vertices - base.vertices
         if not apex:
             fail("Cone needs an apex outside the child graph")
-        spokes = {frozenset((a, v)) for a in apex for v in claim.vertices if v != a}
-        if not base.vertices <= claim.vertices or claim.edges != base.edges | spokes:
+        if claim != cone_graph(base, *apex):
             fail("claim graph is not the cone over the child graph")
         if child.d != d - len(apex):
             fail(f"Cone child must claim dimension {d - len(apex)}, claims {child.d}")

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, TypeVar
 
-from .graphs import Graph
+from .graphs import Graph, cone_graph
 
 _Node = TypeVar("_Node")
 
@@ -202,14 +202,12 @@ class SimplicialComplex:
 
     def link_star_graphs(self, face: Iterable[int]) -> tuple[Graph, Graph]:
         """The graphs of link(face) and star(face), from the facets F that
-        contain the face: their edges are the pairs of F - face and of F."""
+        contain the face: the link's edges are the pairs of F - face, and the
+        star, the join of the face with its link, has the graph K_face * link."""
         f = as_face(face)
-        star = self._facets_containing(f)
-        link = [g - f for g in star]
-        return (
-            Graph._trusted(frozenset().union(*link), _edges(link)),
-            Graph._trusted(frozenset().union(*star), _edges(star)),
-        )
+        link = [g - f for g in self._facets_containing(f)]
+        link_graph = Graph._trusted(frozenset().union(*link), _edges(link))
+        return link_graph, cone_graph(link_graph, *f)
 
     def link_condition(self, edge: Iterable[int]) -> bool:
         """Whether link(a) and link(b) meet exactly in link(ab), for an edge ab.

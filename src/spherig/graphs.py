@@ -75,12 +75,15 @@ def complete_graph(vertices: Iterable[int]) -> Graph:
     return Graph._trusted(vs, frozenset(frozenset(p) for p in combinations(vs, 2)))
 
 
-def cone_graph(base: Graph, apex: int) -> Graph:
-    """Add a fresh apex joined to every existing vertex."""
-    if apex in base.vertices:
-        raise ValueError(f"apex {apex} already a vertex")
+def cone_graph(base: Graph, *apexes: int) -> Graph:
+    """K_A * base for the apex set A: fresh apexes joined to every vertex of
+    the base and to each other."""
+    apex = frozenset(apexes)
+    if apex & base.vertices:
+        raise ValueError(f"apex {min(apex & base.vertices)} already a vertex")
+    vertices = base.vertices | apex
     return Graph._trusted(
-        base.vertices | {apex}, base.edges | {frozenset((apex, v)) for v in base.vertices}
+        vertices, base.edges | {frozenset((a, v)) for a in apex for v in vertices if v != a}
     )
 
 

@@ -1,21 +1,26 @@
 """Verification harness: runs the rigidity checks over generated corpora.
 
-Six check kinds, each producing per-instance records:
+Five check kinds run on every corpus entry, each producing per-instance
+records:
 
-  minus_edge        every edge deletion of a prime g2>0 sphere graph stays rigid
-  negative_control  stacking then deleting a new edge drops the rank by exactly 1
+  minus_edge        rank of G - e for every edge: the target, or one short where
+                    every prime factor holding the edge is a simplex boundary
   missing_face      edges inside missing faces of dimension 2..d-2: engine + certificate
   contraction       d=4 rank identity rank(G-e) = rank(G of contracted) + 4
   star_rigidity     star graphs of faces with |sigma| <= d-3 are rigid (certificates)
   g2_stress         left-kernel dimension of the rigidity matrix equals g2
+
+A sixth, negative_control (stack over a facet, then delete a new edge: the
+rank falls short by exactly 1), checks one fixed construction on its own.
 
 Each check kind is a generator that yields one outcome per instance; its
 decorator times the outcomes and turns them into records, which carry the
 sub-seed that reproduces them.  A degenerate contraction record takes both
 of its ranks from one elimination (contraction_ranks); the generic record
 decides G - e and the contracted graph apart.  build_corpus alone knows the
-families, the negative controls among them; run_suite runs one loop over
-its entries, each inside its own rigid_verdict_memo.
+families, the negative controls among them, whose stacked spheres run the
+same checks as any other; run_suite runs one loop over its entries, each
+inside its own rigid_verdict_memo.
 The machine report is one tab-separated line per record (check, instance,
 verdict, rank, target, seed), sorted, so equal configurations give
 byte-identical output.
@@ -30,7 +35,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .certificates import certify_missing_face_edge, certify_star_rigidity, check
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, prime_factors
 from .generators import (
     boundary_simplex,
     cross_polytope,
@@ -171,27 +176,40 @@ def verify_minus_edge(
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
-    """Every single-edge deletion must leave the graph d-rigid, d = dim + 1.
+    """The rank of G - e for every edge e of a homology sphere's graph G, in
+    d = dim + 1 >= 4, must be the one its prime factors predict: target - 1
+    when every prime factor that contains e (by vertex set) is a simplex
+    boundary, that is, has d + 1 vertices, and the rigid target otherwise.
 
-    Applies only to prime spheres with positive g2; inputs failing either
-    gate produce a single skip record, not failures.  All edge records of
-    one graph share one sub-seed: one elimination at that seed ranks every
-    deletion.
+    G is d-rigid (Fogelsanger 1988), so R(G - e), R(G) without e's row, has
+    rank target exactly when some stress of G is nonzero on e, and target - 1
+    otherwise.  A connected sum glues its sides' rigid graphs G_1 and G_2
+    along the complete graph K_d on the missing facet's vertices; the union
+    is rigid with rank r_1 + r_2 - C(d,2) (Asimow-Roth 1979), so its stress
+    space has dimension s_1 + s_2.  A stress of either side is one of G, and
+    two that cancel give a stress of K_d, which has none; so S(G) is the
+    direct sum of S(G_1) and S(G_2), and, factor by factor, of the factors'
+    S(G_i).  A factor's graph is induced by its vertex set, so e is stressed
+    in G exactly when it is stressed in some factor that contains it.  A
+    simplex boundary's graph K_{d+1} has no stress.  Any other prime factor
+    is a prime homology sphere with g2 > 0, where the paper's theorem keeps
+    G_i - e rigid: every edge carries a stress of G_i.  A record at the
+    target proves rigidity; a predicted shortfall comes from decide_rigidity
+    and is exact where its rank meets the peeling bound (_rank_bound).
+
+    All edge records of one graph share one sub-seed: one elimination at
+    that seed ranks every deletion.
     """
     if delta.dim < 3:
         raise ValueError("minus-edge verification needs d >= 4")
-    if not delta.is_prime():
-        yield _Outcome(name, SKIP, seed=seed, note="not prime")
-        return
-    if delta.g2() <= 0:
-        yield _Outcome(name, SKIP, seed=seed, note="g2 = 0")
-        return
     d = delta.dim + 1
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
+    factors = [factor.vertices for factor in prime_factors(delta)]
     sub = derive_seed(seed, "minus-edge", name)
     for (a, b), rank in edge_deletion_ranks(graph, d, sub).items():
-        yield _ranked(f"{name}:e={a}-{b}", rank, target, sub)
+        short = all(len(vs) == d + 1 for vs in factors if {a, b} <= vs)
+        yield _ranked(f"{name}:e={a}-{b}", rank, target - short, sub)
 
 
 @_check_kind("negative_control")
@@ -349,7 +367,6 @@ def verify_g2_stress(
 class CorpusEntry:
     name: str
     complex: SimplicialComplex
-    control: bool = False  # a negative control: stacked over, not checked
 
     @property
     def d(self) -> int:
@@ -428,8 +445,10 @@ def _family_entries(family: str, d: int, seed: int) -> Iterator[CorpusEntry]:
         walk = flip_walk_corpus(derive_seed(seed, "corpus-walk"))
         yield from (CorpusEntry(f"flip-walk-{i}", delta) for i, delta in enumerate(walk))
     elif family == "negative-control":
-        yield CorpusEntry(f"control-simplex-d{d}", boundary_simplex(d), control=True)
-        yield CorpusEntry(f"control-cross-d{d}", cross_polytope(d), control=True)
+        # a facet stacked over: the new vertex's d edges are predicted flexible
+        for label, gamma in (("simplex", boundary_simplex(d)), ("cross", cross_polytope(d))):
+            stacked = stack_over_facet(gamma, gamma.sorted_facets()[0], max(gamma.vertices) + 1)
+            yield CorpusEntry(f"control-{label}-d{d}", stacked)
 
 
 def build_corpus(families: Sequence[str], dims: Sequence[int], seed: int) -> list[CorpusEntry]:
@@ -505,29 +524,26 @@ class SuiteConfig:
 def run_suite(config: SuiteConfig) -> Report:
     """Run every applicable check over the configured corpus.
 
-    Each corpus entry, a sphere or a negative control, runs inside its own
-    rigid_verdict_memo, so repeated rigid decisions within the entry reuse
-    one verdict and no memo outlives the entry.  A configuration that yields
-    no record at all is an error.
+    Every corpus entry, the negative controls among them, runs the same
+    checks inside its own rigid_verdict_memo, so repeated rigid decisions
+    within the entry reuse one verdict and no memo outlives the entry.  A
+    configuration that yields no record at all is an error.
     """
     report = Report()
     for entry in build_corpus(config.families, config.dims, config.seed):
         delta = entry.complex
         options = dict(seed=derive_seed(config.seed, entry.name), name=entry.name)
         with rigid_verdict_memo():
-            if entry.control:
-                report.extend(verify_negative_control(delta, **options))
-            else:
-                for verify in (
-                    verify_minus_edge,
-                    verify_missing_face_lemma,
-                    verify_star_rigidity,
-                    verify_g2_stress,
-                ):
-                    report.extend(verify(delta, **options))
-                if entry.d == 4:
-                    for edge in graph_of(delta).sorted_edges():
-                        report.extend(verify_contraction_reduction(delta, edge, **options))
+            for verify in (
+                verify_minus_edge,
+                verify_missing_face_lemma,
+                verify_star_rigidity,
+                verify_g2_stress,
+            ):
+                report.extend(verify(delta, **options))
+            if entry.d == 4:
+                for edge in graph_of(delta).sorted_edges():
+                    report.extend(verify_contraction_reduction(delta, edge, **options))
     if not report.records:
         raise ValueError(
             f"families {', '.join(config.families)} give no complex at dims "

@@ -249,8 +249,8 @@ MUTANTS = [
     (
         "cone-check-without-edge-relation",
         "src/spherig/certificates.py",
-        " or claim.edges != base.edges | spokes",
-        "",
+        "        if claim != cone_graph(base, *apex):\n",
+        "        if not base.vertices <= claim.vertices:\n",
         (
             "tests/test_certificates.py::TestCone"
             "::test_malformed_cone_raises_at_its_node[extra-edge]",
@@ -265,8 +265,8 @@ MUTANTS = [
     ),
     (
         "cone-spokes-from-child-only",
-        "src/spherig/certificates.py",
-        "for a in apex for v in claim.vertices if v != a}",
+        "src/spherig/graphs.py",
+        "for a in apex for v in vertices if v != a}",
         "for a in apex for v in base.vertices}",
         (
             "tests/test_certificates.py::TestCone"
@@ -313,6 +313,26 @@ MUTANTS = [
         '        """All minimal non-faces, sorted by size then lexicographically."""\n'
         "        return self._missing_faces\n",
         ("tests/test_complexes.py::test_missing_faces_list_is_the_callers_own",),
+    ),
+    (
+        "minus-edge-rule-reads-some-factor",
+        "src/spherig/harness.py",
+        "        short = all(len(vs) == d + 1 for vs in factors if {a, b} <= vs)\n",
+        "        short = any(len(vs) == d + 1 for vs in factors if {a, b} <= vs)\n",
+        (
+            "tests/test_harness.py::TestMinusEdge"
+            "::test_stacked_cross_polytope_falls_short_exactly_at_the_new_vertex[4]",
+        ),
+    ),
+    (
+        "minus-edge-simplex-test-one-vertex-off",
+        "src/spherig/harness.py",
+        "        short = all(len(vs) == d + 1 for vs in factors if {a, b} <= vs)\n",
+        "        short = all(len(vs) == d + 2 for vs in factors if {a, b} <= vs)\n",
+        (
+            "tests/test_harness.py::TestMinusEdge"
+            "::test_simplex_boundary_falls_one_short_on_every_edge[4]",
+        ),
     ),
     (
         "empty-report-allowed",

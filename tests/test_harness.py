@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import re
+from math import comb
 
 import pytest
 
@@ -39,7 +40,13 @@ from spherig.rigidity import (
     rigidity_target,
 )
 
-from oracles import intersection, rank_mod_p, rigidity_rows_mod_p, shape_edges
+from oracles import (
+    brute_prime_factors,
+    intersection,
+    rank_mod_p,
+    rigidity_rows_mod_p,
+    shape_edges,
+)
 
 
 class TestReport:
@@ -75,15 +82,15 @@ class TestReport:
         assert text.splitlines()[0].startswith("check")
 
     def test_human_format_says_why_a_record_skipped(self):
-        report = verify_minus_edge(sp.boundary_simplex(4), seed=5, name="simplex-d4")
+        report = verify_missing_face_lemma(sp.cross_polytope(5), seed=5, name="x5")
         report.add(CheckRecord("minus_edge", "cross-d4:e=1-3", PASS, 22, 22, seed=6))
         header, passed, skipped = report.human_format().splitlines()[:3]
         assert header.split() == ["check", "instance", "verdict", "rank", "target", "seed",
                                   "elapsed", "note"]
-        assert skipped.split()[:3] == ["minus_edge", "simplex-d4", "skip"]
-        assert skipped.endswith("  g2 = 0")
+        assert skipped.split()[:3] == ["missing_face", "x5:vacuous", "skip"]
+        assert skipped.endswith("  no missing faces of dimension 2..d-2")
         assert passed.endswith("0.000")  # no note, no trailing blanks
-        assert "g2 = 0" not in report.machine_format()
+        assert "no missing faces" not in report.machine_format()
 
     def test_face_label(self):
         assert face_label((3, 1, 2)) == "1-2-3"
@@ -97,20 +104,40 @@ class TestMinusEdge:
         assert report.count(PASS) == 24
         assert all(r.rank == r.target == 22 for r in report.records)
 
-    def test_non_prime_input_skips(self):
-        stacked = sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9)
-        report = verify_minus_edge(stacked, name="stacked")
-        assert [r.verdict for r in report.records] == [SKIP]
-        assert report.records[0].note == "not prime"
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_simplex_boundary_falls_one_short_on_every_edge(self, d):
+        # K_{d+1} has no stress: every deletion loses its row
+        report = verify_minus_edge(sp.boundary_simplex(d), seed=7, name="s")
+        assert len(report.records) == report.count(PASS) == comb(d + 1, 2)
+        assert {(r.rank, r.target) for r in report.records} == {(comb(d + 1, 2) - 1,) * 2}
 
-    def test_zero_g2_input_skips(self):
-        report = verify_minus_edge(sp.boundary_simplex(4), name="s4")
-        assert [r.verdict for r in report.records] == [SKIP]
-        assert report.records[0].note == "g2 = 0"
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_stacked_cross_polytope_falls_short_exactly_at_the_new_vertex(self, d):
+        # the new vertex's edges lie in the simplex factor only; the stacked
+        # facet's edges lie in the cross-polytope too, which keeps them rigid
+        cross = sp.cross_polytope(d)
+        new = max(cross.vertices) + 1
+        stacked = sp.stack_over_facet(cross, cross.sorted_facets()[0], new)
+        report = verify_minus_edge(stacked, seed=7, name="st")
+        target = rigidity_target(len(stacked.vertices), d)
+        assert report.count(PASS) == len(report.records) == len(graph_of(stacked).edges)
+        short = {r.instance for r in report.records if r.target == target - 1}
+        assert short == {f"st:e={u}-{new}" for u in cross.sorted_facets()[0]}
+        assert all(r.target == target for r in report.records if r.instance not in short)
 
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
             verify_minus_edge(sp.cross_polytope(3))
+
+    def test_every_octahedron_deletion_is_flexible_which_is_why_d3_is_rejected(self):
+        # a 2-sphere has f1 = 3n - 6, the rigid target in d = 3, so G has no
+        # stress and every G - e is flexible, though the octahedron is prime
+        # and not a simplex boundary: the rule needs d >= 4
+        octahedron = sp.cross_polytope(3)
+        graph = graph_of(octahedron)
+        target = rigidity_target(len(graph.vertices), 3)
+        assert octahedron.is_prime() and len(graph.edges) == target == 12
+        assert set(edge_deletion_ranks(graph, 3, seed=7).values()) == {target - 1}
 
     def test_records_carry_reproducing_seed(self):
         report = verify_minus_edge(sp.cross_polytope(4), seed=3, name="x4")
@@ -300,15 +327,16 @@ class TestCorpus:
 
     def test_negative_controls_are_entries_of_their_own_family(self):
         entries = build_corpus(("negative-control", "simplex"), (4, 5), seed=0)
-        assert [(e.name, e.control) for e in entries] == [
-            ("control-simplex-d4", True),
-            ("control-cross-d4", True),
-            ("control-simplex-d5", True),
-            ("control-cross-d5", True),
-            ("simplex-d4", False),
-            ("simplex-d5", False),
+        assert [e.name for e in entries] == [
+            "control-simplex-d4",
+            "control-cross-d4",
+            "control-simplex-d5",
+            "control-cross-d5",
+            "simplex-d4",
+            "simplex-d5",
         ]
-        assert entries[1].complex == sp.cross_polytope(4)
+        # the first facet of cross_polytope(4) is {1, 3, 5, 7}
+        assert entries[1].complex == sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9)
 
     def test_build_corpus_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
@@ -363,14 +391,7 @@ class TestRunSuite:
         total = report.count(PASS) + report.count(FAIL) + report.count(SKIP)
         assert total == len(report.records)
         checks = {r.check for r in report.records}
-        assert checks == {
-            "minus_edge",
-            "missing_face",
-            "star_rigidity",
-            "g2_stress",
-            "contraction",
-            "negative_control",
-        }
+        assert checks == {"minus_edge", "missing_face", "star_rigidity", "g2_stress", "contraction"}
 
     def test_suite_is_deterministic(self, small_config):
         assert run_suite(small_config).machine_format() == run_suite(
@@ -411,42 +432,49 @@ class TestRunSuite:
         assert len(kept) == len(corpus)
         assert len({id(memo) for memo in kept}) == len(kept)
         # each memo held rigid shapes only, each decoded back into a graph and
-        # decided afresh; a control decides flexible graphs only, so its memo
-        # stays empty
+        # decided afresh; a control's stacked sphere is rigid, so its memo
+        # holds shapes too
         for entry, memo in zip(corpus, kept):
-            if entry.control:
-                assert memo == set(), entry.name
-            else:
-                assert memo and all(
-                    decide_rigidity(Graph(range(n), shape_edges(n, mask)), d, seed=1).is_rigid
-                    for d, n, mask in memo
-                )
-        assert [e.control for e in corpus] == [False, True, True]
+            assert memo and all(
+                decide_rigidity(Graph(range(n), shape_edges(n, mask)), d, seed=1).is_rigid
+                for d, n, mask in memo
+            ), entry.name
+        assert [e.name for e in corpus] == ["cross-d4", "control-simplex-d4", "control-cross-d4"]
 
     def test_control_records_equal_the_negative_control_at_dims_4_to_6(self):
+        # the minus_edge records at each control's new vertex give the ranks
+        # and targets of verify_negative_control over the sphere it stacked
         seed = 20260823
         config = SuiteConfig(families=("negative-control",), dims=(4, 5, 6), seed=seed)
-        expected = Report()
+        report = run_suite(config)
+        assert report.ok
+        expected, got = {}, {}
         for d in (4, 5, 6):
             for label, gamma in (
                 (f"control-simplex-d{d}", sp.boundary_simplex(d)),
                 (f"control-cross-d{d}", sp.cross_polytope(d)),
             ):
-                expected.extend(
-                    verify_negative_control(gamma, seed=derive_seed(seed, label), name=label)
+                for r in verify_negative_control(gamma, seed=seed, name=label).records:
+                    expected[r.instance] = (r.verdict, r.rank, r.target)
+                new = f"-{max(gamma.vertices) + 1}"
+                got.update(
+                    (r.instance, (r.verdict, r.rank, r.target))
+                    for r in report.records
+                    if r.check == "minus_edge" and r.instance.startswith(label + ":")
+                    and r.instance.endswith(new)
                 )
-        assert len(expected.records) == 2 * (4 + 5 + 6)
-        assert run_suite(config).machine_format() == expected.machine_format()
+        assert len(expected) == 2 * (4 + 5 + 6)
+        assert got == expected
 
     def test_machine_report_digest_is_pinned(self):
-        # Every family at d = 4: 1,057 records of all six check kinds.  A
+        # Every family at d = 4: 1,181 records of the five check kinds.  A
         # change that alters the report's bytes on purpose updates the digest
         # and says why.
         config = SuiteConfig(families=FAMILIES, dims=(4,), seed=20260823)
         report = run_suite(config).machine_format()
-        assert len(report.splitlines()) == 1057
+        assert len(report.splitlines()) == 1181
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "2ecc92c85d0e8baa8123afa62fb17211b698a4323cdb0182878c2d8d9c2c8219"
+            "88503d3383a55739cd6868fb1336901c9c2d577a3a212609b5c892d5ce71cc6c"
         )
 
     def test_default_suite_builds_473_matrices_of_7697_rows(self, monkeypatch):
@@ -488,7 +516,6 @@ SEED_LABELS = {
     "star_rigidity": "star",
     "g2_stress": "g2-stress",
     "contraction": "contraction",
-    "negative_control": "negative-control",
 }
 
 
@@ -512,8 +539,8 @@ def scheme_seed(kind: str, instance: str, suite_seed: int) -> int:
 def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
     """Recompute a machine line from its check, instance and seed fields.
 
-    Uses only the corpus and the public API, following the per-kind recipe
-    in the README.
+    Uses only the corpus, the public API and the prime-factor oracle,
+    following the per-kind recipe in the README.
     """
     kind, instance, _, _, _, seed_text = line.split("\t")
     seed = int(seed_text)
@@ -535,11 +562,6 @@ def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
         return "\t".join([kind, instance, verdict, "-", "-", seed_text])
 
     delta, d = corpus[name].complex, corpus[name].d
-    if kind == "negative_control":
-        u, v_new = pair(fields["e"])
-        graph = graph_of(sp.stack_over_facet(delta, delta.sorted_facets()[0], v_new))
-        rank = decide_rigidity(graph.remove_edge(u, v_new), d, seed=seed).rank
-        return ranked(rank, rigidity_target(len(graph.vertices), d) - 1)
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     if kind == "g2_stress":
@@ -548,10 +570,11 @@ def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
         ok = check(certify_star_rigidity(delta, face(fields["s"])), seed)
         return plain(PASS if ok else FAIL)
     if kind == "minus_edge":
-        if "e" not in fields:
-            return plain(SKIP if not delta.is_prime() or delta.g2() <= 0 else FAIL)
-        rank = decide_rigidity(graph.remove_edge(*pair(fields["e"])), d, seed=seed).rank
-        return ranked(rank, target)
+        edge = pair(fields["e"])
+        rank = decide_rigidity(graph.remove_edge(*edge), d, seed=seed).rank
+        holding = [f for f in brute_prime_factors(delta.facets, d) if set(edge) <= set().union(*f)]
+        flexible = all(len(set().union(*f)) == d + 1 for f in holding)
+        return ranked(rank, target - flexible)
     if kind == "missing_face":
         if parts == ["vacuous"]:
             qualifying = [f for f in delta.missing_faces() if 3 <= len(f) <= d - 1]
