@@ -15,6 +15,14 @@ computed at most once, on first use, and kept on the instance:
 
 Face enumeration, links and the graphs of links and stars scan the facet
 list and do not build the index: a link is usually read once.
+
+The public constructor, and so `from_facets`, `textio.parse_facets`,
+`relabel` and `contract_edge`, checks every label and drops dominated
+faces.  Builders whose faces are already checked labels and already an
+antichain (`link`, `join`, the pieces of `prime_factors`, and the flips,
+stackings and polytope boundaries of `generators`) go through
+`SimplicialComplex._trusted` instead, which checks nothing; a builder that
+brings in a new label checks that one label first.
 """
 
 from __future__ import annotations
@@ -94,6 +102,32 @@ class SimplicialComplex:
         if not normalized:
             raise ValueError("a simplicial complex needs at least one face")
         self.facets: frozenset[frozenset[int]] = _maximal(normalized)
+
+    @classmethod
+    def _trusted(cls, facets: Iterable[frozenset[int]]) -> "SimplicialComplex":
+        """A complex from faces known to be valid, without checking them.
+
+        The faces must be frozensets of labels that were checked already, and
+        must form a non-empty antichain; each caller holds that by its own
+        construction:
+
+        - `link(f)`: each g - f comes from a distinct facet g containing f,
+          and g - f <= h - f would give g <= h;
+        - `join`: on disjoint vertex sets f | g <= f' | g' needs f <= f' and
+          g <= g', so it holds only for the same pair;
+        - `bistellar_flip` and `stack_over_facet`: the new faces share one
+          size, and each holds face_in (a fresh vertex in a 0-flip or a
+          stacking), which no kept facet holds; a kept facet inside a new
+          face would miss a vertex of face_in, so it would lie strictly
+          inside a facet of the old star;
+        - `cyclic_polytope_boundary` and `boundary_simplex`: distinct faces
+          of one size;
+        - a piece of `prime_factors`: facets of a pseudomanifold, all of the
+          missing facet sigma's size, so none contains sigma or lies in it.
+        """
+        out = object.__new__(cls)
+        out.facets = frozenset(facets)
+        return out
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -198,7 +232,7 @@ class SimplicialComplex:
     def link(self, face: Iterable[int]) -> "SimplicialComplex":
         """Link of a face: all faces disjoint from it that extend it to a face."""
         f = as_face(face)
-        return SimplicialComplex(g - f for g in self._facets_containing(f))
+        return SimplicialComplex._trusted(g - f for g in self._facets_containing(f))
 
     def link_star_graphs(self, face: Iterable[int]) -> tuple[Graph, Graph]:
         """The graphs of link(face) and star(face), from the facets F that
@@ -344,7 +378,7 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
     if left.vertices & right.vertices:
         clash = sorted(left.vertices & right.vertices)
         raise ValueError(f"join requires disjoint vertex sets, shared: {clash}")
-    return SimplicialComplex(f | g for f in left.facets for g in right.facets)
+    return SimplicialComplex._trusted(f | g for f in left.facets for g in right.facets)
 
 
 def prime_factors(delta: SimplicialComplex) -> list[SimplicialComplex]:
@@ -379,8 +413,6 @@ def prime_factors(delta: SimplicialComplex) -> list[SimplicialComplex]:
     factors: list[SimplicialComplex] = []
     for comp in sorted(components, key=min):
         keep = comp | sigma
-        piece = SimplicialComplex(
-            [f for f in delta.facets if f <= keep] + [sigma]
-        )
+        piece = SimplicialComplex._trusted([f for f in delta.facets if f <= keep] + [sigma])
         factors.extend(prime_factors(piece))
     return factors

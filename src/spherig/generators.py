@@ -21,10 +21,7 @@ def boundary_simplex(d: int) -> SimplicialComplex:
     """Boundary of the d-simplex on vertices 1..d+1."""
     if d < 1:
         raise ValueError("boundary_simplex needs d >= 1")
-    verts = range(1, d + 2)
-    return SimplicialComplex(
-        frozenset(c) for c in combinations(verts, d)
-    )
+    return SimplicialComplex._trusted(map(frozenset, combinations(range(1, d + 2), d)))
 
 
 def cross_polytope(d: int) -> SimplicialComplex:
@@ -110,7 +107,7 @@ def cyclic_polytope_boundary(n: int, d: int) -> SimplicialComplex:
     facets: list[frozenset[int]] = []
     for a in range(d, -1, -1):  # the initial run 1..a, longest first
         _gale_runs(n, a + 2, d - a, list(range(1, a + 1)), facets)
-    return SimplicialComplex(facets)
+    return SimplicialComplex._trusted(facets)
 
 
 def _gale_runs(
@@ -134,6 +131,7 @@ def stack_over_facet(
     delta: SimplicialComplex, facet: Iterable[int], v_new: int
 ) -> SimplicialComplex:
     """Replace a facet by the cone from a fresh vertex over its boundary."""
+    as_face([v_new])  # the one new label; every other face is already checked
     f = as_face(facet)
     if f not in delta.facets:
         raise ValueError(f"{sorted(f)} is not a facet")
@@ -141,7 +139,7 @@ def stack_over_facet(
         raise ValueError(f"label {v_new} already in use")
     new_facets = [g for g in delta.facets if g != f]
     new_facets.extend((f - {x}) | {v_new} for x in f)
-    return SimplicialComplex(new_facets)
+    return SimplicialComplex._trusted(new_facets)
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def legal_flips(delta: SimplicialComplex) -> list[FlipMove]:
 
 def bistellar_flip(delta: SimplicialComplex, move: FlipMove) -> SimplicialComplex:
     """Apply a bistellar move, replacing star(face_out) by its complementary join."""
-    out, inn = move.face_out, move.face_in
+    out, inn = move.face_out, as_face(move.face_in)  # a 0-flip's label is new
     if not delta.has_face(out):
         raise ValueError(f"face_out {sorted(out)} is not a face")
     link = delta.link(out)
@@ -211,7 +209,7 @@ def bistellar_flip(delta: SimplicialComplex, move: FlipMove) -> SimplicialComple
             raise ValueError("0-flip needs a single fresh vertex as face_in")
     keep = [f for f in delta.facets if not out <= f]
     keep.extend((out - {x}) | inn for x in out)
-    return SimplicialComplex(keep)
+    return SimplicialComplex._trusted(keep)
 
 
 def random_flip_walk(

@@ -249,11 +249,30 @@ MUTANTS = [
     (
         "cone-check-without-edge-relation",
         "src/spherig/certificates.py",
-        "        if claim != cone_graph(base, *apex):\n",
-        "        if not base.vertices <= claim.vertices:\n",
+        "            and base.edges <= claim.edges\n"
+        "            and len(spokes) == k * (k - 1) // 2 + k * len(base.vertices)\n"
+        "            and not any(e.isdisjoint(apex) for e in spokes)\n",
+        "",
         (
             "tests/test_certificates.py::TestCone"
             "::test_malformed_cone_raises_at_its_node[extra-edge]",
+        ),
+    ),
+    (
+        "cone-check-by-edge-count-alone",
+        "src/spherig/certificates.py",
+        "            and not any(e.isdisjoint(apex) for e in spokes)\n",
+        "",
+        ("tests/test_certificates.py::TestCone::test_spoke_swapped_for_a_base_edge_rejected",),
+    ),
+    (
+        "cone-check-without-spoke-count",
+        "src/spherig/certificates.py",
+        "            and len(spokes) == k * (k - 1) // 2 + k * len(base.vertices)\n",
+        "",
+        (
+            "tests/test_certificates.py::TestCone"
+            "::test_malformed_cone_raises_at_its_node[missing-apex-edge]",
         ),
     ),
     (
@@ -268,10 +287,7 @@ MUTANTS = [
         "src/spherig/graphs.py",
         "for a in apex for v in vertices if v != a}",
         "for a in apex for v in base.vertices}",
-        (
-            "tests/test_certificates.py::TestCone"
-            "::test_two_apex_claim_without_the_apex_edge_rejected",
-        ),
+        ("tests/test_graphs.py::TestBuilders::test_cone_graph_over_two_apexes_joins_them_too",),
     ),
     (
         "replacement-u-outside-claim",
@@ -370,6 +386,27 @@ MUTANTS = [
             "tests/test_complexes.py::TestConstruction"
             "::test_face_dominated_only_by_a_larger_face_listed_after_its_size_class",
         ),
+    ),
+    (
+        "stack-new-label-unchecked",
+        "src/spherig/generators.py",
+        "    as_face([v_new])  # the one new label; every other face is already checked\n",
+        "",
+        ("tests/test_generators.py::TestStackAndSum::test_stack_rejects_a_negative_new_label",),
+    ),
+    (
+        "zero-flip-new-label-unchecked",
+        "src/spherig/generators.py",
+        "    out, inn = move.face_out, as_face(move.face_in)",
+        "    out, inn = move.face_out, move.face_in",
+        ("tests/test_generators.py::TestFlips::test_zero_flip_rejects_a_negative_new_label",),
+    ),
+    (
+        "prime-factor-without-the-missing-facet",
+        "src/spherig/complexes.py",
+        " + [sigma])",
+        ")",
+        ("tests/test_complexes.py::TestPrimeFactors::test_single_stacking",),
     ),
     (
         "legal-flips-without-purity-check",

@@ -118,6 +118,16 @@ class TestCone:
         with pytest.raises(CertificateError, match="not the cone"):
             check(bad)
 
+    def test_spoke_swapped_for_a_base_edge_rejected(self):
+        # the claim has K_A * H's edge count and holds H, but one spoke is
+        # traded for an edge between two base vertices
+        good = cone_graph(octa_graph(), 7)
+        claim = union(good.remove_edge(1, 7), Graph((1, 2), [(1, 2)]))
+        assert len(claim.edges) == len(good.edges)
+        cert = Certificate(graph=claim, d=4, rule="Cone", children=(leaf(octa_graph(), 3),))
+        with pytest.raises(CertificateError, match="not the cone"):
+            check(cert)
+
     def test_error_path_points_at_the_bad_node(self):
         bad_child = Certificate(
             graph=octa_graph(), d=3, rule="RankLeaf", children=(leaf(octa_graph(), 3),)

@@ -13,6 +13,7 @@ from oracles import (
     brute_prime_factors,
     closure,
     cone,
+    connected_sum,
     f_vector,
     intersection,
     maximal_faces,
@@ -64,6 +65,59 @@ class TestConstruction:
         delta = SimplicialComplex.from_facets([(7,)])
         assert delta.dim == 0
         assert delta.vertices == frozenset({7})
+
+
+class TestTrustedConstructor:
+    """Every builder that skips the checks gives the complex the checked
+    constructor gives from the same faces: valid labels, no dominated face."""
+
+    @staticmethod
+    def assert_checked_agrees(delta):
+        if delta.facets == {frozenset()}:  # the link of a facet has no vertex to list
+            assert SimplicialComplex(delta.facets) == delta
+        else:
+            assert SimplicialComplex.from_facets(delta.facets) == delta
+
+    def test_generators(self):
+        built = [sp.boundary_simplex(d) for d in range(1, 7)]
+        built += [sp.cross_polytope(d) for d in range(2, 6)]
+        built += [sp.join_spheres(2, 3), sp.join_simplex_cycle(5, 6)]
+        built += [sp.cyclic_polytope_boundary(n, d) for d in (2, 3, 4, 5) for n in range(d + 1, 11)]
+        for delta in built:
+            self.assert_checked_agrees(delta)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flip_walks_and_the_links_of_each_step(self, seed):
+        for delta in sp.random_flip_walk(sp.cross_polytope(4), 12, seed=seed):
+            self.assert_checked_agrees(delta)
+            for k in range(-1, delta.dim + 1):
+                for face in delta.faces_of_dim(k):
+                    self.assert_checked_agrees(delta.link(face))
+
+    def test_every_legal_flip_of_a_walk_sphere(self):
+        delta = sp.random_flip_walk(sp.cross_polytope(4), 6, seed=2)[-1]
+        for move in sp.legal_flips(delta):
+            self.assert_checked_agrees(sp.bistellar_flip(delta, move))
+
+    def test_stackings_and_their_prime_factors(self):
+        for d in (3, 4, 5):
+            delta = sp.cross_polytope(d)
+            for step in range(4):
+                facet = delta.sorted_facets()[step]
+                delta = sp.stack_over_facet(delta, facet, max(delta.vertices) + 1)
+                self.assert_checked_agrees(delta)
+            factors = sp.prime_factors(delta)
+            assert len(factors) == 5
+            for factor in factors:
+                self.assert_checked_agrees(factor)
+
+    def test_prime_factors_of_a_connected_sum(self):
+        facets = sp.cross_polytope(4).facets
+        summed = SimplicialComplex(connected_sum(facets, (1, 3, 5, 7), facets, (2, 4, 6, 8)))
+        factors = sp.prime_factors(summed)
+        assert len(factors) == 2
+        for factor in factors:
+            self.assert_checked_agrees(factor)
 
 
 class TestBasicQueries:

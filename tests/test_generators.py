@@ -206,6 +206,10 @@ class TestStackAndSum:
         with pytest.raises(ValueError, match="already in use"):
             sp.stack_over_facet(delta, (1, 3, 5, 7), 8)
 
+    def test_stack_rejects_a_negative_new_label(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sp.stack_over_facet(sp.boundary_simplex(4), (1, 2, 3, 4), -1)
+
     def test_sum_of_simplex_boundaries_is_a_stacking(self):
         s = sp.boundary_simplex(4)
         summed = connected_sum(s.facets, (1, 2, 3, 4), s.facets, (1, 2, 3, 4))
@@ -292,6 +296,11 @@ class TestFlips:
             sp.bistellar_flip(delta, FlipMove(frozenset({1, 2}), frozenset({3, 4, 5})))
         with pytest.raises(ValueError, match="fresh"):
             sp.bistellar_flip(delta, FlipMove(frozenset({1, 2, 3, 4}), frozenset({5})))
+
+    def test_zero_flip_rejects_a_negative_new_label(self):
+        move = FlipMove(frozenset({1, 2, 3, 4}), frozenset({-3}))
+        with pytest.raises(ValueError, match="non-negative"):
+            sp.bistellar_flip(sp.boundary_simplex(4), move)
 
     def test_impure_complex_rejected(self):
         impure = SimplicialComplex.from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 3)])

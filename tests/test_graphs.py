@@ -81,6 +81,12 @@ class TestBuilders:
         assert sum(9 in e for e in g.edges) == 3
         assert frozenset((9, 2)) in g.edges
 
+    def test_cone_graph_over_two_apexes_joins_them_too(self):
+        g = cone_graph(path_graph(3), 8, 9)
+        assert frozenset((8, 9)) in g.edges
+        assert len(g.edges) == 2 + 1 + 2 * 3
+        assert g == cone_graph(cone_graph(path_graph(3), 8), 9)
+
     def test_cone_graph_apex_collision_rejected(self):
         with pytest.raises(ValueError):
             cone_graph(path_graph(3), 2)
