@@ -8,16 +8,11 @@ pseudomanifolds and reject any other complex with exit 2.  `g2`, `prime`
 and `decompose` take the rigidity dimension d = dim + 1 from their input;
 only `rigid` asks for it (`--dim`), because a graph does not fix it.
 `rigid` takes the graph of any complex, with any number of vertices, and
-compares its rank with the one rigid rank for that size: C(n,2) on at most
-d+1 vertices, d*n - C(d+1,2) on more, at up to DEFAULT_TRIALS random points.
-It stops early at the rank cap or at decide_rigidity's peeling bound, where a
-shortfall is exact; the `trials=` field of its line is that budget, not the
-number of points drawn.  At each point the same peel adds the degree of
-every peeled vertex whose edge directions are independent there, and only
-the core is eliminated, until its rank reaches the cap; the rank is the full
-matrix's rank at that point either way.  The elimination reads rows and
-columns in attach order (each vertex's edges back to vertices placed before
-it), which changes how much it reads, never the rank.
+prints one line, `rigid= rank= target= stress= trials= seed=`: the rank
+decide_rigidity finds, the rigid rank for that size, and the edge count
+minus the rank.  `trials=` is the budget of random points, not the number
+drawn.  It exits 0 when the graph is rigid and 1 when not; rigidity.py
+gives when a decision stops early and why its rank is exact.
 
 The seed is `--seed` when given, else the config file's `seed`, else 0.
 No environment variable is read.

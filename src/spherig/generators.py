@@ -153,7 +153,9 @@ class FlipMove:
 
 def _is_simplex_boundary(link: SimplicialComplex) -> frozenset[int] | None:
     """If the complex is the boundary of a simplex on its vertices, return them."""
-    verts = link.vertices
+    # not the cached link.vertices: legal_flips reads each link once, and a
+    # cached_property's first read takes a lock on Python 3.11
+    verts = frozenset().union(*link.facets)
     if not verts:
         # the (-1)-complex is the boundary of a point; signalled by empty set
         return frozenset() if link.facets == frozenset({frozenset()}) else None

@@ -40,13 +40,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
-    def restrict(self, subset: Iterable[int]) -> "Graph":
-        """Induced subgraph on a subset of the vertices."""
-        keep = frozenset(subset)
-        if not keep <= self.vertices:
-            raise ValueError("restriction set is not a subset of the vertices")
-        return Graph._trusted(keep, frozenset(e for e in self.edges if e <= keep))
-
     def remove_edge(self, a: int, b: int) -> "Graph":
         e = frozenset((a, b))
         if e not in self.edges:

@@ -28,8 +28,8 @@ columns leaves the rank alone, so no value depends on the order; only the
 work does.
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring), and
-contraction_ranks gives the ranks of G - ab and of G/ab at a point that
-merges a and b from one elimination too.  Inside rigid_verdict_memo
+contraction_ranks gives the ranks of G - ab and of G/ab at a random point
+moved to merge a and b, from one elimination too.  Inside rigid_verdict_memo
 decide_rigidity and edge_deletion_ranks record the shapes of the graphs they
 find rigid (the graph relabelled 0..n-1 in sorted vertex order, with d), and
 decide_rigidity answers a graph that contains a recorded shape on the same
@@ -413,11 +413,10 @@ def decide_rigidity(
     return RigidityVerdict(best, target, is_rigid, trials, f1 - best)
 
 
-def contraction_ranks(
-    graph: Graph, a: int, b: int, embedding: Embedding
-) -> tuple[int, int]:
-    """(rank R(G - ab), rank R(G/ab)) at an embedding that puts a and b at one
-    point, from one elimination; graph is G - ab.
+def contraction_ranks(graph: Graph, a: int, b: int, d: int, seed: int) -> tuple[int, int]:
+    """(rank R(G - ab), rank R(G/ab)) in dimension d at
+    random_embedding(graph, d, seed) with b moved onto a's point, from one
+    elimination; graph is G - ab.
 
     G/ab merges a and b into one vertex at their common point.  Change the
     velocity variables by v_b = v_a + w, which is invertible: b's column
@@ -445,18 +444,15 @@ def contraction_ranks(
     """
     if a == b or not {a, b} <= graph.vertices:
         raise ValueError(f"({a}, {b}) are not two vertices of the graph")
-    missing = graph.vertices - embedding.coords.keys()
-    if missing:
-        raise ValueError(f"embedding lacks coordinates for vertices {sorted(missing)}")
-    if embedding.coords[a] != embedding.coords[b]:
-        raise ValueError(f"the embedding puts {a} and {b} at different points")
-    d = embedding.d
+    coords = dict(random_embedding(graph, d, seed).coords)
+    coords[b] = coords[a]
+    phi = Embedding(d, coords)
     blocks, edges = _attach_order(graph.vertices, graph.edges, d)
     order = [v for v in blocks if v != b] + [b]
     ia, split = order.index(a) * d, d * len(order) - d
     rows = (
         row[:ia] + row[-d:] + row[ia + d :] if b in edge else row
-        for edge, row in zip(edges, _matrix_rows(edges, order, embedding))
+        for edge, row in zip(edges, _matrix_rows(edges, order, phi))
     )
     cap = min(len(edges), rigidity_target(len(order), d))
     pivots = _echelon(rows, d * len(order), cap)[0]

@@ -177,13 +177,11 @@ MUTANTS = [
         ),
     ),
     (
-        "contraction-without-coverage-check",
+        "contraction-point-not-merged",
         RIGIDITY,
-        "    missing = graph.vertices - embedding.coords.keys()\n"
-        "    if missing:\n"
-        '        raise ValueError(f"embedding lacks coordinates for vertices {sorted(missing)}")\n',
+        "    coords[b] = coords[a]\n",
         "",
-        ("tests/test_rigidity.py::TestContractionRanks::test_embedding_must_cover_vertices",),
+        ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
     ),
     (
         "echelon-stops-one-pivot-early",
@@ -348,6 +346,16 @@ MUTANTS = [
         (
             "tests/test_harness.py::TestMinusEdge"
             "::test_simplex_boundary_falls_one_short_on_every_edge[4]",
+        ),
+    ),
+    (
+        "negative-control-keeps-the-old-top-vertex",
+        "src/spherig/harness.py",
+        '    new = f"-{max(stacked.vertices)}"\n',
+        '    new = f"-{max(gamma.vertices)}"\n',
+        (
+            "tests/test_harness.py::TestNegativeControl"
+            "::test_records_are_the_suites_control_records[simplex-d4]",
         ),
     ),
     (

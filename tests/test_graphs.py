@@ -32,14 +32,6 @@ class TestGraph:
         g = Graph({1, 2, 3}, [(3, 1), (1, 2)])
         assert g.sorted_edges() == [(1, 2), (1, 3)]
 
-    def test_restrict(self):
-        g = complete_graph(range(1, 6))
-        assert g.restrict({1, 2, 3}) == complete_graph(range(1, 4))
-
-    def test_restrict_outside_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            path_graph(3).restrict({2, 9})
-
     def test_add_edges_and_remove_edge(self):
         g = path_graph(4)
         grown = Graph(g.vertices, [*g.edges, (1, 4)])
@@ -103,7 +95,6 @@ class TestBuilders:
         built = [
             g,
             g.remove_edge(1, 3),
-            g.restrict({1, 3, 5, 8}),
             complete_graph(range(1, 7)),
             cone_graph(g, 9),
             union(g, complete_graph((1, 2, 11))),
@@ -119,7 +110,5 @@ class TestBuilders:
             complete_graph(range(1, 4)).remove_edge(1, 5)
         with pytest.raises(ValueError, match="already a vertex"):
             cone_graph(complete_graph(range(1, 4)), 3)
-        with pytest.raises(ValueError, match="not a subset"):
-            complete_graph(range(1, 4)).restrict({1, 9})
         with pytest.raises(ValueError, match="two distinct endpoints"):
             Graph({1, 2}, [(1, 2, 3)])

@@ -31,7 +31,6 @@ from spherig.harness import (
     verify_star_rigidity,
 )
 from spherig.rigidity import (
-    Embedding,
     contraction_ranks,
     decide_rigidity,
     derive_seed,
@@ -149,15 +148,32 @@ class TestMinusEdge:
 
 
 class TestNegativeControl:
-    def test_simplex_control(self):
-        report = verify_negative_control(sp.boundary_simplex(4), seed=1, name="s4")
-        assert len(report.records) == 4  # one per edge at the fresh vertex
-        assert report.count(PASS) == 4
-        assert all(r.rank == r.target == 13 for r in report.records)
+    SEED = 20260823
 
-    def test_cross_control(self):
-        report = verify_negative_control(sp.cross_polytope(4), seed=1, name="x4")
-        assert report.count(PASS) == len(report.records) == 4
+    @pytest.fixture(scope="class")
+    def suite(self):
+        config = SuiteConfig(families=("negative-control",), dims=(4, 5, 6), seed=self.SEED)
+        return {r.instance: r for r in run_suite(config).records if r.check == "minus_edge"}
+
+    @pytest.mark.parametrize(
+        "label,d",
+        [(label, d) for label in ("simplex", "cross") for d in (4, 5, 6)],
+        ids=lambda v: f"d{v}" if isinstance(v, int) else v,
+    )
+    def test_records_are_the_suites_control_records(self, suite, label, d):
+        # one record per edge at the stacked vertex, each one short of the
+        # rigid target, and each the suite's record for its entry
+        gamma = {"simplex": sp.boundary_simplex, "cross": sp.cross_polytope}[label](d)
+        name, new = f"control-{label}-d{d}", max(gamma.vertices) + 1
+        report = verify_negative_control(gamma, seed=derive_seed(self.SEED, name), name=name)
+        facet = sorted(gamma.sorted_facets()[0])
+        assert [r.instance for r in report.records] == [f"{name}:e={u}-{new}" for u in facet]
+        assert report.count(PASS) == len(report.records) == d
+        for r in report.records:
+            assert r.target == rigidity_target(len(gamma.vertices) + 1, d) - 1
+            expected = suite[r.instance]
+            got = (r.verdict, r.rank, r.target, r.seed)
+            assert got == (expected.verdict, expected.rank, expected.target, expected.seed)
 
 
 class TestMissingFaceLemma:
@@ -261,8 +277,9 @@ class TestContraction:
             graph = graph_of(entry.complex)
             for a, b in graph.sorted_edges():
                 g_minus = graph.remove_edge(a, b)
-                coords = degenerate_point(g_minus, a, b, derive_seed(seed, entry.name, a, b))
-                merged = contraction_ranks(g_minus, a, b, Embedding(4, coords))
+                point_seed = derive_seed(seed, entry.name, a, b)
+                coords = degenerate_point(g_minus, a, b, point_seed)
+                merged = contraction_ranks(g_minus, a, b, 4, point_seed)
                 assert merged == two_matrix_ranks(entry.complex, a, b, coords), (entry.name, a, b)
                 checked += 1
                 attached = spherig.rigidity._attach_order(g_minus.vertices, g_minus.edges, 4)[1]
@@ -440,31 +457,6 @@ class TestRunSuite:
                 for d, n, mask in memo
             ), entry.name
         assert [e.name for e in corpus] == ["cross-d4", "control-simplex-d4", "control-cross-d4"]
-
-    def test_control_records_equal_the_negative_control_at_dims_4_to_6(self):
-        # the minus_edge records at each control's new vertex give the ranks
-        # and targets of verify_negative_control over the sphere it stacked
-        seed = 20260823
-        config = SuiteConfig(families=("negative-control",), dims=(4, 5, 6), seed=seed)
-        report = run_suite(config)
-        assert report.ok
-        expected, got = {}, {}
-        for d in (4, 5, 6):
-            for label, gamma in (
-                (f"control-simplex-d{d}", sp.boundary_simplex(d)),
-                (f"control-cross-d{d}", sp.cross_polytope(d)),
-            ):
-                for r in verify_negative_control(gamma, seed=seed, name=label).records:
-                    expected[r.instance] = (r.verdict, r.rank, r.target)
-                new = f"-{max(gamma.vertices) + 1}"
-                got.update(
-                    (r.instance, (r.verdict, r.rank, r.target))
-                    for r in report.records
-                    if r.check == "minus_edge" and r.instance.startswith(label + ":")
-                    and r.instance.endswith(new)
-                )
-        assert len(expected) == 2 * (4 + 5 + 6)
-        assert got == expected
 
     def test_machine_report_digest_is_pinned(self):
         # Every family at d = 4: 1,181 records of the five check kinds.  A
