@@ -15,11 +15,15 @@ Every rigidity matrix comes from one builder, _matrix_rows, which yields
 its rows lazily over a given edge and vertex order, and every rank from one
 elimination kernel, _echelon, which inserts rows one at a time into an
 echelon basis and can stop once the rank reaches a cap.  decide_rigidity
-takes the rank at a point from a peel of the graph: a vertex of degree
-k <= d whose k edge directions are independent there adds exactly k (the
-0-extension step of Tay-Whiteley 1985), so only the core left over is
-eliminated, and only until the rank reaches its cap.  The result is the
-full matrix's rank at that point, not an estimate.
+takes the rank at a point from a peel of the graph and the first rows of
+its core: a vertex of degree k <= d whose k edge directions are independent
+there adds exactly k (the 0-extension step of Tay-Whiteley 1985), and each
+core vertex adds at least the rank of its first directions back to the
+vertices placed before it in _attach_order.  Where that sum meets the
+peeling bound, it is the rank; only otherwise is the core eliminated, and
+only until the rank reaches the bound.  The result is the full matrix's
+rank at that point, not an estimate (see _rank_at for the block triangular
+argument).
 Every elimination reads its rows and column blocks in the order of
 _attach_order: each vertex's edges back to vertices placed before it, the
 latest-placed vertex's block first, so a row's leading entry lies in its
@@ -120,20 +124,24 @@ def _matrix_rows(
 
 def _attach_order(
     vertices: Iterable[int], edges: Iterable[Iterable[int]], d: int
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """The column blocks and rows in which to eliminate a rigidity matrix.
+) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, list[int]]]]:
+    """The column blocks and rows in which to eliminate a rigidity matrix,
+    and each vertex's first back-neighbours.
 
     Vertices are placed one at a time, each time the unplaced vertex with
     the most placed neighbours, ties going to the smallest label (maximum
-    cardinality search, Tarjan-Yannakakis 1984).  The edges come as sorted
-    pairs: for each vertex in placement order, its first min(d, #earlier)
-    edges to earlier-placed vertices, in their placement order, then every
-    other edge in the same order.  The column blocks go latest-placed vertex
-    first.  Then the row of an edge from v back to an earlier u is zero in
-    the blocks before v's, so its leading entry lies in v's block, and until
-    v's block is full only v's own earlier rows reduce it.  Where each
-    vertex's first directions phi(v) - phi(u) are independent, every row of
-    the first part is a new pivot.
+    cardinality search, Tarjan-Yannakakis 1984).  A vertex's first
+    back-neighbours are its first min(d, #earlier) neighbours placed before
+    it, in their placement order.  The edges come as sorted pairs: for each
+    vertex in placement order, its edges to its first back-neighbours, then
+    every other edge in the same order.  The column blocks go latest-placed
+    vertex first.  Then the row of an edge from v back to an earlier u is
+    zero in the blocks before v's, so its leading entry lies in v's block,
+    and until v's block is full only v's own earlier rows reduce it.  The
+    first part is block triangular (see _rank_at): where each vertex's
+    first directions phi(v) - phi(u) are independent, every row of it is a
+    new pivot.  The back-neighbours come as (vertex, first back-neighbours)
+    in placement order.
     """
     nbrs: dict[int, set[int]] = {v: set() for v in vertices}
     for a, b in edges:
@@ -141,18 +149,19 @@ def _attach_order(
         nbrs[b].add(a)
     count = dict.fromkeys(nbrs, 0)  # placed neighbours of each unplaced vertex
     placed: list[int] = []
-    first: list[tuple[int, int]] = []
+    firsts: list[tuple[int, list[int]]] = []
     rest: list[tuple[int, int]] = []
     while count:
         v = min(count, key=lambda u: (-count[u], u))
         del count[v]
-        back = [(min(u, v), max(u, v)) for u in placed if u in nbrs[v]]
-        first += back[:d]
-        rest += back[d:]
+        back = [u for u in placed if u in nbrs[v]]
+        firsts.append((v, back[:d]))
+        rest += [(min(u, v), max(u, v)) for u in back[d:]]
         placed.append(v)
         for u in nbrs[v] & count.keys():
             count[u] += 1
-    return placed[::-1], first + rest
+    first = [(min(u, v), max(u, v)) for v, back in firsts for u in back]
+    return placed[::-1], first + rest, firsts
 
 
 def _echelon(
@@ -271,8 +280,14 @@ def _edge_bits(vertex_order: list[int], edge_order: list[tuple[int, int]]) -> li
 
 def _shape(graph: Graph, d: int) -> tuple[int, int, int]:
     """The memo key of (graph, d); see rigid_verdict_memo."""
-    bits = _edge_bits(sorted(graph.vertices), graph.sorted_edges())
-    return d, len(graph.vertices), sum(bits)
+    pos = {v: i for i, v in enumerate(sorted(graph.vertices))}
+    mask = 0
+    for a, b in graph.edges:
+        i, j = pos[a], pos[b]
+        if i > j:
+            i, j = j, i
+        mask |= 1 << (j * (j - 1) // 2 + i)
+    return d, len(pos), mask
 
 
 # The peeled vertices in peel order, each with its neighbours when peeled,
@@ -286,7 +301,8 @@ def _peel(graph: Graph, d: int) -> Peel:
 
     A vertex's degree only falls as others go, so a vertex of degree <= d
     stays one until it is removed; a heap of those vertices gives the
-    first of them in sorted order at every step.
+    first of them in sorted order at every step.  The peeled vertices lead
+    the block triangular order of _rank_at.
     """
     nbrs: dict[int, set[int]] = {v: set() for v in graph.vertices}
     for a, b in graph.edges:
@@ -323,40 +339,57 @@ def _rank_bound(peel: Peel, d: int) -> int:
     return degrees + min(len(core_edges), rigidity_target(len(core), d))
 
 
-def _rank_at(graph: Graph, peel: Peel, phi: Embedding, cap: int) -> int:
-    """The rank of the graph's rigidity matrix at phi, given its peel and a
-    cap that no rank of the matrix at any point exceeds.
+def _directions_rank(phi: Embedding, v: int, around: list[int]) -> int:
+    """The rank of the directions phi(v) - phi(u), u in around: the rows of
+    v's edges to around, restricted to v's d columns."""
+    p, coords = DEFAULT_PRIME, phi.coords
+    directions = ([(a - b) % p for a, b in zip(coords[v], coords[u])] for u in around)
+    return len(_echelon(directions, phi.d)[0])
 
-    Order the rows and column blocks by peeled vertex in peel order, then
-    the core: a peeled vertex's rows are its edges at removal, which go only
-    to vertices peeled later or to the core.  The matrix is then block upper
-    triangular, and the diagonal block of a vertex v of peel degree k holds
-    the k directions phi(v) - phi(u) to its neighbours at removal.  Where
-    those directions are independent, the block has full row rank k, and
-    the rank is exactly the sum of the k plus the rank of the core's own
-    matrix: a combination of rows that vanishes puts no weight on the first
-    block's rows, which alone reach its columns and are independent there,
-    and then none on the next block's.  So only the core is eliminated, and
-    its elimination stops once the sum reaches cap, which the sum then
-    equals.  If any peeled vertex's directions are dependent at phi, which
-    a random point does with probability at most d/p per vertex, the full
-    matrix is eliminated instead, also only until its rank reaches cap.
-    Either way the value is the rank of the whole matrix at phi, not an
-    estimate.  The core, or the full matrix, is read in _attach_order's
-    order of rows and column blocks; permuting rows and columns does not
-    change the rank, so a stop at cap is still exact.
+
+def _rank_at(graph: Graph, peel: Peel, phi: Embedding, bound: int) -> int:
+    """The rank of the graph's rigidity matrix at phi, given its peel and a
+    bound that no rank of the matrix at any point exceeds.
+
+    Both shortcuts order the rows and column blocks so that the matrix is
+    block upper triangular.  A combination of rows that vanishes then puts
+    no weight on rows independent on the first diagonal block, whose
+    columns no later row reaches, then none on such rows of the next block,
+    and so on; so the rank is at least the sum of the diagonal blocks'
+    ranks.  The peel: peeled vertices in peel order, then the core.  A
+    peeled vertex v's rows are its k edges at removal, which go only to
+    vertices peeled later or to the core, and its diagonal block holds the
+    directions phi(v) - phi(u) to them.  Where those are independent, the
+    rank is exactly the sum of the k plus the core's rank.  The first rows:
+    in the core's _attach_order, the rows of each vertex v to its first
+    back-neighbours, latest-placed vertex first, are zero in the blocks of
+    vertices placed after v, which come first; so they are block upper
+    triangular with v's first directions on the diagonal, and the core's
+    rank is at least the sum of those directions' ranks.  The peel degrees
+    plus that sum never exceed the rank at phi, which never exceeds the
+    bound; where they meet the bound, the rank is the bound and nothing is
+    eliminated.
+
+    Otherwise the core is eliminated until the rank reaches the bound,
+    which it then equals.  If any peeled vertex's directions are dependent
+    at phi, which a random point does with probability at most d/p per
+    vertex, the full matrix is eliminated instead, also only until its
+    rank reaches the bound.  Either way the value is the rank of the whole
+    matrix at phi, not an estimate.  The core, or the full matrix, is read
+    in _attach_order's order of rows and column blocks; permuting rows and
+    columns does not change the rank, so a stop at the bound is still exact.
     """
     peeled, core, core_edges = peel
-    d, p, coords = phi.d, DEFAULT_PRIME, phi.coords
-    for v, around in peeled:
-        directions = ([(a - b) % p for a, b in zip(coords[v], coords[u])] for u in around)
-        if len(_echelon(directions, d)[0]) < len(around):
-            order, edges = _attach_order(graph.vertices, graph.edges, d)
-            return len(_echelon(_matrix_rows(edges, order, phi), d * len(order), cap)[0])
+    d = phi.d
+    if any(_directions_rank(phi, v, around) < len(around) for v, around in peeled):
+        order, edges, _ = _attach_order(graph.vertices, graph.edges, d)
+        return len(_echelon(_matrix_rows(edges, order, phi), d * len(order), bound)[0])
     degrees = len(graph.edges) - len(core_edges)
-    order, edges = _attach_order(core, core_edges, d)
+    order, edges, firsts = _attach_order(core, core_edges, d)
+    if degrees + sum(_directions_rank(phi, v, back) for v, back in firsts) == bound:
+        return bound
     rows = _matrix_rows(edges, order, phi)
-    return degrees + len(_echelon(rows, d * len(core), cap - degrees)[0])
+    return degrees + len(_echelon(rows, d * len(core), bound - degrees)[0])
 
 
 def decide_rigidity(
@@ -369,17 +402,18 @@ def decide_rigidity(
 
     Evaluates the matrix at up to `trials` independent random embeddings
     and keeps the maximum rank; the graph is rigid when that rank meets
-    rigidity_target.  The loop stops once the rank reaches min(f1, target),
-    or, after a first point that falls short of it, the peeling bound
-    _rank_bound.  A rank at a point never exceeds the generic rank, which
-    never exceeds the bound, so a rank at the bound is the generic rank:
-    the remaining trials could only return it again, and a shortfall there
-    is exact.  Each point's rank comes from _rank_at over one _peel of the
-    graph: a peeled vertex whose directions are independent there adds its
-    peel degree, only the core is eliminated, and the elimination ends once
-    the rank reaches the current cap.  That value is the full matrix's rank
-    at the point exactly, so the verdict and the one-sided guarantee are
-    those of eliminating the whole matrix at every point.  Inside
+    rigidity_target.  The loop stops once the rank reaches the peeling
+    bound _rank_bound, which is min(f1, target) when nothing is peeled (so
+    it is computed only when something is).  A rank at a point never
+    exceeds the generic rank, which never exceeds the bound, so a rank at
+    the bound is the generic rank: the remaining trials could only return
+    it again, and a shortfall there is exact.  Each point's rank comes from
+    _rank_at over one _peel of the graph: the peel degrees plus the ranks
+    of the core's first rows bound it from below, and only where that falls
+    short of the bound is the core eliminated, until the rank reaches the
+    bound.  That value is the full matrix's rank at the point exactly (see
+    _rank_at), so the verdict and the one-sided guarantee are those of
+    eliminating the whole matrix at every point.  Inside
     rigid_verdict_memo a graph that contains one already decided rigid, on
     as many vertices, is answered without a new embedding.
     """
@@ -397,15 +431,13 @@ def decide_rigidity(
             (kd, kn) == (d, n) and not kmask & ~mask for kd, kn, kmask in memo
         ):
             return RigidityVerdict(target, target, True, trials, f1 - target)
-    best = 0
-    cap = min(f1, target)
     peel = _peel(graph, d)
+    bound = _rank_bound(peel, d) if peel[0] else min(f1, target)
+    best = 0
     for t in range(trials):
         phi = random_embedding(graph, d, derive_seed(seed, "trial", t))
-        best = max(best, _rank_at(graph, peel, phi, cap))
-        if t == 0 and best < cap:
-            cap = _rank_bound(peel, d)
-        if best == cap:
+        best = max(best, _rank_at(graph, peel, phi, bound))
+        if best == bound:
             break
     is_rigid = best == target
     if memo is not None and is_rigid:
@@ -447,7 +479,7 @@ def contraction_ranks(graph: Graph, a: int, b: int, d: int, seed: int) -> tuple[
     coords = dict(random_embedding(graph, d, seed).coords)
     coords[b] = coords[a]
     phi = Embedding(d, coords)
-    blocks, edges = _attach_order(graph.vertices, graph.edges, d)
+    blocks, edges, _ = _attach_order(graph.vertices, graph.edges, d)
     order = [v for v in blocks if v != b] + [b]
     ia, split = order.index(a) * d, d * len(order) - d
     rows = (
@@ -502,7 +534,7 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
     order, edges = sorted(graph.vertices), graph.sorted_edges()
-    blocks, attached = _attach_order(graph.vertices, graph.edges, d)
+    blocks, attached, _ = _attach_order(graph.vertices, graph.edges, d)
     phi = random_embedding(graph, d, derive_seed(seed, "trial", 0))
     rows = _matrix_rows(attached, blocks, phi)
     # the rows that reduce to zero carry a basis of the stresses in their

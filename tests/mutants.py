@@ -37,25 +37,25 @@ MUTANTS = [
     (
         "shape-without-n",
         RIGIDITY,
-        "    return d, len(graph.vertices), sum(bits)\n",
-        "    return d, 0, sum(bits)\n",
+        "    return d, len(pos), mask\n",
+        "    return d, 0, mask\n",
         ("tests/test_rigidity.py::TestRigidVerdictMemo::test_memo_is_keyed_by_vertex_count",),
     ),
     (
         "shape-without-d",
         RIGIDITY,
-        "    return d, len(graph.vertices), sum(bits)\n",
-        "    return 0, len(graph.vertices), sum(bits)\n",
+        "    return d, len(pos), mask\n",
+        "    return 0, len(pos), mask\n",
         ("tests/test_rigidity.py::TestRigidVerdictMemo::test_memo_is_keyed_by_dimension",),
     ),
     (
         "pair-bit-with-i-and-j-swapped",
         RIGIDITY,
-        "pos[b] * (pos[b] - 1) // 2 + pos[a]",
-        "pos[a] * (pos[a] - 1) // 2 + pos[b]",
+        "mask |= 1 << (j * (j - 1) // 2 + i)",
+        "mask |= 1 << (i * (i - 1) // 2 + j)",
         (
-            "tests/test_rigidity.py::TestMemoAnswersSupergraphs"
-            "::test_supergraph_on_more_vertices_never_hits",
+            "tests/test_rigidity.py::TestRigidVerdictMemo"
+            "::test_equal_shapes_exactly_when_the_sorted_relabellings_agree",
         ),
     ),
     (
@@ -159,8 +159,8 @@ MUTANTS = [
     (
         "point-peel-without-independence-check",
         RIGIDITY,
-        "        if len(_echelon(directions, d)[0]) < len(around):\n",
-        "        if False:\n",
+        "    if any(_directions_rank(phi, v, around) < len(around) for v, around in peeled):\n",
+        "    if False:\n",
         (
             "tests/test_rigidity.py::TestRankAtAPoint"
             "::test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback",
@@ -169,11 +169,28 @@ MUTANTS = [
     (
         "fallback-eliminates-only-the-core",
         RIGIDITY,
-        "            order, edges = _attach_order(graph.vertices, graph.edges, d)\n",
-        "            order, edges = _attach_order(core, core_edges, d)\n",
+        "        order, edges, _ = _attach_order(graph.vertices, graph.edges, d)\n",
+        "        order, edges, _ = _attach_order(core, core_edges, d)\n",
         (
             "tests/test_rigidity.py::TestRankAtAPoint"
             "::test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback",
+        ),
+    ),
+    (
+        "first-rows-counted-without-independence-check",
+        RIGIDITY,
+        "sum(_directions_rank(phi, v, back) for v, back in firsts)",
+        "sum(len(back) for v, back in firsts)",
+        ("tests/test_rigidity.py::TestRankAtAPoint::test_every_vertex_at_the_origin",),
+    ),
+    (
+        "first-rows-meet-the-bound-one-rank-early",
+        RIGIDITY,
+        "for v, back in firsts) == bound:\n",
+        "for v, back in firsts) >= bound - 1:\n",
+        (
+            "tests/test_rigidity.py::TestRankAtAPoint"
+            "::test_core_vertex_on_the_span_of_its_first_neighbours[5-9]",
         ),
     ),
     (
@@ -188,7 +205,10 @@ MUTANTS = [
         RIGIDITY,
         "            if len(basis) == stop:\n",
         "            if stop is not None and len(basis) == stop - 1:\n",
-        ("tests/test_rigidity.py::TestRankAtAPoint::test_complete_graph_minus_an_edge[4]",),
+        (
+            "tests/test_rigidity.py::TestDoingLess"
+            "::test_cross_polytope_whose_first_rows_fall_short_eliminates_its_core",
+        ),
     ),
     (
         "contraction-counts-the-first-w-pivot",
@@ -210,18 +230,19 @@ MUTANTS = [
     (
         "attach-order-ignored",
         RIGIDITY,
-        "    return placed[::-1], first + rest\n",
-        "    return placed[::-1], sorted(first + rest)\n",
+        "    return placed[::-1], first + rest, firsts\n",
+        "    return placed[::-1], sorted(first + rest), firsts\n",
         (
-            "tests/test_rigidity.py::TestDoingLess"
-            "::test_complete_graph_minus_an_edge_stops_before_its_last_row[6]",
+            "tests/test_rigidity.py::TestAttachOrder"
+            "::test_places_by_most_placed_neighbours_and_lists_every_edge_once",
         ),
     ),
     (
         "attach-prefix-not-capped-at-d",
         RIGIDITY,
-        "        first += back[:d]\n        rest += back[d:]\n",
-        "        first += back\n",
+        "        firsts.append((v, back[:d]))\n"
+        "        rest += [(min(u, v), max(u, v)) for u in back[d:]]\n",
+        "        firsts.append((v, back))\n",
         (
             "tests/test_rigidity.py::TestDoingLess"
             "::test_complete_graph_minus_an_edge_stops_before_its_last_row[6]",

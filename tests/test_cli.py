@@ -132,6 +132,21 @@ class TestRigid:
         assert code == 1
         assert "rigid=false" in out
 
+    def test_cyclic_polytope_minus_an_edge_prints_its_whole_line(self, capsys, monkeypatch):
+        feed(monkeypatch, format_facets(sp.cyclic_polytope_boundary(20, 6)))
+        code, out, _ = run(capsys, "rigid", "--dim", "6", "--minus-edge", "1,20", "-")
+        assert (code, out) == (0, "rigid=true rank=99 target=99 stress=90 trials=3 seed=0\n")
+
+    def test_stacked_simplex_minus_its_stacking_edge_prints_its_whole_line(
+        self, capsys, monkeypatch
+    ):
+        # the boundary of the 4-simplex on 1..5, stacked with 6 over 1 2 3 4
+        facets = ["1 2 3 5", "1 2 4 5", "1 3 4 5", "2 3 4 5"]
+        facets += ["1 2 3 6", "1 2 4 6", "1 3 4 6", "2 3 4 6"]
+        feed(monkeypatch, "".join(f + "\n" for f in facets))
+        code, out, _ = run(capsys, "rigid", "--dim", "4", "--minus-edge", "1,6")
+        assert (code, out) == (1, "rigid=false rank=13 target=14 stress=0 trials=3 seed=0\n")
+
     @pytest.mark.parametrize("value", ["1", "1,3,5", "x,3", "1;3"])
     def test_malformed_minus_edge_is_error_2(self, capsys, monkeypatch, value):
         feed(monkeypatch, format_facets(sp.cross_polytope(4)))

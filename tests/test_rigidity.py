@@ -45,6 +45,20 @@ def rank_bound(graph: Graph, d: int) -> int:
     return spherig.rigidity._rank_bound(spherig.rigidity._peel(graph, d), d)
 
 
+def first_rows_bound(graph: Graph, d: int, phi: Embedding) -> int:
+    """The lower bound on the rank at phi that _rank_at reads, from the
+    oracle's rank: the ranks of the peeled vertices' directions to their
+    neighbours at removal, plus those of each core vertex's directions to its
+    first back-neighbours in the core's attach order."""
+    peeled, core, core_edges = spherig.rigidity._peel(graph, d)
+    firsts = spherig.rigidity._attach_order(core, core_edges, d)[2]
+    return sum(
+        rank_mod_p([[a - b for a, b in zip(phi.coords[v], phi.coords[u])] for u in around])
+        for v, around in peeled + firsts
+        if around
+    )
+
+
 def count_embeddings(monkeypatch) -> list:
     """Patch random_embedding to record its calls; return the record."""
     drawn = []
@@ -192,7 +206,7 @@ class TestAttachOrder:
         isolated = disconnected = 0
         for _ in range(300):
             graph, d = random_graph(rng), rng.randrange(1, 7)
-            blocks, edges = spherig.rigidity._attach_order(graph.vertices, graph.edges, d)
+            blocks, edges, firsts = spherig.rigidity._attach_order(graph.vertices, graph.edges, d)
             assert sorted(edges) == graph.sorted_edges()
             placed = blocks[::-1]
             assert sorted(placed) == sorted(graph.vertices)
@@ -214,6 +228,7 @@ class TestAttachOrder:
             first = [e for v in placed for e in per_vertex[v]]
             expected = first + [e for e in back if e not in first]
             assert edges == [tuple(sorted(e)) for e in expected]
+            assert firsts == [(v, [u for u, _ in per_vertex[v]]) for v in placed]
             isolated += any(not around for around in nbrs.values())
             disconnected += any(
                 not nbrs[v] & set(placed[:i]) for i, v in enumerate(placed) if i
@@ -765,7 +780,7 @@ class TestMemoLearnsFromEdgeDeletions:
 
 class TestTrialCount:
     """A decision stops at the first point whose rank meets the peeling
-    bound; rigid decisions and memo hits never compute it."""
+    bound; a graph with nothing peeled and a memo hit never compute it."""
 
     def stacked_minus_edge(self, d: int) -> Graph:
         cross = sp.cross_polytope(d)
@@ -802,40 +817,62 @@ class TestTrialCount:
 
     def test_rigid_graphs_and_memo_hits_never_compute_the_bound(self, monkeypatch):
         def no_bound(*args):
-            raise AssertionError("a rigid decision computed the peeling bound")
+            raise AssertionError("a decision computed the peeling bound")
 
-        monkeypatch.setattr(spherig.rigidity, "_rank_bound", no_bound)
+        # the cross polytope and K_5 peel nothing, so their bound is
+        # min(f1, target), whether their first rows reach it (K_5) or fall
+        # one short (the cross polytope); the stacked graph peels vertex 9,
+        # so only its relabelling, a memo hit, runs without its bound
         graph = graph_of(sp.cross_polytope(4))
         stacked = graph_of(sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9))
         with rigid_verdict_memo():
+            assert spherig.rigidity._peel(stacked, 4)[0] == [(9, [1, 3, 5, 7])]
+            assert decide_rigidity(stacked, 4, seed=1).is_rigid
+            monkeypatch.setattr(spherig.rigidity, "_rank_bound", no_bound)
             assert decide_rigidity(graph, 4, seed=1).is_rigid
             assert decide_rigidity(relabel(graph, lambda v: v + 10), 4, seed=2).is_rigid
-            assert decide_rigidity(stacked, 4, seed=1).is_rigid
+            assert decide_rigidity(relabel(stacked, lambda v: v + 10), 4, seed=2).is_rigid
         assert decide_rigidity(complete_graph(range(1, 6)), 4).is_rigid
 
 
 class TestRankAtAPoint:
     """The rank decide_rigidity takes at a point, where peeled vertices add
-    their degrees and only the core is eliminated, is the whole matrix's
-    rank at that point; with one trial the verdict's rank is that rank."""
+    their degrees, the core's first rows bound the rest from below, and only
+    the core is eliminated where that falls short of the bound, is the whole
+    matrix's rank at that point; with one trial the verdict's rank is that
+    rank."""
 
     SEED = 20260823
 
-    def test_default_corpus_graphs_and_their_deletions(self, default_corpus):
+    def test_default_corpus_graphs_and_their_deletions(self, default_corpus, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            spherig.rigidity, "_matrix_rows", lambda *args: built.append(args) or matrix_rows(*args)
+        )
         rng = random.Random(23)
-        checked = peeled = exact = 0
+        checked = peeled = exact = unbuilt = 0
         for entry in default_corpus:
             graph = graph_of(entry.complex)
             s = derive_seed(self.SEED, entry.name)
             for h in [graph] + [graph.remove_edge(a, b) for a, b in graph.sorted_edges()]:
+                built.clear()
                 rank = decide_rigidity(h, entry.d, trials=1, seed=s).rank
-                assert rank == full_rank_at(h, first_point(h, entry.d, s)), entry.name
+                phi = first_point(h, entry.d, s)
+                full = full_rank_at(h, phi)
+                assert rank == full, entry.name
+                # the first rows never read above the rank, and a matrix is
+                # built exactly where they fall short of the peeling bound
+                lower, bound = first_rows_bound(h, entry.d, phi), rank_bound(h, entry.d)
+                assert lower <= full <= bound, entry.name
+                assert bool(built) == (lower < bound), entry.name
                 checked += 1
+                unbuilt += not built
                 peeled += bool(spherig.rigidity._peel(h, entry.d)[0])
                 if len(h.vertices) <= entry.d + 1:
                     assert rank == rational_rigidity_rank(h, entry.d, rng), entry.name
                     exact += 1
-        assert (checked, peeled, exact) == (848 + 31, 401, 49)
+        # 671 of the 879 ranks are read from the first rows alone
+        assert (checked, peeled, exact, unbuilt) == (848 + 31, 401, 49, 671)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_stacked_chains_minus_an_edge(self, d):
@@ -865,7 +902,8 @@ class TestRankAtAPoint:
 
     def rank_at(self, graph: Graph, coords: dict, monkeypatch) -> tuple[int, int]:
         """decide_rigidity's one-trial rank at coords, which must be the full
-        matrix's, and how often it fell back to the full matrix."""
+        matrix's, and how many matrices it built over every vertex: the
+        fallback, or, with nothing peeled, the core's."""
         phi = Embedding(4, coords)
         monkeypatch.setattr(spherig.rigidity, "random_embedding", lambda *args: phi)
         fallbacks = []
@@ -881,9 +919,23 @@ class TestRankAtAPoint:
         return rank, len(fallbacks)
 
     def test_every_vertex_at_the_origin(self, monkeypatch):
-        graph = self.stacked_cross()
-        coords = {v: (0, 0, 0, 0) for v in graph.vertices}
-        assert self.rank_at(graph, coords, monkeypatch) == (0, 1)
+        # the peeled vertex's directions are dependent; K_8 peels nothing,
+        # and its 22 first rows, which meet its cap at a random point, are 0
+        for graph in (self.stacked_cross(), complete_graph(range(1, 9))):
+            coords = {v: (0, 0, 0, 0) for v in graph.vertices}
+            assert self.rank_at(graph, coords, monkeypatch) == (0, 1)
+
+    @pytest.mark.parametrize("n,rank", [(5, 9), (8, 22)])
+    def test_core_vertex_on_the_span_of_its_first_neighbours(self, n, rank, monkeypatch):
+        # K_n is placed 1, 2, ..., n, so vertex 5's first back-neighbours are
+        # 1..4; on their affine span its first directions lose a rank.  K_5's
+        # rank drops with them (five points on a 3-flat), K_8's does not.
+        graph = complete_graph(range(1, n + 1))
+        firsts = spherig.rigidity._attach_order(graph.vertices, graph.edges, 4)[2]
+        assert firsts[4] == (5, [1, 2, 3, 4])
+        coords = dict(first_point(graph, 4, 1).coords)
+        coords[5] = tuple((x + y - z) % P for x, y, z in zip(coords[1], coords[2], coords[3]))
+        assert self.rank_at(graph, coords, monkeypatch) == (rank, 1)
 
     def test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback(self, monkeypatch):
         graph = self.stacked_cross()
@@ -944,27 +996,38 @@ class TestDoingLess:
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_stacked_chain_minus_an_edge_eliminates_only_its_core(self, d, monkeypatch):
+        # the core, C(d+2, d), is not eliminated either: with the peel
+        # degrees, its first rows meet the peeling bound
         graphs = list(stacked_chain(d, random.Random(d), d + 8))
         calls = self.spy_echelon(monkeypatch)
         for graph in graphs:
             calls.clear()
             verdict = decide_rigidity(graph, d, seed=1)
             assert verdict.rank == rigidity_target(len(graph.vertices), d) - 1
-            # one point; every other call checks one peeled vertex's directions
-            core = [(ncols, read) for ncols, read, _ in calls if ncols > d]
-            assert core == [(d * (d + 2), comb(d + 2, 2))]
-            assert len(calls) == 1 + len(graph.vertices) - (d + 2)
+            # one point; each call checks one vertex's peeled or first directions
+            assert {ncols for ncols, _, _ in calls} == {d}
+            assert len(calls) == len(graph.vertices)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_complete_graph_minus_an_edge_stops_before_its_last_row(self, d, monkeypatch):
-        # read in attach order, every row up to the target is a new pivot;
-        # from n = d+3 on, no vertex has degree <= d, so nothing is peeled
+        # from n = d+3 on, no vertex has degree <= d, so nothing is peeled;
+        # the first rows, one d-column check per vertex, reach the target
         calls = self.spy_echelon(monkeypatch)
         for n in range(d + 3, 21):
             graph = complete_graph(range(1, n + 1)).remove_edge(1, n)
             calls.clear()
             assert decide_rigidity(graph, d, seed=1).is_rigid
             target = rigidity_target(n, d)
-            [(ncols, read, stop)] = calls
-            assert (ncols, stop, read) == (d * n, target, target), n
-            assert read < len(graph.edges)
+            assert {ncols for ncols, _, _ in calls} == {d}, n
+            assert (len(calls), sum(read for _, read, _ in calls)) == (n, target), n
+            assert target < len(graph.edges)
+
+    def test_cross_polytope_whose_first_rows_fall_short_eliminates_its_core(self, monkeypatch):
+        # its 21 first rows fall one short of 22, so the core, here the whole
+        # graph, is eliminated until the rank reaches 22
+        calls = self.spy_echelon(monkeypatch)
+        verdict = decide_rigidity(graph_of(sp.cross_polytope(4)), 4, seed=1)
+        assert verdict.is_rigid and verdict.rank == 22
+        firsts = [read for ncols, read, _ in calls if ncols == 4]
+        assert (len(firsts), sum(firsts)) == (8, 21)
+        assert [call for call in calls if call[0] > 4] == [(32, 22, 22)]
