@@ -14,22 +14,21 @@ decide_rigidity and wrong with negligible probability elsewhere.
 Every rigidity matrix comes from one builder, _matrix_rows, which yields
 its rows lazily over a given edge and vertex order, and every rank from one
 elimination kernel, _echelon, which inserts rows one at a time into an
-echelon basis and can stop once the rank reaches a cap.  decide_rigidity
-takes the rank at a point from a peel of the graph and the first rows of
-its core: a vertex of degree k <= d whose k edge directions are independent
-there adds exactly k (the 0-extension step of Tay-Whiteley 1985), and each
-core vertex adds at least the rank of its first directions back to the
-vertices placed before it in _attach_order.  Where that sum meets the
-peeling bound, it is the rank; only otherwise is the core eliminated, and
-only until the rank reaches the bound.  The result is the full matrix's
-rank at that point, not an estimate (see _rank_at for the block triangular
-argument).
-Every elimination reads its rows and column blocks in the order of
-_attach_order: each vertex's edges back to vertices placed before it, the
-latest-placed vertex's block first, so a row's leading entry lies in its
-own vertex's block and meets only that vertex's pivots.  Permuting rows and
-columns leaves the rank alone, so no value depends on the order; only the
-work does.
+echelon basis and can stop once the rank reaches a cap.  Every
+elimination reads its rows and column blocks in one order per graph,
+_attach_order over the graph's _peel: the core by maximum cardinality
+search, then the vertices peeled at degree <= d, last peeled first.  Each
+vertex's edges go back to vertices placed before it, the latest-placed
+vertex's block first, so a row's leading entry lies in its own vertex's
+block and meets only that vertex's pivots.  Permuting rows and columns
+leaves the rank alone, so no value depends on the order; only the work
+does.  decide_rigidity takes the rank at a point from the first rows of
+that order, each vertex's edges to its first back-neighbours (for a peeled
+vertex, all its edges at removal): the ranks of their directions add up to
+a lower bound on the rank.  Where it meets the peeling bound, it is the
+rank; only otherwise is the matrix eliminated, and only until the rank
+reaches the bound.  The result is the full matrix's rank at that point, not
+an estimate (see _rank_at for the block triangular argument).
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring), and
 contraction_ranks gives the ranks of G - ab and of G/ab at a random point
@@ -122,31 +121,61 @@ def _matrix_rows(
         yield row
 
 
-def _attach_order(
-    vertices: Iterable[int], edges: Iterable[Iterable[int]], d: int
-) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, list[int]]]]:
-    """The column blocks and rows in which to eliminate a rigidity matrix,
-    and each vertex's first back-neighbours.
+# The peeled vertices in peel order, each with its sorted neighbours when
+# peeled, then the core's adjacency (see _peel).
+Peel = tuple[list[tuple[int, list[int]]], dict[int, set[int]]]
+# The column blocks, the edges and each vertex's first back-neighbours, in
+# which every elimination reads a graph's matrix (see _attach_order).
+Order = tuple[list[int], list[tuple[int, int]], list[tuple[int, list[int]]]]
 
-    Vertices are placed one at a time, each time the unplaced vertex with
-    the most placed neighbours, ties going to the smallest label (maximum
-    cardinality search, Tarjan-Yannakakis 1984).  A vertex's first
-    back-neighbours are its first min(d, #earlier) neighbours placed before
-    it, in their placement order.  The edges come as sorted pairs: for each
-    vertex in placement order, its edges to its first back-neighbours, then
-    every other edge in the same order.  The column blocks go latest-placed
-    vertex first.  Then the row of an edge from v back to an earlier u is
-    zero in the blocks before v's, so its leading entry lies in v's block,
-    and until v's block is full only v's own earlier rows reduce it.  The
-    first part is block triangular (see _rank_at): where each vertex's
-    first directions phi(v) - phi(u) are independent, every row of it is a
-    new pivot.  The back-neighbours come as (vertex, first back-neighbours)
-    in placement order.
+
+def _peel(graph: Graph, d: int) -> Peel:
+    """While more than d+1 vertices remain, remove the first vertex in sorted
+    order of degree <= d; what is left is the core.
+
+    A vertex's degree only falls as others go, so a vertex of degree <= d
+    stays one until it is removed; a heap of those vertices gives the
+    first of them in sorted order at every step.  This is the one adjacency
+    built for a graph: _rank_bound and _attach_order read it.
     """
-    nbrs: dict[int, set[int]] = {v: set() for v in vertices}
-    for a, b in edges:
+    nbrs: dict[int, set[int]] = {v: set() for v in graph.vertices}
+    for a, b in graph.edges:
         nbrs[a].add(b)
         nbrs[b].add(a)
+    low = sorted(v for v, around in nbrs.items() if len(around) <= d)
+    peeled: list[tuple[int, list[int]]] = []
+    while len(nbrs) > d + 1 and low:
+        v = heappop(low)
+        around = nbrs.pop(v)
+        peeled.append((v, sorted(around)))
+        for u in around:
+            nbrs[u].discard(v)
+            if len(nbrs[u]) == d:
+                heappush(low, u)
+    return peeled, nbrs
+
+
+def _attach_order(peel: Peel, d: int) -> Order:
+    """The column blocks and rows in which to eliminate a graph's rigidity
+    matrix, from its _peel, and each vertex's first back-neighbours.
+
+    The core's vertices are placed one at a time, each time the unplaced
+    vertex with the most placed neighbours, ties going to the smallest label
+    (maximum cardinality search, Tarjan-Yannakakis 1984); a core vertex's
+    first back-neighbours are its first min(d, #earlier) neighbours placed
+    before it, in their placement order.  Then the peeled vertices are
+    placed, last peeled first, each with its neighbours at removal as its
+    first back-neighbours: they are in the core or were peeled later, so
+    they are placed before it, and they are all its edges.  The edges come
+    as sorted pairs: for each vertex in placement order, its edges to its
+    first back-neighbours, then every other edge in the same order.  The
+    column blocks go latest-placed vertex first.  Then the row of an edge
+    from v back to an earlier u is zero in the blocks before v's, so its
+    leading entry lies in v's block, and until v's block is full only v's
+    own earlier rows reduce it.  The back-neighbours come as (vertex, first
+    back-neighbours) in placement order.
+    """
+    peeled, nbrs = peel
     count = dict.fromkeys(nbrs, 0)  # placed neighbours of each unplaced vertex
     placed: list[int] = []
     firsts: list[tuple[int, list[int]]] = []
@@ -160,6 +189,9 @@ def _attach_order(
         placed.append(v)
         for u in nbrs[v] & count.keys():
             count[u] += 1
+    for v, around in reversed(peeled):
+        firsts.append((v, around))
+        placed.append(v)
     first = [(min(u, v), max(u, v)) for v, back in firsts for u in back]
     return placed[::-1], first + rest, firsts
 
@@ -290,41 +322,9 @@ def _shape(graph: Graph, d: int) -> tuple[int, int, int]:
     return d, len(pos), mask
 
 
-# The peeled vertices in peel order, each with its neighbours when peeled,
-# then the core's vertices and edges, both sorted (see _peel).
-Peel = tuple[list[tuple[int, list[int]]], list[int], list[tuple[int, int]]]
-
-
-def _peel(graph: Graph, d: int) -> Peel:
-    """While more than d+1 vertices remain, remove the first vertex in sorted
-    order of degree <= d; what is left is the core.
-
-    A vertex's degree only falls as others go, so a vertex of degree <= d
-    stays one until it is removed; a heap of those vertices gives the
-    first of them in sorted order at every step.  The peeled vertices lead
-    the block triangular order of _rank_at.
-    """
-    nbrs: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    for a, b in graph.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    low = sorted(v for v, around in nbrs.items() if len(around) <= d)
-    peeled: list[tuple[int, list[int]]] = []
-    while len(nbrs) > d + 1 and low:
-        v = heappop(low)
-        around = nbrs.pop(v)
-        peeled.append((v, sorted(around)))
-        for u in around:
-            nbrs[u].discard(v)
-            if len(nbrs[u]) == d:
-                heappush(low, u)
-    core = sorted(nbrs)
-    return peeled, core, [(a, b) for a in core for b in sorted(nbrs[a]) if a < b]
-
-
 def _rank_bound(peel: Peel, d: int) -> int:
     """An upper bound on the generic rank of a graph's d-rigidity matrix,
-    from its peel (see _peel): the peeled vertices' degrees at removal plus
+    from its _peel: the peeled vertices' degrees at removal plus
     min(f1, rigidity_target) of the core.
 
     Deleting a vertex of degree k deletes its k rows and d zero columns, so
@@ -333,10 +333,12 @@ def _rank_bound(peel: Peel, d: int) -> int:
     graph on its vertices.  The bound is never above min(f1, target): the
     degrees and the core's edges add up to f1, and each peel runs on more
     than d+1 vertices, where removing one lowers the target by exactly d.
+    With nothing peeled it is min(f1, target).
     """
-    peeled, core, core_edges = peel
+    peeled, core = peel
     degrees = sum(len(around) for _, around in peeled)
-    return degrees + min(len(core_edges), rigidity_target(len(core), d))
+    core_edges = sum(map(len, core.values())) // 2
+    return degrees + min(core_edges, rigidity_target(len(core), d))
 
 
 def _directions_rank(phi: Embedding, v: int, around: list[int]) -> int:
@@ -347,49 +349,32 @@ def _directions_rank(phi: Embedding, v: int, around: list[int]) -> int:
     return len(_echelon(directions, phi.d)[0])
 
 
-def _rank_at(graph: Graph, peel: Peel, phi: Embedding, bound: int) -> int:
-    """The rank of the graph's rigidity matrix at phi, given its peel and a
-    bound that no rank of the matrix at any point exceeds.
+def _rank_at(order: Order, phi: Embedding, bound: int) -> int:
+    """The rank of a graph's rigidity matrix at phi, given its _attach_order
+    and a bound that no rank of the matrix at any point exceeds.
 
-    Both shortcuts order the rows and column blocks so that the matrix is
-    block upper triangular.  A combination of rows that vanishes then puts
-    no weight on rows independent on the first diagonal block, whose
-    columns no later row reaches, then none on such rows of the next block,
-    and so on; so the rank is at least the sum of the diagonal blocks'
-    ranks.  The peel: peeled vertices in peel order, then the core.  A
-    peeled vertex v's rows are its k edges at removal, which go only to
-    vertices peeled later or to the core, and its diagonal block holds the
-    directions phi(v) - phi(u) to them.  Where those are independent, the
-    rank is exactly the sum of the k plus the core's rank.  The first rows:
-    in the core's _attach_order, the rows of each vertex v to its first
-    back-neighbours, latest-placed vertex first, are zero in the blocks of
-    vertices placed after v, which come first; so they are block upper
-    triangular with v's first directions on the diagonal, and the core's
-    rank is at least the sum of those directions' ranks.  The peel degrees
-    plus that sum never exceed the rank at phi, which never exceeds the
-    bound; where they meet the bound, the rank is the bound and nothing is
-    eliminated.
-
-    Otherwise the core is eliminated until the rank reaches the bound,
-    which it then equals.  If any peeled vertex's directions are dependent
-    at phi, which a random point does with probability at most d/p per
-    vertex, the full matrix is eliminated instead, also only until its
-    rank reaches the bound.  Either way the value is the rank of the whole
-    matrix at phi, not an estimate.  The core, or the full matrix, is read
-    in _attach_order's order of rows and column blocks; permuting rows and
-    columns does not change the rank, so a stop at the bound is still exact.
+    The first rows, each vertex v's rows to its first back-neighbours,
+    latest-placed vertex first, are zero in the blocks of the vertices
+    placed after v, which come first; so they are block upper triangular,
+    with v's first directions phi(v) - phi(u) on the diagonal.  A
+    combination of them that vanishes puts no weight on rows independent on
+    the first diagonal block, whose columns no later row reaches, then none
+    on such rows of the next block, and so on; so the rank at phi is at
+    least the sum of the diagonal blocks' ranks.  A peeled vertex's block
+    holds the directions to all its neighbours at removal: where they are
+    independent it adds its whole degree (the 0-extension step of
+    Tay-Whiteley 1985).  The sum never exceeds the rank at phi, which never
+    exceeds the bound; where they meet, the rank is the bound and nothing
+    is eliminated.  Otherwise the whole matrix is eliminated, in the same
+    order of rows and column blocks, until its rank reaches the bound, which
+    it then equals.  Permuting rows and columns does not change the rank, so
+    either way the value is the rank of the whole matrix at phi, not an
+    estimate.
     """
-    peeled, core, core_edges = peel
-    d = phi.d
-    if any(_directions_rank(phi, v, around) < len(around) for v, around in peeled):
-        order, edges, _ = _attach_order(graph.vertices, graph.edges, d)
-        return len(_echelon(_matrix_rows(edges, order, phi), d * len(order), bound)[0])
-    degrees = len(graph.edges) - len(core_edges)
-    order, edges, firsts = _attach_order(core, core_edges, d)
-    if degrees + sum(_directions_rank(phi, v, back) for v, back in firsts) == bound:
+    blocks, edges, firsts = order
+    if sum(_directions_rank(phi, v, back) for v, back in firsts) == bound:
         return bound
-    rows = _matrix_rows(edges, order, phi)
-    return degrees + len(_echelon(rows, d * len(core), bound - degrees)[0])
+    return len(_echelon(_matrix_rows(edges, blocks, phi), phi.d * len(blocks), bound)[0])
 
 
 def decide_rigidity(
@@ -403,19 +388,15 @@ def decide_rigidity(
     Evaluates the matrix at up to `trials` independent random embeddings
     and keeps the maximum rank; the graph is rigid when that rank meets
     rigidity_target.  The loop stops once the rank reaches the peeling
-    bound _rank_bound, which is min(f1, target) when nothing is peeled (so
-    it is computed only when something is).  A rank at a point never
-    exceeds the generic rank, which never exceeds the bound, so a rank at
-    the bound is the generic rank: the remaining trials could only return
-    it again, and a shortfall there is exact.  Each point's rank comes from
-    _rank_at over one _peel of the graph: the peel degrees plus the ranks
-    of the core's first rows bound it from below, and only where that falls
-    short of the bound is the core eliminated, until the rank reaches the
-    bound.  That value is the full matrix's rank at the point exactly (see
-    _rank_at), so the verdict and the one-sided guarantee are those of
-    eliminating the whole matrix at every point.  Inside
-    rigid_verdict_memo a graph that contains one already decided rigid, on
-    as many vertices, is answered without a new embedding.
+    bound _rank_bound.  A rank at a point never exceeds the generic rank,
+    which never exceeds the bound, so a rank at the bound is the generic
+    rank: the remaining trials could only return it again, and a shortfall
+    there is exact.  Each point's rank comes from _rank_at over the one
+    _attach_order of the graph's _peel, and is the full matrix's rank at
+    the point exactly (see _rank_at), so the verdict and the one-sided
+    guarantee are those of eliminating the whole matrix at every point.
+    Inside rigid_verdict_memo a graph that contains one already decided
+    rigid, on as many vertices, is answered without a new embedding.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -432,11 +413,11 @@ def decide_rigidity(
         ):
             return RigidityVerdict(target, target, True, trials, f1 - target)
     peel = _peel(graph, d)
-    bound = _rank_bound(peel, d) if peel[0] else min(f1, target)
+    bound, order = _rank_bound(peel, d), _attach_order(peel, d)
     best = 0
     for t in range(trials):
         phi = random_embedding(graph, d, derive_seed(seed, "trial", t))
-        best = max(best, _rank_at(graph, peel, phi, bound))
+        best = max(best, _rank_at(order, phi, bound))
         if best == bound:
             break
     is_rigid = best == target
@@ -479,7 +460,7 @@ def contraction_ranks(graph: Graph, a: int, b: int, d: int, seed: int) -> tuple[
     coords = dict(random_embedding(graph, d, seed).coords)
     coords[b] = coords[a]
     phi = Embedding(d, coords)
-    blocks, edges, _ = _attach_order(graph.vertices, graph.edges, d)
+    blocks, edges, _ = _attach_order(_peel(graph, d), d)
     order = [v for v in blocks if v != b] + [b]
     ia, split = order.index(a) * d, d * len(order) - d
     rows = (
@@ -534,7 +515,7 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     target = rigidity_target(len(graph.vertices), d)
     memo = _known_rigid.get()
     order, edges = sorted(graph.vertices), graph.sorted_edges()
-    blocks, attached, _ = _attach_order(graph.vertices, graph.edges, d)
+    blocks, attached, _ = _attach_order(_peel(graph, d), d)
     phi = random_embedding(graph, d, derive_seed(seed, "trial", 0))
     rows = _matrix_rows(attached, blocks, phi)
     # the rows that reduce to zero carry a basis of the stresses in their

@@ -139,8 +139,8 @@ MUTANTS = [
     (
         "bound-never-tightens",
         RIGIDITY,
-        "    return degrees + min(len(core_edges), rigidity_target(len(core), d))\n",
-        "    return min(degrees + len(core_edges), rigidity_target(len(peeled) + len(core), d))\n",
+        "    return degrees + min(core_edges, rigidity_target(len(core), d))\n",
+        "    return min(degrees + core_edges, rigidity_target(len(peeled) + len(core), d))\n",
         (
             "tests/test_rigidity.py::TestTrialCount"
             "::test_first_point_at_the_bound_draws_one_embedding",
@@ -154,26 +154,6 @@ MUTANTS = [
         (
             "tests/test_rigidity.py::TestRankBound"
             "::test_bound_lies_between_the_oracle_rank_and_the_cap",
-        ),
-    ),
-    (
-        "point-peel-without-independence-check",
-        RIGIDITY,
-        "    if any(_directions_rank(phi, v, around) < len(around) for v, around in peeled):\n",
-        "    if False:\n",
-        (
-            "tests/test_rigidity.py::TestRankAtAPoint"
-            "::test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback",
-        ),
-    ),
-    (
-        "fallback-eliminates-only-the-core",
-        RIGIDITY,
-        "        order, edges, _ = _attach_order(graph.vertices, graph.edges, d)\n",
-        "        order, edges, _ = _attach_order(core, core_edges, d)\n",
-        (
-            "tests/test_rigidity.py::TestRankAtAPoint"
-            "::test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback",
         ),
     ),
     (
@@ -236,6 +216,13 @@ MUTANTS = [
             "tests/test_rigidity.py::TestAttachOrder"
             "::test_places_by_most_placed_neighbours_and_lists_every_edge_once",
         ),
+    ),
+    (
+        "attach-order-without-the-peeled-tail",
+        RIGIDITY,
+        "        firsts.append((v, around))\n",
+        "",
+        ("tests/test_rigidity.py::TestRankAtAPoint::test_stacked_chains_minus_an_edge[4]",),
     ),
     (
         "attach-prefix-not-capped-at-d",
@@ -456,10 +443,13 @@ MUTANTS = [
 # - _peel removing its vertices in another order, or stopping early: every
 #   order and every stopping point gives a valid bound for _rank_bound, at
 #   worst a looser one, and a looser bound only draws more points for the
-#   same verdict.  _rank_at over such a peel is still block triangular, so
-#   it gives the full matrix's rank at the point exactly, only with more of
-#   it eliminated (or, where another order meets dependent directions, with
-#   the full matrix eliminated).
+#   same verdict.  _attach_order over such a peel is still block triangular,
+#   so _rank_at gives the full matrix's rank at the point exactly, only with
+#   more of it eliminated.
+# - _attach_order placing the peeled tail in peel order instead of last
+#   peeled first: the first rows' sum adds the same terms in another order,
+#   and the rank at a point does not depend on the order of the rows and
+#   column blocks, so neither the sum nor the rank changes.
 
 
 def run_tests(copy: Path, tests: list[str]) -> int:

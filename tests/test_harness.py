@@ -282,7 +282,7 @@ class TestContraction:
                 merged = contraction_ranks(g_minus, a, b, 4, point_seed)
                 assert merged == two_matrix_ranks(entry.complex, a, b, coords), (entry.name, a, b)
                 checked += 1
-                attached = spherig.rigidity._attach_order(g_minus.vertices, g_minus.edges, 4)[1]
+                attached = spherig.rigidity._attach_order(spherig.rigidity._peel(g_minus, 4), 4)[1]
                 reordered += attached != g_minus.sorted_edges()
         # every G - ab is read in an attach order other than sorted order
         assert (checked, reordered) == (309, 309)
@@ -469,12 +469,12 @@ class TestRunSuite:
             "88503d3383a55739cd6868fb1336901c9c2d577a3a212609b5c892d5ce71cc6c"
         )
 
-    def test_default_suite_builds_243_matrices_of_5165_rows(self, monkeypatch):
+    def test_default_suite_builds_243_matrices_of_5195_rows(self, monkeypatch):
         # one matrix per degenerate contraction point, none for a graph that
         # holds a rigid one the entry's memo recorded, nor for one whose
-        # first rows meet its peeling bound; a full-matrix build where a
-        # peeled core would do, or an elimination that no longer stops at its
-        # bound or reads its rows out of attach order, reads more rows
+        # first rows meet its peeling bound; an elimination that no longer
+        # stops at its bound or reads its rows out of attach order reads
+        # more rows
         built = read = 0
         real = spherig.rigidity._matrix_rows
 
@@ -487,7 +487,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
-        assert (built, read) == (243, 5165)
+        assert (built, read) == (243, 5195)
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)

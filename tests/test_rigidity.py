@@ -45,16 +45,19 @@ def rank_bound(graph: Graph, d: int) -> int:
     return spherig.rigidity._rank_bound(spherig.rigidity._peel(graph, d), d)
 
 
+def attach_order(graph: Graph, d: int):
+    """The order every elimination of the graph's matrix reads."""
+    return spherig.rigidity._attach_order(spherig.rigidity._peel(graph, d), d)
+
+
 def first_rows_bound(graph: Graph, d: int, phi: Embedding) -> int:
     """The lower bound on the rank at phi that _rank_at reads, from the
-    oracle's rank: the ranks of the peeled vertices' directions to their
-    neighbours at removal, plus those of each core vertex's directions to its
-    first back-neighbours in the core's attach order."""
-    peeled, core, core_edges = spherig.rigidity._peel(graph, d)
-    firsts = spherig.rigidity._attach_order(core, core_edges, d)[2]
+    oracle's rank: the ranks of each vertex's directions to its first
+    back-neighbours in the graph's attach order, which for a peeled vertex
+    are its neighbours at removal."""
     return sum(
         rank_mod_p([[a - b for a, b in zip(phi.coords[v], phi.coords[u])] for u in around])
-        for v, around in peeled + firsts
+        for v, around in attach_order(graph, d)[2]
         if around
     )
 
@@ -203,38 +206,43 @@ class TestAttachOrder:
 
     def test_places_by_most_placed_neighbours_and_lists_every_edge_once(self):
         rng = random.Random(19)
-        isolated = disconnected = 0
+        isolated = disconnected = peeling = 0
         for _ in range(300):
             graph, d = random_graph(rng), rng.randrange(1, 7)
-            blocks, edges, firsts = spherig.rigidity._attach_order(graph.vertices, graph.edges, d)
+            peeled = spherig.rigidity._peel(graph, d)[0]
+            blocks, edges, firsts = attach_order(graph, d)
             assert sorted(edges) == graph.sorted_edges()
             placed = blocks[::-1]
             assert sorted(placed) == sorted(graph.vertices)
-            # each step takes the most placed neighbours, then the smallest label
             nbrs = {v: {u for e in graph.edges if v in e for u in e - {v}} for v in graph.vertices}
-            for i, v in enumerate(placed):
-                seen = set(placed[:i])
-                key = {u: (-len(nbrs[u] & seen), u) for u in placed[i:]}
+            # the core first, each step taking the most placed neighbours,
+            # then the smallest label; then the peeled vertices, last peeled
+            # first
+            core = placed[: len(placed) - len(peeled)]
+            assert placed[len(core) :] == [v for v, _ in peeled[::-1]]
+            for i, v in enumerate(core):
+                seen = set(core[:i])
+                key = {u: (-len(nbrs[u] & seen), u) for u in core[i:]}
                 assert key[v] == min(key.values())
-            # first each vertex's first min(d, #earlier) edges back, then the rest
+            # a core vertex's first back-neighbours are its first min(d,
+            # #earlier) placed neighbours; a peeled vertex's are all of its
+            # neighbours placed before it, which are its neighbours at removal
             place = {v: i for i, v in enumerate(placed)}
-            back = [
-                (u, v)
-                for v in placed
-                for u in sorted(nbrs[v], key=place.get)
-                if place[u] < place[v]
-            ]
-            per_vertex = {v: [e for e in back if e[1] == v][:d] for v in placed}
-            first = [e for v in placed for e in per_vertex[v]]
-            expected = first + [e for e in back if e not in first]
-            assert edges == [tuple(sorted(e)) for e in expected]
-            assert firsts == [(v, [u for u, _ in per_vertex[v]]) for v in placed]
+            back = {v: sorted(nbrs[v] & set(placed[: place[v]]), key=place.get) for v in placed}
+            expected = [(v, back[v][:d]) for v in core]
+            expected += [(v, sorted(back[v])) for v, _ in peeled[::-1]]
+            assert firsts == expected
+            assert all(len(back[v]) <= d for v, _ in peeled)
+            # first each vertex's edges to its first back-neighbours, then the
+            # rest, both in placement order
+            first = [(u, v) for v, around in firsts for u in around]
+            rest = [(u, v) for v in placed for u in back[v] if (u, v) not in first]
+            assert edges == [tuple(sorted(e)) for e in first + rest]
             isolated += any(not around for around in nbrs.values())
-            disconnected += any(
-                not nbrs[v] & set(placed[:i]) for i, v in enumerate(placed) if i
-            )
+            disconnected += any(not back[v] for v in core[1:])
+            peeling += bool(peeled)
         # nothing passes vacuously
-        assert (isolated, disconnected) == (125, 98)
+        assert (isolated, disconnected, peeling) == (125, 95, 105)
 
     def deletions_against_the_oracle(self, graph: Graph, d: int, seed: int) -> tuple[int, int]:
         """Check edge_deletion_ranks against each G - e's matrix at the first
@@ -247,8 +255,7 @@ class TestAttachOrder:
             exact = rank_mod_p(rigidity_rows_mod_p(graph.remove_edge(a, b), coords, d))
             assert rank == exact, (a, b)
             unstressed += exact < full
-        edges = spherig.rigidity._attach_order(graph.vertices, graph.edges, d)[1]
-        return edges != graph.sorted_edges(), unstressed
+        return attach_order(graph, d)[1] != graph.sorted_edges(), unstressed
 
     def test_edge_deletion_ranks_match_the_oracle_on_the_d4_corpus(self, default_corpus):
         seed, checked, reordered, free = 20260823, 0, 0, 0
@@ -780,7 +787,7 @@ class TestMemoLearnsFromEdgeDeletions:
 
 class TestTrialCount:
     """A decision stops at the first point whose rank meets the peeling
-    bound; a graph with nothing peeled and a memo hit never compute it."""
+    bound; a memo hit never computes it."""
 
     def stacked_minus_edge(self, d: int) -> Graph:
         cross = sp.cross_polytope(d)
@@ -817,30 +824,28 @@ class TestTrialCount:
 
     def test_rigid_graphs_and_memo_hits_never_compute_the_bound(self, monkeypatch):
         def no_bound(*args):
-            raise AssertionError("a decision computed the peeling bound")
+            raise AssertionError("a memo hit peeled the graph or computed its bound")
 
-        # the cross polytope and K_5 peel nothing, so their bound is
-        # min(f1, target), whether their first rows reach it (K_5) or fall
-        # one short (the cross polytope); the stacked graph peels vertex 9,
-        # so only its relabelling, a memo hit, runs without its bound
+        # the relabellings of two graphs recorded rigid, one that peels
+        # nothing and one that peels vertex 9, are answered before a peel
         graph = graph_of(sp.cross_polytope(4))
         stacked = graph_of(sp.stack_over_facet(sp.cross_polytope(4), (1, 3, 5, 7), 9))
         with rigid_verdict_memo():
+            assert spherig.rigidity._peel(graph, 4)[0] == []
             assert spherig.rigidity._peel(stacked, 4)[0] == [(9, [1, 3, 5, 7])]
-            assert decide_rigidity(stacked, 4, seed=1).is_rigid
-            monkeypatch.setattr(spherig.rigidity, "_rank_bound", no_bound)
             assert decide_rigidity(graph, 4, seed=1).is_rigid
+            assert decide_rigidity(stacked, 4, seed=1).is_rigid
+            monkeypatch.setattr(spherig.rigidity, "_peel", no_bound)
+            monkeypatch.setattr(spherig.rigidity, "_rank_bound", no_bound)
             assert decide_rigidity(relabel(graph, lambda v: v + 10), 4, seed=2).is_rigid
             assert decide_rigidity(relabel(stacked, lambda v: v + 10), 4, seed=2).is_rigid
-        assert decide_rigidity(complete_graph(range(1, 6)), 4).is_rigid
 
 
 class TestRankAtAPoint:
-    """The rank decide_rigidity takes at a point, where peeled vertices add
-    their degrees, the core's first rows bound the rest from below, and only
-    the core is eliminated where that falls short of the bound, is the whole
-    matrix's rank at that point; with one trial the verdict's rank is that
-    rank."""
+    """The rank decide_rigidity takes at a point, where the first rows of the
+    attach order bound it from below and the matrix is eliminated only where
+    that falls short of the bound, is the whole matrix's rank at that point;
+    with one trial the verdict's rank is that rank."""
 
     SEED = 20260823
 
@@ -902,21 +907,20 @@ class TestRankAtAPoint:
 
     def rank_at(self, graph: Graph, coords: dict, monkeypatch) -> tuple[int, int]:
         """decide_rigidity's one-trial rank at coords, which must be the full
-        matrix's, and how many matrices it built over every vertex: the
-        fallback, or, with nothing peeled, the core's."""
+        matrix's, and how many matrices it built, each over every vertex."""
         phi = Embedding(4, coords)
         monkeypatch.setattr(spherig.rigidity, "random_embedding", lambda *args: phi)
-        fallbacks = []
+        built = []
 
         def counted(edge_order, vertex_order, embedding):
-            if set(vertex_order) == graph.vertices:
-                fallbacks.append(edge_order)
+            assert set(vertex_order) == graph.vertices
+            built.append(edge_order)
             return matrix_rows(edge_order, vertex_order, embedding)
 
         monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         rank = decide_rigidity(graph, 4, trials=1, seed=1).rank
         assert rank == full_rank_at(graph, phi)
-        return rank, len(fallbacks)
+        return rank, len(built)
 
     def test_every_vertex_at_the_origin(self, monkeypatch):
         # the peeled vertex's directions are dependent; K_8 peels nothing,
@@ -931,41 +935,57 @@ class TestRankAtAPoint:
         # 1..4; on their affine span its first directions lose a rank.  K_5's
         # rank drops with them (five points on a 3-flat), K_8's does not.
         graph = complete_graph(range(1, n + 1))
-        firsts = spherig.rigidity._attach_order(graph.vertices, graph.edges, 4)[2]
-        assert firsts[4] == (5, [1, 2, 3, 4])
+        assert attach_order(graph, 4)[2][4] == (5, [1, 2, 3, 4])
         coords = dict(first_point(graph, 4, 1).coords)
         coords[5] = tuple((x + y - z) % P for x, y, z in zip(coords[1], coords[2], coords[3]))
         assert self.rank_at(graph, coords, monkeypatch) == (rank, 1)
 
-    def test_peeled_vertex_on_the_span_of_its_neighbours_takes_the_fallback(self, monkeypatch):
+    def test_peeled_vertex_on_the_span_of_its_neighbours_loses_a_rank(self, monkeypatch):
         graph = self.stacked_cross()
         assert spherig.rigidity._peel(graph, 4)[0] == [(9, [3, 5, 7])]
         coords = dict(first_point(graph, 4, 1).coords)
         generic = full_rank_at(graph, Embedding(4, coords))
         coords[9] = tuple((2 * x - y) % P for x, y in zip(coords[3], coords[5]))
         # the core is rigid, so the dependent directions cost one rank; the
-        # peeled sum alone would still read 3 + 22
+        # peeled degree plus the core's rank would still read 3 + 22
         assert self.rank_at(graph, coords, monkeypatch) == (generic - 1, 1)
         assert generic == 3 + 22
 
+    def test_dependent_peeled_vertex_whose_other_first_rows_meet_the_bound(self, monkeypatch):
+        # C(6, 4) is K_6, whose 14 first rows meet its rank; vertex 7 peels
+        # with its 4 neighbours, so the bound is 4 + 14 = 18.  On the line
+        # through 1 and 2, 7's directions have rank 3 and the rank is 17;
+        # counting 7's edges instead of their rank would read the bound.
+        delta = sp.stack_over_facet(sp.cyclic_polytope_boundary(6, 4), (1, 2, 3, 4), 7)
+        graph = graph_of(delta)
+        assert spherig.rigidity._peel(graph, 4)[0] == [(7, [1, 2, 3, 4])]
+        assert rank_bound(graph, 4) == rigidity_target(7, 4) == 18
+        coords = dict(first_point(graph, 4, 1).coords)
+        coords[7] = tuple((2 * x - y) % P for x, y in zip(coords[1], coords[2]))
+        phi = Embedding(4, coords)
+        firsts = attach_order(graph, 4)[2]
+        assert sum(len(around) for _, around in firsts) == 18
+        assert first_rows_bound(graph, 4, phi) == 17
+        assert self.rank_at(graph, coords, monkeypatch) == (17, 1)
+
     @pytest.mark.parametrize(
-        "merged,fallbacks,rank",
+        "merged,built,rank",
         [
-            # two core vertices at one point: the core's elimination sees it
-            ([(1, 2)], 0, 25),
-            ([(1, 2), (3, 4)], 0, 24),
+            # two core vertices at one point: their first rows fall short
+            ([(1, 2)], 1, 25),
+            ([(1, 2), (3, 4)], 1, 24),
             # the peeled vertex on a neighbour, or two of its neighbours at
             # one point: its directions are dependent
             ([(5, 9)], 1, 24),
             ([(3, 5)], 1, 24),
         ],
     )
-    def test_two_vertices_at_one_point(self, merged, fallbacks, rank, monkeypatch):
+    def test_two_vertices_at_one_point(self, merged, built, rank, monkeypatch):
         graph = self.stacked_cross()
         coords = dict(first_point(graph, 4, 1).coords)
         for a, b in merged:
             coords[b] = coords[a]
-        assert self.rank_at(graph, coords, monkeypatch) == (rank, fallbacks)
+        assert self.rank_at(graph, coords, monkeypatch) == (rank, built)
 
 
 class TestDoingLess:
@@ -996,15 +1016,15 @@ class TestDoingLess:
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_stacked_chain_minus_an_edge_eliminates_only_its_core(self, d, monkeypatch):
-        # the core, C(d+2, d), is not eliminated either: with the peel
-        # degrees, its first rows meet the peeling bound
+        # nothing is eliminated, not even the core, C(d+2, d): the first
+        # rows, the peeled vertices' edges among them, meet the peeling bound
         graphs = list(stacked_chain(d, random.Random(d), d + 8))
         calls = self.spy_echelon(monkeypatch)
         for graph in graphs:
             calls.clear()
             verdict = decide_rigidity(graph, d, seed=1)
             assert verdict.rank == rigidity_target(len(graph.vertices), d) - 1
-            # one point; each call checks one vertex's peeled or first directions
+            # one point; each call checks one vertex's first directions
             assert {ncols for ncols, _, _ in calls} == {d}
             assert len(calls) == len(graph.vertices)
 
@@ -1023,8 +1043,8 @@ class TestDoingLess:
             assert target < len(graph.edges)
 
     def test_cross_polytope_whose_first_rows_fall_short_eliminates_its_core(self, monkeypatch):
-        # its 21 first rows fall one short of 22, so the core, here the whole
-        # graph, is eliminated until the rank reaches 22
+        # its 21 first rows fall one short of 22, so the whole matrix, the
+        # core's as nothing is peeled, is eliminated until the rank reaches 22
         calls = self.spy_echelon(monkeypatch)
         verdict = decide_rigidity(graph_of(sp.cross_polytope(4)), 4, seed=1)
         assert verdict.is_rigid and verdict.rank == 22
