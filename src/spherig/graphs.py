@@ -46,6 +46,17 @@ class Graph:
             raise ValueError(f"({a},{b}) is not an edge")
         return Graph._trusted(self.vertices, self.edges - {e})
 
+    def contract_edge(self, a: int, b: int, new: int) -> "Graph":
+        """G/ab: a and b merged into the fresh vertex new, which takes every
+        other edge at a or b; a common neighbour's two edges become one."""
+        e = frozenset((a, b))
+        if e not in self.edges:
+            raise ValueError(f"({a},{b}) is not an edge")
+        if new in self.vertices:
+            raise ValueError(f"label {new} already a vertex")
+        edges = frozenset((f - e) | {new} if f & e else f for f in self.edges if f != e)
+        return Graph._trusted((self.vertices - e) | {new}, edges)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

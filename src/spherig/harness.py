@@ -13,7 +13,7 @@ records; contraction runs at d = 4 only, the others at every d:
 Each check kind is a generator that yields one outcome per instance; its
 decorator times the outcomes and turns them into records, which carry the
 sub-seed that reproduces them.  A degenerate contraction record takes both
-of its ranks from one elimination (contraction_ranks); the generic record
+of its ranks at one merged point (contraction_ranks); the generic record
 decides G - e and the contracted graph apart.  build_corpus alone knows the
 families, the negative controls among them, whose stacked spheres run the
 same checks as any other; run_suite runs one loop over its entries, each
@@ -283,7 +283,11 @@ def verify_contraction_reduction(
     """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
     contraction)) + 4, checked at a degenerate embedding that merges the
     endpoints and again at independent generic points.  The degenerate
-    record ranks G-e and the contraction from one elimination.
+    record ranks G-e and the contraction at one point, from its first rows
+    or one elimination.  The contracted graph is G's, contracted: each face
+    of the contracted complex is the image of a face of delta, and a face
+    dropped inside a larger one takes no edge with it, so it has the edges
+    of SimplicialComplex.contract_edge's result.
 
     Qualification: the edge's link has >= 4 vertices, counted from the
     facets that contain the edge, and equals the intersection of the
@@ -307,13 +311,14 @@ def verify_contraction_reduction(
             base, SKIP, seed=seed, note="link(e) != link(a) * link(b) intersection"
         )
         return
-    g_minus = graph_of(delta).remove_edge(a, b)
+    graph = graph_of(delta)
+    g_minus = graph.remove_edge(a, b)
     sub = derive_seed(seed, "contraction", name, a, b)
 
     lhs, rhs = contraction_ranks(g_minus, a, b, 4, derive_seed(sub, "degenerate"))
     yield _ranked(f"{base}:degenerate", lhs, rhs + 4, sub)
 
-    g_down = graph_of(delta.contract_edge(edge, max(delta.vertices) + 1))
+    g_down = graph.contract_edge(a, b, max(delta.vertices) + 1)
     lhs_gen = decide_rigidity(g_minus, 4, seed=derive_seed(sub, "generic-minus")).rank
     rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
     yield _ranked(f"{base}:generic", lhs_gen, rhs_gen + 4, sub)

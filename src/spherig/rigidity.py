@@ -14,7 +14,8 @@ decide_rigidity and wrong with negligible probability elsewhere.
 Every rigidity matrix comes from one builder, _matrix_rows, which yields
 its rows lazily over a given edge and vertex order, and every rank from one
 elimination kernel, _echelon, which inserts rows one at a time into an
-echelon basis and can stop once the rank reaches a cap.  Every
+echelon basis, scaling a row by a pivot entry where elimination by hand
+would divide by it, and can stop once the rank reaches a cap.  Every
 elimination reads its rows and column blocks in one order per graph,
 _attach_order over the graph's _peel: the core by maximum cardinality
 search, then the vertices peeled at degree <= d, last peeled first.  Each
@@ -28,15 +29,16 @@ vertex, all its edges at removal): the ranks of their directions add up to
 a lower bound on the rank.  Where it meets the peeling bound, it is the
 rank; only otherwise is the matrix eliminated, and only until the rank
 reaches the bound.  The result is the full matrix's rank at that point, not
-an estimate (see _rank_at for the block triangular argument).
+an estimate (see _first_rows_rank for the block triangular argument).
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring), and
 contraction_ranks gives the ranks of G - ab and of G/ab at a random point
-moved to merge a and b, from one elimination too.  Inside rigid_verdict_memo
-decide_rigidity and edge_deletion_ranks record the shapes of the graphs they
-find rigid (the graph relabelled 0..n-1 in sorted vertex order, with d), and
-decide_rigidity answers a graph that contains a recorded shape on the same
-vertex count without a new embedding.
+moved to merge a and b, from the first rows of G - ab's order where they
+meet its rigidity target, and otherwise from one elimination.  Inside
+rigid_verdict_memo decide_rigidity and edge_deletion_ranks record the
+shapes of the graphs they find rigid (the graph relabelled 0..n-1 in sorted
+vertex order, with d), and decide_rigidity answers a graph that contains a
+recorded shape on the same vertex count without a new embedding.
 
 Field elements are plain Python ints in [0, p); there is no scalar wrapper
 class.  All randomness is drawn from seeded generators so every decision is
@@ -206,15 +208,22 @@ def _echelon(
     and, for each row that reduced to zero on the first ncols columns, its
     entries past them.  A row is reduced by the pivot row of its leading
     column until its leading column has none, where it becomes a pivot row,
-    or it has no leading column left.  A pivot row keeps only its entries
-    after its pivot and the inverse of its pivot entry; it is never
-    normalised, and it is zero left of its pivot, so reducing by it leaves
-    earlier columns alone.  Entries past ncols are carried along by every
-    reduction.  Reading ends as soon as there are stop pivots, so the rank
-    of the rows read is then stop; a caller passes a stop that the rank of
-    all the rows cannot exceed, and that rank is then stop too.  Rows are
-    read lazily, so rows past the stop are never built.  The input rows
-    are not changed.
+    or it has no leading column left.  A pivot row keeps only its pivot
+    entry e and its entries after its pivot; it is never normalised, and it
+    is zero left of its pivot, so reducing by it leaves earlier columns
+    alone.  Reducing r, whose leading entry is x, gives e*r - x*(pivot row),
+    which is zero at the pivot: no division, so no modular inverse
+    (fraction-free elimination, Bareiss 1968).  That is e times r - (x/e) *
+    (pivot row), the step with an inverse, and e is nonzero; so, step by
+    step, every row is a nonzero multiple of the row the same reduction
+    with inverses holds.  The pivot columns, their order, and which entries
+    of each zero row are nonzero are therefore those of elimination with
+    inverses, and they are all that a caller reads.  Entries past ncols are
+    carried along by every reduction.  Reading ends as soon as there are
+    stop pivots, so the rank of the rows read is then stop; a caller passes
+    a stop that the rank of all the rows cannot exceed, and that rank is
+    then stop too.  Rows are read lazily, so rows past the stop are never
+    built.  The input rows are not changed.
     """
     p = DEFAULT_PRIME
     basis: dict[int, tuple[int, list[int]]] = {}
@@ -224,14 +233,14 @@ def _echelon(
         c = next((j for j, x in enumerate(r) if x), ncols)
         pivot = basis.get(c)
         while pivot is not None:
-            inv, tail = pivot
-            h = p - r[c - o] * inv % p  # r - (r[c] / pivot entry) * pivot row
-            r = [(a + h * b) % p for a, b in zip(islice(r, c - o + 1, None), tail)]
+            e, tail = pivot
+            h = p - r[c - o]  # e * r - r[c] * pivot row
+            r = [(e * a + h * b) % p for a, b in zip(islice(r, c - o + 1, None), tail)]
             o = c + 1
             c = o if r and r[0] else next((j for j, x in enumerate(r, o) if x), ncols)
             pivot = basis.get(c)
         if c < ncols:
-            basis[c] = (pow(r[c - o], -1, p), r[c - o + 1 :])
+            basis[c] = (r[c - o], r[c - o + 1 :])
             if len(basis) == stop:
                 break
         else:
@@ -341,38 +350,46 @@ def _rank_bound(peel: Peel, d: int) -> int:
     return degrees + min(core_edges, rigidity_target(len(core), d))
 
 
-def _directions_rank(phi: Embedding, v: int, around: list[int]) -> int:
-    """The rank of the directions phi(v) - phi(u), u in around: the rows of
-    v's edges to around, restricted to v's d columns."""
+def _first_rows_rank(phi: Embedding, firsts: list[tuple[int, list[int]]]) -> int:
+    """A lower bound on the rank at phi of a graph's rigidity matrix, from
+    each vertex's first back-neighbours in the graph's _attach_order: the
+    sum over the vertices v of the rank of the directions phi(v) - phi(u),
+    u among v's first back-neighbours.
+
+    The first rows, each vertex v's rows to its first back-neighbours,
+    latest-placed vertex first, are zero in the blocks of the vertices
+    placed after v, which come first; so they are block upper triangular,
+    with v's first directions on the diagonal.  A combination of them that
+    vanishes puts no weight on rows independent on the first diagonal
+    block, whose columns no later row reaches, then none on such rows of
+    the next block, and so on; so the rank at phi is at least the sum of
+    the diagonal blocks' ranks.  A peeled vertex's block holds the
+    directions to all its neighbours at removal: where they are independent
+    it adds its whole degree (the 0-extension step of Tay-Whiteley 1985).
+    The argument holds at every point, a degenerate one included.
+    """
     p, coords = DEFAULT_PRIME, phi.coords
-    directions = ([(a - b) % p for a, b in zip(coords[v], coords[u])] for u in around)
-    return len(_echelon(directions, phi.d)[0])
+    total = 0
+    for v, back in firsts:
+        directions = ([(x - y) % p for x, y in zip(coords[v], coords[u])] for u in back)
+        total += len(_echelon(directions, phi.d)[0])
+    return total
 
 
 def _rank_at(order: Order, phi: Embedding, bound: int) -> int:
     """The rank of a graph's rigidity matrix at phi, given its _attach_order
     and a bound that no rank of the matrix at any point exceeds.
 
-    The first rows, each vertex v's rows to its first back-neighbours,
-    latest-placed vertex first, are zero in the blocks of the vertices
-    placed after v, which come first; so they are block upper triangular,
-    with v's first directions phi(v) - phi(u) on the diagonal.  A
-    combination of them that vanishes puts no weight on rows independent on
-    the first diagonal block, whose columns no later row reaches, then none
-    on such rows of the next block, and so on; so the rank at phi is at
-    least the sum of the diagonal blocks' ranks.  A peeled vertex's block
-    holds the directions to all its neighbours at removal: where they are
-    independent it adds its whole degree (the 0-extension step of
-    Tay-Whiteley 1985).  The sum never exceeds the rank at phi, which never
-    exceeds the bound; where they meet, the rank is the bound and nothing
-    is eliminated.  Otherwise the whole matrix is eliminated, in the same
-    order of rows and column blocks, until its rank reaches the bound, which
-    it then equals.  Permuting rows and columns does not change the rank, so
-    either way the value is the rank of the whole matrix at phi, not an
-    estimate.
+    _first_rows_rank never exceeds the rank at phi, which never exceeds the
+    bound; where they meet, the rank is the bound and nothing is
+    eliminated.  Otherwise the whole matrix is eliminated, in the same
+    order of rows and column blocks, until its rank reaches the bound,
+    which it then equals.  Permuting rows and columns does not change the
+    rank, so either way the value is the rank of the whole matrix at phi,
+    not an estimate.
     """
     blocks, edges, firsts = order
-    if sum(_directions_rank(phi, v, back) for v, back in firsts) == bound:
+    if _first_rows_rank(phi, firsts) == bound:
         return bound
     return len(_echelon(_matrix_rows(edges, blocks, phi), phi.d * len(blocks), bound)[0])
 
@@ -428,8 +445,8 @@ def decide_rigidity(
 
 def contraction_ranks(graph: Graph, a: int, b: int, d: int, seed: int) -> tuple[int, int]:
     """(rank R(G - ab), rank R(G/ab)) in dimension d at
-    random_embedding(graph, d, seed) with b moved onto a's point, from one
-    elimination; graph is G - ab.
+    random_embedding(graph, d, seed) with b moved onto a's point, from the
+    first rows of G - ab or else one elimination; graph is G - ab.
 
     G/ab merges a and b into one vertex at their common point.  Change the
     velocity variables by v_b = v_a + w, which is invertible: b's column
@@ -449,25 +466,38 @@ def contraction_ranks(graph: Graph, a: int, b: int, d: int, seed: int) -> tuple[
     reduces to zero on all columns, and the count of pivots before the
     split is final.
 
-    The rows are built once, lazily, in _attach_order's order of G - ab,
-    over its column blocks without b's, then b's, which is w's.  Only the
-    row of an edge at b has entries in b's block, and it has zeros in a's
-    (the row of ab, if the graph has it, is zero at this point), so adding
-    b's block into a's copies it there.
+    Before any matrix is built, _first_rows_rank of G - ab's _attach_order
+    bounds r1 = rank R(G - ab) from below at the merged point too.  Where
+    it reaches target(n), r1 = target(n), since no rank exceeds it.
+    Dropping the w block's d columns loses at most d, so r2 = rank R(G/ab)
+    >= r1 - d; and G/ab has n - 1 vertices, so r2 <= target(n - 1).  The
+    first rows reach target(n) only for n >= d + 2: below that the target
+    is C(n, 2), which needs the row of every pair, and the row of ab is
+    missing or zero at the merged point.  There target(n - 1) = target(n) -
+    d, so r2 = target(n) - d, and no matrix is built.
+
+    Otherwise the rows are built once, lazily, in _attach_order's order of
+    G - ab, over its column blocks without b's, then b's, which is w's.
+    Only the row of an edge at b has entries in b's block, and it has zeros
+    in a's (the row of ab, if the graph has it, is zero at this point), so
+    adding b's block into a's copies it there.
     """
     if a == b or not {a, b} <= graph.vertices:
         raise ValueError(f"({a}, {b}) are not two vertices of the graph")
     coords = dict(random_embedding(graph, d, seed).coords)
     coords[b] = coords[a]
     phi = Embedding(d, coords)
-    blocks, edges, _ = _attach_order(_peel(graph, d), d)
+    blocks, edges, firsts = _attach_order(_peel(graph, d), d)
+    target = rigidity_target(len(blocks), d)
+    if _first_rows_rank(phi, firsts) == target:
+        return target, target - d
     order = [v for v in blocks if v != b] + [b]
     ia, split = order.index(a) * d, d * len(order) - d
     rows = (
         row[:ia] + row[-d:] + row[ia + d :] if b in edge else row
         for edge, row in zip(edges, _matrix_rows(edges, order, phi))
     )
-    cap = min(len(edges), rigidity_target(len(order), d))
+    cap = min(len(edges), target)
     pivots = _echelon(rows, d * len(order), cap)[0]
     return len(pivots), sum(1 for c in pivots if c < split)
 

@@ -159,15 +159,15 @@ MUTANTS = [
     (
         "first-rows-counted-without-independence-check",
         RIGIDITY,
-        "sum(_directions_rank(phi, v, back) for v, back in firsts)",
-        "sum(len(back) for v, back in firsts)",
+        "        total += len(_echelon(directions, phi.d)[0])\n",
+        "        total += len(back)\n",
         ("tests/test_rigidity.py::TestRankAtAPoint::test_every_vertex_at_the_origin",),
     ),
     (
         "first-rows-meet-the-bound-one-rank-early",
         RIGIDITY,
-        "for v, back in firsts) == bound:\n",
-        "for v, back in firsts) >= bound - 1:\n",
+        "    if _first_rows_rank(phi, firsts) == bound:\n",
+        "    if _first_rows_rank(phi, firsts) >= bound - 1:\n",
         (
             "tests/test_rigidity.py::TestRankAtAPoint"
             "::test_core_vertex_on_the_span_of_its_first_neighbours[5-9]",
@@ -200,8 +200,38 @@ MUTANTS = [
     (
         "contraction-stops-one-below-cap",
         RIGIDITY,
-        "    cap = min(len(edges), rigidity_target(len(order), d))\n",
-        "    cap = min(len(edges), rigidity_target(len(order), d)) - 1\n",
+        "    cap = min(len(edges), target)\n",
+        "    cap = min(len(edges), target) - 1\n",
+        (
+            "tests/test_rigidity.py::TestContractionRanks"
+            "::test_matches_two_matrices_on_random_graphs",
+        ),
+    ),
+    (
+        "echelon-pivot-entry-not-scaled",
+        RIGIDITY,
+        "(e * a + h * b) % p",
+        "(a + h * b) % p",
+        (
+            "tests/test_rigidity.py::TestRankMod"
+            "::test_pivots_and_zero_row_supports_match_elimination_with_inverses[None-284]",
+        ),
+    ),
+    (
+        "contraction-settles-one-rank-early",
+        RIGIDITY,
+        "    if _first_rows_rank(phi, firsts) == target:\n",
+        "    if _first_rows_rank(phi, firsts) >= target - 1:\n",
+        (
+            "tests/test_rigidity.py::TestContractionRanks"
+            "::test_common_neighbour_of_a_and_b_loses_a_first_row_rank",
+        ),
+    ),
+    (
+        "contraction-merged-rank-off-by-one",
+        RIGIDITY,
+        "        return target, target - d\n",
+        "        return target, target - d + 1\n",
         (
             "tests/test_rigidity.py::TestContractionRanks"
             "::test_matches_two_matrices_on_random_graphs",
@@ -446,6 +476,14 @@ MUTANTS = [
 #   same verdict.  _attach_order over such a peel is still block triangular,
 #   so _rank_at gives the full matrix's rank at the point exactly, only with
 #   more of it eliminated.
+# - contraction_ranks settling where the first rows' sum reaches the target
+#   with >= in place of ==: the sum never exceeds the rank at the point,
+#   and no rank exceeds the target.
+# - contraction_ranks settling only on n >= d + 1 vertices (or, mutated,
+#   n >= d): on at most d + 1 vertices the target is C(n, 2), and at the
+#   merged point the row of ab is missing or zero, so the first rows never
+#   reach the target there and such a guard never decides anything; the
+#   code has none.
 # - _attach_order placing the peeled tail in peel order instead of last
 #   peeled first: the first rows' sum adds the same terms in another order,
 #   and the rank at a point does not depend on the order of the rows and

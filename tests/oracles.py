@@ -250,6 +250,43 @@ def rank_mod_p(rows) -> int:
     return rank
 
 
+def echelon_mod_p(rows, ncols: int, stop=None) -> tuple[list[int], list[list[int]]]:
+    """Rows inserted one at a time over F_p, p = 2**61 - 1, into echelon
+    form with inverses: each row is reduced by the pivot row of its leading
+    column, scaled to a leading 1, until that column has none (the row is
+    scaled and kept as its pivot row) or no column among the first ncols is
+    left (a zero row).  Returns the pivot columns in the order they were
+    found and, for each zero row, the positions of its nonzero entries past
+    the first ncols; reading ends once there are stop pivots."""
+    pivots: dict[int, list[int]] = {}
+    supports = []
+    for row in rows:
+        row = [x % PRIME for x in row]
+        col = next((j for j in range(ncols) if row[j]), None)
+        while col in pivots:
+            factor = row[col]
+            row = [(x - factor * y) % PRIME for x, y in zip(row, pivots[col])]
+            col = next((j for j in range(ncols) if row[j]), None)
+        if col is None:
+            supports.append([j for j, x in enumerate(row[ncols:]) if x])
+            continue
+        scale = pow(row[col], PRIME - 2, PRIME)  # Fermat inverse
+        pivots[col] = [x * scale % PRIME for x in row]
+        if len(pivots) == stop:
+            break
+    return list(pivots), supports
+
+
+def directions_rank_sum(coords, firsts) -> int:
+    """The sum over (v, around) in firsts of the rank over F_p of the
+    directions coords[v] - coords[u], u in around."""
+    return sum(
+        rank_mod_p([[a - b for a, b in zip(coords[v], coords[u])] for u in around])
+        for v, around in firsts
+        if around
+    )
+
+
 def sorted_relabelling(graph) -> tuple[int, frozenset[tuple[int, int]]]:
     """Vertex count and edges (i, j), i < j, of a graph relabelled 0..n-1 in
     sorted vertex order."""

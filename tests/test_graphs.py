@@ -47,6 +47,11 @@ class TestGraph:
         assert 1 in g.vertices
         assert not any(1 in e for e in g.edges)
 
+    def test_contract_edge_merges_common_neighbours(self):
+        # 3 neighbours both 1 and 2, and keeps one edge to the merged 9
+        g = Graph(range(1, 5), [(1, 2), (1, 3), (2, 3), (2, 4)])
+        assert g.contract_edge(1, 2, 9) == Graph({3, 4, 9}, [(3, 9), (4, 9)])
+
     def test_equality_and_hash(self):
         a = path_graph(3)
         b = Graph({1, 2, 3}, [(2, 3), (1, 2)])
@@ -95,6 +100,7 @@ class TestBuilders:
         built = [
             g,
             g.remove_edge(1, 3),
+            g.contract_edge(1, 3, 9),
             complete_graph(range(1, 7)),
             cone_graph(g, 9),
             union(g, complete_graph((1, 2, 11))),
@@ -110,5 +116,9 @@ class TestBuilders:
             complete_graph(range(1, 4)).remove_edge(1, 5)
         with pytest.raises(ValueError, match="already a vertex"):
             cone_graph(complete_graph(range(1, 4)), 3)
+        with pytest.raises(ValueError, match="not an edge"):
+            path_graph(3).contract_edge(1, 3, 9)
+        with pytest.raises(ValueError, match="already a vertex"):
+            path_graph(3).contract_edge(1, 2, 3)
         with pytest.raises(ValueError, match="two distinct endpoints"):
             Graph({1, 2}, [(1, 2, 3)])

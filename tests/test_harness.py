@@ -41,6 +41,7 @@ from spherig.rigidity import (
 
 from oracles import (
     brute_prime_factors,
+    directions_rank_sum,
     intersection,
     rank_mod_p,
     rigidity_rows_mod_p,
@@ -270,22 +271,51 @@ class TestContraction:
         with pytest.raises(ValueError, match=re.escape(f"{e} is not an edge")):
             verify_contraction_reduction(sp.cross_polytope(4), e)
 
-    def test_merged_elimination_equals_two_matrices_on_the_d4_corpus(self, default_corpus):
-        # every edge, qualifying or not, at its own seeded degenerate point
-        seed, checked, reordered = 20260823, 0, 0
+    def test_merged_elimination_equals_two_matrices_on_the_d4_corpus(
+        self, default_corpus, monkeypatch
+    ):
+        # every edge, qualifying or not, at its own seeded degenerate point;
+        # a matrix is built exactly where the first rows of G - ab fall
+        # short of its rigidity target at that point
+        built = []
+        real = spherig.rigidity._matrix_rows
+        monkeypatch.setattr(
+            spherig.rigidity, "_matrix_rows", lambda *args: built.append(args) or real(*args)
+        )
+        seed, checked, reordered, settled = 20260823, 0, 0, 0
         for entry in (e for e in default_corpus if e.d == 4):
             graph = graph_of(entry.complex)
             for a, b in graph.sorted_edges():
                 g_minus = graph.remove_edge(a, b)
                 point_seed = derive_seed(seed, entry.name, a, b)
                 coords = degenerate_point(g_minus, a, b, point_seed)
+                built.clear()
                 merged = contraction_ranks(g_minus, a, b, 4, point_seed)
                 assert merged == two_matrix_ranks(entry.complex, a, b, coords), (entry.name, a, b)
                 checked += 1
-                attached = spherig.rigidity._attach_order(spherig.rigidity._peel(g_minus, 4), 4)[1]
+                _, attached, firsts = spherig.rigidity._attach_order(
+                    spherig.rigidity._peel(g_minus, 4), 4
+                )
                 reordered += attached != g_minus.sorted_edges()
-        # every G - ab is read in an attach order other than sorted order
-        assert (checked, reordered) == (309, 309)
+                target = rigidity_target(len(g_minus.vertices), 4)
+                short = directions_rank_sum(coords, firsts) < target
+                assert len(built) == short, (entry.name, a, b)
+                settled += not short
+        # every G - ab is read in an attach order other than sorted order;
+        # 239 of the 309 are settled by their first rows
+        assert (checked, reordered, settled) == (309, 309, 239)
+
+    def test_contracted_graph_equals_the_contracted_complexs_graph(self):
+        # on every edge of every family at d = 4, negative controls included
+        checked = 0
+        for entry in build_corpus(FAMILIES, (4,), 20260823):
+            delta, graph = entry.complex, graph_of(entry.complex)
+            new = max(delta.vertices) + 1
+            for a, b in graph.sorted_edges():
+                contracted = graph_of(delta.contract_edge((a, b), new))
+                assert graph.contract_edge(a, b, new) == contracted, (entry.name, a, b)
+                checked += 1
+        assert checked == 351
 
     def test_every_contraction_record_of_the_d4_suite_replays(self, default_corpus):
         config = SuiteConfig(dims=(4,), seed=20260823)
@@ -469,12 +499,13 @@ class TestRunSuite:
             "88503d3383a55739cd6868fb1336901c9c2d577a3a212609b5c892d5ce71cc6c"
         )
 
-    def test_default_suite_builds_243_matrices_of_5195_rows(self, monkeypatch):
-        # one matrix per degenerate contraction point, none for a graph that
-        # holds a rigid one the entry's memo recorded, nor for one whose
-        # first rows meet its peeling bound; an elimination that no longer
-        # stops at its bound or reads its rows out of attach order reads
-        # more rows
+    def test_default_suite_builds_96_matrices_of_2057_rows(self, monkeypatch):
+        # a matrix only where the first rows fall short: of a degenerate
+        # contraction point, below the rigidity target of G - ab; of a
+        # decision, below its peeling bound.  None for a graph that holds a
+        # rigid one the entry's memo recorded.  An elimination that no
+        # longer stops at its bound or reads its rows out of attach order
+        # reads more rows
         built = read = 0
         real = spherig.rigidity._matrix_rows
 
@@ -487,7 +518,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
-        assert (built, read) == (243, 5195)
+        assert (built, read) == (96, 2057)
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)

@@ -23,6 +23,8 @@ from spherig.rigidity import (
 )
 
 from oracles import (
+    directions_rank_sum,
+    echelon_mod_p,
     rank_mod_p,
     rational_rank,
     rational_rigidity_rank,
@@ -55,11 +57,7 @@ def first_rows_bound(graph: Graph, d: int, phi: Embedding) -> int:
     oracle's rank: the ranks of each vertex's directions to its first
     back-neighbours in the graph's attach order, which for a peeled vertex
     are its neighbours at removal."""
-    return sum(
-        rank_mod_p([[a - b for a, b in zip(phi.coords[v], phi.coords[u])] for u in around])
-        for v, around in attach_order(graph, d)[2]
-        if around
-    )
+    return directions_rank_sum(phi.coords, attach_order(graph, d)[2])
 
 
 def count_embeddings(monkeypatch) -> list:
@@ -190,6 +188,37 @@ class TestRankMod:
                 rows.append([rng.randrange(-9, 10) for _ in range(ncols)])
             field_rows = [[x % P for x in r] for r in rows]
             assert echelon_rank(field_rows, ncols) == rational_rank(rows)
+
+    @pytest.mark.parametrize(
+        "stop,zero_rows", [(None, 284), ("at the rank", 102), ("below the rank", 55)]
+    )
+    def test_pivots_and_zero_row_supports_match_elimination_with_inverses(self, stop, zero_rows):
+        # _echelon scales by pivot entries where the oracle divides by them.
+        # Each row is extended by its unit vector, as edge_deletion_ranks
+        # does, so a zero row's support past ncols names the rows of a
+        # stress; a dependent row is a random combination of earlier rows
+        rng = random.Random(41)
+        zeros_read = 0
+        for _ in range(80):
+            ncols, m = rng.randrange(1, 9), rng.randrange(1, 13)
+            rows: list[list[int]] = []
+            for _ in range(m):
+                if rows and rng.random() < 0.4:
+                    picks = rng.sample(rows, rng.randrange(1, len(rows) + 1))
+                    row = [sum(rng.randrange(P) * r[j] for r in picks) % P for j in range(ncols)]
+                else:
+                    lead = rng.randrange(ncols)
+                    tail = [rng.choice((0, 1, rng.randrange(P))) for _ in range(lead, ncols)]
+                    row = [0] * lead + tail
+                rows.append(row)
+            work = [row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+            rank = len(echelon_mod_p(work, ncols)[0])
+            cap = {None: None, "at the rank": rank, "below the rank": max(rank - 1, 1)}[stop]
+            expected = echelon_mod_p(work, ncols, cap)
+            pivots, zeros = spherig.rigidity._echelon(work, ncols, cap)
+            assert (pivots, [[j for j, x in enumerate(z) if x] for z in zeros]) == expected
+            zeros_read += len(zeros)
+        assert zeros_read == zero_rows
 
 
 def random_graph(rng: random.Random) -> Graph:
@@ -508,10 +537,22 @@ class TestContractionRanks:
         graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
         assert contraction_ranks(graph, 1, 3, 4, 5) == (22, 18)
 
-    def test_matches_two_matrices_on_random_graphs(self):
-        # R(G - ab) at the merged point and R(G/ab), each from its own matrix
+    def spy_builds(self, monkeypatch) -> list:
+        """Patch _matrix_rows to record each matrix built; return the record."""
+        built = []
+        monkeypatch.setattr(
+            spherig.rigidity, "_matrix_rows", lambda *args: built.append(args) or matrix_rows(*args)
+        )
+        return built
+
+    def test_matches_two_matrices_on_random_graphs(self, monkeypatch):
+        # R(G - ab) at the merged point and R(G/ab), each from its own
+        # matrix; a matrix is built exactly where the first rows of G - ab
+        # fall short of its target there, which they always do on at most
+        # d + 1 vertices
+        built = self.spy_builds(monkeypatch)
         rng = random.Random(29)
-        checked = at_cap = 0
+        checked = at_cap = settled = small = 0
         for _ in range(150):
             graph, d = random_graph(rng), rng.randrange(2, 6)
             if len(graph.vertices) < 2:
@@ -526,11 +567,39 @@ class TestContractionRanks:
             down = Graph(graph.vertices - {b}, merged_edges)
             minus = rank_mod_p(rigidity_rows_mod_p(graph, coords, d))
             merged = rank_mod_p(rigidity_rows_mod_p(down, coords, d))
+            built.clear()
             assert contraction_ranks(graph, a, b, d, seed) == (minus, merged)
+            n = len(graph.vertices)
+            target = rigidity_target(n, d)
+            short = directions_rank_sum(coords, attach_order(graph, d)[2]) < target
+            assert len(built) == short
             checked += 1
-            at_cap += minus == min(len(graph.edges), rigidity_target(len(graph.vertices), d))
-        # the elimination stops at its cap on these, and is exact there
-        assert (checked, at_cap) == (140, 139)
+            at_cap += minus == min(len(graph.edges), target)
+            settled += not short
+            small += n <= d + 1
+        # the elimination stops at its cap on these, and is exact there; 42
+        # settle on their first rows, none of the 44 on at most d + 1 vertices
+        assert (checked, at_cap, settled, small) == (140, 139, 42, 44)
+
+    def test_common_neighbour_of_a_and_b_loses_a_first_row_rank(self, monkeypatch):
+        # 7 peels with neighbours 1, 2, 3, 4, so its directions to 1 and 2
+        # are first rows; the core K_6 - 12 has first rows that meet its
+        # target.  With 2 on 1 those two directions agree, the first rows
+        # read 17 of the target 18, and the matrix is eliminated
+        built = self.spy_builds(monkeypatch)
+        core = [e for e in combinations(range(1, 7), 2) if e != (1, 2)]
+        graph = Graph(range(1, 8), core + [(v, 7) for v in (1, 2, 3, 4)])
+        firsts = attach_order(graph, 4)[2]
+        assert firsts[-1] == (7, [1, 2, 3, 4])
+        coords = dict(random_embedding(graph, 4, 5).coords)
+        assert directions_rank_sum(coords, firsts) == rigidity_target(7, 4) == 18
+        coords[2] = coords[1]
+        assert directions_rank_sum(coords, firsts) == 17
+        down = Graph(set(range(1, 8)) - {2}, [[1 if v == 2 else v for v in e] for e in graph.edges])
+        minus = rank_mod_p(rigidity_rows_mod_p(graph, coords, 4))
+        merged = rank_mod_p(rigidity_rows_mod_p(down, coords, 4))
+        assert contraction_ranks(graph, 1, 2, 4, 5) == (minus, merged) == (17, 13)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 99)])
     def test_a_and_b_must_be_two_vertices_of_the_graph(self, a, b):
