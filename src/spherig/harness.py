@@ -14,9 +14,12 @@ Each check kind is a generator that yields one outcome per instance; its
 decorator times the outcomes and turns them into records, which carry the
 sub-seed that reproduces them.  A degenerate contraction record takes both
 of its ranks at one merged point (contraction_ranks); the generic record
-decides G - e and the contracted graph apart.  build_corpus alone knows the
-families, the negative controls among them, whose stacked spheres run the
-same checks as any other; run_suite runs one loop over its entries, each
+decides G - e and the contracted graph apart.  star_rigidity checks one
+face per orbit under automorphisms of the complex and gives each other face
+of the orbit that verdict, with the face's own seed.  build_corpus alone
+knows the families, the negative controls among them, whose stacked spheres
+run the same checks as any other, and hands each entry generators of its
+construction's symmetries; run_suite runs one loop over its entries, each
 inside its own rigid_verdict_memo.
 The machine report is one tab-separated line per record (check, instance,
 verdict, rank, target, seed), sorted, so equal configurations give
@@ -29,7 +32,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .certificates import certify_missing_face_edge, certify_star_rigidity, check
 from .complexes import SimplicialComplex, prime_factors
@@ -324,26 +327,84 @@ def verify_contraction_reduction(
     yield _ranked(f"{base}:generic", lhs_gen, rhs_gen + 4, sub)
 
 
+def _face_orbits(
+    delta: SimplicialComplex,
+    faces: Sequence[frozenset[int]],
+    symmetries: Sequence[Mapping[int, int]],
+    name: str,
+) -> list[frozenset[int]]:
+    """For each face, the first face of its orbit in `faces` under the group
+    the symmetries generate; `faces` must be closed under that group.
+
+    A symmetry maps each vertex of delta to a vertex, a vertex it does not
+    name to itself.  Each is checked before use: it must name only vertices
+    of delta and map the facet set onto itself, or a ValueError names the
+    entry.  The facets cover the vertices, so such a map takes the vertices
+    onto themselves too: it is a bijection.  Each face not yet reached
+    starts an orbit, closed by a search that applies every generator to
+    every face it reaches, so each face is mapped once per generator.
+    """
+    vertices, facets = delta.vertices, delta.facets
+    maps = []
+    for g in symmetries:
+        image = {v: g.get(v, v) for v in vertices}.__getitem__
+        if not (g.keys() <= vertices and {frozenset(map(image, f)) for f in facets} == facets):
+            raise ValueError(f"{name}: {dict(g)} is not an automorphism of the complex")
+        maps.append(image)
+    first: dict[frozenset[int], frozenset[int]] = {}
+    for face in faces:
+        if face in first:
+            continue
+        first[face] = face
+        reached = [face]
+        while reached:
+            at = reached.pop()
+            for image in maps:
+                other = frozenset(map(image, at))
+                if other not in first:
+                    first[other] = face
+                    reached.append(other)
+    return [first[face] for face in faces]
+
+
 @_check_kind("star_rigidity")
 def verify_star_rigidity(
     delta: SimplicialComplex,
     *,
     seed: int = 0,
     name: str = "complex",
+    symmetries: Sequence[Mapping[int, int]] = (),
 ) -> Iterator[_Outcome]:
     """Certificates for the stars of all faces with |sigma| <= d-3 must
-    pass, d = dim + 1."""
+    pass, d = dim + 1.
+
+    Only the first face of each orbit under the symmetries (_face_orbits),
+    in check order, is checked, at its own seed; every other face of the
+    orbit gets that verdict in a record with its own seed, whose note names
+    the checked face.  The transfer is exact.  An automorphism g of delta
+    maps faces to faces and lk(sigma) onto lk(g sigma), so the graph of
+    star(g sigma) is the graph of star(sigma) relabelled by g.  Generic rank
+    does not change under relabelling, so both stars are d-rigid or neither
+    is.  This is the memo's argument (rigid_verdict_memo) with g in place of
+    the sorted relabelling: a pass proves the whole orbit rigid, and a fail
+    is the checked face's verdict on a generic rank the orbit shares.
+    """
     if delta.dim < 3:
         raise ValueError("star verification needs d >= 4")
     d = delta.dim + 1
     faces: list[frozenset[int]] = [frozenset()]
     for size in range(1, d - 2):
         faces.extend(sorted(delta.faces_of_dim(size - 1), key=sorted))
-    for face in faces:
+    checked: dict[frozenset[int], tuple[str, str]] = {}  # face -> (label, verdict)
+    for face, first in zip(faces, _face_orbits(delta, faces, symmetries, name)):
         label = face_label(face)
         sub = derive_seed(seed, "star", name, label)
-        ok = check(certify_star_rigidity(delta, face), sub)
-        yield _Outcome(f"{name}:s={label}", PASS if ok else FAIL, seed=sub)
+        if first == face:
+            ok = check(certify_star_rigidity(delta, face), sub)
+            checked[face] = (label, PASS if ok else FAIL)
+        first_label, verdict = checked[first]
+        note = "" if first == face else f"same orbit as s={first_label}"
+        yield _Outcome(f"{name}:s={label}", verdict, seed=sub, note=note)
 
 
 @_check_kind("g2_stress")
@@ -364,8 +425,12 @@ def verify_g2_stress(
 
 @dataclass
 class CorpusEntry:
+    """A named sphere, with vertex maps that generate automorphisms of it
+    (each checked before use, see _face_orbits)."""
+
     name: str
     complex: SimplicialComplex
+    symmetries: tuple[dict[int, int], ...] = ()
 
     @property
     def d(self) -> int:
@@ -426,20 +491,51 @@ FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks", "negat
 DEFAULT_FAMILIES = ("simplex", "cross-polytope", "joins", "cyclic", "flip-walks")
 
 
+def _cycle(labels: Sequence[int]) -> dict[int, int]:
+    """The cyclic permutation labels[0] -> labels[1] -> ... -> labels[0]."""
+    return {v: labels[(i + 1) % len(labels)] for i, v in enumerate(labels)}
+
+
+def _reflection(labels: Sequence[int]) -> dict[int, int]:
+    """The reversal of the label sequence."""
+    return dict(zip(labels, reversed(labels)))
+
+
+def _simplex_symmetries(labels: Sequence[int]) -> tuple[dict[int, int], ...]:
+    """A transposition and the full cycle, which generate every permutation."""
+    return _cycle(labels[:2]), _cycle(labels)
+
+
 def _family_entries(family: str, d: int, seed: int) -> Iterator[CorpusEntry]:
-    """The entries one family gives at dimension d."""
+    """The entries one family gives at dimension d, each with a few
+    generators of its construction's symmetries."""
     if family == "simplex":
-        yield CorpusEntry(f"simplex-d{d}", boundary_simplex(d))
+        symmetries = _simplex_symmetries(range(1, d + 2))
+        yield CorpusEntry(f"simplex-d{d}", boundary_simplex(d), symmetries)
     elif family == "cross-polytope":
-        yield CorpusEntry(f"cross-d{d}", cross_polytope(d))
+        # flip the first pair, swap the first two, rotate the pairs: together
+        # they give every signed permutation of the d antipodal pairs
+        rotate = _cycle(range(1, 2 * d + 1, 2)) | _cycle(range(2, 2 * d + 1, 2))
+        swap = {1: 3, 3: 1, 2: 4, 4: 2}
+        yield CorpusEntry(f"cross-d{d}", cross_polytope(d), ({1: 2, 2: 1}, swap, rotate))
     elif family == "joins":
         for p in range(2, d // 2 + 1):
-            yield CorpusEntry(f"join-spheres-{p}-{d - p}", join_spheres(p, d - p))
+            left, right = range(1, p + 2), range(p + 2, d + 3)
+            symmetries = _simplex_symmetries(left) + _simplex_symmetries(right)
+            if len(left) == len(right):
+                symmetries += (dict(zip((*left, *right), (*right, *left))),)
+            yield CorpusEntry(f"join-spheres-{p}-{d - p}", join_spheres(p, d - p), symmetries)
         for k in (4, 5, 6):
-            yield CorpusEntry(f"join-cycle-d{d}-k{k}", join_simplex_cycle(d, k))
+            cycle = range(d, d + k)
+            symmetries = (*_simplex_symmetries(range(1, d)), _cycle(cycle), _reflection(cycle))
+            yield CorpusEntry(f"join-cycle-d{d}-k{k}", join_simplex_cycle(d, k), symmetries)
     elif family == "cyclic":
+        # Gale's evenness condition reads the same backwards, and, in even
+        # d, around the cycle 1..n
         for n in (d + 2, d + 3):
-            yield CorpusEntry(f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d))
+            labels = range(1, n + 1)
+            symmetries = (_reflection(labels),) + ((_cycle(labels),) if d % 2 == 0 else ())
+            yield CorpusEntry(f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d), symmetries)
     elif family == "flip-walks" and d == 4:
         walk = flip_walk_corpus(derive_seed(seed, "corpus-walk"))
         yield from (CorpusEntry(f"flip-walk-{i}", delta) for i, delta in enumerate(walk))
@@ -531,13 +627,10 @@ def run_suite(config: SuiteConfig) -> Report:
         delta = entry.complex
         options = dict(seed=derive_seed(config.seed, entry.name), name=entry.name)
         with rigid_verdict_memo():
-            for verify in (
-                verify_minus_edge,
-                verify_missing_face_lemma,
-                verify_star_rigidity,
-                verify_g2_stress,
-            ):
-                report.extend(verify(delta, **options))
+            report.extend(verify_minus_edge(delta, **options))
+            report.extend(verify_missing_face_lemma(delta, **options))
+            report.extend(verify_star_rigidity(delta, symmetries=entry.symmetries, **options))
+            report.extend(verify_g2_stress(delta, **options))
             if entry.d == 4:
                 for edge in graph_of(delta).sorted_edges():
                     report.extend(verify_contraction_reduction(delta, edge, **options))

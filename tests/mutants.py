@@ -414,6 +414,37 @@ MUTANTS = [
         ),
     ),
     (
+        "orbit-generators-unverified",
+        "src/spherig/harness.py",
+        "            raise ValueError("
+        'f"{name}: {dict(g)} is not an automorphism of the complex")\n',
+        "            pass\n",
+        (
+            "tests/test_harness.py::TestSymmetryOrbits"
+            "::test_a_map_that_is_not_an_automorphism_is_rejected_by_entry_name",
+        ),
+    ),
+    (
+        "orbit-generator-may-name-a-non-vertex",
+        "src/spherig/harness.py",
+        "if not (g.keys() <= vertices and {",
+        "if not ({",
+        (
+            "tests/test_harness.py::TestSymmetryOrbits"
+            "::test_a_map_that_is_not_an_automorphism_is_rejected_by_entry_name",
+        ),
+    ),
+    (
+        "orbit-verdict-from-the-last-checked-face",
+        "src/spherig/harness.py",
+        "        first_label, verdict = checked[first]\n",
+        "        first_label, verdict = list(checked.values())[-1]\n",
+        (
+            "tests/test_harness.py::TestSymmetryOrbits"
+            "::test_a_transferred_record_takes_its_first_faces_verdict_and_names_it",
+        ),
+    ),
+    (
         "gale-accepts-odd-interior-runs",
         "src/spherig/generators.py",
         "            for length in range(left - left % 2, 1, -2):  # longest first\n",

@@ -11,6 +11,7 @@ import spherig.rigidity
 from spherig.certificates import certify_missing_face_edge, certify_star_rigidity, check
 from spherig.graphs import Graph, graph_of
 from spherig.harness import (
+    DEFAULT_FAMILIES,
     FAIL,
     PASS,
     SKIP,
@@ -29,6 +30,7 @@ from spherig.harness import (
     verify_missing_face_lemma,
     verify_negative_control,
     verify_star_rigidity,
+    _face_orbits,
 )
 from spherig.rigidity import (
     contraction_ranks,
@@ -36,6 +38,7 @@ from spherig.rigidity import (
     derive_seed,
     edge_deletion_ranks,
     random_embedding,
+    rigid_verdict_memo,
     rigidity_target,
 )
 
@@ -349,6 +352,117 @@ class TestStarAndStress:
             assert rec.rank == rec.target == g2
 
 
+class TestSymmetryOrbits:
+    def test_every_familys_symmetries_are_automorphisms(self):
+        corpus = build_corpus(FAMILIES, range(4, 9), 20260823)
+        for entry in corpus:
+            faces = [frozenset(), *entry.complex.faces_of_dim(0)]
+            first = _face_orbits(entry.complex, faces, entry.symmetries, entry.name)
+            assert len(first) == len(faces)
+        plain = ("flip-walk-", "control-")
+        assert all(bool(e.symmetries) != e.name.startswith(plain) for e in corpus)
+
+    @pytest.mark.parametrize(
+        "g", [{1: 2, 2: 1}, {1: 2}, {1: 8, 8: 1}, {8: 9, 9: 8}], ids=str
+    )
+    def test_a_map_that_is_not_an_automorphism_is_rejected_by_entry_name(self, g):
+        # a transposition, a map onto fewer vertices, a map off the complex,
+        # and a map of labels the complex does not have
+        delta = sp.cyclic_polytope_boundary(7, 5)
+        with pytest.raises(ValueError, match="cyclic-7-5: .* is not an automorphism"):
+            verify_star_rigidity(delta, name="cyclic-7-5", symmetries=(g,))
+
+    @pytest.mark.parametrize(
+        "dims, records, checks", [((4, 5, 6), 1523, 216), ((7, 8), 13574, 614)]
+    )
+    def test_default_families_check_one_star_per_orbit(self, monkeypatch, dims, records, checks):
+        certified = []
+        real = spherig.harness.certify_star_rigidity
+
+        def spy(delta, face):
+            certified.append(face)
+            return real(delta, face)
+
+        monkeypatch.setattr(spherig.harness, "certify_star_rigidity", spy)
+        report = Report()
+        for entry in build_corpus(DEFAULT_FAMILIES, dims, 20260823):
+            with rigid_verdict_memo():
+                star = verify_star_rigidity(
+                    entry.complex, name=entry.name, symmetries=entry.symmetries
+                )
+                report.extend(star)
+        assert report.ok
+        assert (len(report.records), len(certified)) == (records, checks)
+        assert sum(r.note == "" for r in report.records) == checks
+
+    def test_transferred_records_of_the_default_corpus_replay(self, default_corpus):
+        corpus = {e.name: e for e in default_corpus}
+        transferred = 0
+        for entry in default_corpus:
+            report = verify_star_rigidity(
+                entry.complex,
+                seed=derive_seed(20260823, entry.name),
+                name=entry.name,
+                symmetries=entry.symmetries,
+            )
+            for record in report.records:
+                if record.note:
+                    transferred += 1
+                    line = record.machine_line()
+                    assert replay(line, corpus) == line
+        assert transferred == 1523 - 216
+
+    def test_a_transferred_record_takes_its_first_faces_verdict_and_names_it(
+        self, monkeypatch
+    ):
+        # under the reflection of C(7, 5) the vertices pair up as 1~7, 2~6,
+        # 3~5 and 4~4; a fail at 3 is 5's verdict too, not 4's, the face
+        # checked last
+        entry = build_corpus(("cyclic",), (5,), 0)[0]
+        assert entry.name == "cyclic-7-5"
+        monkeypatch.setattr(spherig.harness, "certify_star_rigidity", lambda delta, face: face)
+        monkeypatch.setattr(spherig.harness, "check", lambda face, seed: face != {3})
+        report = verify_star_rigidity(
+            entry.complex, name=entry.name, symmetries=entry.symmetries
+        )
+        verdicts = {r.instance: (r.verdict, r.note) for r in report.records}
+        assert verdicts["cyclic-7-5:s=3"] == (FAIL, "")
+        assert verdicts["cyclic-7-5:s=4"] == (PASS, "")
+        assert verdicts["cyclic-7-5:s=5"] == (FAIL, "same orbit as s=3")
+        assert verdicts["cyclic-7-5:s=6"] == (PASS, "same orbit as s=2")
+        assert {r.instance for r in report.records if r.verdict == FAIL} == {
+            "cyclic-7-5:s=3",
+            "cyclic-7-5:s=5",
+        }
+
+    def test_records_keep_their_own_seeds(self):
+        entry = build_corpus(("cross-polytope",), (5,), 0)[0]
+        report = verify_star_rigidity(
+            entry.complex, seed=8, name=entry.name, symmetries=entry.symmetries
+        )
+        plain = verify_star_rigidity(entry.complex, seed=8, name=entry.name)
+        assert report.machine_format() == plain.machine_format()
+        # the empty face, one vertex and one edge: B_5 moves any vertex or
+        # edge to any other
+        assert [r.instance for r in report.records if not r.note] == [
+            "cross-d5:s=empty", "cross-d5:s=1", "cross-d5:s=1-3"
+        ]
+        assert {r.note for r in plain.records} == {""}
+
+    def test_flip_walks_and_controls_transfer_nothing(self, default_corpus):
+        entries = [
+            *(e for e in default_corpus if e.name.startswith("flip-walk-")),
+            *build_corpus(("negative-control",), (4, 5), 0),
+        ]
+        assert len(entries) == 10
+        for entry in entries:
+            assert entry.symmetries == ()
+            report = verify_star_rigidity(
+                entry.complex, name=entry.name, symmetries=entry.symmetries
+            )
+            assert {r.note for r in report.records} == {""}
+
+
 class TestCorpus:
     def test_flip_walk_corpus_is_deterministic_and_prime(self):
         a = flip_walk_corpus(seed=5, count=4)
@@ -499,13 +613,14 @@ class TestRunSuite:
             "88503d3383a55739cd6868fb1336901c9c2d577a3a212609b5c892d5ce71cc6c"
         )
 
-    def test_default_suite_builds_96_matrices_of_2057_rows(self, monkeypatch):
+    def test_default_suite_builds_95_matrices_of_2045_rows(self, monkeypatch):
         # a matrix only where the first rows fall short: of a degenerate
         # contraction point, below the rigidity target of G - ab; of a
         # decision, below its peeling bound.  None for a graph that holds a
-        # rigid one the entry's memo recorded.  An elimination that no
-        # longer stops at its bound or reads its rows out of attach order
-        # reads more rows
+        # rigid one the entry's memo recorded, and none for a star whose
+        # orbit's first face was checked.  An elimination that no longer
+        # stops at its bound or reads its rows out of attach order reads
+        # more rows
         built = read = 0
         real = spherig.rigidity._matrix_rows
 
@@ -518,7 +633,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
-        assert (built, read) == (96, 2057)
+        assert (built, read) == (95, 2045)
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)
