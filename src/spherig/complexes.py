@@ -203,13 +203,10 @@ class SimplicialComplex:
         """All faces of dimension k (k = -1 gives the empty face)."""
         if k < -1 or k > self.dim:
             return set()
-        size = k + 1
-        out: set[frozenset[int]] = set()
-        for facet in self.facets:
-            if len(facet) >= size:
-                for combo in combinations(sorted(facet), size):
-                    out.add(frozenset(combo))
-        return out
+        combos: set[tuple[int, ...]] = set()
+        for facet in self.facets:  # sorted tuples, so each face is made once
+            combos.update(combinations(sorted(facet), k + 1))
+        return set(map(frozenset, combos))
 
     def g2(self) -> int:
         """The invariant f_1 - d*f_0 + C(d+1,2) in the rigidity dimension

@@ -14,11 +14,13 @@ Each check kind is a generator that yields one outcome per instance; its
 decorator times the outcomes and turns them into records, which carry the
 sub-seed that reproduces them.  A degenerate contraction record takes both
 of its ranks at one merged point (contraction_ranks); the generic record
-decides G - e and the contracted graph apart.  star_rigidity checks one
-face per orbit under automorphisms of the complex and gives each other face
-of the orbit that verdict, with the face's own seed.  build_corpus alone
-knows the families, the negative controls among them, whose stacked spheres
-run the same checks as any other, and hands each entry generators of its
+decides G - e and the contracted graph apart.  star_rigidity,
+missing_face and contraction check one instance (a star's face, a missing
+face with one of its edges, an edge) per orbit under automorphisms of the
+complex, and give each other instance of the orbit that verdict, rank and
+target, with its own seed (_per_orbit).  build_corpus alone knows the
+families, the negative controls among them, whose stacked spheres run the
+same checks as any other, and hands each entry generators of its
 construction's symmetries; run_suite runs one loop over its entries, each
 inside its own rigid_verdict_memo.
 The machine report is one tab-separated line per record (check, instance,
@@ -32,7 +34,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .certificates import certify_missing_face_edge, certify_star_rigidity, check
 from .complexes import SimplicialComplex, prime_factors
@@ -59,7 +61,7 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 _COLUMNS = ("check", "instance", "verdict", "rank", "target", "seed")
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckRecord:
     check: str
     instance: str
@@ -97,8 +99,7 @@ class Report:
         return self.count(FAIL) == 0
 
     def machine_format(self) -> str:
-        lines = sorted(r.machine_line() for r in self.records)
-        return "\n".join(lines) + "\n"
+        return "\n".join([*sorted(r.machine_line() for r in self.records), ""])
 
     def human_format(self) -> str:
         """An aligned table of the records with their timings and notes (why
@@ -165,6 +166,103 @@ def _check_kind(kind: str):
         return verify
 
     return decorate
+
+
+# A check instance: the faces that name it, (sigma,) for a star, (sigma, e)
+# for a missing-face edge, (e,) for a contraction edge.
+_Instance = tuple[frozenset[int], ...]
+
+
+def _orbits(
+    delta: SimplicialComplex,
+    instances: Sequence[_Instance],
+    symmetries: Sequence[Mapping[int, int]],
+    name: str,
+) -> list[_Instance]:
+    """For each instance, the first instance of its orbit in `instances`
+    under the group the symmetries generate, acting on every face of an
+    instance; `instances` must be closed under that group.
+
+    A symmetry maps each vertex of delta to a vertex, a vertex it does not
+    name to itself.  Each is checked before use: it must name only vertices
+    of delta and map the facet set onto itself, or a ValueError names the
+    entry.  The facets cover the vertices, so such a map takes the vertices
+    onto themselves too: it is a bijection.  Each instance not yet reached
+    starts an orbit, closed by a search that applies every generator to
+    every instance it reaches, so each instance is mapped once per
+    generator.
+    """
+    vertices, facets = delta.vertices, delta.facets
+    maps = []
+    for g in symmetries:
+        image = {v: g.get(v, v) for v in vertices}.__getitem__
+        if not (g.keys() <= vertices and {frozenset(map(image, f)) for f in facets} == facets):
+            raise ValueError(f"{name}: {dict(g)} is not an automorphism of the complex")
+        maps.append(image)
+    first: dict[_Instance, _Instance] = {}
+    for instance in instances:
+        if instance in first:
+            continue
+        first[instance] = instance
+        reached = [instance]
+        while reached:
+            at = reached.pop()
+            for image in maps:
+                other = tuple([frozenset(map(image, face)) for face in at])
+                if other not in first:
+                    first[other] = instance
+                    reached.append(other)
+    return [first[instance] for instance in instances]
+
+
+def _per_orbit(
+    delta: SimplicialComplex,
+    instances: Sequence[_Instance],
+    name: str,
+    symmetries: Sequence[Mapping[int, int]],
+    identify: Callable[[_Instance], tuple[str, int]],
+    run: Callable[[_Instance, str, int], Iterable[_Outcome]],
+) -> Iterator[_Outcome]:
+    """The outcomes of every instance, in order, running the check only on
+    the first instance of each orbit under the symmetries (_orbits).
+
+    identify(instance) gives the instance's label, its record being named
+    name:label, and its seed; run(instance, record, seed) yields the
+    outcomes of an orbit's first instance.  Every other instance of the
+    orbit takes those outcomes under its own record name and seed, with a
+    note that names the first instance; a skip keeps its seed and note,
+    which depend on the entry alone.
+
+    The transfer is exact.  An automorphism g of delta maps faces to faces,
+    missing faces to missing faces, edges to edges and lk(sigma) onto
+    lk(g sigma), so it maps the link condition of an edge to that of its
+    image, the graph of star(sigma) onto that of star(g sigma), G - e onto
+    G - ge and G/ab onto G/g(ab), each relabelled by g.  Generic rank does
+    not change under relabelling: this is the memo's argument
+    (rigid_verdict_memo) with g in place of the sorted relabelling.  So a
+    rigid verdict proves the whole orbit rigid, and a transferred rank is
+    what the instance's own random point would give, with the same
+    probability as the checked instance's rank.
+    """
+    # an orbit's first instance -> its record name, the note of the orbit's
+    # other records (one string for all of them), and its outcomes
+    checked: dict[_Instance, tuple[str, str, list[_Outcome]]] = {}
+    for instance, first in zip(instances, _orbits(delta, instances, symmetries, name)):
+        label, sub = identify(instance)
+        record = f"{name}:{label}"
+        if first == instance:
+            outcomes = list(run(instance, record, sub))
+            checked[instance] = (record, f"same orbit as {label}", outcomes)
+            yield from outcomes
+            continue
+        first_record, note, outcomes = checked[first]
+        for o in outcomes:
+            own = record + o.instance[len(first_record) :]  # keeps ":generic", say
+            if o.verdict == SKIP:
+                yield o._replace(instance=own)
+            else:
+                why = f"{note}; {o.note}" if o.note else note
+                yield _Outcome(own, o.verdict, o.rank, o.target, sub, why)
 
 
 @_check_kind("minus_edge")
@@ -239,6 +337,7 @@ def verify_missing_face_lemma(
     *,
     seed: int = 0,
     name: str = "complex",
+    symmetries: Sequence[Mapping[int, int]] = (),
 ) -> Iterator[_Outcome]:
     """Edges inside missing faces of dimension 2..d-2: the graph minus the
     edge must be engine-rigid AND admit a passing Replacement certificate.
@@ -247,7 +346,10 @@ def verify_missing_face_lemma(
     so nothing passes.  The edge records of one graph share one sub-seed,
     for the ranks and the certificates alike.  Each rank is one
     decide_rigidity of the graph minus the edge; inside run_suite that is a
-    memo hit on the rigid deletion verify_minus_edge recorded.
+    memo hit on the rigid deletion verify_minus_edge recorded.  Only the
+    first (sigma, e) of each orbit under the symmetries is checked
+    (_per_orbit): an automorphism maps missing faces to missing faces and
+    G - e onto G - ge.
     """
     if delta.dim < 3:
         raise ValueError("missing-face verification needs d >= 4")
@@ -260,19 +362,28 @@ def verify_missing_face_lemma(
         return
     graph = graph_of(delta)
     sub = derive_seed(seed, "missing-face", name)
-    for sigma in qualifying:
-        label = face_label(sigma)
-        for a, b in combinations(sorted(sigma), 2):
-            verdict = decide_rigidity(graph.remove_edge(a, b), d, seed=sub)
-            cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), sub)
-            yield _Outcome(
-                f"{name}:s={label}:e={a}-{b}",
-                PASS if (verdict.is_rigid and cert_ok) else FAIL,
-                verdict.rank,
-                verdict.target_rank,
-                sub,
-                "" if cert_ok else "certificate rejected",
-            )
+    instances = [
+        (sigma, frozenset(pair)) for sigma in qualifying for pair in combinations(sorted(sigma), 2)
+    ]
+
+    def run(instance: _Instance, record: str, sub: int) -> Iterator[_Outcome]:
+        sigma, edge = instance
+        a, b = sorted(edge)
+        verdict = decide_rigidity(graph.remove_edge(a, b), d, seed=sub)
+        cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), sub)
+        yield _Outcome(
+            record,
+            PASS if (verdict.is_rigid and cert_ok) else FAIL,
+            verdict.rank,
+            verdict.target_rank,
+            sub,
+            "" if cert_ok else "certificate rejected",
+        )
+
+    def identify(instance: _Instance) -> tuple[str, int]:
+        return f"s={face_label(instance[0])}:e={face_label(instance[1])}", sub
+
+    yield from _per_orbit(delta, instances, name, symmetries, identify, run)
 
 
 @_check_kind("contraction")
@@ -327,44 +438,31 @@ def verify_contraction_reduction(
     yield _ranked(f"{base}:generic", lhs_gen, rhs_gen + 4, sub)
 
 
-def _face_orbits(
+@_check_kind("contraction")
+def verify_contractions(
     delta: SimplicialComplex,
-    faces: Sequence[frozenset[int]],
-    symmetries: Sequence[Mapping[int, int]],
-    name: str,
-) -> list[frozenset[int]]:
-    """For each face, the first face of its orbit in `faces` under the group
-    the symmetries generate; `faces` must be closed under that group.
-
-    A symmetry maps each vertex of delta to a vertex, a vertex it does not
-    name to itself.  Each is checked before use: it must name only vertices
-    of delta and map the facet set onto itself, or a ValueError names the
-    entry.  The facets cover the vertices, so such a map takes the vertices
-    onto themselves too: it is a bijection.  Each face not yet reached
-    starts an orbit, closed by a search that applies every generator to
-    every face it reaches, so each face is mapped once per generator.
+    *,
+    seed: int = 0,
+    name: str = "complex",
+    symmetries: Sequence[Mapping[int, int]] = (),
+) -> Iterator[_Outcome]:
+    """verify_contraction_reduction's records for every edge of a 3-sphere's
+    graph, in sorted order, checking only the first edge of each orbit under
+    the symmetries (_per_orbit): an automorphism g maps the link condition
+    of ab to that of g(ab), G - ab onto G - g(ab) and G/ab onto G/g(ab).
     """
-    vertices, facets = delta.vertices, delta.facets
-    maps = []
-    for g in symmetries:
-        image = {v: g.get(v, v) for v in vertices}.__getitem__
-        if not (g.keys() <= vertices and {frozenset(map(image, f)) for f in facets} == facets):
-            raise ValueError(f"{name}: {dict(g)} is not an automorphism of the complex")
-        maps.append(image)
-    first: dict[frozenset[int], frozenset[int]] = {}
-    for face in faces:
-        if face in first:
-            continue
-        first[face] = face
-        reached = [face]
-        while reached:
-            at = reached.pop()
-            for image in maps:
-                other = frozenset(map(image, at))
-                if other not in first:
-                    first[other] = face
-                    reached.append(other)
-    return [first[face] for face in faces]
+    edges = [(frozenset(edge),) for edge in graph_of(delta).sorted_edges()]
+
+    def identify(instance: _Instance) -> tuple[str, int]:
+        a, b = sorted(instance[0])
+        return f"e={a}-{b}", derive_seed(seed, "contraction", name, a, b)
+
+    def run(instance: _Instance, _record: str, _seed: int) -> Iterator[_Outcome]:
+        report = verify_contraction_reduction(delta, instance[0], seed=seed, name=name)
+        for r in report.records:
+            yield _Outcome(r.instance, r.verdict, r.rank, r.target, r.seed, r.note)
+
+    yield from _per_orbit(delta, edges, name, symmetries, identify, run)
 
 
 @_check_kind("star_rigidity")
@@ -378,33 +476,26 @@ def verify_star_rigidity(
     """Certificates for the stars of all faces with |sigma| <= d-3 must
     pass, d = dim + 1.
 
-    Only the first face of each orbit under the symmetries (_face_orbits),
-    in check order, is checked, at its own seed; every other face of the
-    orbit gets that verdict in a record with its own seed, whose note names
-    the checked face.  The transfer is exact.  An automorphism g of delta
-    maps faces to faces and lk(sigma) onto lk(g sigma), so the graph of
-    star(g sigma) is the graph of star(sigma) relabelled by g.  Generic rank
-    does not change under relabelling, so both stars are d-rigid or neither
-    is.  This is the memo's argument (rigid_verdict_memo) with g in place of
-    the sorted relabelling: a pass proves the whole orbit rigid, and a fail
-    is the checked face's verdict on a generic rank the orbit shares.
+    Only the first face of each orbit under the symmetries, in check order,
+    is checked, at its own seed (_per_orbit): an automorphism g maps
+    star(sigma) onto star(g sigma), so both stars are d-rigid or neither is.
     """
     if delta.dim < 3:
         raise ValueError("star verification needs d >= 4")
     d = delta.dim + 1
-    faces: list[frozenset[int]] = [frozenset()]
+    faces: list[_Instance] = [(frozenset(),)]
     for size in range(1, d - 2):
-        faces.extend(sorted(delta.faces_of_dim(size - 1), key=sorted))
-    checked: dict[frozenset[int], tuple[str, str]] = {}  # face -> (label, verdict)
-    for face, first in zip(faces, _face_orbits(delta, faces, symmetries, name)):
-        label = face_label(face)
-        sub = derive_seed(seed, "star", name, label)
-        if first == face:
-            ok = check(certify_star_rigidity(delta, face), sub)
-            checked[face] = (label, PASS if ok else FAIL)
-        first_label, verdict = checked[first]
-        note = "" if first == face else f"same orbit as s={first_label}"
-        yield _Outcome(f"{name}:s={label}", verdict, seed=sub, note=note)
+        faces.extend((f,) for f in sorted(delta.faces_of_dim(size - 1), key=sorted))
+
+    def identify(instance: _Instance) -> tuple[str, int]:
+        label = face_label(instance[0])
+        return f"s={label}", derive_seed(seed, "star", name, label)
+
+    def run(instance: _Instance, record: str, sub: int) -> Iterator[_Outcome]:
+        ok = check(certify_star_rigidity(delta, instance[0]), sub)
+        yield _Outcome(record, PASS if ok else FAIL, seed=sub)
+
+    yield from _per_orbit(delta, faces, name, symmetries, identify, run)
 
 
 @_check_kind("g2_stress")
@@ -426,7 +517,7 @@ def verify_g2_stress(
 @dataclass
 class CorpusEntry:
     """A named sphere, with vertex maps that generate automorphisms of it
-    (each checked before use, see _face_orbits)."""
+    (each checked before use, see _orbits)."""
 
     name: str
     complex: SimplicialComplex
@@ -506,6 +597,13 @@ def _simplex_symmetries(labels: Sequence[int]) -> tuple[dict[int, int], ...]:
     return _cycle(labels[:2]), _cycle(labels)
 
 
+def _pair_permutations(d: int) -> tuple[dict[int, int], ...]:
+    """Swap the first two antipodal pairs {1, 2} and {3, 4} of the
+    d-cross-polytope, and rotate the pairs: every permutation of the pairs."""
+    rotate = _cycle(range(1, 2 * d + 1, 2)) | _cycle(range(2, 2 * d + 1, 2))
+    return {1: 3, 3: 1, 2: 4, 4: 2}, rotate
+
+
 def _family_entries(family: str, d: int, seed: int) -> Iterator[CorpusEntry]:
     """The entries one family gives at dimension d, each with a few
     generators of its construction's symmetries."""
@@ -513,11 +611,10 @@ def _family_entries(family: str, d: int, seed: int) -> Iterator[CorpusEntry]:
         symmetries = _simplex_symmetries(range(1, d + 2))
         yield CorpusEntry(f"simplex-d{d}", boundary_simplex(d), symmetries)
     elif family == "cross-polytope":
-        # flip the first pair, swap the first two, rotate the pairs: together
-        # they give every signed permutation of the d antipodal pairs
-        rotate = _cycle(range(1, 2 * d + 1, 2)) | _cycle(range(2, 2 * d + 1, 2))
-        swap = {1: 3, 3: 1, 2: 4, 4: 2}
-        yield CorpusEntry(f"cross-d{d}", cross_polytope(d), ({1: 2, 2: 1}, swap, rotate))
+        # flip the first pair, and permute the pairs: together they give
+        # every signed permutation of the d antipodal pairs
+        symmetries = ({1: 2, 2: 1}, *_pair_permutations(d))
+        yield CorpusEntry(f"cross-d{d}", cross_polytope(d), symmetries)
     elif family == "joins":
         for p in range(2, d // 2 + 1):
             left, right = range(1, p + 2), range(p + 2, d + 3)
@@ -540,8 +637,15 @@ def _family_entries(family: str, d: int, seed: int) -> Iterator[CorpusEntry]:
         walk = flip_walk_corpus(derive_seed(seed, "corpus-walk"))
         yield from (CorpusEntry(f"flip-walk-{i}", delta) for i, delta in enumerate(walk))
     elif family == "negative-control":
-        for label, gamma in (("simplex", boundary_simplex(d)), ("cross", cross_polytope(d))):
-            yield CorpusEntry(f"control-{label}-d{d}", _stacked(gamma))
+        # the automorphisms of gamma that fix the stacked facet, {1, ..., d}
+        # of the simplex and {1, 3, ..., 2d - 1} of the cross-polytope, fix
+        # the stacked vertex too
+        yield CorpusEntry(
+            f"control-simplex-d{d}",
+            _stacked(boundary_simplex(d)),
+            _simplex_symmetries(range(1, d + 1)),
+        )
+        yield CorpusEntry(f"control-cross-d{d}", _stacked(cross_polytope(d)), _pair_permutations(d))
 
 
 def build_corpus(families: Sequence[str], dims: Sequence[int], seed: int) -> list[CorpusEntry]:
@@ -626,14 +730,14 @@ def run_suite(config: SuiteConfig) -> Report:
     for entry in build_corpus(config.families, config.dims, config.seed):
         delta = entry.complex
         options = dict(seed=derive_seed(config.seed, entry.name), name=entry.name)
+        orbits = dict(options, symmetries=entry.symmetries)
         with rigid_verdict_memo():
             report.extend(verify_minus_edge(delta, **options))
-            report.extend(verify_missing_face_lemma(delta, **options))
-            report.extend(verify_star_rigidity(delta, symmetries=entry.symmetries, **options))
+            report.extend(verify_missing_face_lemma(delta, **orbits))
+            report.extend(verify_star_rigidity(delta, **orbits))
             report.extend(verify_g2_stress(delta, **options))
             if entry.d == 4:
-                for edge in graph_of(delta).sorted_edges():
-                    report.extend(verify_contraction_reduction(delta, edge, **options))
+                report.extend(verify_contractions(delta, **orbits))
     if not report.records:
         raise ValueError(
             f"families {', '.join(config.families)} give no complex at dims "

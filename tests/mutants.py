@@ -437,11 +437,31 @@ MUTANTS = [
     (
         "orbit-verdict-from-the-last-checked-face",
         "src/spherig/harness.py",
-        "        first_label, verdict = checked[first]\n",
-        "        first_label, verdict = list(checked.values())[-1]\n",
+        "        first_record, note, outcomes = checked[first]\n",
+        "        first_record, note, outcomes = list(checked.values())[-1]\n",
         (
             "tests/test_harness.py::TestSymmetryOrbits"
             "::test_a_transferred_record_takes_its_first_faces_verdict_and_names_it",
+        ),
+    ),
+    (
+        "orbit-transfer-keeps-the-first-instances-seed",
+        "src/spherig/harness.py",
+        "                yield _Outcome(own, o.verdict, o.rank, o.target, sub, why)\n",
+        "                yield _Outcome(own, o.verdict, o.rank, o.target, o.seed, why)\n",
+        (
+            "tests/test_harness.py::TestSymmetryOrbits"
+            "::test_transferred_missing_face_and_contraction_records_replay",
+        ),
+    ),
+    (
+        "orbit-maps-only-the-first-face",
+        "src/spherig/harness.py",
+        "                other = tuple([frozenset(map(image, face)) for face in at])\n",
+        "                other = (frozenset(map(image, at[0])), *at[1:])\n",
+        (
+            "tests/test_harness.py::TestSymmetryOrbits"
+            "::test_default_pass_checks_one_missing_face_edge_and_one_contraction_edge_per_orbit",
         ),
     ),
     (

@@ -25,12 +25,13 @@ from spherig.harness import (
     flip_walk_corpus,
     run_suite,
     verify_contraction_reduction,
+    verify_contractions,
     verify_g2_stress,
     verify_minus_edge,
     verify_missing_face_lemma,
     verify_negative_control,
     verify_star_rigidity,
-    _face_orbits,
+    _orbits,
 )
 from spherig.rigidity import (
     contraction_ranks,
@@ -356,11 +357,10 @@ class TestSymmetryOrbits:
     def test_every_familys_symmetries_are_automorphisms(self):
         corpus = build_corpus(FAMILIES, range(4, 9), 20260823)
         for entry in corpus:
-            faces = [frozenset(), *entry.complex.faces_of_dim(0)]
-            first = _face_orbits(entry.complex, faces, entry.symmetries, entry.name)
+            faces = [(frozenset(),), *((f,) for f in entry.complex.faces_of_dim(0))]
+            first = _orbits(entry.complex, faces, entry.symmetries, entry.name)
             assert len(first) == len(faces)
-        plain = ("flip-walk-", "control-")
-        assert all(bool(e.symmetries) != e.name.startswith(plain) for e in corpus)
+        assert all(bool(e.symmetries) != e.name.startswith("flip-walk-") for e in corpus)
 
     @pytest.mark.parametrize(
         "g", [{1: 2, 2: 1}, {1: 2}, {1: 8, 8: 1}, {8: 9, 9: 8}], ids=str
@@ -449,18 +449,101 @@ class TestSymmetryOrbits:
         ]
         assert {r.note for r in plain.records} == {""}
 
-    def test_flip_walks_and_controls_transfer_nothing(self, default_corpus):
-        entries = [
-            *(e for e in default_corpus if e.name.startswith("flip-walk-")),
-            *build_corpus(("negative-control",), (4, 5), 0),
+    def test_flip_walks_transfer_nothing(self):
+        config = SuiteConfig(families=("flip-walks",), dims=(4,), seed=20260823)
+        report = run_suite(config)
+        entries = {r.instance.split(":")[0] for r in report.records}
+        assert entries == {f"flip-walk-{i}" for i in range(6)}
+        assert {r.check for r in report.records} == {
+            "minus_edge", "missing_face", "star_rigidity", "g2_stress", "contraction"
+        }
+        assert not any(r.note.startswith("same orbit") for r in report.records)
+
+    @pytest.mark.parametrize(
+        "family, g",
+        [("simplex", {1: 5, 5: 1}), ("cross", {1: 2, 2: 1}), ("cross", {1: 9, 9: 1})],
+        ids=str,
+    )
+    def test_a_wrong_generator_on_a_control_is_rejected_by_entry_name(self, family, g):
+        # each moves the stacked facet: a vertex off it onto it, a flip of
+        # the first antipodal pair, the stacked vertex onto a vertex of it.
+        # A control has no missing face of dimension 2..d-2, so only these
+        # two kinds map instances
+        entry = next(
+            e for e in build_corpus(("negative-control",), (4,), 0) if family in e.name
+        )
+        assert verify_missing_face_lemma(entry.complex).records[0].verdict == SKIP
+        for verify in (verify_star_rigidity, verify_contractions):
+            with pytest.raises(ValueError, match=f"{entry.name}: .* is not an automorphism"):
+                verify(entry.complex, name=entry.name, symmetries=(*entry.symmetries, g))
+
+    def test_default_pass_checks_one_missing_face_edge_and_one_contraction_edge_per_orbit(
+        self, monkeypatch
+    ):
+        # 313 missing-face certificates from 130 checks; 179 qualifying
+        # contraction edges (two records each) from 93 checks
+        certified, contracted = [], []
+        real_certify = spherig.harness.certify_missing_face_edge
+        real_contract = spherig.harness.contraction_ranks
+
+        def certify(delta, sigma, edge):
+            certified.append((sigma, edge))
+            return real_certify(delta, sigma, edge)
+
+        def contract(graph, a, b, d, seed):
+            contracted.append((a, b))
+            return real_contract(graph, a, b, d, seed)
+
+        monkeypatch.setattr(spherig.harness, "certify_missing_face_edge", certify)
+        monkeypatch.setattr(spherig.harness, "contraction_ranks", contract)
+        report = run_suite(SuiteConfig(seed=20260823))
+        assert report.ok
+        faces = [r for r in report.records if r.check == "missing_face" and r.verdict != SKIP]
+        edges = [r for r in report.records if r.instance.endswith(":degenerate")]
+        assert (len(faces), len(certified)) == (313, 130)
+        assert (len(edges), len(contracted)) == (179, 93)
+        assert sum(not r.note for r in faces) == 130
+        assert sum(not r.note for r in edges) == 93
+
+    def test_transferred_missing_face_and_contraction_records_replay(self, default_corpus):
+        # at the record's own seed: the suite's seed scheme, not the seed of
+        # the instance whose verdict it took
+        seed = 20260823
+        corpus = {e.name: e for e in default_corpus}
+        transferred = {"missing_face": 0, "contraction": 0}
+        for record in run_suite(SuiteConfig(seed=seed)).records:
+            if record.check in transferred and record.note.startswith("same orbit as "):
+                transferred[record.check] += 1
+                line = record.machine_line()
+                assert replay(line, corpus) == line
+                assert record.seed == scheme_seed(record.check, record.instance, seed)
+        assert transferred == {"missing_face": 313 - 130, "contraction": 2 * (179 - 93)}
+
+    def test_a_transferred_contraction_names_its_first_edge_and_keeps_its_skips(self):
+        # cross-d4: every edge joins two of the four antipodal pairs, and the
+        # signed pair permutations move any edge onto 1-3
+        entry = build_corpus(("cross-polytope",), (4,), 0)[0]
+        report = verify_contractions(
+            entry.complex, seed=5, name=entry.name, symmetries=entry.symmetries
+        )
+        plain = verify_contractions(entry.complex, seed=5, name=entry.name)
+        assert report.machine_format() == plain.machine_format()
+        assert [r.instance for r in report.records if not r.note] == [
+            "cross-d4:e=1-3:degenerate", "cross-d4:e=1-3:generic"
         ]
-        assert len(entries) == 10
-        for entry in entries:
-            assert entry.symmetries == ()
-            report = verify_star_rigidity(
-                entry.complex, name=entry.name, symmetries=entry.symmetries
-            )
-            assert {r.note for r in report.records} == {""}
+        assert {r.note for r in report.records} == {"", "same orbit as e=1-3"}
+        # join-cycle-d4-k5: the cycle edges' links are too small, and each
+        # of their skips keeps the entry's seed and its own note
+        entry = build_corpus(("joins",), (4,), 0)[-2]
+        assert entry.name == "join-cycle-d4-k5"
+        report = verify_contractions(
+            entry.complex, seed=5, name=entry.name, symmetries=entry.symmetries
+        )
+        skips = [r for r in report.records if r.verdict == SKIP]
+        assert len(skips) == 8
+        assert {r.seed for r in skips} == {5}
+        assert sum("< 4" in r.note for r in skips) == 5
+        assert sum("intersection" in r.note for r in skips) == 3
 
 
 class TestCorpus:
@@ -613,12 +696,13 @@ class TestRunSuite:
             "88503d3383a55739cd6868fb1336901c9c2d577a3a212609b5c892d5ce71cc6c"
         )
 
-    def test_default_suite_builds_95_matrices_of_2045_rows(self, monkeypatch):
+    def test_default_suite_builds_72_matrices_of_1539_rows(self, monkeypatch):
         # a matrix only where the first rows fall short: of a degenerate
         # contraction point, below the rigidity target of G - ab; of a
         # decision, below its peeling bound.  None for a graph that holds a
-        # rigid one the entry's memo recorded, and none for a star whose
-        # orbit's first face was checked.  An elimination that no longer
+        # rigid one the entry's memo recorded, and none for a star, a
+        # missing-face edge or a contraction edge whose orbit's first
+        # instance was checked.  An elimination that no longer
         # stops at its bound or reads its rows out of attach order reads
         # more rows
         built = read = 0
@@ -633,7 +717,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
-        assert (built, read) == (95, 2045)
+        assert (built, read) == (72, 1539)
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)
