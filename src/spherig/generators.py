@@ -179,9 +179,8 @@ def legal_flips(delta: SimplicialComplex) -> list[FlipMove]:
             core = _is_simplex_boundary(link)
             if core is None:
                 continue
+            # purity makes |face| + |face_in| = d + 1: link facets have d - |face| vertices
             face_in = core if core else frozenset({fresh})
-            if len(face) + len(face_in) != d + 1:
-                continue
             if core and delta.has_face(face_in):
                 continue
             moves.append(FlipMove(frozenset(face), face_in))

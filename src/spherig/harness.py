@@ -14,15 +14,15 @@ Each check kind is a generator that yields one outcome per instance; its
 decorator times the outcomes and turns them into records, which carry the
 sub-seed that reproduces them.  A degenerate contraction record takes both
 of its ranks at one merged point (contraction_ranks); the generic record
-decides G - e and the contracted graph apart.  star_rigidity,
-missing_face and contraction check one instance (a star's face, a missing
-face with one of its edges, an edge) per orbit under automorphisms of the
-complex, and give each other instance of the orbit that verdict, rank and
-target, with its own seed (_per_orbit).  build_corpus alone knows the
-families, the negative controls among them, whose stacked spheres run the
-same checks as any other, and hands each entry generators of its
-construction's symmetries; run_suite runs one loop over its entries, each
-inside its own rigid_verdict_memo.
+decides G - e and the contracted graph apart.  star_rigidity, missing_face
+and contraction check one instance (a star's face, a missing face with one
+of its edges, an edge) per orbit under automorphisms of the complex, each
+check yielding name suffixes only; _per_orbit names every record, giving
+the orbit's other instances the checked verdict, rank and target with their
+own seeds.  build_corpus alone knows the families, the negative controls
+among them, whose stacked spheres run the same checks as any other, and
+hands each entry generators of its construction's symmetries; run_suite
+runs one loop over its entries, each inside its own rigid_verdict_memo.
 The machine report is one tab-separated line per record (check, instance,
 verdict, rank, target, seed), sorted, so equal configurations give
 byte-identical output.
@@ -221,17 +221,19 @@ def _per_orbit(
     name: str,
     symmetries: Sequence[Mapping[int, int]],
     identify: Callable[[_Instance], tuple[str, int]],
-    run: Callable[[_Instance, str, int], Iterable[_Outcome]],
+    run: Callable[[_Instance, int], Iterable[_Outcome]],
 ) -> Iterator[_Outcome]:
     """The outcomes of every instance, in order, running the check only on
     the first instance of each orbit under the symmetries (_orbits).
 
-    identify(instance) gives the instance's label, its record being named
-    name:label, and its seed; run(instance, record, seed) yields the
-    outcomes of an orbit's first instance.  Every other instance of the
-    orbit takes those outcomes under its own record name and seed, with a
-    note that names the first instance; a skip keeps its seed and note,
-    which depend on the entry alone.
+    identify(instance) gives the instance's label and seed; run(instance,
+    seed) yields the outcomes of an orbit's first instance, each naming only
+    its suffix ("" or ":generic", say).  _per_orbit names every record
+    name:label + suffix and yields each checked one as run yields it, so
+    each is timed on its own.  Every other instance of the orbit takes those
+    outcomes under its own name and seed, with a note naming the first
+    instance; a skip keeps its seed and note, which depend on the entry
+    alone.
 
     The transfer is exact.  An automorphism g of delta maps faces to faces,
     missing faces to missing faces, edges to edges and lk(sigma) onto
@@ -244,25 +246,24 @@ def _per_orbit(
     what the instance's own random point would give, with the same
     probability as the checked instance's rank.
     """
-    # an orbit's first instance -> its record name, the note of the orbit's
-    # other records (one string for all of them), and its outcomes
-    checked: dict[_Instance, tuple[str, str, list[_Outcome]]] = {}
+    # an orbit's first instance -> the note of the orbit's other records
+    # (one string for all of them) and its outcomes
+    checked: dict[_Instance, tuple[str, list[_Outcome]]] = {}
     for instance, first in zip(instances, _orbits(delta, instances, symmetries, name)):
         label, sub = identify(instance)
         record = f"{name}:{label}"
         if first == instance:
-            outcomes = list(run(instance, record, sub))
-            checked[instance] = (record, f"same orbit as {label}", outcomes)
-            yield from outcomes
+            outcomes: list[_Outcome] = []
+            checked[instance] = (f"same orbit as {label}", outcomes)
+            for o in run(instance, sub):
+                outcomes.append(o)
+                yield o._replace(instance=record + o.instance)
             continue
-        first_record, note, outcomes = checked[first]
+        note, outcomes = checked[first]
         for o in outcomes:
-            own = record + o.instance[len(first_record) :]  # keeps ":generic", say
-            if o.verdict == SKIP:
-                yield o._replace(instance=own)
-            else:
-                why = f"{note}; {o.note}" if o.note else note
-                yield _Outcome(own, o.verdict, o.rank, o.target, sub, why)
+            if o.verdict != SKIP:
+                o = o._replace(seed=sub, note=f"{note}; {o.note}" if o.note else note)
+            yield o._replace(instance=record + o.instance)
 
 
 @_check_kind("minus_edge")
@@ -366,13 +367,13 @@ def verify_missing_face_lemma(
         (sigma, frozenset(pair)) for sigma in qualifying for pair in combinations(sorted(sigma), 2)
     ]
 
-    def run(instance: _Instance, record: str, sub: int) -> Iterator[_Outcome]:
+    def run(instance: _Instance, sub: int) -> Iterator[_Outcome]:
         sigma, edge = instance
         a, b = sorted(edge)
         verdict = decide_rigidity(graph.remove_edge(a, b), d, seed=sub)
         cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), sub)
         yield _Outcome(
-            record,
+            "",
             PASS if (verdict.is_rigid and cert_ok) else FAIL,
             verdict.rank,
             verdict.target_rank,
@@ -386,6 +387,58 @@ def verify_missing_face_lemma(
     yield from _per_orbit(delta, instances, name, symmetries, identify, run)
 
 
+def _contractions(
+    delta: SimplicialComplex,
+    edges: Sequence[_Instance],
+    seed: int,
+    name: str,
+    symmetries: Sequence[Mapping[int, int]],
+) -> Iterator[_Outcome]:
+    """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
+    contraction)) + 4 for each edge, checked at a degenerate embedding that
+    merges the endpoints and again at independent generic points, on the
+    first edge of each orbit under the symmetries (_per_orbit).  The
+    degenerate record ranks G-e and the contraction at one point, from its
+    first rows or one elimination.  The contracted graph is G's, contracted:
+    each face of the contracted complex is the image of a face of delta, and
+    a face dropped inside a larger one takes no edge with it, so it has the
+    edges of SimplicialComplex.contract_edge's result.
+
+    Qualification: the edge's link has >= 4 vertices, counted from the
+    facets that contain the edge, and equals the intersection of the
+    endpoint links.  Unqualified edges are skips.
+    """
+    if delta.dim != 3:
+        raise ValueError("contraction verification is specific to 3-spheres (d = 4)")
+    graph = graph_of(delta)
+    fresh = max(delta.vertices) + 1
+
+    def identify(instance: _Instance) -> tuple[str, int]:
+        a, b = sorted(instance[0])
+        return f"e={a}-{b}", derive_seed(seed, "contraction", name, a, b)
+
+    def run(instance: _Instance, sub: int) -> Iterator[_Outcome]:
+        edge = instance[0]
+        a, b = sorted(edge)
+        star = [f for f in delta.facets if edge <= f]
+        if len(frozenset().union(*star) - edge) < 4:
+            yield _Outcome("", SKIP, seed=seed, note="link has < 4 vertices")
+            return
+        if not delta.link_condition(edge):
+            yield _Outcome("", SKIP, seed=seed, note="link(e) != link(a) * link(b) intersection")
+            return
+        g_minus = graph.remove_edge(a, b)
+        lhs, rhs = contraction_ranks(g_minus, a, b, 4, derive_seed(sub, "degenerate"))
+        yield _ranked(":degenerate", lhs, rhs + 4, sub)
+
+        g_down = graph.contract_edge(a, b, fresh)
+        lhs_gen = decide_rigidity(g_minus, 4, seed=derive_seed(sub, "generic-minus")).rank
+        rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
+        yield _ranked(":generic", lhs_gen, rhs_gen + 4, sub)
+
+    yield from _per_orbit(delta, edges, name, symmetries, identify, run)
+
+
 @_check_kind("contraction")
 def verify_contraction_reduction(
     delta: SimplicialComplex,
@@ -394,48 +447,14 @@ def verify_contraction_reduction(
     seed: int = 0,
     name: str = "complex",
 ) -> Iterator[_Outcome]:
-    """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
-    contraction)) + 4, checked at a degenerate embedding that merges the
-    endpoints and again at independent generic points.  The degenerate
-    record ranks G-e and the contraction at one point, from its first rows
-    or one elimination.  The contracted graph is G's, contracted: each face
-    of the contracted complex is the image of a face of delta, and a face
-    dropped inside a larger one takes no edge with it, so it has the edges
-    of SimplicialComplex.contract_edge's result.
-
-    Qualification: the edge's link has >= 4 vertices, counted from the
-    facets that contain the edge, and equals the intersection of the
-    endpoint links.  Unqualified edges are skips; an e that is not an edge
-    of the complex raises ValueError.
-    """
-    if delta.dim != 3:
-        raise ValueError("contraction verification is specific to 3-spheres (d = 4)")
+    """The contraction records of one edge e of a 3-sphere (_contractions),
+    as verify_contractions gives them without symmetries; an e that is not
+    an edge of the complex raises ValueError."""
     pair = tuple(e)
     edge = frozenset(pair)
-    star = [f for f in delta.facets if edge <= f]
-    if len(pair) != 2 or len(edge) != 2 or not star:
+    if len(pair) != 2 or len(edge) != 2 or not delta.has_face(edge):
         raise ValueError(f"{pair} is not an edge of the complex")
-    a, b = sorted(edge)
-    base = f"{name}:e={a}-{b}"
-    if len(frozenset().union(*star) - edge) < 4:
-        yield _Outcome(base, SKIP, seed=seed, note="link has < 4 vertices")
-        return
-    if not delta.link_condition(edge):
-        yield _Outcome(
-            base, SKIP, seed=seed, note="link(e) != link(a) * link(b) intersection"
-        )
-        return
-    graph = graph_of(delta)
-    g_minus = graph.remove_edge(a, b)
-    sub = derive_seed(seed, "contraction", name, a, b)
-
-    lhs, rhs = contraction_ranks(g_minus, a, b, 4, derive_seed(sub, "degenerate"))
-    yield _ranked(f"{base}:degenerate", lhs, rhs + 4, sub)
-
-    g_down = graph.contract_edge(a, b, max(delta.vertices) + 1)
-    lhs_gen = decide_rigidity(g_minus, 4, seed=derive_seed(sub, "generic-minus")).rank
-    rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
-    yield _ranked(f"{base}:generic", lhs_gen, rhs_gen + 4, sub)
+    yield from _contractions(delta, [(edge,)], seed, name, ())
 
 
 @_check_kind("contraction")
@@ -446,23 +465,9 @@ def verify_contractions(
     name: str = "complex",
     symmetries: Sequence[Mapping[int, int]] = (),
 ) -> Iterator[_Outcome]:
-    """verify_contraction_reduction's records for every edge of a 3-sphere's
-    graph, in sorted order, checking only the first edge of each orbit under
-    the symmetries (_per_orbit): an automorphism g maps the link condition
-    of ab to that of g(ab), G - ab onto G - g(ab) and G/ab onto G/g(ab).
-    """
+    """The contraction records (_contractions) of every edge, in sorted order."""
     edges = [(frozenset(edge),) for edge in graph_of(delta).sorted_edges()]
-
-    def identify(instance: _Instance) -> tuple[str, int]:
-        a, b = sorted(instance[0])
-        return f"e={a}-{b}", derive_seed(seed, "contraction", name, a, b)
-
-    def run(instance: _Instance, _record: str, _seed: int) -> Iterator[_Outcome]:
-        report = verify_contraction_reduction(delta, instance[0], seed=seed, name=name)
-        for r in report.records:
-            yield _Outcome(r.instance, r.verdict, r.rank, r.target, r.seed, r.note)
-
-    yield from _per_orbit(delta, edges, name, symmetries, identify, run)
+    yield from _contractions(delta, edges, seed, name, symmetries)
 
 
 @_check_kind("star_rigidity")
@@ -491,9 +496,9 @@ def verify_star_rigidity(
         label = face_label(instance[0])
         return f"s={label}", derive_seed(seed, "star", name, label)
 
-    def run(instance: _Instance, record: str, sub: int) -> Iterator[_Outcome]:
+    def run(instance: _Instance, sub: int) -> Iterator[_Outcome]:
         ok = check(certify_star_rigidity(delta, instance[0]), sub)
-        yield _Outcome(record, PASS if ok else FAIL, seed=sub)
+        yield _Outcome("", PASS if ok else FAIL, seed=sub)
 
     yield from _per_orbit(delta, faces, name, symmetries, identify, run)
 

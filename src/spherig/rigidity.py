@@ -312,23 +312,23 @@ def rigid_verdict_memo() -> Iterator[set[tuple[int, int, int]]]:
         _known_rigid.reset(token)
 
 
-def _edge_bits(vertex_order: list[int], edge_order: list[tuple[int, int]]) -> list[int]:
-    """The shape-mask bit of each (a, b), a < b, in edge_order: with a and b
-    at sorted positions i < j, bit j(j-1)/2 + i."""
+def _edge_bits(vertex_order: list[int], edges: Iterable[Iterable[int]]) -> list[int]:
+    """The shape-mask bit of each edge, in order: with its ends at sorted
+    positions i < j, bit j(j-1)/2 + i."""
     pos = {v: i for i, v in enumerate(vertex_order)}
-    return [1 << (pos[b] * (pos[b] - 1) // 2 + pos[a]) for a, b in edge_order]
+    bits = []
+    for a, b in edges:
+        i, j = pos[a], pos[b]
+        if i > j:
+            i, j = j, i
+        bits.append(1 << (j * (j - 1) // 2 + i))
+    return bits
 
 
 def _shape(graph: Graph, d: int) -> tuple[int, int, int]:
     """The memo key of (graph, d); see rigid_verdict_memo."""
-    pos = {v: i for i, v in enumerate(sorted(graph.vertices))}
-    mask = 0
-    for a, b in graph.edges:
-        i, j = pos[a], pos[b]
-        if i > j:
-            i, j = j, i
-        mask |= 1 << (j * (j - 1) // 2 + i)
-    return d, len(pos), mask
+    order = sorted(graph.vertices)
+    return d, len(order), sum(_edge_bits(order, graph.edges))
 
 
 def _rank_bound(peel: Peel, d: int) -> int:

@@ -37,22 +37,22 @@ MUTANTS = [
     (
         "shape-without-n",
         RIGIDITY,
-        "    return d, len(pos), mask\n",
-        "    return d, 0, mask\n",
+        "    return d, len(order), sum(",
+        "    return d, 0, sum(",
         ("tests/test_rigidity.py::TestRigidVerdictMemo::test_memo_is_keyed_by_vertex_count",),
     ),
     (
         "shape-without-d",
         RIGIDITY,
-        "    return d, len(pos), mask\n",
-        "    return 0, len(pos), mask\n",
+        "    return d, len(order), sum(",
+        "    return 0, len(order), sum(",
         ("tests/test_rigidity.py::TestRigidVerdictMemo::test_memo_is_keyed_by_dimension",),
     ),
     (
         "pair-bit-with-i-and-j-swapped",
         RIGIDITY,
-        "mask |= 1 << (j * (j - 1) // 2 + i)",
-        "mask |= 1 << (i * (i - 1) // 2 + j)",
+        "bits.append(1 << (j * (j - 1) // 2 + i))",
+        "bits.append(1 << (i * (i - 1) // 2 + j))",
         (
             "tests/test_rigidity.py::TestRigidVerdictMemo"
             "::test_equal_shapes_exactly_when_the_sorted_relabellings_agree",
@@ -437,8 +437,8 @@ MUTANTS = [
     (
         "orbit-verdict-from-the-last-checked-face",
         "src/spherig/harness.py",
-        "        first_record, note, outcomes = checked[first]\n",
-        "        first_record, note, outcomes = list(checked.values())[-1]\n",
+        "        note, outcomes = checked[first]\n",
+        "        note, outcomes = list(checked.values())[-1]\n",
         (
             "tests/test_harness.py::TestSymmetryOrbits"
             "::test_a_transferred_record_takes_its_first_faces_verdict_and_names_it",
@@ -447,11 +447,21 @@ MUTANTS = [
     (
         "orbit-transfer-keeps-the-first-instances-seed",
         "src/spherig/harness.py",
-        "                yield _Outcome(own, o.verdict, o.rank, o.target, sub, why)\n",
-        "                yield _Outcome(own, o.verdict, o.rank, o.target, o.seed, why)\n",
+        "o = o._replace(seed=sub, note=",
+        "o = o._replace(note=",
         (
             "tests/test_harness.py::TestSymmetryOrbits"
             "::test_transferred_missing_face_and_contraction_records_replay",
+        ),
+    ),
+    (
+        "orbit-outcomes-listed-before-yield",
+        "src/spherig/harness.py",
+        "            for o in run(instance, sub):\n",
+        "            for o in list(run(instance, sub)):\n",
+        (
+            "tests/test_harness.py::TestContraction"
+            "::test_each_contraction_record_is_timed_on_its_own",
         ),
     ),
     (

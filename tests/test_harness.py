@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import re
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -265,6 +266,37 @@ class TestContraction:
         assert sum("intersection" in n for n in notes) == 3
         assert passes == 2 * 15
         assert all(r.count(FAIL) == 0 for r in reports)
+        # one edge's records are that edge's records of the whole graph
+        lines: dict[str, list[str]] = {}
+        for r in verify_contractions(delta, seed=6, name="jc45").records:
+            lines.setdefault(r.instance.split(":")[1], []).append(r.machine_line())
+        assert [[r.machine_line() for r in report.records] for report in reports] == [
+            lines.pop(f"e={a}-{b}") for a, b in graph_of(delta).sorted_edges()
+        ]
+        assert not lines
+
+    def test_each_contraction_record_is_timed_on_its_own(self, monkeypatch):
+        # a clock that ticks once per rank call: the degenerate record reads
+        # its one contraction_ranks, the generic record its two decisions
+        ticks = [0]
+
+        def ticking(real):
+            def call(*args, **kwargs):
+                ticks[0] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        clock = SimpleNamespace(perf_counter=lambda: ticks[0])
+        monkeypatch.setattr(spherig.harness, "time", clock)
+        for name in ("contraction_ranks", "decide_rigidity"):
+            monkeypatch.setattr(spherig.harness, name, ticking(getattr(spherig.harness, name)))
+        report = verify_contractions(sp.cross_polytope(4), seed=3, name="x4")
+        assert len(report.records) == 2 * 24
+        assert {(r.instance.rsplit(":", 1)[1], r.elapsed) for r in report.records} == {
+            ("degenerate", 1),
+            ("generic", 2),
+        }
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
