@@ -183,7 +183,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        config = SuiteConfig.from_file(args.config) if args.config else SuiteConfig()
+        config = SuiteConfig()
+        if args.config:
+            with open(args.config) as fh:
+                config = SuiteConfig.from_text(fh.read())
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         to_file = args.machine not in (None, "-")

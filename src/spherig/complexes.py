@@ -16,11 +16,12 @@ computed at most once, on first use, and kept on the instance:
 Face enumeration, links and the graphs of links and stars scan the facet
 list and do not build the index: a link is usually read once.
 
-The public constructor, and so `from_facets`, `textio.parse_facets`,
-`relabel` and `contract_edge`, checks every label and drops dominated
-faces.  Builders whose faces are already checked labels and already an
-antichain (`link`, `join`, the pieces of `prime_factors`, and the flips,
-stackings and polytope boundaries of `generators`) go through
+The constructor is the one validating way in: it checks every label,
+rejects a facet that lists a vertex twice and drops dominated faces, and
+`textio.parse_facets`, `relabel` and `contract_edge` go through it.
+Builders whose faces are already checked labels and already an antichain
+(`link`, `join`, the pieces of `prime_factors`, and the flips, stackings
+and polytope boundaries of `generators`) go through
 `SimplicialComplex._trusted` instead, which checks nothing; a builder that
 brings in a new label checks that one label first.
 """
@@ -92,13 +93,18 @@ class SimplicialComplex:
     """An immutable simplicial complex given by its facets.
 
     The facet set is always an antichain (no facet contains another); the
-    constructor discards dominated input faces.  The complex consisting of
+    constructor checks every label, rejects a facet that lists a vertex
+    twice and discards dominated input faces.  The complex consisting of
     the empty face alone (dimension -1) is representable; it arises as the
     link of a facet.
     """
 
     def __init__(self, facets: Iterable[Iterable[int]]):
-        normalized = [as_face(f) for f in facets]
+        normalized: list[frozenset[int]] = []
+        for listed in map(tuple, facets):
+            normalized.append(as_face(listed))
+            if len(normalized[-1]) < len(listed):
+                raise ValueError(f"facet {list(listed)!r} lists a vertex twice")
         if not normalized:
             raise ValueError("a simplicial complex needs at least one face")
         self.facets: frozenset[frozenset[int]] = _maximal(normalized)
@@ -128,25 +134,6 @@ class SimplicialComplex:
         out = object.__new__(cls)
         out.facets = frozenset(facets)
         return out
-
-    @classmethod
-    def from_facets(cls, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        """Build a complex from candidate facets, validating the input.
-
-        Dominated faces are dropped (only the inclusion-maximal subset is
-        stored).  Rejects an empty facet list, empty faces, and faces listing
-        a vertex twice.
-        """
-        facets = list(facets)
-        if not facets:
-            raise ValueError("empty facet list")
-        for f in facets:
-            listed = list(f)
-            if not listed:
-                raise ValueError("facet with no vertices")
-            if len(set(listed)) != len(listed):
-                raise ValueError(f"duplicate vertex inside facet {listed!r}")
-        return cls(facets)
 
     # -- basic queries ---------------------------------------------------
 

@@ -684,11 +684,6 @@ class SuiteConfig:
                 raise ValueError(f"{key} lists {', '.join(map(str, repeated))} more than once")
 
     @classmethod
-    def from_file(cls, path: str) -> "SuiteConfig":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
-
-    @classmethod
     def from_text(cls, text: str) -> "SuiteConfig":
         """The defaults overlaid with the text's key=value lines, each key at
         most once.  A value that does not parse, or that the config would
@@ -720,6 +715,8 @@ class SuiteConfig:
                 cls(**{key: values[key]})  # checks the value here, at its line
             except ValueError as exc:
                 raise ValueError(f"config line {lineno}: {exc}") from None
+            except (MemoryError, OverflowError):  # a range longer than memory can hold
+                raise ValueError(f"config line {lineno}: {key} lists too many values") from None
         return cls(**values)
 
 
@@ -732,7 +729,9 @@ def run_suite(config: SuiteConfig) -> Report:
     configuration that yields no record at all is an error.
     """
     report = Report()
-    for entry in build_corpus(config.families, config.dims, config.seed):
+    corpus = build_corpus(config.families, config.dims, config.seed)
+    while corpus:  # each entry, and its complex's cached data, goes after its checks
+        entry = corpus.pop(0)
         delta = entry.complex
         options = dict(seed=derive_seed(config.seed, entry.name), name=entry.name)
         orbits = dict(options, symmetries=entry.symmetries)

@@ -26,7 +26,7 @@ def parse_facets(text: str) -> SimplicialComplex:
     rows = _data_lines(text)
     if not rows:
         raise ValueError("no facets in input")
-    return SimplicialComplex.from_facets(rows)
+    return SimplicialComplex(rows)
 
 
 def format_facets(delta: SimplicialComplex) -> str:

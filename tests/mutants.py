@@ -495,6 +495,14 @@ MUTANTS = [
         ),
     ),
     (
+        "constructor-keeps-a-repeated-vertex",
+        "src/spherig/complexes.py",
+        "            if len(normalized[-1]) < len(listed):\n"
+        '                raise ValueError(f"facet {list(listed)!r} lists a vertex twice")\n',
+        "",
+        ("tests/test_complexes.py::TestConstruction::test_repeated_vertex_rejected",),
+    ),
+    (
         "stack-new-label-unchecked",
         "src/spherig/generators.py",
         "    as_face([v_new])  # the one new label; every other face is already checked\n",

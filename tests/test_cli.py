@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import spherig as sp
 from spherig.cli import main
 from spherig.complexes import SimplicialComplex
+from spherig.harness import FAMILIES, SuiteConfig
 from spherig.textio import format_facets, parse_facets
 
 from oracles import connected_sum
@@ -105,6 +106,12 @@ class TestQueries:
         code, _, err = run(capsys, "g2")
         assert code == 2
         assert "line 2" in err
+
+    def test_facet_listing_a_vertex_twice_is_error_2(self, capsys, monkeypatch):
+        feed(monkeypatch, "1 1 2\n")
+        code, out, err = run(capsys, "g2", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: facet [1, 1, 2] lists a vertex twice")
 
     def test_missing_file_is_error_2(self, capsys):
         code, _, err = run(capsys, "g2", "/nonexistent/sphere.txt")
@@ -239,6 +246,8 @@ class TestVerify:
         "families = spheres": "unknown family 'spheres'; known: ",
         "families = simplex, simplex": "families lists simplex more than once",
         "dims = 4, 4": "dims lists 4 more than once",
+        "dims = 4..1000000000000000": "dims lists too many values",  # MemoryError
+        "dims = 4..100000000000000000000": "dims lists too many values",  # OverflowError
         "trials = 3": "unknown key 'trials'",
     }
 
@@ -376,3 +385,39 @@ def test_malformed_facet_text_never_raises(argv, text):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error:")
+
+
+# Damaged config text: key = value lines whose keys, values and separators
+# may each be wrong, comments, and arbitrary short lines.  Ranges stay short
+# (the repeat check is quadratic in the dims), apart from two far too long
+# to hold, which fail before any value is built.
+_config_value = st.one_of(
+    st.lists(st.sampled_from([*FAMILIES, "spheres", "", " "]), max_size=4).map(", ".join),
+    st.builds("{}..{}".format, st.integers(-3, 12), st.integers(-3, 12)),
+    st.lists(
+        st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["x", "1.5", "", "4..5..6"])),
+        max_size=4,
+    ).map(", ".join),
+    st.sampled_from(["4..1000000000000000", "4..100000000000000000000", str(2**70), "-"]),
+)
+_config_line = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["families", "dims", "seed", "trials", "", "# dims"]),
+        st.sampled_from([" = ", "=", " ", "=="]),
+        _config_value,
+    ),
+    st.sampled_from(["# comment", "", "   "]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.lists(_config_line, max_size=6).map("\n".join))
+def test_malformed_config_text_raises_only_config_line_errors(text):
+    try:
+        config = SuiteConfig.from_text(text)
+    except ValueError as exc:
+        assert str(exc).startswith("config line ")
+    else:
+        assert isinstance(config, SuiteConfig)

@@ -303,7 +303,7 @@ class TestFlips:
             sp.bistellar_flip(sp.boundary_simplex(4), move)
 
     def test_impure_complex_rejected(self):
-        impure = SimplicialComplex.from_facets([(1, 2, 3), (3, 4), (4, 5), (5, 3)])
+        impure = SimplicialComplex([(1, 2, 3), (3, 4), (4, 5), (5, 3)])
         with pytest.raises(ValueError, match="pure"):
             sp.legal_flips(impure)
         with pytest.raises(ValueError, match="pure"):

@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import re
+import weakref
 from math import comb
 from types import SimpleNamespace
 
@@ -716,6 +718,23 @@ class TestRunSuite:
                 for d, n, mask in memo
             ), entry.name
         assert [e.name for e in corpus] == ["cross-d4", "control-simplex-d4", "control-cross-d4"]
+
+    def test_each_entry_is_released_after_its_checks(self, monkeypatch):
+        # no complex, with its face index, graph and missing faces, outlives
+        # its entry's checks: when an entry's g2 check starts, every earlier
+        # entry's complex is gone
+        refs, alive = [], []
+        real = spherig.harness.verify_g2_stress
+
+        def spy(delta, **options):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(delta))
+            return real(delta, **options)
+
+        monkeypatch.setattr("spherig.harness.verify_g2_stress", spy)
+        assert run_suite(SuiteConfig(seed=20260823)).ok
+        assert alive == [0] * 31
 
     def test_machine_report_digest_is_pinned(self):
         # Every family at d = 4: 1,181 records of the five check kinds.  A
