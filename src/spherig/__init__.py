@@ -9,7 +9,6 @@ from .graphs import Graph, complete_graph, cone_graph, graph_of, union
 from .rigidity import (
     DEFAULT_PRIME,
     DEFAULT_TRIALS,
-    Embedding,
     RigidityVerdict,
     decide_rigidity,
     derive_seed,

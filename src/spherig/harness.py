@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -398,8 +399,8 @@ def _contractions(
     contraction)) + 4 for each edge, checked at a degenerate embedding that
     merges the endpoints and again at independent generic points, on the
     first edge of each orbit under the symmetries (_per_orbit).  The
-    degenerate record ranks G-e and the contraction at one point, from its
-    first rows or one elimination.  The contracted graph is G's, contracted:
+    degenerate record ranks G-e and the contraction at one merged point
+    (contraction_ranks).  The contracted graph is G's, contracted:
     each face of the contracted complex is the image of a face of delta, and
     a face dropped inside a larger one takes no edge with it, so it has the
     edges of SimplicialComplex.contract_edge's result.
@@ -679,7 +680,7 @@ class SuiteConfig:
             raise ValueError("suite dimensions must be >= 4")
         # a repeat would run, and report, every record of that entry again
         for key, values in (("families", self.families), ("dims", self.dims)):
-            repeated = sorted({v for v in values if values.count(v) > 1})
+            repeated = sorted(v for v, k in Counter(values).items() if k > 1)
             if repeated:
                 raise ValueError(f"{key} lists {', '.join(map(str, repeated))} more than once")
 

@@ -9,7 +9,8 @@ the point lands on a proper minor locus; by Schwartz-Zippel that happens
 with probability at most (matrix rows)/p per trial.  With p = 2**61 - 1 and
 max-over-trials aggregation the check is one-sided: a "rigid" answer is
 always correct, and a "flexible" answer is exact at the peeling bound of
-decide_rigidity and wrong with negligible probability elsewhere.
+decide_rigidity and on at most d+1 vertices, where no point is drawn, and
+wrong with negligible probability elsewhere.
 
 Every rigidity matrix comes from one builder, _matrix_rows, which yields
 its rows lazily over a given edge and vertex order, and every rank from one
@@ -33,16 +34,17 @@ an estimate (see _first_rows_rank for the block triangular argument).
 edge_deletion_ranks answers every single-edge deletion of a graph from one
 elimination of its matrix, with the same guarantee (see its docstring), and
 contraction_ranks gives the ranks of G - ab and of G/ab at a random point
-moved to merge a and b, from the first rows of G - ab's order where they
-meet its rigidity target, and otherwise from one elimination.  Inside
+moved to merge a and b, each as decide_rigidity reads the rank at a point,
+and the second from the first where that meets G - ab's target.  Inside
 rigid_verdict_memo decide_rigidity and edge_deletion_ranks record the
 shapes of the graphs they find rigid (the graph relabelled 0..n-1 in sorted
 vertex order, with d), and decide_rigidity answers a graph that contains a
 recorded shape on the same vertex count without a new embedding.
 
-Field elements are plain Python ints in [0, p); there is no scalar wrapper
-class.  All randomness is drawn from seeded generators so every decision is
-reproducible from (graph, d, trials, seed).
+Field elements are plain Python ints in [0, p), and a point is a plain dict
+from vertex to coordinates; there is no wrapper class.  All randomness is
+drawn from seeded generators so every decision is reproducible from
+(graph, d, trials, seed).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator
 
-from .graphs import Graph
+from .graphs import Graph, complete_graph, union
 
 DEFAULT_PRIME = 2**61 - 1
 DEFAULT_TRIALS = 3
@@ -73,35 +75,22 @@ def derive_seed(seed: int, *labels: object) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Assignment of d coordinates in F_p, p = DEFAULT_PRIME, to each vertex."""
-
-    d: int
-    coords: dict[int, tuple[int, ...]]
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("embedding dimension must be >= 1")
-        for v, point in self.coords.items():
-            if len(point) != self.d:
-                raise ValueError(f"vertex {v} has {len(point)} coordinates, expected {self.d}")
+# A point: d coordinates in F_p, p = DEFAULT_PRIME, for each vertex.
+Point = dict[int, tuple[int, ...]]
 
 
-def random_embedding(graph: Graph, d: int, seed: int) -> Embedding:
-    """Uniform random embedding of the graph's vertices; seed-deterministic."""
+def random_embedding(graph: Graph, d: int, seed: int) -> Point:
+    """A uniform random point for the graph's vertices; seed-deterministic."""
     rng = random.Random(derive_seed(seed, "embedding", d))
-    coords = {
-        v: tuple(rng.randrange(DEFAULT_PRIME) for _ in range(d))
-        for v in sorted(graph.vertices)
+    return {
+        v: tuple(rng.randrange(DEFAULT_PRIME) for _ in range(d)) for v in sorted(graph.vertices)
     }
-    return Embedding(d, coords)
 
 
 def _matrix_rows(
-    edge_order: list[tuple[int, int]], vertex_order: list[int], embedding: Embedding
+    edge_order: list[tuple[int, int]], vertex_order: list[int], phi: Point, d: int
 ) -> Iterator[list[int]]:
-    """The rigidity matrix of the edges at an embedding, one row at a time.
+    """The rigidity matrix of the edges at a point, one row at a time.
 
     Every rigidity matrix is built here.  Rows follow edge_order; columns
     come in d-sized blocks, one per vertex in vertex_order.  The row of edge
@@ -109,12 +98,12 @@ def _matrix_rows(
     block, entries in [0, p), p = DEFAULT_PRIME.  Rows are built as they
     are read, so an elimination that stops early never builds the rest.
     """
-    p, d = DEFAULT_PRIME, embedding.d
+    p = DEFAULT_PRIME
     col_of = {v: i * d for i, v in enumerate(vertex_order)}
     ncols = d * len(vertex_order)
     for u, v in edge_order:
         row = [0] * ncols
-        pu, pv = embedding.coords[u], embedding.coords[v]
+        pu, pv = phi[u], phi[v]
         cu, cv = col_of[u], col_of[v]
         for k in range(d):
             diff = (pu[k] - pv[k]) % p
@@ -350,7 +339,7 @@ def _rank_bound(peel: Peel, d: int) -> int:
     return degrees + min(core_edges, rigidity_target(len(core), d))
 
 
-def _first_rows_rank(phi: Embedding, firsts: list[tuple[int, list[int]]]) -> int:
+def _first_rows_rank(phi: Point, firsts: list[tuple[int, list[int]]], d: int) -> int:
     """A lower bound on the rank at phi of a graph's rigidity matrix, from
     each vertex's first back-neighbours in the graph's _attach_order: the
     sum over the vertices v of the rank of the directions phi(v) - phi(u),
@@ -368,15 +357,14 @@ def _first_rows_rank(phi: Embedding, firsts: list[tuple[int, list[int]]]) -> int
     it adds its whole degree (the 0-extension step of Tay-Whiteley 1985).
     The argument holds at every point, a degenerate one included.
     """
-    p, coords = DEFAULT_PRIME, phi.coords
-    total = 0
+    p, total = DEFAULT_PRIME, 0
     for v, back in firsts:
-        directions = ([(x - y) % p for x, y in zip(coords[v], coords[u])] for u in back)
-        total += len(_echelon(directions, phi.d)[0])
+        directions = ([(x - y) % p for x, y in zip(phi[v], phi[u])] for u in back)
+        total += len(_echelon(directions, d)[0])
     return total
 
 
-def _rank_at(order: Order, phi: Embedding, bound: int) -> int:
+def _rank_at(order: Order, phi: Point, d: int, bound: int) -> int:
     """The rank of a graph's rigidity matrix at phi, given its _attach_order
     and a bound that no rank of the matrix at any point exceeds.
 
@@ -389,9 +377,9 @@ def _rank_at(order: Order, phi: Embedding, bound: int) -> int:
     not an estimate.
     """
     blocks, edges, firsts = order
-    if _first_rows_rank(phi, firsts) == bound:
+    if _first_rows_rank(phi, firsts, d) == bound:
         return bound
-    return len(_echelon(_matrix_rows(edges, blocks, phi), phi.d * len(blocks), bound)[0])
+    return len(_echelon(_matrix_rows(edges, blocks, phi, d), d * len(blocks), bound)[0])
 
 
 def decide_rigidity(
@@ -412,6 +400,9 @@ def decide_rigidity(
     _attach_order of the graph's _peel, and is the full matrix's rank at
     the point exactly (see _rank_at), so the verdict and the one-sided
     guarantee are those of eliminating the whole matrix at every point.
+    On n <= d+1 vertices the rank is f1, with no point drawn: generic points
+    on at most d+1 vertices are affinely independent, so every edge's row
+    is independent (see rigidity_target), and the verdict is exact.
     Inside rigid_verdict_memo a graph that contains one already decided
     rigid, on as many vertices, is answered without a new embedding.
     """
@@ -419,8 +410,10 @@ def decide_rigidity(
         raise ValueError("dimension must be >= 1")
     if trials < 1:
         raise ValueError("need at least one trial")
-    f1 = len(graph.edges)
-    target = rigidity_target(len(graph.vertices), d)
+    f1, n = len(graph.edges), len(graph.vertices)
+    target = rigidity_target(n, d)
+    if n <= d + 1:
+        return RigidityVerdict(f1, target, f1 == target, trials, 0)
     memo = _known_rigid.get()
     if memo is not None:
         shape = _shape(graph, d)
@@ -434,7 +427,7 @@ def decide_rigidity(
     best = 0
     for t in range(trials):
         phi = random_embedding(graph, d, derive_seed(seed, "trial", t))
-        best = max(best, _rank_at(order, phi, bound))
+        best = max(best, _rank_at(order, phi, d, bound))
         if best == bound:
             break
     is_rigid = best == target
@@ -445,61 +438,32 @@ def decide_rigidity(
 
 def contraction_ranks(graph: Graph, a: int, b: int, d: int, seed: int) -> tuple[int, int]:
     """(rank R(G - ab), rank R(G/ab)) in dimension d at
-    random_embedding(graph, d, seed) with b moved onto a's point, from the
-    first rows of G - ab or else one elimination; graph is G - ab.
+    random_embedding(graph, d, seed) with b, and G/ab's merged vertex, moved
+    onto a's point; graph is G - ab, with or without the edge ab.
 
-    G/ab merges a and b into one vertex at their common point.  Change the
-    velocity variables by v_b = v_a + w, which is invertible: b's column
-    block is added into a's, and b's block becomes w's.  The rank is
-    unchanged.  Now the row of an edge bx reads like that of ax outside the
-    w block, since phi(b) = phi(a).  So the columns before the w block hold
-    exactly R(G/ab) at the merged point, a common neighbour of a and b only
-    repeating a row.  In any echelon form each pivot row is zero left of its
-    pivot, so the pivot rows whose pivots lie before the w block stay
-    independent there and the others vanish there: their number is rank
-    R(G/ab), and all pivot rows number rank R(G - ab).  Both values are the
-    ranks of the two matrices at this point, not estimates.  The argument
-    needs only the w block last; it holds for any order of the blocks
-    before it and of the rows.  No rank at any point exceeds
-    min(f1, rigidity_target(n, d)), n the vertex count of G - ab, so the
-    elimination stops there: once the pivots reach it, every later row
-    reduces to zero on all columns, and the count of pivots before the
-    split is final.
-
-    Before any matrix is built, _first_rows_rank of G - ab's _attach_order
-    bounds r1 = rank R(G - ab) from below at the merged point too.  Where
-    it reaches target(n), r1 = target(n), since no rank exceeds it.
-    Dropping the w block's d columns loses at most d, so r2 = rank R(G/ab)
-    >= r1 - d; and G/ab has n - 1 vertices, so r2 <= target(n - 1).  The
-    first rows reach target(n) only for n >= d + 2: below that the target
-    is C(n, 2), which needs the row of every pair, and the row of ab is
-    missing or zero at the merged point.  There target(n - 1) = target(n) -
-    d, so r2 = target(n) - d, and no matrix is built.
-
-    Otherwise the rows are built once, lazily, in _attach_order's order of
-    G - ab, over its column blocks without b's, then b's, which is w's.
-    Only the row of an edge at b has entries in b's block, and it has zeros
-    in a's (the row of ab, if the graph has it, is zero at this point), so
-    adding b's block into a's copies it there.
+    Each is the whole matrix's rank at that point, read as decide_rigidity
+    reads one (_rank_at), except that r2 = rank R(G/ab) is r1 - d, and G/ab
+    is not built, where r1 = rank R(G - ab) reaches target(n), n the vertex
+    count of G - ab.  Adding b's column block into a's changes no rank and,
+    as phi(b) = phi(a), leaves R(G/ab) beside b's d columns, so r2 >= r1 -
+    d; and r2 <= target(n - 1), which is target(n) - d.  That needs n >=
+    d + 2, and below it r1 never reaches target(n) = C(n, 2): that takes the
+    row of ab, which is missing or zero at this point.
     """
     if a == b or not {a, b} <= graph.vertices:
         raise ValueError(f"({a}, {b}) are not two vertices of the graph")
-    coords = dict(random_embedding(graph, d, seed).coords)
-    coords[b] = coords[a]
-    phi = Embedding(d, coords)
-    blocks, edges, firsts = _attach_order(_peel(graph, d), d)
-    target = rigidity_target(len(blocks), d)
-    if _first_rows_rank(phi, firsts) == target:
-        return target, target - d
-    order = [v for v in blocks if v != b] + [b]
-    ia, split = order.index(a) * d, d * len(order) - d
-    rows = (
-        row[:ia] + row[-d:] + row[ia + d :] if b in edge else row
-        for edge, row in zip(edges, _matrix_rows(edges, order, phi))
-    )
-    cap = min(len(edges), target)
-    pivots = _echelon(rows, d * len(order), cap)[0]
-    return len(pivots), sum(1 for c in pivots if c < split)
+    phi = random_embedding(graph, d, seed)
+    m = max(graph.vertices) + 1  # G/ab's merged vertex
+    phi[b] = phi[m] = phi[a]
+
+    def rank(h: Graph) -> int:
+        peel = _peel(h, d)
+        return _rank_at(_attach_order(peel, d), phi, d, _rank_bound(peel, d))
+
+    r1 = rank(graph)
+    if r1 == rigidity_target(len(graph.vertices), d):
+        return r1, r1 - d
+    return r1, rank(union(graph, complete_graph((a, b))).contract_edge(a, b, m))
 
 
 def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, int], int]:
@@ -547,7 +511,7 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     order, edges = sorted(graph.vertices), graph.sorted_edges()
     blocks, attached, _ = _attach_order(_peel(graph, d), d)
     phi = random_embedding(graph, d, derive_seed(seed, "trial", 0))
-    rows = _matrix_rows(attached, blocks, phi)
+    rows = _matrix_rows(attached, blocks, phi, d)
     # the rows that reduce to zero carry a basis of the stresses in their
     # unit-vector extensions (see above), indexed by position in attached
     m = len(edges)

@@ -120,23 +120,6 @@ MUTANTS = [
         ),
     ),
     (
-        "contraction-w-not-folded-into-a",
-        RIGIDITY,
-        "row[:ia] + row[-d:] + row[ia + d :] if b in edge else row",
-        "row",
-        (
-            "tests/test_harness.py::TestContraction"
-            "::test_merged_elimination_equals_two_matrices_on_the_d4_corpus",
-        ),
-    ),
-    (
-        "contraction-split-one-block-late",
-        RIGIDITY,
-        "    ia, split = order.index(a) * d, d * len(order) - d\n",
-        "    ia, split = order.index(a) * d, d * len(order)\n",
-        ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
-    ),
-    (
         "bound-never-tightens",
         RIGIDITY,
         "    return degrees + min(core_edges, rigidity_target(len(core), d))\n",
@@ -159,15 +142,15 @@ MUTANTS = [
     (
         "first-rows-counted-without-independence-check",
         RIGIDITY,
-        "        total += len(_echelon(directions, phi.d)[0])\n",
+        "        total += len(_echelon(directions, d)[0])\n",
         "        total += len(back)\n",
         ("tests/test_rigidity.py::TestRankAtAPoint::test_every_vertex_at_the_origin",),
     ),
     (
         "first-rows-meet-the-bound-one-rank-early",
         RIGIDITY,
-        "    if _first_rows_rank(phi, firsts) == bound:\n",
-        "    if _first_rows_rank(phi, firsts) >= bound - 1:\n",
+        "    if _first_rows_rank(phi, firsts, d) == bound:\n",
+        "    if _first_rows_rank(phi, firsts, d) >= bound - 1:\n",
         (
             "tests/test_rigidity.py::TestRankAtAPoint"
             "::test_core_vertex_on_the_span_of_its_first_neighbours[5-9]",
@@ -176,9 +159,12 @@ MUTANTS = [
     (
         "contraction-point-not-merged",
         RIGIDITY,
-        "    coords[b] = coords[a]\n",
-        "",
-        ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
+        "    phi[b] = phi[m] = phi[a]\n",
+        "    phi[m] = phi[a]\n",
+        (
+            "tests/test_rigidity.py::TestContractionRanks"
+            "::test_common_neighbour_of_a_and_b_loses_a_first_row_rank",
+        ),
     ),
     (
         "echelon-stops-one-pivot-early",
@@ -188,23 +174,6 @@ MUTANTS = [
         (
             "tests/test_rigidity.py::TestDoingLess"
             "::test_cross_polytope_whose_first_rows_fall_short_eliminates_its_core",
-        ),
-    ),
-    (
-        "contraction-counts-the-first-w-pivot",
-        RIGIDITY,
-        "sum(1 for c in pivots if c < split)",
-        "sum(1 for c in pivots if c <= split)",
-        ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
-    ),
-    (
-        "contraction-stops-one-below-cap",
-        RIGIDITY,
-        "    cap = min(len(edges), target)\n",
-        "    cap = min(len(edges), target) - 1\n",
-        (
-            "tests/test_rigidity.py::TestContractionRanks"
-            "::test_matches_two_matrices_on_random_graphs",
         ),
     ),
     (
@@ -220,21 +189,35 @@ MUTANTS = [
     (
         "contraction-settles-one-rank-early",
         RIGIDITY,
-        "    if _first_rows_rank(phi, firsts) == target:\n",
-        "    if _first_rows_rank(phi, firsts) >= target - 1:\n",
+        "    if r1 == rigidity_target(len(graph.vertices), d):\n",
+        "    if r1 >= rigidity_target(len(graph.vertices), d) - 1:\n",
         (
             "tests/test_rigidity.py::TestContractionRanks"
-            "::test_common_neighbour_of_a_and_b_loses_a_first_row_rank",
+            "::test_matches_two_matrices_on_random_graphs",
         ),
     ),
     (
         "contraction-merged-rank-off-by-one",
         RIGIDITY,
-        "        return target, target - d\n",
-        "        return target, target - d + 1\n",
+        "        return r1, r1 - d\n",
+        "        return r1, r1 - d + 1\n",
+        ("tests/test_rigidity.py::TestContractionRanks::test_cross_4_edge",),
+    ),
+    (
+        "no-point-rule-one-vertex-past-d-plus-1",
+        RIGIDITY,
+        "    if n <= d + 1:\n        return RigidityVerdict(",
+        "    if n <= d + 2:\n        return RigidityVerdict(",
+        ("tests/test_rigidity.py::TestSmallGraphs::test_rank_and_verdict_match_the_oracle[2]",),
+    ),
+    (
+        "no-point-rule-stops-at-d-vertices",
+        RIGIDITY,
+        "    if n <= d + 1:\n        return RigidityVerdict(",
+        "    if n <= d:\n        return RigidityVerdict(",
         (
-            "tests/test_rigidity.py::TestContractionRanks"
-            "::test_matches_two_matrices_on_random_graphs",
+            "tests/test_rigidity.py::TestDecideRigidity"
+            "::test_at_most_d_plus_1_vertices_draw_no_point[K5-minus-an-edge-d4]",
         ),
     ),
     (
@@ -545,14 +528,13 @@ MUTANTS = [
 #   same verdict.  _attach_order over such a peel is still block triangular,
 #   so _rank_at gives the full matrix's rank at the point exactly, only with
 #   more of it eliminated.
-# - contraction_ranks settling where the first rows' sum reaches the target
-#   with >= in place of ==: the sum never exceeds the rank at the point,
-#   and no rank exceeds the target.
-# - contraction_ranks settling only on n >= d + 1 vertices (or, mutated,
-#   n >= d): on at most d + 1 vertices the target is C(n, 2), and at the
-#   merged point the row of ab is missing or zero, so the first rows never
-#   reach the target there and such a guard never decides anything; the
-#   code has none.
+# - contraction_ranks settling where r1 reaches the target with >= in
+#   place of ==: no rank exceeds the target.
+# - contraction_ranks settling only on n >= d + 2 vertices (or, mutated,
+#   n >= d + 1): on at most d + 1 vertices the target is C(n, 2), and at
+#   the merged point the row of ab is missing or zero, so r1 never reaches
+#   the target there and such a guard never decides anything; the code has
+#   none.
 # - _attach_order placing the peeled tail in peel order instead of last
 #   peeled first: the first rows' sum adds the same terms in another order,
 #   and the rank at a point does not depend on the order of the rows and

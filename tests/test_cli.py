@@ -388,9 +388,8 @@ def test_malformed_facet_text_never_raises(argv, text):
 
 
 # Damaged config text: key = value lines whose keys, values and separators
-# may each be wrong, comments, and arbitrary short lines.  Ranges stay short
-# (the repeat check is quadratic in the dims), apart from two far too long
-# to hold, which fail before any value is built.
+# may each be wrong, comments, and arbitrary short lines.  Two ranges are far
+# too long to hold, and fail before any value is built.
 _config_value = st.one_of(
     st.lists(st.sampled_from([*FAMILIES, "spheres", "", " "]), max_size=4).map(", ".join),
     st.builds("{}..{}".format, st.integers(-3, 12), st.integers(-3, 12)),

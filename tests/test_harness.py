@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import re
+import time
 import weakref
 from math import comb
 from types import SimpleNamespace
@@ -312,36 +313,43 @@ class TestContraction:
     def test_merged_elimination_equals_two_matrices_on_the_d4_corpus(
         self, default_corpus, monkeypatch
     ):
-        # every edge, qualifying or not, at its own seeded degenerate point;
-        # a matrix is built exactly where the first rows of G - ab fall
-        # short of its rigidity target at that point
-        built = []
-        real = spherig.rigidity._matrix_rows
+        # every edge, qualifying or not, at its own seeded degenerate point.
+        # G - ab builds a matrix exactly where its first rows fall short of
+        # its peeling bound at that point, and G/ab is ranked only where the
+        # rank of G - ab falls short of its rigidity target
+        built, ranked = [], []
+        real_rows, real_peel = spherig.rigidity._matrix_rows, spherig.rigidity._peel
         monkeypatch.setattr(
-            spherig.rigidity, "_matrix_rows", lambda *args: built.append(args) or real(*args)
+            spherig.rigidity, "_matrix_rows", lambda *args: built.append(args[1]) or real_rows(*args)
         )
-        seed, checked, reordered, settled = 20260823, 0, 0, 0
+        monkeypatch.setattr(
+            spherig.rigidity, "_peel", lambda g, d: ranked.append(g) or real_peel(g, d)
+        )
+        seed, checked, reordered, settled, eliminated = 20260823, 0, 0, 0, 0
         for entry in (e for e in default_corpus if e.d == 4):
             graph = graph_of(entry.complex)
             for a, b in graph.sorted_edges():
                 g_minus = graph.remove_edge(a, b)
                 point_seed = derive_seed(seed, entry.name, a, b)
                 coords = degenerate_point(g_minus, a, b, point_seed)
+                peel = real_peel(g_minus, 4)
+                _, attached, firsts = spherig.rigidity._attach_order(peel, 4)
+                short = directions_rank_sum(coords, firsts) < spherig.rigidity._rank_bound(peel, 4)
                 built.clear()
+                ranked.clear()
                 merged = contraction_ranks(g_minus, a, b, 4, point_seed)
                 assert merged == two_matrix_ranks(entry.complex, a, b, coords), (entry.name, a, b)
                 checked += 1
-                _, attached, firsts = spherig.rigidity._attach_order(
-                    spherig.rigidity._peel(g_minus, 4), 4
-                )
                 reordered += attached != g_minus.sorted_edges()
-                target = rigidity_target(len(g_minus.vertices), 4)
-                short = directions_rank_sum(coords, firsts) < target
-                assert len(built) == short, (entry.name, a, b)
-                settled += not short
+                below = merged[0] < rigidity_target(len(g_minus.vertices), 4)
+                assert ranked[0] == g_minus and len(ranked) == 1 + below, (entry.name, a, b)
+                assert [b in blocks for blocks in built] == [True] * short, (entry.name, a, b)
+                settled += not below
+                eliminated += short
         # every G - ab is read in an attach order other than sorted order;
-        # 239 of the 309 are settled by their first rows
-        assert (checked, reordered, settled) == (309, 309, 239)
+        # 289 of the 309 reach their target, so G/ab is ranked on 20, each
+        # from its first rows; 60 eliminate G - ab
+        assert (checked, reordered, settled, eliminated) == (309, 309, 289, 60)
 
     def test_contracted_graph_equals_the_contracted_complexs_graph(self):
         # on every edge of every family at d = 4, negative controls included
@@ -639,6 +647,13 @@ class TestSuiteConfig:
         config = SuiteConfig.from_text("dims = 4, 6\n")
         assert config.dims == (4, 6)
 
+    def test_long_dims_range_parses_in_linear_time(self):
+        # one repeat count over all the dims, not one scan per value
+        start = time.perf_counter()
+        config = SuiteConfig.from_text("dims = 4..20000\n")
+        assert time.perf_counter() - start < 1
+        assert config.dims == tuple(range(4, 20001))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             SuiteConfig.from_text("depth = 3\n")
@@ -759,10 +774,10 @@ class TestRunSuite:
         built = read = 0
         real = spherig.rigidity._matrix_rows
 
-        def counted(edge_order, vertex_order, embedding):
+        def counted(edge_order, vertex_order, phi, d):
             nonlocal built, read
             built += 1
-            for row in real(edge_order, vertex_order, embedding):
+            for row in real(edge_order, vertex_order, phi, d):
                 read += 1
                 yield row
 
@@ -877,7 +892,7 @@ def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
 
 def degenerate_point(g_minus: Graph, a: int, b: int, seed: int) -> dict:
     """The coordinates of random_embedding(g_minus, 4, seed) with b moved onto a."""
-    coords = dict(random_embedding(g_minus, 4, seed).coords)
+    coords = random_embedding(g_minus, 4, seed)
     coords[b] = coords[a]
     return coords
 

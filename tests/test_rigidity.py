@@ -12,7 +12,6 @@ import spherig.rigidity
 from spherig.graphs import Graph, complete_graph, graph_of
 from spherig.rigidity import (
     DEFAULT_PRIME,
-    Embedding,
     contraction_ranks,
     decide_rigidity,
     derive_seed,
@@ -52,12 +51,12 @@ def attach_order(graph: Graph, d: int):
     return spherig.rigidity._attach_order(spherig.rigidity._peel(graph, d), d)
 
 
-def first_rows_bound(graph: Graph, d: int, phi: Embedding) -> int:
+def first_rows_bound(graph: Graph, d: int, phi: dict) -> int:
     """The lower bound on the rank at phi that _rank_at reads, from the
     oracle's rank: the ranks of each vertex's directions to its first
     back-neighbours in the graph's attach order, which for a peeled vertex
     are its neighbours at removal."""
-    return directions_rank_sum(phi.coords, attach_order(graph, d)[2])
+    return directions_rank_sum(phi, attach_order(graph, d)[2])
 
 
 def count_embeddings(monkeypatch) -> list:
@@ -73,14 +72,14 @@ def count_embeddings(monkeypatch) -> list:
     return drawn
 
 
-def first_point(graph: Graph, d: int, seed: int) -> Embedding:
+def first_point(graph: Graph, d: int, seed: int) -> dict:
     """The first trial point of decide_rigidity(graph, d, seed=seed)."""
     return random_embedding(graph, d, derive_seed(seed, "trial", 0))
 
 
-def full_rank_at(graph: Graph, phi: Embedding) -> int:
+def full_rank_at(graph: Graph, phi: dict, d: int) -> int:
     """The rank of the whole rigidity matrix at phi, from the oracle."""
-    return rank_mod_p(rigidity_rows_mod_p(graph, phi.coords, phi.d))
+    return rank_mod_p(rigidity_rows_mod_p(graph, phi, d))
 
 
 def stacked_chain(d: int, rng: random.Random, last: int):
@@ -114,31 +113,24 @@ class TestEmbedding:
     def test_coordinates_in_field(self):
         g = complete_graph(range(1, 5))
         phi = random_embedding(g, 3, 0)
-        for point in phi.coords.values():
+        assert list(phi) == [1, 2, 3, 4]
+        for point in phi.values():
             assert len(point) == 3
             assert all(0 <= x < P for x in point)
-
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            Embedding(0, {})
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            Embedding(2, {1: (5,)})
 
 
 class TestRigidityMatrix:
     """_matrix_rows, the one rigidity-matrix builder."""
 
     def test_single_edge_rows(self):
-        phi = Embedding(2, {1: (0, 0), 2: (1, 0)})
-        assert list(matrix_rows([(1, 2)], [1, 2], phi)) == [[P - 1, 0, 1, 0]]
+        phi = {1: (0, 0), 2: (1, 0)}
+        assert list(matrix_rows([(1, 2)], [1, 2], phi, 2)) == [[P - 1, 0, 1, 0]]
 
     def test_row_blocks_are_skew(self):
         g = graph_of(sp.cross_polytope(3))
         phi = random_embedding(g, 3, 5)
         order, edges = sorted(g.vertices), g.sorted_edges()
-        for row, (u, v) in zip(matrix_rows(edges, order, phi), edges):
+        for row, (u, v) in zip(matrix_rows(edges, order, phi, 3), edges):
             cu = order.index(u) * 3
             cv = order.index(v) * 3
             for k in range(3):
@@ -158,8 +150,8 @@ class TestRigidityMatrix:
     )
     def test_rows_match_the_oracle_entry_by_entry(self, graph, d):
         phi = random_embedding(graph, d, 5)
-        rows = list(matrix_rows(graph.sorted_edges(), sorted(graph.vertices), phi))
-        assert rows == rigidity_rows_mod_p(graph, phi.coords, d)
+        rows = list(matrix_rows(graph.sorted_edges(), sorted(graph.vertices), phi, d))
+        assert rows == rigidity_rows_mod_p(graph, phi, d)
 
 
 class TestRankMod:
@@ -277,8 +269,8 @@ class TestAttachOrder:
         """Check edge_deletion_ranks against each G - e's matrix at the first
         point; return whether G is read out of sorted order, and how many of
         its edges no stress uses."""
-        coords = first_point(graph, d, seed).coords
-        full = full_rank_at(graph, Embedding(d, coords))
+        coords = first_point(graph, d, seed)
+        full = full_rank_at(graph, coords, d)
         unstressed = 0
         for (a, b), rank in edge_deletion_ranks(graph, d, seed).items():
             exact = rank_mod_p(rigidity_rows_mod_p(graph.remove_edge(a, b), coords, d))
@@ -339,6 +331,25 @@ class TestDecideRigidity:
         assert verdict.rank == 22
         assert verdict.stress_dim == 2
 
+    @pytest.mark.parametrize(
+        "graph,d,rank,target",
+        [
+            (complete_graph((1, 2, 3)), 10**20, 3, 3),
+            (complete_graph(range(1, 6)).remove_edge(2, 4), 6, 9, 10),
+            (complete_graph(range(1, 6)).remove_edge(2, 4), 4, 9, 10),
+        ],
+        ids=["K3-d10**20", "K5-minus-an-edge-d6", "K5-minus-an-edge-d4"],
+    )
+    def test_at_most_d_plus_1_vertices_draw_no_point(self, graph, d, rank, target, monkeypatch):
+        # on at most d + 1 vertices the rank is the edge count, d + 1
+        # vertices included; a point at d = 10**20 would not fit in memory
+        def no_point(*args):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(spherig.rigidity, "random_embedding", no_point)
+        verdict = decide_rigidity(graph, d)
+        assert verdict == sp.RigidityVerdict(rank, target, rank == target, 3, 0)
+
     def test_bad_trials_rejected(self):
         with pytest.raises(ValueError):
             decide_rigidity(complete_graph(range(1, 5)), 3, trials=0)
@@ -371,7 +382,7 @@ class TestDecideRigidity:
 
     def test_rank_monotone_under_row_deletion(self):
         g = graph_of(sp.cross_polytope(3))
-        rows = rigidity_rows_mod_p(g, random_embedding(g, 3, 4).coords, 3)
+        rows = rigidity_rows_mod_p(g, random_embedding(g, 3, 4), 3)
         full = rank_mod_p(rows)
         assert echelon_rank(rows, 18) == full
         for i in range(len(rows)):
@@ -532,74 +543,129 @@ class TestEdgeDeletionRanks:
 
 
 class TestContractionRanks:
-    def test_cross_4_edge(self):
-        # G - 13 keeps the rank 22 of G; the contraction has 7 vertices, rank 18
-        graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
-        assert contraction_ranks(graph, 1, 3, 4, 5) == (22, 18)
+    """Both ranks are read at one merged point as a decision reads a point:
+    G - ab builds a matrix exactly where its first rows fall short of its
+    peeling bound, and G/ab is ranked only where R(G - ab) falls short of
+    its target."""
 
     def spy_builds(self, monkeypatch) -> list:
-        """Patch _matrix_rows to record each matrix built; return the record."""
+        """Patch _matrix_rows to record the column blocks of each matrix
+        built; return the record."""
         built = []
-        monkeypatch.setattr(
-            spherig.rigidity, "_matrix_rows", lambda *args: built.append(args) or matrix_rows(*args)
-        )
+
+        def counted(edge_order, vertex_order, phi, d):
+            built.append(vertex_order)
+            return matrix_rows(edge_order, vertex_order, phi, d)
+
+        monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         return built
 
+    def spy_ranked(self, monkeypatch) -> list:
+        """Patch _peel, which each rank reads once, to record the graphs
+        ranked; return the record."""
+        ranked = []
+        real = spherig.rigidity._peel
+        monkeypatch.setattr(
+            spherig.rigidity, "_peel", lambda graph, d: ranked.append(graph) or real(graph, d)
+        )
+        return ranked
+
+    def test_cross_4_edge(self, monkeypatch):
+        # G - 13 keeps the rank 22 of G; the contraction has 7 vertices, rank
+        # 18.  The cross polytope's first rows fall one short of 22, and so
+        # do those of G - 13 at the merged point: G - 13 reaches its target
+        # only by elimination, and G/13 is neither ranked nor built
+        built, ranked = self.spy_builds(monkeypatch), self.spy_ranked(monkeypatch)
+        graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
+        coords = random_embedding(graph, 4, 5)
+        coords[3] = coords[1]
+        assert directions_rank_sum(coords, attach_order(graph, 4)[2]) == 21
+        ranked.clear()
+        assert contraction_ranks(graph, 1, 3, 4, 5) == (22, 18)
+        assert rank_bound(graph, 4) == rigidity_target(8, 4) == 22
+        assert ranked[:1] == [graph] and len(built) == 1 and 3 in built[0]
+
     def test_matches_two_matrices_on_random_graphs(self, monkeypatch):
-        # R(G - ab) at the merged point and R(G/ab), each from its own
-        # matrix; a matrix is built exactly where the first rows of G - ab
-        # fall short of its target there, which they always do on at most
-        # d + 1 vertices
-        built = self.spy_builds(monkeypatch)
+        # R(G - ab) at the merged point, with or without the edge ab, whose
+        # row is zero there, and R(G/ab), each from its own matrix
+        built, ranked = self.spy_builds(monkeypatch), self.spy_ranked(monkeypatch)
         rng = random.Random(29)
-        checked = at_cap = settled = small = 0
+        checked = with_ab = settled = minus_built = down_built = 0
         for _ in range(150):
             graph, d = random_graph(rng), rng.randrange(2, 6)
             if len(graph.vertices) < 2:
                 continue
             a, b = rng.sample(sorted(graph.vertices), 2)
-            if frozenset((a, b)) in graph.edges:
+            if frozenset((a, b)) in graph.edges and rng.random() < 0.5:
                 graph = graph.remove_edge(a, b)
             seed = rng.randrange(100)
-            coords = dict(random_embedding(graph, d, seed).coords)
+            coords = random_embedding(graph, d, seed)
             coords[b] = coords[a]
-            merged_edges = [[a if v == b else v for v in e] for e in graph.edges]
+            merged_edges = [[a if v == b else v for v in e] for e in graph.edges if e != {a, b}]
             down = Graph(graph.vertices - {b}, merged_edges)
             minus = rank_mod_p(rigidity_rows_mod_p(graph, coords, d))
             merged = rank_mod_p(rigidity_rows_mod_p(down, coords, d))
+            short = directions_rank_sum(coords, attach_order(graph, d)[2]) < rank_bound(graph, d)
+            below = minus < rigidity_target(len(graph.vertices), d)
             built.clear()
+            ranked.clear()
             assert contraction_ranks(graph, a, b, d, seed) == (minus, merged)
-            n = len(graph.vertices)
-            target = rigidity_target(n, d)
-            short = directions_rank_sum(coords, attach_order(graph, d)[2]) < target
-            assert len(built) == short
+            assert ranked[0] == graph and len(ranked) == 1 + below
+            minus_builds = sum(b in blocks for blocks in built)
+            assert minus_builds == short and len(built) - minus_builds <= below
             checked += 1
-            at_cap += minus == min(len(graph.edges), target)
-            settled += not short
-            small += n <= d + 1
-        # the elimination stops at its cap on these, and is exact there; 42
-        # settle on their first rows, none of the 44 on at most d + 1 vertices
-        assert (checked, at_cap, settled, small) == (140, 139, 42, 44)
+            with_ab += frozenset((a, b)) in graph.edges
+            settled += not below
+            minus_built += minus_builds
+            down_built += len(built) - minus_builds
+        # 36 reach the target, and G/ab is not ranked; 44 build a matrix of
+        # G - ab.  G/ab's first rows meet its bound on all of these; the
+        # split cross polytope below builds its matrix
+        assert (checked, with_ab, settled, minus_built, down_built) == (137, 37, 36, 44, 0)
+
+    def test_split_cross_polytope_vertex_eliminates_the_contraction(self, monkeypatch):
+        # vertex 1 of the cross polytope split into 1, keeping 3, 4, 5, and
+        # 9, taking 6, 7, 8: merging them gives back the cross polytope,
+        # whose first rows fall one short of its rank 22.  G - ab has 24
+        # edges, short of its target 26, so G/ab is ranked, by elimination
+        built, ranked = self.spy_builds(monkeypatch), self.spy_ranked(monkeypatch)
+        cross = graph_of(sp.cross_polytope(4))
+        edges = [e for e in cross.edges if 1 not in e or e & {3, 4, 5}]
+        graph = Graph(range(1, 10), edges + [(v, 9) for v in (6, 7, 8)])
+        coords = random_embedding(graph, 4, 5)
+        coords[9] = coords[1]
+        minus = rank_mod_p(rigidity_rows_mod_p(graph, coords, 4))
+        assert rank_mod_p(rigidity_rows_mod_p(cross, coords, 4)) == 22
+        assert directions_rank_sum(coords, attach_order(cross, 4)[2]) == 21
+        ranked.clear()
+        assert contraction_ranks(graph, 1, 9, 4, 5) == (minus, 22) == (24, 22)
+        assert len(graph.edges) == 24 and len(ranked) == 2
+        # G - ab's first rows fall short of its bound 24 too
+        assert [9 in blocks for blocks in built] == [True, False]
 
     def test_common_neighbour_of_a_and_b_loses_a_first_row_rank(self, monkeypatch):
         # 7 peels with neighbours 1, 2, 3, 4, so its directions to 1 and 2
         # are first rows; the core K_6 - 12 has first rows that meet its
         # target.  With 2 on 1 those two directions agree, the first rows
-        # read 17 of the target 18, and the matrix is eliminated
-        built = self.spy_builds(monkeypatch)
+        # read 17 of the bound 18, and G - 12 is eliminated; its rank 17
+        # falls short of the target, so G/12 is ranked too, from its first
+        # rows, which meet its bound 13
+        built, ranked = self.spy_builds(monkeypatch), self.spy_ranked(monkeypatch)
         core = [e for e in combinations(range(1, 7), 2) if e != (1, 2)]
         graph = Graph(range(1, 8), core + [(v, 7) for v in (1, 2, 3, 4)])
         firsts = attach_order(graph, 4)[2]
         assert firsts[-1] == (7, [1, 2, 3, 4])
-        coords = dict(random_embedding(graph, 4, 5).coords)
+        coords = random_embedding(graph, 4, 5)
         assert directions_rank_sum(coords, firsts) == rigidity_target(7, 4) == 18
         coords[2] = coords[1]
         assert directions_rank_sum(coords, firsts) == 17
         down = Graph(set(range(1, 8)) - {2}, [[1 if v == 2 else v for v in e] for e in graph.edges])
         minus = rank_mod_p(rigidity_rows_mod_p(graph, coords, 4))
         merged = rank_mod_p(rigidity_rows_mod_p(down, coords, 4))
+        ranked.clear()
         assert contraction_ranks(graph, 1, 2, 4, 5) == (minus, merged) == (17, 13)
-        assert len(built) == 1
+        assert len(ranked) == 2 and [2 in blocks for blocks in built] == [True]
+        assert rank_bound(ranked[1], 4) == 13
 
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 99)])
     def test_a_and_b_must_be_two_vertices_of_the_graph(self, a, b):
@@ -784,8 +850,10 @@ class TestMemoAnswersSupergraphs:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_a_hit_is_rigid_by_the_rational_oracle(self, data):
+        # on at most d + 1 vertices a decision reads neither a point nor the
+        # memo, so "no point drawn" is a hit only above
         d = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(2, 7))
+        n = data.draw(st.integers(d + 2, 7))
         pairs = list(combinations(range(n), 2))
         recorded = frozenset(pairs) - data.draw(st.frozensets(st.sampled_from(pairs), max_size=4))
         added = data.draw(st.frozensets(st.sampled_from(pairs)))
@@ -883,7 +951,7 @@ class TestTrialCount:
         def origin_first(g, d, seed):
             phi = counted(g, d, seed)
             if len(drawn) == 1:
-                return Embedding(d, {v: (0,) * d for v in phi.coords})
+                return {v: (0,) * d for v in phi}
             return phi
 
         monkeypatch.setattr(spherig.rigidity, "random_embedding", origin_first)
@@ -932,7 +1000,7 @@ class TestRankAtAPoint:
                 built.clear()
                 rank = decide_rigidity(h, entry.d, trials=1, seed=s).rank
                 phi = first_point(h, entry.d, s)
-                full = full_rank_at(h, phi)
+                full = full_rank_at(h, phi, entry.d)
                 assert rank == full, entry.name
                 # the first rows never read above the rank, and a matrix is
                 # built exactly where they fall short of the peeling bound
@@ -954,7 +1022,8 @@ class TestRankAtAPoint:
         for graph in stacked_chain(d, random.Random(d), d + 8):
             n = len(graph.vertices)
             rank = decide_rigidity(graph, d, trials=1, seed=n).rank
-            assert rank == full_rank_at(graph, first_point(graph, d, n)) == rigidity_target(n, d) - 1
+            full = full_rank_at(graph, first_point(graph, d, n), d)
+            assert rank == full == rigidity_target(n, d) - 1
             if n <= d + 4:
                 assert rank == rational_rigidity_rank(graph, d, rng)
 
@@ -964,7 +1033,7 @@ class TestRankAtAPoint:
         for n in range(d + 2, d + 7):
             graph = complete_graph(range(1, n + 1)).remove_edge(1, n)
             rank = decide_rigidity(graph, d, trials=1, seed=n).rank
-            assert rank == full_rank_at(graph, first_point(graph, d, n)) == rigidity_target(n, d)
+            assert rank == full_rank_at(graph, first_point(graph, d, n), d) == rigidity_target(n, d)
             if n <= d + 3:
                 assert rank == rational_rigidity_rank(graph, d, rng)
 
@@ -975,21 +1044,26 @@ class TestRankAtAPoint:
         return graph.remove_edge(1, 9)
 
     def rank_at(self, graph: Graph, coords: dict, monkeypatch) -> tuple[int, int]:
-        """decide_rigidity's one-trial rank at coords, which must be the full
-        matrix's, and how many matrices it built, each over every vertex."""
-        phi = Embedding(4, coords)
-        monkeypatch.setattr(spherig.rigidity, "random_embedding", lambda *args: phi)
+        """The rank at coords as _rank_at reads it, which must be the full
+        matrix's, and how many matrices it built, each over every vertex.
+        Above d + 1 = 5 vertices it must also be decide_rigidity's one-trial
+        rank at coords; on fewer, decide_rigidity draws no point."""
         built = []
 
-        def counted(edge_order, vertex_order, embedding):
+        def counted(edge_order, vertex_order, phi, d):
             assert set(vertex_order) == graph.vertices
             built.append(edge_order)
-            return matrix_rows(edge_order, vertex_order, embedding)
+            return matrix_rows(edge_order, vertex_order, phi, d)
 
         monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
-        rank = decide_rigidity(graph, 4, trials=1, seed=1).rank
-        assert rank == full_rank_at(graph, phi)
-        return rank, len(built)
+        order, bound = attach_order(graph, 4), rank_bound(graph, 4)
+        rank = spherig.rigidity._rank_at(order, coords, 4, bound)
+        assert rank == full_rank_at(graph, coords, 4)
+        builds = len(built)
+        if len(graph.vertices) > 5:
+            monkeypatch.setattr(spherig.rigidity, "random_embedding", lambda *args: coords)
+            assert decide_rigidity(graph, 4, trials=1, seed=1).rank == rank
+        return rank, builds
 
     def test_every_vertex_at_the_origin(self, monkeypatch):
         # the peeled vertex's directions are dependent; K_8 peels nothing,
@@ -1005,15 +1079,15 @@ class TestRankAtAPoint:
         # rank drops with them (five points on a 3-flat), K_8's does not.
         graph = complete_graph(range(1, n + 1))
         assert attach_order(graph, 4)[2][4] == (5, [1, 2, 3, 4])
-        coords = dict(first_point(graph, 4, 1).coords)
+        coords = first_point(graph, 4, 1)
         coords[5] = tuple((x + y - z) % P for x, y, z in zip(coords[1], coords[2], coords[3]))
         assert self.rank_at(graph, coords, monkeypatch) == (rank, 1)
 
     def test_peeled_vertex_on_the_span_of_its_neighbours_loses_a_rank(self, monkeypatch):
         graph = self.stacked_cross()
         assert spherig.rigidity._peel(graph, 4)[0] == [(9, [3, 5, 7])]
-        coords = dict(first_point(graph, 4, 1).coords)
-        generic = full_rank_at(graph, Embedding(4, coords))
+        coords = first_point(graph, 4, 1)
+        generic = full_rank_at(graph, coords, 4)
         coords[9] = tuple((2 * x - y) % P for x, y in zip(coords[3], coords[5]))
         # the core is rigid, so the dependent directions cost one rank; the
         # peeled degree plus the core's rank would still read 3 + 22
@@ -1029,12 +1103,11 @@ class TestRankAtAPoint:
         graph = graph_of(delta)
         assert spherig.rigidity._peel(graph, 4)[0] == [(7, [1, 2, 3, 4])]
         assert rank_bound(graph, 4) == rigidity_target(7, 4) == 18
-        coords = dict(first_point(graph, 4, 1).coords)
+        coords = first_point(graph, 4, 1)
         coords[7] = tuple((2 * x - y) % P for x, y in zip(coords[1], coords[2]))
-        phi = Embedding(4, coords)
         firsts = attach_order(graph, 4)[2]
         assert sum(len(around) for _, around in firsts) == 18
-        assert first_rows_bound(graph, 4, phi) == 17
+        assert first_rows_bound(graph, 4, coords) == 17
         assert self.rank_at(graph, coords, monkeypatch) == (17, 1)
 
     @pytest.mark.parametrize(
@@ -1051,7 +1124,7 @@ class TestRankAtAPoint:
     )
     def test_two_vertices_at_one_point(self, merged, built, rank, monkeypatch):
         graph = self.stacked_cross()
-        coords = dict(first_point(graph, 4, 1).coords)
+        coords = first_point(graph, 4, 1)
         for a, b in merged:
             coords[b] = coords[a]
         assert self.rank_at(graph, coords, monkeypatch) == (rank, built)
