@@ -22,7 +22,7 @@ the orbit's other instances the checked verdict, rank and target with their
 own seeds.  build_corpus alone knows the families, the negative controls
 among them, whose stacked spheres run the same checks as any other, and
 hands each entry generators of its construction's symmetries; run_suite
-runs one loop over its entries, each inside its own rigid_verdict_memo.
+runs one loop over its entries inside one rigid_verdict_memo.
 The machine report is one tab-separated line per record (check, instance,
 verdict, rank, target, seed), sorted, so equal configurations give
 byte-identical output.
@@ -725,18 +725,19 @@ def run_suite(config: SuiteConfig) -> Report:
     """Run every applicable check over the configured corpus.
 
     Every corpus entry, the negative controls among them, runs the same
-    checks inside its own rigid_verdict_memo, so repeated rigid decisions
-    within the entry reuse one verdict and no memo outlives the entry.  A
-    configuration that yields no record at all is an error.
+    checks, all inside one rigid_verdict_memo, so a rigid shape decided in
+    one entry answers the same shape in any later one, and no memo outlives
+    the run.  The memo holds int tuples only, so it keeps no complex alive.
+    A configuration that yields no record at all is an error.
     """
     report = Report()
     corpus = build_corpus(config.families, config.dims, config.seed)
-    while corpus:  # each entry, and its complex's cached data, goes after its checks
-        entry = corpus.pop(0)
-        delta = entry.complex
-        options = dict(seed=derive_seed(config.seed, entry.name), name=entry.name)
-        orbits = dict(options, symmetries=entry.symmetries)
-        with rigid_verdict_memo():
+    with rigid_verdict_memo():
+        while corpus:  # each entry, and its complex's cached data, goes after its checks
+            entry = corpus.pop(0)
+            delta = entry.complex
+            options = dict(seed=derive_seed(config.seed, entry.name), name=entry.name)
+            orbits = dict(options, symmetries=entry.symmetries)
             report.extend(verify_minus_edge(delta, **options))
             report.extend(verify_missing_face_lemma(delta, **orbits))
             report.extend(verify_star_rigidity(delta, **orbits))

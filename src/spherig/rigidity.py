@@ -38,8 +38,8 @@ moved to merge a and b, each as decide_rigidity reads the rank at a point,
 and the second from the first where that meets G - ab's target.  Inside
 rigid_verdict_memo decide_rigidity and edge_deletion_ranks record the
 shapes of the graphs they find rigid (the graph relabelled 0..n-1 in sorted
-vertex order, with d), and decide_rigidity answers a graph that contains a
-recorded shape on the same vertex count without a new embedding.
+vertex order, with d), and decide_rigidity answers a graph of a recorded
+shape without a new embedding.
 
 Field elements are plain Python ints in [0, p), and a point is a plain dict
 from vertex to coordinates; there is no wrapper class.  All randomness is
@@ -272,26 +272,19 @@ def rigid_verdict_memo() -> Iterator[set[tuple[int, int, int]]]:
     """Inside the block, decide_rigidity and edge_deletion_ranks record the
     shapes of the graphs they find rigid (edge_deletion_ranks: G and each
     rigid G - e), and decide_rigidity answers from the memo a graph whose
-    shape contains a recorded one: same d, same n, and a mask that holds the
-    recorded mask's bits.
+    shape is recorded.
 
     The shape of (G, d) is (d, n, mask): G's n vertices renumbered 0..n-1 in
     sorted order, edge {i<j} setting bit j(j-1)/2 + i of the mask.  Two
     graphs share a shape exactly when relabelling one in sorted order gives
-    the other, so they are isomorphic.  A recorded shape was proved rigid:
-    some graph of that shape had rank == target at some point.  Isomorphic
-    graphs share n, f1, the target and the generic rank (relabelling
-    permutes the rows and column blocks of the rigidity matrix).  If the
-    recorded mask M lies inside G's mask, the sorted relabelling of G
-    contains a rigid graph on the same n vertices.  Adding edges only adds
-    rows, so G's generic rank is at least the target, and no rank exceeds
-    it (the target is the rank of the complete graph on n vertices, which
-    contains G).  So the memo's rank == target and stress dimension
+    the other, so they are isomorphic by an order-preserving map.  A
+    recorded shape was proved rigid: some graph of that shape had rank ==
+    target at some point.  Isomorphic graphs share n, f1, the target and the
+    generic rank (relabelling permutes the rows and column blocks of the
+    rigidity matrix).  So the memo's rank == target and stress dimension
     f1 - target are exact for G at any seed, and a hit keeps the one-sided
-    guarantee.  The argument runs one way only: a graph inside a recorded
-    rigid one (say G - e) may be flexible, and is never answered.  Flexible
-    verdicts are never kept.  The memo is dropped when the block ends; calls
-    outside any block never see one.
+    guarantee.  Flexible verdicts are never kept.  The memo is dropped when
+    the block ends; calls outside any block never see one.
     """
     memo: set[tuple[int, int, int]] = set()
     token = _known_rigid.set(memo)
@@ -403,8 +396,8 @@ def decide_rigidity(
     On n <= d+1 vertices the rank is f1, with no point drawn: generic points
     on at most d+1 vertices are affinely independent, so every edge's row
     is independent (see rigidity_target), and the verdict is exact.
-    Inside rigid_verdict_memo a graph that contains one already decided
-    rigid, on as many vertices, is answered without a new embedding.
+    Inside rigid_verdict_memo a graph whose shape was already decided rigid
+    is answered without a new embedding.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -417,10 +410,7 @@ def decide_rigidity(
     memo = _known_rigid.get()
     if memo is not None:
         shape = _shape(graph, d)
-        n, mask = shape[1:]
-        if shape in memo or any(
-            (kd, kn) == (d, n) and not kmask & ~mask for kd, kn, kmask in memo
-        ):
+        if shape in memo:
             return RigidityVerdict(target, target, True, trials, f1 - target)
     peel = _peel(graph, d)
     bound, order = _rank_bound(peel, d), _attach_order(peel, d)
@@ -498,6 +488,9 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     never exceeds the generic rank, so a value that meets the rigidity
     target ("rigid") is always right, and only a shortfall can be wrong, by
     Schwartz-Zippel with probability at most (matrix rows)/p per trial.
+    On at most d+1 vertices every value is f1 - 1, with no point drawn: G - e
+    has the same vertices, so decide_rigidity reads its rank as its edge
+    count.
 
     Inside rigid_verdict_memo, the shapes of G and of each G - e whose value
     meets the target are recorded rigid: a rank at the target is the generic
@@ -506,9 +499,11 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    target = rigidity_target(len(graph.vertices), d)
-    memo = _known_rigid.get()
     order, edges = sorted(graph.vertices), graph.sorted_edges()
+    if len(order) <= d + 1:
+        return dict.fromkeys(edges, len(edges) - 1)
+    target = rigidity_target(len(order), d)
+    memo = _known_rigid.get()
     blocks, attached, _ = _attach_order(_peel(graph, d), d)
     phi = random_embedding(graph, d, derive_seed(seed, "trial", 0))
     rows = _matrix_rows(attached, blocks, phi, d)

@@ -110,16 +110,6 @@ MUTANTS = [
         ),
     ),
     (
-        "memo-subset-test-reversed",
-        RIGIDITY,
-        "not kmask & ~mask for",
-        "not mask & ~kmask for",
-        (
-            "tests/test_rigidity.py::TestMemoAnswersSupergraphs"
-            "::test_subgraph_of_a_recorded_graph_never_hits",
-        ),
-    ),
-    (
         "bound-never-tightens",
         RIGIDITY,
         "    return degrees + min(core_edges, rigidity_target(len(core), d))\n",
@@ -218,6 +208,16 @@ MUTANTS = [
         (
             "tests/test_rigidity.py::TestDecideRigidity"
             "::test_at_most_d_plus_1_vertices_draw_no_point[K5-minus-an-edge-d4]",
+        ),
+    ),
+    (
+        "deletion-no-point-rule-stops-at-d-vertices",
+        RIGIDITY,
+        "    if len(order) <= d + 1:\n        return dict.fromkeys(",
+        "    if len(order) <= d:\n        return dict.fromkeys(",
+        (
+            "tests/test_rigidity.py::TestEdgeDeletionRanks"
+            "::test_at_most_d_plus_1_vertices_draw_no_point[simplex-d4]",
         ),
     ),
     (
@@ -378,6 +378,23 @@ MUTANTS = [
             "tests/test_harness.py::TestNegativeControl"
             "::test_records_are_the_suites_control_records[simplex-d4]",
         ),
+    ),
+    (
+        "memo-per-entry",
+        "src/spherig/harness.py",
+        "    with rigid_verdict_memo():\n        while corpus:",
+        "    while corpus:\n        with rigid_verdict_memo():",
+        (
+            "tests/test_harness.py::TestRunSuite"
+            "::test_a_shape_recorded_in_one_entry_answers_a_later_one",
+        ),
+    ),
+    (
+        "memo-dropped",
+        "src/spherig/harness.py",
+        "    with rigid_verdict_memo():\n        while corpus:",
+        "    if True:\n        while corpus:",
+        ("tests/test_harness.py::TestRunSuite::test_one_memo_per_run_and_none_outlives_the_suite",),
     ),
     (
         "empty-report-allowed",

@@ -706,9 +706,7 @@ class TestRunSuite:
             kind, instance, *_, seed = line.split("\t")
             assert int(seed) == scheme_seed(kind, instance, small_config.seed)
 
-    def test_each_entry_has_its_own_memo_and_none_outlives_the_suite(
-        self, small_config, monkeypatch
-    ):
+    def test_one_memo_per_run_and_none_outlives_the_suite(self, small_config, monkeypatch):
         kept = []
         real = spherig.rigidity.rigid_verdict_memo
 
@@ -721,18 +719,39 @@ class TestRunSuite:
         monkeypatch.setattr("spherig.harness.rigid_verdict_memo", spy)
         run_suite(small_config)
         assert spherig.rigidity._known_rigid.get() is None
-        corpus = build_corpus(small_config.families, (4,), small_config.seed)
-        assert len(kept) == len(corpus)
-        assert len({id(memo) for memo in kept}) == len(kept)
-        # each memo held rigid shapes only, each decoded back into a graph and
-        # decided afresh; a control's stacked sphere is rigid, so its memo
-        # holds shapes too
-        for entry, memo in zip(corpus, kept):
-            assert memo and all(
-                decide_rigidity(Graph(range(n), shape_edges(n, mask)), d, seed=1).is_rigid
-                for d, n, mask in memo
-            ), entry.name
-        assert [e.name for e in corpus] == ["cross-d4", "control-simplex-d4", "control-cross-d4"]
+        assert len(kept) == 1
+        # the memo held rigid shapes only, each decoded back into a graph and
+        # decided afresh
+        (memo,) = kept
+        assert memo and all(
+            decide_rigidity(Graph(range(n), shape_edges(n, mask)), d, seed=1).is_rigid
+            for d, n, mask in memo
+        )
+
+    def test_a_shape_recorded_in_one_entry_answers_a_later_one(self, small_config, monkeypatch):
+        # a decision whose shape an earlier entry recorded is answered from
+        # the memo: the link graph of a vertex of cross-d4 (an octahedron,
+        # decided at d = 3 for its star certificate) is, away from the
+        # stacked facet, the same labelled graph in control-cross-d4
+        earlier: list[frozenset] = []  # the shapes recorded before each entry
+        answered = []  # the entries with a decision answered from them
+        check, shape = spherig.harness.verify_minus_edge, spherig.rigidity._shape
+
+        def first_check(delta, **options):
+            earlier.append(frozenset(spherig.rigidity._known_rigid.get()))
+            return check(delta, **options)
+
+        def shape_spy(graph, d):
+            key = shape(graph, d)
+            if key in earlier[-1]:
+                answered.append(len(earlier) - 1)
+            return key
+
+        monkeypatch.setattr(spherig.harness, "verify_minus_edge", first_check)
+        monkeypatch.setattr(spherig.rigidity, "_shape", shape_spy)
+        assert run_suite(small_config).ok
+        assert len(earlier) == 3 and earlier[0] == frozenset()
+        assert answered == [2]
 
     def test_each_entry_is_released_after_its_checks(self, monkeypatch):
         # no complex, with its face index, graph and missing faces, outlives
@@ -762,15 +781,15 @@ class TestRunSuite:
             "88503d3383a55739cd6868fb1336901c9c2d577a3a212609b5c892d5ce71cc6c"
         )
 
-    def test_default_suite_builds_72_matrices_of_1539_rows(self, monkeypatch):
+    def test_default_suite_builds_52_matrices_of_1225_rows(self, monkeypatch):
         # a matrix only where the first rows fall short: of a degenerate
         # contraction point, below the rigidity target of G - ab; of a
-        # decision, below its peeling bound.  None for a graph that holds a
-        # rigid one the entry's memo recorded, and none for a star, a
-        # missing-face edge or a contraction edge whose orbit's first
-        # instance was checked.  An elimination that no longer
-        # stops at its bound or reads its rows out of attach order reads
-        # more rows
+        # decision, below its peeling bound.  None for a graph whose shape
+        # the run's memo recorded, in this entry or an earlier one; none for
+        # the edge deletions of a graph on at most d + 1 vertices; and none
+        # for a star, a missing-face edge or a contraction edge whose orbit's
+        # first instance was checked.  An elimination that no longer stops
+        # at its bound or reads its rows out of attach order reads more rows
         built = read = 0
         real = spherig.rigidity._matrix_rows
 
@@ -783,7 +802,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
-        assert (built, read) == (72, 1539)
+        assert (built, read) == (52, 1225)
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)

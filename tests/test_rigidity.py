@@ -537,9 +537,28 @@ class TestEdgeDeletionRanks:
             assert rank == real(graph.remove_edge(a, b), 4, seed=3).rank
 
     def test_stress_free_graph_loses_rank_on_every_edge(self):
-        graph = graph_of(sp.boundary_simplex(5))
-        ranks = edge_deletion_ranks(graph, 5, seed=1)
-        assert set(ranks.values()) == {len(graph.edges) - 1}
+        # the stacked 4-simplex boundary: 14 edges on 6 vertices, the target
+        simplex = sp.boundary_simplex(4)
+        graph = graph_of(sp.stack_over_facet(simplex, simplex.sorted_facets()[0], 6))
+        ranks = edge_deletion_ranks(graph, 4, seed=1)
+        assert len(graph.edges) == rigidity_target(6, 4) == 14
+        assert set(ranks.values()) == {13}
+
+    @pytest.mark.parametrize(
+        "graph,d,value",
+        [(graph_of(sp.boundary_simplex(4)), 4, 9), (complete_graph((1, 2, 3)), 10**20, 2)],
+        ids=["simplex-d4", "K3-d10**20"],
+    )
+    def test_at_most_d_plus_1_vertices_draw_no_point(self, graph, d, value, monkeypatch):
+        # every G - e keeps the n <= d + 1 vertices, so its rank is its edge
+        # count; a point at d = 10**20 would not fit in memory
+        def no_point(*args):
+            raise AssertionError("a point was drawn or a matrix built")
+
+        monkeypatch.setattr(spherig.rigidity, "random_embedding", no_point)
+        monkeypatch.setattr(spherig.rigidity, "_matrix_rows", no_point)
+        ranks = edge_deletion_ranks(graph, d)
+        assert ranks == dict.fromkeys(graph.sorted_edges(), value)
 
 
 class TestContractionRanks:
@@ -786,25 +805,20 @@ class TestRigidVerdictMemo:
             assert spherig.rigidity._known_rigid.get() is outer
         assert spherig.rigidity._known_rigid.get() is None
 
-
-class TestMemoAnswersSupergraphs:
-    """A graph that holds a recorded rigid shape on as many vertices, in the
-    same dimension, is answered from the memo; nothing else is."""
-
-    def cross_4_plus(self, *edges) -> tuple[Graph, Graph]:
+    def test_supergraph_on_the_same_vertices_never_hits(self, monkeypatch):
+        # cross_polytope(4) plus the edge 12 is rigid, but only its own
+        # shape answers it: it draws a point inside the block as outside
         graph = graph_of(sp.cross_polytope(4))
-        return graph, Graph(graph.vertices, graph.edges | {frozenset(e) for e in edges})
-
-    def test_supergraph_on_the_same_vertices_hits_and_draws_no_embedding(self, monkeypatch):
-        graph, bigger = self.cross_4_plus((1, 2))
-        bigger = relabel(bigger, lambda v: 3 * v + 10)
-        fresh = decide_rigidity(bigger, 4, seed=8)
-        assert fresh.is_rigid and fresh.stress_dim == 3
+        bigger = Graph(graph.vertices, graph.edges | {frozenset((1, 2))})
         with rigid_verdict_memo() as memo:
             decide_rigidity(graph, 4, seed=1)
-            monkeypatch.setattr(spherig.rigidity, "random_embedding", fail_on_embedding)
-            assert decide_rigidity(bigger, 4, seed=8) == fresh
-            assert memo == {shape(graph, 4)}
+            drawn = count_embeddings(monkeypatch)
+            inside = decide_rigidity(bigger, 4, seed=8)
+            assert len(drawn) == 1
+            assert memo == {shape(graph, 4), shape(bigger, 4)}
+        assert decide_rigidity(bigger, 4, seed=8) == inside
+        assert inside.is_rigid and inside.stress_dim == 3
+        assert len(drawn) == 2
 
     def test_subgraph_of_a_recorded_graph_never_hits(self):
         # no stress uses the degree-4 vertex 9's edges: G - e flexes
@@ -838,18 +852,9 @@ class TestMemoAnswersSupergraphs:
         # 13 edges cannot reach the 4-dimensional target of 14 on 6 vertices
         assert not verdict.is_rigid and verdict.rank == 13
 
-    def test_supergraphs_are_decided_afresh_outside_a_block(self, monkeypatch):
-        graph, bigger = self.cross_4_plus((1, 2))
-        with rigid_verdict_memo():
-            decide_rigidity(graph, 4, seed=1)
-        decide_rigidity(graph, 4, seed=1)
-        drawn = count_embeddings(monkeypatch)
-        assert decide_rigidity(bigger, 4, seed=8).is_rigid
-        assert len(drawn) == 1
-
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_a_hit_is_rigid_by_the_rational_oracle(self, data):
+    def test_only_an_equal_shape_hits_and_hits_match_the_oracle(self, data):
         # on at most d + 1 vertices a decision reads neither a point nor the
         # memo, so "no point drawn" is a hit only above
         d = data.draw(st.integers(1, 3))
@@ -862,17 +867,25 @@ class TestMemoAnswersSupergraphs:
             labels = sorted(data.draw(st.sets(st.integers(-40, 40), min_size=n, max_size=n)))
             return Graph(labels, [(labels[i], labels[j]) for i, j in chosen])
 
-        graph, bigger = labelled(recorded), labelled(recorded | added)
+        # the second labelling of the recorded pairs is an order-preserving
+        # relabelling of the first, so the two share a shape
+        graph, relabelled = labelled(recorded), labelled(recorded)
+        bigger = labelled(recorded | added)
         real = spherig.rigidity.random_embedding
         with rigid_verdict_memo():
             recorded_rigid = decide_rigidity(graph, d, seed=1).is_rigid
             with mock.patch.object(spherig.rigidity, "random_embedding", wraps=real) as spy:
-                verdict = decide_rigidity(bigger, d, seed=2)
-        hit = not spy.called
+                verdict = decide_rigidity(relabelled, d, seed=2)
+            hit = not spy.called
+            with mock.patch.object(spherig.rigidity, "random_embedding", wraps=real) as spy:
+                decide_rigidity(bigger, d, seed=3)
         assert hit == recorded_rigid
         if hit:
-            exact = rational_rigidity_rank(bigger, d, random.Random(n))
+            exact = rational_rigidity_rank(relabelled, d, random.Random(n))
             assert verdict.is_rigid and verdict.rank == exact == rigidity_target(n, d)
+        # a proper supergraph draws its own point
+        if not added <= recorded:
+            assert spy.called
 
 
 class TestMemoLearnsFromEdgeDeletions:
