@@ -3,7 +3,8 @@
 Complexes flow through the facet-list text format (one facet per line,
 integer labels, '#' comments) on stdin/stdout or file paths.  Exit codes:
 0 on success / all checks pass, 1 when a query or verification answers
-negatively, 2 on usage or input errors.  `g2` and `prime` answer only for
+negatively, 2 on usage or input errors, an input too large to build among
+them.  `g2` and `prime` answer only for
 pseudomanifolds and reject any other complex with exit 2.  `g2`, `prime`
 and `decompose` take the rigidity dimension d = dim + 1 from their input;
 only `rigid` asks for it (`--dim`), because a graph does not fix it.
@@ -126,6 +127,9 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:  # a size past memory or a machine int
+        print(f"error: input too large to build ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,8 @@ records; contraction runs at d = 4 only, the others at every d:
   star_rigidity     star graphs of faces with |sigma| <= d-3 are rigid (certificates)
   g2_stress         left-kernel dimension of the rigidity matrix equals g2
 
-Each check kind is a generator that yields one outcome per instance; its
+Every check kind takes one CorpusEntry and its seed, verify_x(entry,
+seed=...), and is a generator that yields one outcome per instance; its
 decorator times the outcomes and turns them into records, which carry the
 sub-seed that reproduces them.  A degenerate contraction record takes both
 of its ranks at one merged point (contraction_ranks); the generic record
@@ -21,8 +22,9 @@ check yielding name suffixes only; _per_orbit names every record, giving
 the orbit's other instances the checked verdict, rank and target with their
 own seeds.  build_corpus alone knows the families, the negative controls
 among them, whose stacked spheres run the same checks as any other, and
-hands each entry generators of its construction's symmetries; run_suite
-runs one loop over its entries inside one rigid_verdict_memo.
+hands each entry generators of its construction's symmetries, which the
+entry checks when it is made; run_suite runs one loop over its entries
+inside one rigid_verdict_memo.
 The machine report is one tab-separated line per record (check, instance,
 verdict, rank, target, seed), sorted, so equal configurations give
 byte-identical output.
@@ -35,7 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .certificates import certify_missing_face_edge, certify_star_rigidity, check
 from .complexes import SimplicialComplex, prime_factors
@@ -174,32 +176,20 @@ def _check_kind(kind: str):
 _Instance = tuple[frozenset[int], ...]
 
 
-def _orbits(
-    delta: SimplicialComplex,
-    instances: Sequence[_Instance],
-    symmetries: Sequence[Mapping[int, int]],
-    name: str,
-) -> list[_Instance]:
+def _orbits(entry: CorpusEntry, instances: Sequence[_Instance]) -> list[_Instance]:
     """For each instance, the first instance of its orbit in `instances`
-    under the group the symmetries generate, acting on every face of an
-    instance; `instances` must be closed under that group.
+    under the group the entry's symmetries generate, acting on every face
+    of an instance; `instances` must be closed under that group.
 
-    A symmetry maps each vertex of delta to a vertex, a vertex it does not
-    name to itself.  Each is checked before use: it must name only vertices
-    of delta and map the facet set onto itself, or a ValueError names the
-    entry.  The facets cover the vertices, so such a map takes the vertices
-    onto themselves too: it is a bijection.  Each instance not yet reached
-    starts an orbit, closed by a search that applies every generator to
-    every instance it reaches, so each instance is mapped once per
-    generator.
+    A symmetry maps each vertex of the complex to a vertex, a vertex it does
+    not name to itself; the entry checked each one when it was made
+    (CorpusEntry), so each is an automorphism.  Each instance not yet
+    reached starts an orbit, closed by a search that applies every
+    generator to every instance it reaches, so each instance is mapped once
+    per generator.
     """
-    vertices, facets = delta.vertices, delta.facets
-    maps = []
-    for g in symmetries:
-        image = {v: g.get(v, v) for v in vertices}.__getitem__
-        if not (g.keys() <= vertices and {frozenset(map(image, f)) for f in facets} == facets):
-            raise ValueError(f"{name}: {dict(g)} is not an automorphism of the complex")
-        maps.append(image)
+    vertices = entry.complex.vertices
+    maps = [{v: g.get(v, v) for v in vertices}.__getitem__ for g in entry.symmetries]
     first: dict[_Instance, _Instance] = {}
     for instance in instances:
         if instance in first:
@@ -217,27 +207,25 @@ def _orbits(
 
 
 def _per_orbit(
-    delta: SimplicialComplex,
+    entry: CorpusEntry,
     instances: Sequence[_Instance],
-    name: str,
-    symmetries: Sequence[Mapping[int, int]],
     identify: Callable[[_Instance], tuple[str, int]],
     run: Callable[[_Instance, int], Iterable[_Outcome]],
 ) -> Iterator[_Outcome]:
     """The outcomes of every instance, in order, running the check only on
-    the first instance of each orbit under the symmetries (_orbits).
+    the first instance of each orbit under the entry's symmetries (_orbits).
 
     identify(instance) gives the instance's label and seed; run(instance,
     seed) yields the outcomes of an orbit's first instance, each naming only
     its suffix ("" or ":generic", say).  _per_orbit names every record
-    name:label + suffix and yields each checked one as run yields it, so
-    each is timed on its own.  Every other instance of the orbit takes those
-    outcomes under its own name and seed, with a note naming the first
+    entry.name:label + suffix and yields each checked one as run yields it,
+    so each is timed on its own.  Every other instance of the orbit takes
+    those outcomes under its own name and seed, with a note naming the first
     instance; a skip keeps its seed and note, which depend on the entry
     alone.
 
-    The transfer is exact.  An automorphism g of delta maps faces to faces,
-    missing faces to missing faces, edges to edges and lk(sigma) onto
+    The transfer is exact.  An automorphism g of the complex maps faces to
+    faces, missing faces to missing faces, edges to edges and lk(sigma) onto
     lk(g sigma), so it maps the link condition of an edge to that of its
     image, the graph of star(sigma) onto that of star(g sigma), G - e onto
     G - ge and G/ab onto G/g(ab), each relabelled by g.  Generic rank does
@@ -250,9 +238,9 @@ def _per_orbit(
     # an orbit's first instance -> the note of the orbit's other records
     # (one string for all of them) and its outcomes
     checked: dict[_Instance, tuple[str, list[_Outcome]]] = {}
-    for instance, first in zip(instances, _orbits(delta, instances, symmetries, name)):
+    for instance, first in zip(instances, _orbits(entry, instances)):
         label, sub = identify(instance)
-        record = f"{name}:{label}"
+        record = f"{entry.name}:{label}"
         if first == instance:
             outcomes: list[_Outcome] = []
             checked[instance] = (f"same orbit as {label}", outcomes)
@@ -268,12 +256,7 @@ def _per_orbit(
 
 
 @_check_kind("minus_edge")
-def verify_minus_edge(
-    delta: SimplicialComplex,
-    *,
-    seed: int = 0,
-    name: str = "complex",
-) -> Iterator[_Outcome]:
+def verify_minus_edge(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
     """The rank of G - e for every edge e of a homology sphere's graph G, in
     d = dim + 1 >= 4, must be the one its prime factors predict: target - 1
     when every prime factor that contains e (by vertex set) is a simplex
@@ -298,6 +281,7 @@ def verify_minus_edge(
     All edge records of one graph share one sub-seed: one elimination at
     that seed ranks every deletion.
     """
+    delta, name = entry.complex, entry.name
     if delta.dim < 3:
         raise ValueError("minus-edge verification needs d >= 4")
     d = delta.dim + 1
@@ -329,18 +313,12 @@ def verify_negative_control(
     are run_suite's records of that negative-control entry."""
     stacked = _stacked(gamma)
     new = f"-{max(stacked.vertices)}"
-    report = verify_minus_edge(stacked, seed=seed, name=name)
+    report = verify_minus_edge(CorpusEntry(name, stacked), seed=seed)
     return Report([r for r in report.records if r.instance.endswith(new)])
 
 
 @_check_kind("missing_face")
-def verify_missing_face_lemma(
-    delta: SimplicialComplex,
-    *,
-    seed: int = 0,
-    name: str = "complex",
-    symmetries: Sequence[Mapping[int, int]] = (),
-) -> Iterator[_Outcome]:
+def verify_missing_face_lemma(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
     """Edges inside missing faces of dimension 2..d-2: the graph minus the
     edge must be engine-rigid AND admit a passing Replacement certificate.
 
@@ -349,10 +327,11 @@ def verify_missing_face_lemma(
     for the ranks and the certificates alike.  Each rank is one
     decide_rigidity of the graph minus the edge; inside run_suite that is a
     memo hit on the rigid deletion verify_minus_edge recorded.  Only the
-    first (sigma, e) of each orbit under the symmetries is checked
+    first (sigma, e) of each orbit under the entry's symmetries is checked
     (_per_orbit): an automorphism maps missing faces to missing faces and
     G - e onto G - ge.
     """
+    delta, name = entry.complex, entry.name
     if delta.dim < 3:
         raise ValueError("missing-face verification needs d >= 4")
     d = delta.dim + 1
@@ -385,20 +364,14 @@ def verify_missing_face_lemma(
     def identify(instance: _Instance) -> tuple[str, int]:
         return f"s={face_label(instance[0])}:e={face_label(instance[1])}", sub
 
-    yield from _per_orbit(delta, instances, name, symmetries, identify, run)
+    yield from _per_orbit(entry, instances, identify, run)
 
 
-def _contractions(
-    delta: SimplicialComplex,
-    edges: Sequence[_Instance],
-    seed: int,
-    name: str,
-    symmetries: Sequence[Mapping[int, int]],
-) -> Iterator[_Outcome]:
+def _contractions(entry: CorpusEntry, edges: Sequence[_Instance], seed: int) -> Iterator[_Outcome]:
     """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
     contraction)) + 4 for each edge, checked at a degenerate embedding that
     merges the endpoints and again at independent generic points, on the
-    first edge of each orbit under the symmetries (_per_orbit).  The
+    first edge of each orbit under the entry's symmetries (_per_orbit).  The
     degenerate record ranks G-e and the contraction at one merged point
     (contraction_ranks).  The contracted graph is G's, contracted:
     each face of the contracted complex is the image of a face of delta, and
@@ -409,6 +382,7 @@ def _contractions(
     facets that contain the edge, and equals the intersection of the
     endpoint links.  Unqualified edges are skips.
     """
+    delta = entry.complex
     if delta.dim != 3:
         raise ValueError("contraction verification is specific to 3-spheres (d = 4)")
     graph = graph_of(delta)
@@ -416,7 +390,7 @@ def _contractions(
 
     def identify(instance: _Instance) -> tuple[str, int]:
         a, b = sorted(instance[0])
-        return f"e={a}-{b}", derive_seed(seed, "contraction", name, a, b)
+        return f"e={a}-{b}", derive_seed(seed, "contraction", entry.name, a, b)
 
     def run(instance: _Instance, sub: int) -> Iterator[_Outcome]:
         edge = instance[0]
@@ -437,7 +411,7 @@ def _contractions(
         rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
         yield _ranked(":generic", lhs_gen, rhs_gen + 4, sub)
 
-    yield from _per_orbit(delta, edges, name, symmetries, identify, run)
+    yield from _per_orbit(entry, edges, identify, run)
 
 
 @_check_kind("contraction")
@@ -455,37 +429,27 @@ def verify_contraction_reduction(
     edge = frozenset(pair)
     if len(pair) != 2 or len(edge) != 2 or not delta.has_face(edge):
         raise ValueError(f"{pair} is not an edge of the complex")
-    yield from _contractions(delta, [(edge,)], seed, name, ())
+    yield from _contractions(CorpusEntry(name, delta), [(edge,)], seed)
 
 
 @_check_kind("contraction")
-def verify_contractions(
-    delta: SimplicialComplex,
-    *,
-    seed: int = 0,
-    name: str = "complex",
-    symmetries: Sequence[Mapping[int, int]] = (),
-) -> Iterator[_Outcome]:
+def verify_contractions(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
     """The contraction records (_contractions) of every edge, in sorted order."""
-    edges = [(frozenset(edge),) for edge in graph_of(delta).sorted_edges()]
-    yield from _contractions(delta, edges, seed, name, symmetries)
+    edges = [(frozenset(edge),) for edge in graph_of(entry.complex).sorted_edges()]
+    yield from _contractions(entry, edges, seed)
 
 
 @_check_kind("star_rigidity")
-def verify_star_rigidity(
-    delta: SimplicialComplex,
-    *,
-    seed: int = 0,
-    name: str = "complex",
-    symmetries: Sequence[Mapping[int, int]] = (),
-) -> Iterator[_Outcome]:
+def verify_star_rigidity(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
     """Certificates for the stars of all faces with |sigma| <= d-3 must
     pass, d = dim + 1.
 
-    Only the first face of each orbit under the symmetries, in check order,
-    is checked, at its own seed (_per_orbit): an automorphism g maps
-    star(sigma) onto star(g sigma), so both stars are d-rigid or neither is.
+    Only the first face of each orbit under the entry's symmetries, in
+    check order, is checked, at its own seed (_per_orbit): an automorphism g
+    maps star(sigma) onto star(g sigma), so both stars are d-rigid or
+    neither is.
     """
+    delta = entry.complex
     if delta.dim < 3:
         raise ValueError("star verification needs d >= 4")
     d = delta.dim + 1
@@ -495,23 +459,19 @@ def verify_star_rigidity(
 
     def identify(instance: _Instance) -> tuple[str, int]:
         label = face_label(instance[0])
-        return f"s={label}", derive_seed(seed, "star", name, label)
+        return f"s={label}", derive_seed(seed, "star", entry.name, label)
 
     def run(instance: _Instance, sub: int) -> Iterator[_Outcome]:
         ok = check(certify_star_rigidity(delta, instance[0]), sub)
         yield _Outcome("", PASS if ok else FAIL, seed=sub)
 
-    yield from _per_orbit(delta, faces, name, symmetries, identify, run)
+    yield from _per_orbit(entry, faces, identify, run)
 
 
 @_check_kind("g2_stress")
-def verify_g2_stress(
-    delta: SimplicialComplex,
-    *,
-    seed: int = 0,
-    name: str = "complex",
-) -> Iterator[_Outcome]:
+def verify_g2_stress(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
     """The stress space dimension (edges minus rank) must equal g2."""
+    delta, name = entry.complex, entry.name
     sub = derive_seed(seed, "g2-stress", name)
     stress_dim = decide_rigidity(graph_of(delta), delta.dim + 1, seed=sub).stress_dim
     yield _ranked(name, stress_dim, delta.g2(), sub)
@@ -520,14 +480,28 @@ def verify_g2_stress(
 # -- corpus and suite -----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusEntry:
-    """A named sphere, with vertex maps that generate automorphisms of it
-    (each checked before use, see _orbits)."""
+    """A named sphere, with vertex maps that generate automorphisms of it:
+    the one value every check kind takes, with its seed.
+
+    Each map is checked when the entry is made: it must name only vertices
+    of the complex, send a vertex it does not name to itself, and map the
+    facet set onto itself, or a ValueError names the entry.  The facets
+    cover the vertices, so such a map takes the vertices onto themselves
+    too: it is a bijection.
+    """
 
     name: str
     complex: SimplicialComplex
     symmetries: tuple[dict[int, int], ...] = ()
+
+    def __post_init__(self):
+        vertices, facets = self.complex.vertices, self.complex.facets
+        for g in self.symmetries:
+            image = {v: g.get(v, v) for v in vertices}.__getitem__
+            if not (g.keys() <= vertices and {frozenset(map(image, f)) for f in facets} == facets):
+                raise ValueError(f"{self.name}: {dict(g)} is not an automorphism of the complex")
 
     @property
     def d(self) -> int:
@@ -732,18 +706,16 @@ def run_suite(config: SuiteConfig) -> Report:
     """
     report = Report()
     corpus = build_corpus(config.families, config.dims, config.seed)
+    # named here, not at import, so a wrapper put on a kind's module name sees its calls
+    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity, verify_g2_stress)
     with rigid_verdict_memo():
         while corpus:  # each entry, and its complex's cached data, goes after its checks
             entry = corpus.pop(0)
-            delta = entry.complex
-            options = dict(seed=derive_seed(config.seed, entry.name), name=entry.name)
-            orbits = dict(options, symmetries=entry.symmetries)
-            report.extend(verify_minus_edge(delta, **options))
-            report.extend(verify_missing_face_lemma(delta, **orbits))
-            report.extend(verify_star_rigidity(delta, **orbits))
-            report.extend(verify_g2_stress(delta, **options))
+            seed = derive_seed(config.seed, entry.name)
+            for verify in kinds:
+                report.extend(verify(entry, seed=seed))
             if entry.d == 4:
-                report.extend(verify_contractions(delta, **orbits))
+                report.extend(verify_contractions(entry, seed=seed))
     if not report.records:
         raise ValueError(
             f"families {', '.join(config.families)} give no complex at dims "

@@ -397,6 +397,21 @@ MUTANTS = [
         ("tests/test_harness.py::TestRunSuite::test_one_memo_per_run_and_none_outlives_the_suite",),
     ),
     (
+        "run-suite-drops-a-kind",
+        "src/spherig/harness.py",
+        "    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity, "
+        "verify_g2_stress)\n",
+        "    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity)\n",
+        ("tests/test_harness.py::TestRunSuite::test_suite_passes_and_counts_add_up",),
+    ),
+    (
+        "run-suite-kinds-at-the-default-seed",
+        "src/spherig/harness.py",
+        "                report.extend(verify(entry, seed=seed))\n",
+        "                report.extend(verify(entry))\n",
+        ("tests/test_harness.py::TestRunSuite::test_every_record_replays_from_its_machine_line",),
+    ),
+    (
         "empty-report-allowed",
         "src/spherig/harness.py",
         "    if not report.records:\n",
@@ -416,9 +431,9 @@ MUTANTS = [
     (
         "orbit-generators-unverified",
         "src/spherig/harness.py",
-        "            raise ValueError("
-        'f"{name}: {dict(g)} is not an automorphism of the complex")\n',
-        "            pass\n",
+        "                raise ValueError("
+        'f"{self.name}: {dict(g)} is not an automorphism of the complex")\n',
+        "                pass\n",
         (
             "tests/test_harness.py::TestSymmetryOrbits"
             "::test_a_map_that_is_not_an_automorphism_is_rejected_by_entry_name",

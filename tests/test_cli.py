@@ -49,6 +49,12 @@ class TestGen:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_a_parameter_too_large_to_build_is_error_2(self, capsys):
+        # the facet range overflows a machine int before anything is allocated
+        code, out, err = run(capsys, "gen", "simplex", str(10**20))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.strip() != "error:"
+
 
 class TestQueries:
     def test_g2_from_stdin(self, capsys, monkeypatch):
@@ -292,6 +298,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "empty" in err
+
+    def test_a_corpus_too_large_to_build_is_error_2(self, capsys, monkeypatch):
+        def out_of_memory(config):
+            raise MemoryError
+
+        monkeypatch.setattr("spherig.cli.run_suite", out_of_memory)
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "MemoryError" in err
 
     def test_unwritable_machine_path_fails_before_the_suite_runs(
         self, capsys, monkeypatch, tmp_path

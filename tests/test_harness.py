@@ -35,7 +35,6 @@ from spherig.harness import (
     verify_missing_face_lemma,
     verify_negative_control,
     verify_star_rigidity,
-    _orbits,
 )
 from spherig.rigidity import (
     contraction_ranks,
@@ -90,7 +89,7 @@ class TestReport:
         assert text.splitlines()[0].startswith("check")
 
     def test_human_format_says_why_a_record_skipped(self):
-        report = verify_missing_face_lemma(sp.cross_polytope(5), seed=5, name="x5")
+        report = verify_missing_face_lemma(CorpusEntry("x5", sp.cross_polytope(5)), seed=5)
         report.add(CheckRecord("minus_edge", "cross-d4:e=1-3", PASS, 22, 22, seed=6))
         header, passed, skipped = report.human_format().splitlines()[:3]
         assert header.split() == ["check", "instance", "verdict", "rank", "target", "seed",
@@ -107,7 +106,7 @@ class TestReport:
 
 class TestMinusEdge:
     def test_cross_4_all_edges_pass(self):
-        report = verify_minus_edge(sp.cross_polytope(4), seed=7, name="x4")
+        report = verify_minus_edge(CorpusEntry("x4", sp.cross_polytope(4)), seed=7)
         assert len(report.records) == 24
         assert report.count(PASS) == 24
         assert all(r.rank == r.target == 22 for r in report.records)
@@ -115,7 +114,7 @@ class TestMinusEdge:
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_simplex_boundary_falls_one_short_on_every_edge(self, d):
         # K_{d+1} has no stress: every deletion loses its row
-        report = verify_minus_edge(sp.boundary_simplex(d), seed=7, name="s")
+        report = verify_minus_edge(CorpusEntry("s", sp.boundary_simplex(d)), seed=7)
         assert len(report.records) == report.count(PASS) == comb(d + 1, 2)
         assert {(r.rank, r.target) for r in report.records} == {(comb(d + 1, 2) - 1,) * 2}
 
@@ -126,7 +125,7 @@ class TestMinusEdge:
         cross = sp.cross_polytope(d)
         new = max(cross.vertices) + 1
         stacked = sp.stack_over_facet(cross, cross.sorted_facets()[0], new)
-        report = verify_minus_edge(stacked, seed=7, name="st")
+        report = verify_minus_edge(CorpusEntry("st", stacked), seed=7)
         target = rigidity_target(len(stacked.vertices), d)
         assert report.count(PASS) == len(report.records) == len(graph_of(stacked).edges)
         short = {r.instance for r in report.records if r.target == target - 1}
@@ -135,7 +134,7 @@ class TestMinusEdge:
 
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
-            verify_minus_edge(sp.cross_polytope(3))
+            verify_minus_edge(CorpusEntry("x3", sp.cross_polytope(3)))
 
     def test_every_octahedron_deletion_is_flexible_which_is_why_d3_is_rejected(self):
         # a 2-sphere has f1 = 3n - 6, the rigid target in d = 3, so G has no
@@ -148,7 +147,7 @@ class TestMinusEdge:
         assert set(edge_deletion_ranks(graph, 3, seed=7).values()) == {target - 1}
 
     def test_records_carry_reproducing_seed(self):
-        report = verify_minus_edge(sp.cross_polytope(4), seed=3, name="x4")
+        report = verify_minus_edge(CorpusEntry("x4", sp.cross_polytope(4)), seed=3)
         rec = report.records[0]
         a, b = (int(t) for t in rec.instance.split("e=")[1].split("-"))
         graph = graph_of(sp.cross_polytope(4)).remove_edge(a, b)
@@ -188,7 +187,7 @@ class TestNegativeControl:
 class TestMissingFaceLemma:
     def test_join_2_3_sweeps_both_missing_faces(self):
         delta = sp.join_spheres(2, 3)
-        report = verify_missing_face_lemma(delta, seed=4, name="j23")
+        report = verify_missing_face_lemma(CorpusEntry("j23", delta), seed=4)
         # triangle {1,2,3} has 3 edges, the 4-set {4,5,6,7} has 6
         assert len(report.records) == 9
         assert report.count(PASS) == 9
@@ -197,7 +196,7 @@ class TestMissingFaceLemma:
         assert "j23:s=4-5-6-7:e=6-7" in names
 
     def test_no_qualifying_faces_is_a_vacuous_skip(self):
-        report = verify_missing_face_lemma(sp.cross_polytope(5), seed=4, name="x5")
+        report = verify_missing_face_lemma(CorpusEntry("x5", sp.cross_polytope(5)), seed=4)
         assert [r.verdict for r in report.records] == [SKIP]
         assert report.records[0].instance == "x5:vacuous"
         assert report.records[0].seed == 4
@@ -210,7 +209,7 @@ class TestMissingFaceLemma:
             return check(cert, seed)
 
         monkeypatch.setattr("spherig.harness.check", spy)
-        report = verify_missing_face_lemma(sp.join_spheres(2, 3), seed=4, name="j23")
+        report = verify_missing_face_lemma(CorpusEntry("j23", sp.join_spheres(2, 3)), seed=4)
         s = derive_seed(4, "missing-face", "j23")
         assert {r.seed for r in report.records} == {s}
         assert cert_seeds == [s] * len(report.records)
@@ -219,7 +218,7 @@ class TestMissingFaceLemma:
         seed, checked = 20260823, 0
         assert spherig.rigidity._known_rigid.get() is None
         for entry in default_corpus:
-            report = verify_missing_face_lemma(entry.complex, seed=seed, name=entry.name)
+            report = verify_missing_face_lemma(entry, seed=seed)
             sub = derive_seed(seed, "missing-face", entry.name)
             ranks = edge_deletion_ranks(graph_of(entry.complex), entry.d, sub)
             for record in report.records:
@@ -271,7 +270,7 @@ class TestContraction:
         assert all(r.count(FAIL) == 0 for r in reports)
         # one edge's records are that edge's records of the whole graph
         lines: dict[str, list[str]] = {}
-        for r in verify_contractions(delta, seed=6, name="jc45").records:
+        for r in verify_contractions(CorpusEntry("jc45", delta), seed=6).records:
             lines.setdefault(r.instance.split(":")[1], []).append(r.machine_line())
         assert [[r.machine_line() for r in report.records] for report in reports] == [
             lines.pop(f"e={a}-{b}") for a, b in graph_of(delta).sorted_edges()
@@ -294,7 +293,7 @@ class TestContraction:
         monkeypatch.setattr(spherig.harness, "time", clock)
         for name in ("contraction_ranks", "decide_rigidity"):
             monkeypatch.setattr(spherig.harness, name, ticking(getattr(spherig.harness, name)))
-        report = verify_contractions(sp.cross_polytope(4), seed=3, name="x4")
+        report = verify_contractions(CorpusEntry("x4", sp.cross_polytope(4)), seed=3)
         assert len(report.records) == 2 * 24
         assert {(r.instance.rsplit(":", 1)[1], r.elapsed) for r in report.records} == {
             ("degenerate", 1),
@@ -378,7 +377,7 @@ class TestContraction:
 
 class TestStarAndStress:
     def test_star_rigidity_cross_5(self):
-        report = verify_star_rigidity(sp.cross_polytope(5), seed=8, name="x5")
+        report = verify_star_rigidity(CorpusEntry("x5", sp.cross_polytope(5)), seed=8)
         # empty face + 10 vertices + 40 edges
         assert len(report.records) == 51
         assert report.count(PASS) == 51
@@ -389,7 +388,7 @@ class TestStarAndStress:
             (sp.join_spheres(2, 2), 4, 1),
             (sp.boundary_simplex(5), 5, 0),
         ):
-            report = verify_g2_stress(delta, seed=3, name="c")
+            report = verify_g2_stress(CorpusEntry("c", delta), seed=3)
             rec = report.records[0]
             assert rec.verdict == PASS
             assert rec.rank == rec.target == g2
@@ -397,11 +396,13 @@ class TestStarAndStress:
 
 class TestSymmetryOrbits:
     def test_every_familys_symmetries_are_automorphisms(self):
+        # each entry checks its maps when it is made; the test checks them again
         corpus = build_corpus(FAMILIES, range(4, 9), 20260823)
         for entry in corpus:
-            faces = [(frozenset(),), *((f,) for f in entry.complex.faces_of_dim(0))]
-            first = _orbits(entry.complex, faces, entry.symmetries, entry.name)
-            assert len(first) == len(faces)
+            vertices, facets = entry.complex.vertices, entry.complex.facets
+            for g in entry.symmetries:
+                image = {frozenset(g.get(v, v) for v in f) for f in facets}
+                assert g.keys() <= vertices and image == facets, (entry.name, g)
         assert all(bool(e.symmetries) != e.name.startswith("flip-walk-") for e in corpus)
 
     @pytest.mark.parametrize(
@@ -412,7 +413,7 @@ class TestSymmetryOrbits:
         # and a map of labels the complex does not have
         delta = sp.cyclic_polytope_boundary(7, 5)
         with pytest.raises(ValueError, match="cyclic-7-5: .* is not an automorphism"):
-            verify_star_rigidity(delta, name="cyclic-7-5", symmetries=(g,))
+            CorpusEntry("cyclic-7-5", delta, (g,))
 
     @pytest.mark.parametrize(
         "dims, records, checks", [((4, 5, 6), 1523, 216), ((7, 8), 13574, 614)]
@@ -429,10 +430,7 @@ class TestSymmetryOrbits:
         report = Report()
         for entry in build_corpus(DEFAULT_FAMILIES, dims, 20260823):
             with rigid_verdict_memo():
-                star = verify_star_rigidity(
-                    entry.complex, name=entry.name, symmetries=entry.symmetries
-                )
-                report.extend(star)
+                report.extend(verify_star_rigidity(entry))
         assert report.ok
         assert (len(report.records), len(certified)) == (records, checks)
         assert sum(r.note == "" for r in report.records) == checks
@@ -441,12 +439,7 @@ class TestSymmetryOrbits:
         corpus = {e.name: e for e in default_corpus}
         transferred = 0
         for entry in default_corpus:
-            report = verify_star_rigidity(
-                entry.complex,
-                seed=derive_seed(20260823, entry.name),
-                name=entry.name,
-                symmetries=entry.symmetries,
-            )
+            report = verify_star_rigidity(entry, seed=derive_seed(20260823, entry.name))
             for record in report.records:
                 if record.note:
                     transferred += 1
@@ -464,9 +457,7 @@ class TestSymmetryOrbits:
         assert entry.name == "cyclic-7-5"
         monkeypatch.setattr(spherig.harness, "certify_star_rigidity", lambda delta, face: face)
         monkeypatch.setattr(spherig.harness, "check", lambda face, seed: face != {3})
-        report = verify_star_rigidity(
-            entry.complex, name=entry.name, symmetries=entry.symmetries
-        )
+        report = verify_star_rigidity(entry)
         verdicts = {r.instance: (r.verdict, r.note) for r in report.records}
         assert verdicts["cyclic-7-5:s=3"] == (FAIL, "")
         assert verdicts["cyclic-7-5:s=4"] == (PASS, "")
@@ -479,10 +470,8 @@ class TestSymmetryOrbits:
 
     def test_records_keep_their_own_seeds(self):
         entry = build_corpus(("cross-polytope",), (5,), 0)[0]
-        report = verify_star_rigidity(
-            entry.complex, seed=8, name=entry.name, symmetries=entry.symmetries
-        )
-        plain = verify_star_rigidity(entry.complex, seed=8, name=entry.name)
+        report = verify_star_rigidity(entry, seed=8)
+        plain = verify_star_rigidity(CorpusEntry(entry.name, entry.complex), seed=8)
         assert report.machine_format() == plain.machine_format()
         # the empty face, one vertex and one edge: B_5 moves any vertex or
         # edge to any other
@@ -508,16 +497,26 @@ class TestSymmetryOrbits:
     )
     def test_a_wrong_generator_on_a_control_is_rejected_by_entry_name(self, family, g):
         # each moves the stacked facet: a vertex off it onto it, a flip of
-        # the first antipodal pair, the stacked vertex onto a vertex of it.
-        # A control has no missing face of dimension 2..d-2, so only these
-        # two kinds map instances
+        # the first antipodal pair, the stacked vertex onto a vertex of it
         entry = next(
             e for e in build_corpus(("negative-control",), (4,), 0) if family in e.name
         )
-        assert verify_missing_face_lemma(entry.complex).records[0].verdict == SKIP
-        for verify in (verify_star_rigidity, verify_contractions):
-            with pytest.raises(ValueError, match=f"{entry.name}: .* is not an automorphism"):
-                verify(entry.complex, name=entry.name, symmetries=(*entry.symmetries, g))
+        with pytest.raises(ValueError, match=f"{entry.name}: .* is not an automorphism"):
+            CorpusEntry(entry.name, entry.complex, (*entry.symmetries, g))
+
+    def test_an_entry_with_a_bad_map_cannot_be_made_where_no_kind_maps_an_instance(self):
+        # a control has no missing face of dimension 2..d-2 and, at d = 5,
+        # no contraction check; minus_edge and g2_stress map no instance
+        # anywhere.  The map is rejected before any kind runs
+        entry = build_corpus(("negative-control",), (5,), 0)[0]
+        with pytest.raises(ValueError, match=f"{entry.name}: .* is not an automorphism"):
+            CorpusEntry(entry.name, entry.complex, ({1: 6, 6: 1},))
+        assert verify_missing_face_lemma(entry).records[0].verdict == SKIP
+
+    def test_an_entry_is_frozen(self):
+        entry = build_corpus(("simplex",), (4,), 0)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.symmetries = ({1: 2, 2: 1, 3: 4},)
 
     def test_default_pass_checks_one_missing_face_edge_and_one_contraction_edge_per_orbit(
         self, monkeypatch
@@ -565,10 +564,8 @@ class TestSymmetryOrbits:
         # cross-d4: every edge joins two of the four antipodal pairs, and the
         # signed pair permutations move any edge onto 1-3
         entry = build_corpus(("cross-polytope",), (4,), 0)[0]
-        report = verify_contractions(
-            entry.complex, seed=5, name=entry.name, symmetries=entry.symmetries
-        )
-        plain = verify_contractions(entry.complex, seed=5, name=entry.name)
+        report = verify_contractions(entry, seed=5)
+        plain = verify_contractions(CorpusEntry(entry.name, entry.complex), seed=5)
         assert report.machine_format() == plain.machine_format()
         assert [r.instance for r in report.records if not r.note] == [
             "cross-d4:e=1-3:degenerate", "cross-d4:e=1-3:generic"
@@ -578,9 +575,7 @@ class TestSymmetryOrbits:
         # of their skips keeps the entry's seed and its own note
         entry = build_corpus(("joins",), (4,), 0)[-2]
         assert entry.name == "join-cycle-d4-k5"
-        report = verify_contractions(
-            entry.complex, seed=5, name=entry.name, symmetries=entry.symmetries
-        )
+        report = verify_contractions(entry, seed=5)
         skips = [r for r in report.records if r.verdict == SKIP]
         assert len(skips) == 8
         assert {r.seed for r in skips} == {5}
@@ -737,9 +732,9 @@ class TestRunSuite:
         answered = []  # the entries with a decision answered from them
         check, shape = spherig.harness.verify_minus_edge, spherig.rigidity._shape
 
-        def first_check(delta, **options):
+        def first_check(entry, **options):
             earlier.append(frozenset(spherig.rigidity._known_rigid.get()))
-            return check(delta, **options)
+            return check(entry, **options)
 
         def shape_spy(graph, d):
             key = shape(graph, d)
@@ -760,11 +755,11 @@ class TestRunSuite:
         refs, alive = [], []
         real = spherig.harness.verify_g2_stress
 
-        def spy(delta, **options):
+        def spy(entry, **options):
             gc.collect()
             alive.append(sum(ref() is not None for ref in refs))
-            refs.append(weakref.ref(delta))
-            return real(delta, **options)
+            refs.append(weakref.ref(entry.complex))
+            return real(entry, **options)
 
         monkeypatch.setattr("spherig.harness.verify_g2_stress", spy)
         assert run_suite(SuiteConfig(seed=20260823)).ok
@@ -811,7 +806,7 @@ class TestRunSuite:
 
     def test_missing_face_edge_records_replay(self):
         entry = CorpusEntry("j23", sp.join_spheres(2, 3))
-        report = verify_missing_face_lemma(entry.complex, seed=4, name="j23")
+        report = verify_missing_face_lemma(entry, seed=4)
         assert {r.note for r in report.records} == {""}
         for line in report.machine_format().splitlines():
             assert replay(line, {"j23": entry}) == line
