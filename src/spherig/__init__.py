@@ -45,7 +45,6 @@ from .harness import (
     flip_walk_corpus,
     run_suite,
     verify_contraction_reduction,
-    verify_g2_stress,
     verify_minus_edge,
     verify_missing_face_lemma,
     verify_negative_control,

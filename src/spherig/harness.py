@@ -1,6 +1,6 @@
 """Verification harness: runs the rigidity checks over generated corpora.
 
-Five check kinds run on the corpus entries, each producing per-instance
+Four check kinds run on the corpus entries, each producing per-instance
 records; contraction runs at d = 4 only, the others at every d:
 
   minus_edge        rank of G - e for every edge: the target, or one short where
@@ -8,7 +8,6 @@ records; contraction runs at d = 4 only, the others at every d:
   missing_face      edges inside missing faces of dimension 2..d-2: engine + certificate
   contraction       d=4 rank identity rank(G-e) = rank(G of contracted) + 4
   star_rigidity     star graphs of faces with |sigma| <= d-3 are rigid (certificates)
-  g2_stress         left-kernel dimension of the rigidity matrix equals g2
 
 Every check kind takes one CorpusEntry and its seed, verify_x(entry,
 seed=...), and is a generator that yields one outcome per instance; its
@@ -444,6 +443,10 @@ def verify_star_rigidity(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outc
     """Certificates for the stars of all faces with |sigma| <= d-3 must
     pass, d = dim + 1.
 
+    The empty face's star is the whole complex, so its record says that G
+    is d-rigid.  For a sphere g2 = f1 - target(n, d), so that is also the
+    statement that G's stress space has dimension g2.
+
     Only the first face of each orbit under the entry's symmetries, in
     check order, is checked, at its own seed (_per_orbit): an automorphism g
     maps star(sigma) onto star(g sigma), so both stars are d-rigid or
@@ -466,15 +469,6 @@ def verify_star_rigidity(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outc
         yield _Outcome("", PASS if ok else FAIL, seed=sub)
 
     yield from _per_orbit(entry, faces, identify, run)
-
-
-@_check_kind("g2_stress")
-def verify_g2_stress(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
-    """The stress space dimension (edges minus rank) must equal g2."""
-    delta, name = entry.complex, entry.name
-    sub = derive_seed(seed, "g2-stress", name)
-    stress_dim = decide_rigidity(graph_of(delta), delta.dim + 1, seed=sub).stress_dim
-    yield _ranked(name, stress_dim, delta.g2(), sub)
 
 
 # -- corpus and suite -----------------------------------------------------
@@ -707,7 +701,7 @@ def run_suite(config: SuiteConfig) -> Report:
     report = Report()
     corpus = build_corpus(config.families, config.dims, config.seed)
     # named here, not at import, so a wrapper put on a kind's module name sees its calls
-    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity, verify_g2_stress)
+    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity)
     with rigid_verdict_memo():
         while corpus:  # each entry, and its complex's cached data, goes after its checks
             entry = corpus.pop(0)

@@ -399,9 +399,15 @@ MUTANTS = [
     (
         "run-suite-drops-a-kind",
         "src/spherig/harness.py",
-        "    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity, "
-        "verify_g2_stress)\n",
         "    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity)\n",
+        "    kinds = (verify_minus_edge, verify_missing_face_lemma)\n",
+        ("tests/test_harness.py::TestRunSuite::test_suite_passes_and_counts_add_up",),
+    ),
+    (
+        "star-skips-the-empty-face",
+        "src/spherig/harness.py",
+        "    faces: list[_Instance] = [(frozenset(),)]\n",
+        "    faces: list[_Instance] = []\n",
         ("tests/test_harness.py::TestRunSuite::test_suite_passes_and_counts_add_up",),
     ),
     (

@@ -333,7 +333,7 @@ class TestVerify:
                 env=env, stdout=subprocess.PIPE, timeout=120, check=True,
             )
             outputs.append(proc.stdout)
-        assert len(outputs[0].splitlines()) == 206
+        assert len(outputs[0].splitlines()) == 203
         assert outputs[0] == outputs[1]
 
 

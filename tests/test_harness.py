@@ -30,7 +30,6 @@ from spherig.harness import (
     run_suite,
     verify_contraction_reduction,
     verify_contractions,
-    verify_g2_stress,
     verify_minus_edge,
     verify_missing_face_lemma,
     verify_negative_control,
@@ -388,10 +387,8 @@ class TestStarAndStress:
             (sp.join_spheres(2, 2), 4, 1),
             (sp.boundary_simplex(5), 5, 0),
         ):
-            report = verify_g2_stress(CorpusEntry("c", delta), seed=3)
-            rec = report.records[0]
-            assert rec.verdict == PASS
-            assert rec.rank == rec.target == g2
+            assert delta.g2() == g2
+            assert decide_rigidity(graph_of(delta), d, seed=3).stress_dim == g2
 
 
 class TestSymmetryOrbits:
@@ -486,7 +483,7 @@ class TestSymmetryOrbits:
         entries = {r.instance.split(":")[0] for r in report.records}
         assert entries == {f"flip-walk-{i}" for i in range(6)}
         assert {r.check for r in report.records} == {
-            "minus_edge", "missing_face", "star_rigidity", "g2_stress", "contraction"
+            "minus_edge", "missing_face", "star_rigidity", "contraction"
         }
         assert not any(r.note.startswith("same orbit") for r in report.records)
 
@@ -506,8 +503,8 @@ class TestSymmetryOrbits:
 
     def test_an_entry_with_a_bad_map_cannot_be_made_where_no_kind_maps_an_instance(self):
         # a control has no missing face of dimension 2..d-2 and, at d = 5,
-        # no contraction check; minus_edge and g2_stress map no instance
-        # anywhere.  The map is rejected before any kind runs
+        # no contraction check; minus_edge maps no instance anywhere.  The map
+        # is rejected before any kind runs
         entry = build_corpus(("negative-control",), (5,), 0)[0]
         with pytest.raises(ValueError, match=f"{entry.name}: .* is not an automorphism"):
             CorpusEntry(entry.name, entry.complex, ({1: 6, 6: 1},))
@@ -674,12 +671,23 @@ def small_config():
 class TestRunSuite:
 
     def test_suite_passes_and_counts_add_up(self, small_config):
-        report = run_suite(small_config)
-        assert report.ok
-        total = report.count(PASS) + report.count(FAIL) + report.count(SKIP)
-        assert total == len(report.records)
-        checks = {r.check for r in report.records}
-        assert checks == {"minus_edge", "missing_face", "star_rigidity", "g2_stress", "contraction"}
+        # on the small corpus and the default one, each entry's graph G is
+        # decided d-rigid by one record: the star record of its empty face
+        for config, size in ((small_config, 3), (SuiteConfig(seed=20260823), 31)):
+            report = run_suite(config)
+            assert report.ok
+            total = report.count(PASS) + report.count(FAIL) + report.count(SKIP)
+            assert total == len(report.records)
+            checks = {r.check for r in report.records}
+            assert checks == {"minus_edge", "missing_face", "star_rigidity", "contraction"}
+            names = [e.name for e in build_corpus(config.families, config.dims, config.seed)]
+            assert len(names) == size
+            whole = sorted(
+                (r.instance, r.verdict)
+                for r in report.records
+                if r.check == "star_rigidity" and r.instance.endswith(":s=empty")
+            )
+            assert whole == sorted((f"{name}:s=empty", PASS) for name in names)
 
     def test_suite_is_deterministic(self, small_config):
         assert run_suite(small_config).machine_format() == run_suite(
@@ -750,10 +758,10 @@ class TestRunSuite:
 
     def test_each_entry_is_released_after_its_checks(self, monkeypatch):
         # no complex, with its face index, graph and missing faces, outlives
-        # its entry's checks: when an entry's g2 check starts, every earlier
+        # its entry's checks: when an entry's star check starts, every earlier
         # entry's complex is gone
         refs, alive = [], []
-        real = spherig.harness.verify_g2_stress
+        real = spherig.harness.verify_star_rigidity
 
         def spy(entry, **options):
             gc.collect()
@@ -761,19 +769,19 @@ class TestRunSuite:
             refs.append(weakref.ref(entry.complex))
             return real(entry, **options)
 
-        monkeypatch.setattr("spherig.harness.verify_g2_stress", spy)
+        monkeypatch.setattr("spherig.harness.verify_star_rigidity", spy)
         assert run_suite(SuiteConfig(seed=20260823)).ok
         assert alive == [0] * 31
 
     def test_machine_report_digest_is_pinned(self):
-        # Every family at d = 4: 1,181 records of the five check kinds.  A
+        # Every family at d = 4: 1,165 records of the four check kinds.  A
         # change that alters the report's bytes on purpose updates the digest
         # and says why.
         config = SuiteConfig(families=FAMILIES, dims=(4,), seed=20260823)
         report = run_suite(config).machine_format()
-        assert len(report.splitlines()) == 1181
+        assert len(report.splitlines()) == 1165
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "88503d3383a55739cd6868fb1336901c9c2d577a3a212609b5c892d5ce71cc6c"
+            "f79526a81f1fe866904bae28a84e8ae41cf271eeebda332e0aa312f6d1429a8c"
         )
 
     def test_default_suite_builds_52_matrices_of_1225_rows(self, monkeypatch):
@@ -816,7 +824,6 @@ SEED_LABELS = {
     "minus_edge": "minus-edge",
     "missing_face": "missing-face",
     "star_rigidity": "star",
-    "g2_stress": "g2-stress",
     "contraction": "contraction",
 }
 
@@ -830,7 +837,7 @@ def scheme_seed(kind: str, instance: str, suite_seed: int) -> int:
         fields["e"].split("-") if "e" in fields else []
     )
     # skip and vacuous records carry the entry's seed
-    if (not keys and kind != "g2_stress") or (kind == "contraction" and len(parts) == 1):
+    if not keys or (kind == "contraction" and len(parts) == 1):
         return base
     # the edge records of one graph share the graph's seed
     if kind in ("minus_edge", "missing_face"):
@@ -866,8 +873,6 @@ def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
     delta, d = corpus[name].complex, corpus[name].d
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
-    if kind == "g2_stress":
-        return ranked(decide_rigidity(graph, d, seed=seed).stress_dim, delta.g2())
     if kind == "star_rigidity":
         ok = check(certify_star_rigidity(delta, face(fields["s"])), seed)
         return plain(PASS if ok else FAIL)
