@@ -44,11 +44,9 @@ from .harness import (
     build_corpus,
     flip_walk_corpus,
     run_suite,
+    verify,
     verify_contraction_reduction,
-    verify_minus_edge,
-    verify_missing_face_lemma,
     verify_negative_control,
-    verify_star_rigidity,
 )
 from .textio import format_facets, parse_facets
 

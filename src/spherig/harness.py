@@ -1,29 +1,31 @@
 """Verification harness: runs the rigidity checks over generated corpora.
 
-Four check kinds run on the corpus entries, each producing per-instance
-records; contraction runs at d = 4 only, the others at every d:
+One table, _KINDS, holds the check kinds in run order.  Each row maps a
+kind's report name to the dimensions d = dim + 1 it applies at and to the
+generator of its records for one CorpusEntry and its seed:
 
-  minus_edge        rank of G - e for every edge: the target, or one short where
-                    every prime factor holding the edge is a simplex boundary
-  missing_face      edges inside missing faces of dimension 2..d-2: engine + certificate
-  contraction       d=4 rank identity rank(G-e) = rank(G of contracted) + 4
-  star_rigidity     star graphs of faces with |sigma| <= d-3 are rigid (certificates)
+  minus_edge     d >= 4  rank of G - e for every edge: the target, or one short where
+                         every prime factor holding the edge is a simplex boundary
+  missing_face   d >= 4  edges inside missing faces of dimension 2..d-2: engine + certificate
+  star_rigidity  d >= 4  star graphs of faces with |sigma| <= d-3 are rigid (certificates)
+  contraction    d = 4   rank identity rank(G-e) = rank(G of contracted) + 4
 
-Every check kind takes one CorpusEntry and its seed, verify_x(entry,
-seed=...), and is a generator that yields one outcome per instance; its
-decorator times the outcomes and turns them into records, which carry the
-sub-seed that reproduces them.  A degenerate contraction record takes both
-of its ranks at one merged point (contraction_ranks); the generic record
-decides G - e and the contracted graph apart.  star_rigidity, missing_face
-and contraction check one instance (a star's face, a missing face with one
-of its edges, an edge) per orbit under automorphisms of the complex, each
-check yielding name suffixes only; _per_orbit names every record, giving
-the orbit's other instances the checked verdict, rank and target with their
-own seeds.  build_corpus alone knows the families, the negative controls
-among them, whose stacked spheres run the same checks as any other, and
-hands each entry generators of its construction's symmetries, which the
-entry checks when it is made; run_suite runs one loop over its entries
-inside one rigid_verdict_memo.
+verify(kind, entry, seed=...) is the one runner: it rejects a kind the table
+does not hold, or one that does not apply at the entry's d, and names each
+record the kind yields and times it on its own.  Each record carries the
+sub-seed that reproduces it.  run_suite runs every row that applies on each
+entry, in table order, inside one rigid_verdict_memo.
+
+A degenerate contraction record takes both of its ranks at one merged point
+(contraction_ranks); the generic record decides G - e and the contracted
+graph apart.  star_rigidity, missing_face and contraction check one instance
+(a star's face, a missing face with one of its edges, an edge) per orbit
+under automorphisms of the complex, each check yielding name suffixes only;
+_per_orbit names every record, giving the orbit's other instances the
+checked verdict, rank and target with their own seeds.  build_corpus alone
+knows the families, the negative controls among them, whose stacked spheres
+run the same checks as any other, and hands each entry generators of its
+construction's symmetries, which the entry checks when it is made.
 The machine report is one tab-separated line per record (check, instance,
 verdict, rank, target, seed), sorted, so equal configurations give
 byte-identical output.
@@ -31,7 +33,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -63,8 +64,9 @@ PASS, FAIL, SKIP = "pass", "fail", "skip"
 _COLUMNS = ("check", "instance", "verdict", "rank", "target", "seed")
 
 
-@dataclass(slots=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
+    """One checked instance.  A kind yields it unnamed and untimed; verify names and times it."""
+
     check: str
     instance: str
     verdict: str
@@ -130,44 +132,9 @@ def face_label(face: Iterable[int]) -> str:
 # -- check kinds ----------------------------------------------------------
 
 
-class _Outcome(NamedTuple):
-    """One checked instance, as a check kind yields it."""
-
-    instance: str
-    verdict: str
-    rank: int | None = None
-    target: int | None = None
-    seed: int = 0
-    note: str = ""
-
-
-def _ranked(instance: str, rank: int, target: int, seed: int) -> _Outcome:
-    """An outcome that passes exactly when the rank meets its target."""
-    return _Outcome(instance, PASS if rank == target else FAIL, rank, target, seed)
-
-
-def _check_kind(kind: str):
-    """Make a generator of outcomes into a verify function: it takes the
-    generator's arguments and returns the Report of the timed outcomes."""
-
-    def decorate(outcomes):
-        @functools.wraps(outcomes)
-        def verify(*args, **kwargs) -> Report:
-            report = Report()
-            t0 = time.perf_counter()
-            for o in outcomes(*args, **kwargs):
-                elapsed = time.perf_counter() - t0
-                report.add(
-                    CheckRecord(
-                        kind, o.instance, o.verdict, o.rank, o.target, o.seed, elapsed, o.note
-                    )
-                )
-                t0 = time.perf_counter()
-            return report
-
-        return verify
-
-    return decorate
+def _ranked(instance: str, rank: int, target: int, seed: int) -> CheckRecord:
+    """A record that passes exactly when the rank meets its target."""
+    return CheckRecord("", instance, PASS if rank == target else FAIL, rank, target, seed)
 
 
 # A check instance: the faces that name it, (sigma,) for a star, (sigma, e)
@@ -209,17 +176,17 @@ def _per_orbit(
     entry: CorpusEntry,
     instances: Sequence[_Instance],
     identify: Callable[[_Instance], tuple[str, int]],
-    run: Callable[[_Instance, int], Iterable[_Outcome]],
-) -> Iterator[_Outcome]:
-    """The outcomes of every instance, in order, running the check only on
+    run: Callable[[_Instance, int], Iterable[CheckRecord]],
+) -> Iterator[CheckRecord]:
+    """The records of every instance, in order, running the check only on
     the first instance of each orbit under the entry's symmetries (_orbits).
 
     identify(instance) gives the instance's label and seed; run(instance,
-    seed) yields the outcomes of an orbit's first instance, each naming only
+    seed) yields the records of an orbit's first instance, each naming only
     its suffix ("" or ":generic", say).  _per_orbit names every record
     entry.name:label + suffix and yields each checked one as run yields it,
     so each is timed on its own.  Every other instance of the orbit takes
-    those outcomes under its own name and seed, with a note naming the first
+    those records under its own name and seed, with a note naming the first
     instance; a skip keeps its seed and note, which depend on the entry
     alone.
 
@@ -235,13 +202,13 @@ def _per_orbit(
     probability as the checked instance's rank.
     """
     # an orbit's first instance -> the note of the orbit's other records
-    # (one string for all of them) and its outcomes
-    checked: dict[_Instance, tuple[str, list[_Outcome]]] = {}
+    # (one string for all of them) and its records
+    checked: dict[_Instance, tuple[str, list[CheckRecord]]] = {}
     for instance, first in zip(instances, _orbits(entry, instances)):
         label, sub = identify(instance)
         record = f"{entry.name}:{label}"
         if first == instance:
-            outcomes: list[_Outcome] = []
+            outcomes: list[CheckRecord] = []
             checked[instance] = (f"same orbit as {label}", outcomes)
             for o in run(instance, sub):
                 outcomes.append(o)
@@ -254,8 +221,7 @@ def _per_orbit(
             yield o._replace(instance=record + o.instance)
 
 
-@_check_kind("minus_edge")
-def verify_minus_edge(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
+def _minus_edge(entry: CorpusEntry, seed: int) -> Iterator[CheckRecord]:
     """The rank of G - e for every edge e of a homology sphere's graph G, in
     d = dim + 1 >= 4, must be the one its prime factors predict: target - 1
     when every prime factor that contains e (by vertex set) is a simplex
@@ -280,10 +246,7 @@ def verify_minus_edge(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome
     All edge records of one graph share one sub-seed: one elimination at
     that seed ranks every deletion.
     """
-    delta, name = entry.complex, entry.name
-    if delta.dim < 3:
-        raise ValueError("minus-edge verification needs d >= 4")
-    d = delta.dim + 1
+    delta, name, d = entry.complex, entry.name, entry.d
     graph = graph_of(delta)
     target = rigidity_target(len(graph.vertices), d)
     factors = [factor.vertices for factor in prime_factors(delta)]
@@ -291,6 +254,169 @@ def verify_minus_edge(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome
     for (a, b), rank in edge_deletion_ranks(graph, d, sub).items():
         short = all(len(vs) == d + 1 for vs in factors if {a, b} <= vs)
         yield _ranked(f"{name}:e={a}-{b}", rank, target - short, sub)
+
+
+def _missing_faces(entry: CorpusEntry, seed: int) -> Iterator[CheckRecord]:
+    """Edges inside missing faces of dimension 2..d-2: the graph minus the
+    edge must be engine-rigid AND admit a passing Replacement certificate.
+
+    A complex without such faces gets one skip record: nothing is checked,
+    so nothing passes.  The edge records of one graph share one sub-seed,
+    for the ranks and the certificates alike.  Each rank is one
+    decide_rigidity of the graph minus the edge; inside run_suite that is a
+    memo hit on the rigid deletion minus_edge recorded.  Only the first
+    (sigma, e) of each orbit under the entry's symmetries is checked
+    (_per_orbit): an automorphism maps missing faces to missing faces and
+    G - e onto G - ge.
+    """
+    delta, name, d = entry.complex, entry.name, entry.d
+    qualifying = [f for f in delta.missing_faces() if 2 <= len(f) - 1 <= d - 2]
+    if not qualifying:
+        yield CheckRecord(
+            "", f"{name}:vacuous", SKIP, seed=seed, note="no missing faces of dimension 2..d-2"
+        )
+        return
+    graph = graph_of(delta)
+    sub = derive_seed(seed, "missing-face", name)
+    instances = [
+        (sigma, frozenset(pair)) for sigma in qualifying for pair in combinations(sorted(sigma), 2)
+    ]
+
+    def run(instance: _Instance, sub: int) -> Iterator[CheckRecord]:
+        sigma, edge = instance
+        a, b = sorted(edge)
+        decided = decide_rigidity(graph.remove_edge(a, b), d, seed=sub)
+        cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), sub)
+        verdict = PASS if decided.is_rigid and cert_ok else FAIL
+        note = "" if cert_ok else "certificate rejected"
+        yield CheckRecord("", "", verdict, decided.rank, decided.target_rank, sub, note=note)
+
+    def identify(instance: _Instance) -> tuple[str, int]:
+        return f"s={face_label(instance[0])}:e={face_label(instance[1])}", sub
+
+    yield from _per_orbit(entry, instances, identify, run)
+
+
+def _stars(entry: CorpusEntry, seed: int) -> Iterator[CheckRecord]:
+    """Certificates for the stars of all faces with |sigma| <= d-3 must
+    pass, d = dim + 1.
+
+    The empty face's star is the whole complex, so its record says that G
+    is d-rigid.  For a sphere g2 = f1 - target(n, d), so that is also the
+    statement that G's stress space has dimension g2.
+
+    Only the first face of each orbit under the entry's symmetries, in
+    check order, is checked, at its own seed (_per_orbit): an automorphism g
+    maps star(sigma) onto star(g sigma), so both stars are d-rigid or
+    neither is.
+    """
+    delta, d = entry.complex, entry.d
+    faces: list[_Instance] = [(frozenset(),)]
+    for size in range(1, d - 2):
+        faces.extend((f,) for f in sorted(delta.faces_of_dim(size - 1), key=sorted))
+
+    def identify(instance: _Instance) -> tuple[str, int]:
+        label = face_label(instance[0])
+        return f"s={label}", derive_seed(seed, "star", entry.name, label)
+
+    def run(instance: _Instance, sub: int) -> Iterator[CheckRecord]:
+        ok = check(certify_star_rigidity(delta, instance[0]), sub)
+        yield CheckRecord("", "", PASS if ok else FAIL, seed=sub)
+
+    yield from _per_orbit(entry, faces, identify, run)
+
+
+def _contractions(
+    entry: CorpusEntry, seed: int, edges: Sequence[_Instance] | None = None
+) -> Iterator[CheckRecord]:
+    """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
+    contraction)) + 4 for each edge, every edge in sorted order unless
+    `edges` names some, checked at a degenerate embedding that merges the
+    endpoints and again at independent generic points, on the first edge of
+    each orbit under the entry's symmetries (_per_orbit).  The degenerate
+    record ranks G-e and the contraction at one merged point
+    (contraction_ranks).  The contracted graph is G's, contracted:
+    each face of the contracted complex is the image of a face of delta, and
+    a face dropped inside a larger one takes no edge with it, so it has the
+    edges of SimplicialComplex.contract_edge's result.
+
+    Qualification: the edge's link has >= 4 vertices, counted from the
+    facets that contain the edge, and equals the intersection of the
+    endpoint links.  Unqualified edges are skips.
+    """
+    delta = entry.complex
+    graph = graph_of(delta)
+    fresh = max(delta.vertices) + 1
+    if edges is None:
+        edges = [(frozenset(edge),) for edge in graph.sorted_edges()]
+
+    def identify(instance: _Instance) -> tuple[str, int]:
+        a, b = sorted(instance[0])
+        return f"e={a}-{b}", derive_seed(seed, "contraction", entry.name, a, b)
+
+    def run(instance: _Instance, sub: int) -> Iterator[CheckRecord]:
+        edge = instance[0]
+        a, b = sorted(edge)
+        star = [f for f in delta.facets if edge <= f]
+        if len(frozenset().union(*star) - edge) < 4:
+            yield CheckRecord("", "", SKIP, seed=seed, note="link has < 4 vertices")
+            return
+        if not delta.link_condition(edge):
+            yield CheckRecord(
+                "", "", SKIP, seed=seed, note="link(e) != link(a) * link(b) intersection"
+            )
+            return
+        g_minus = graph.remove_edge(a, b)
+        lhs, rhs = contraction_ranks(g_minus, a, b, 4, derive_seed(sub, "degenerate"))
+        yield _ranked(":degenerate", lhs, rhs + 4, sub)
+
+        g_down = graph.contract_edge(a, b, fresh)
+        lhs_gen = decide_rigidity(g_minus, 4, seed=derive_seed(sub, "generic-minus")).rank
+        rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
+        yield _ranked(":generic", lhs_gen, rhs_gen + 4, sub)
+
+    yield from _per_orbit(entry, edges, identify, run)
+
+
+# -- the kind table and its runner ----------------------------------------
+
+
+class _Kind(NamedTuple):
+    applies: Callable[[int], bool]  # at rigidity dimension d
+    records: Callable[[CorpusEntry, int], Iterator[CheckRecord]]  # of an entry at a seed
+
+
+# Every check kind, in run order, under its report name.
+_KINDS: dict[str, _Kind] = {
+    "minus_edge": _Kind(lambda d: d >= 4, _minus_edge),
+    "missing_face": _Kind(lambda d: d >= 4, _missing_faces),
+    "star_rigidity": _Kind(lambda d: d >= 4, _stars),
+    "contraction": _Kind(lambda d: d == 4, _contractions),
+}
+
+
+def verify(kind: str, entry: CorpusEntry, *, seed: int = 0) -> Report:
+    """The records of one check kind on one entry at a seed.  A kind that
+    is not in the table raises ValueError listing the known kinds, and so
+    does one that does not apply at the entry's d."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown check kind {kind!r}; known: {', '.join(_KINDS)}")
+    return _run(kind, entry, _KINDS[kind].records(entry, seed))
+
+
+def _run(kind: str, entry: CorpusEntry, records: Iterator[CheckRecord]) -> Report:
+    """The report of a kind's records on an entry, each named by the kind and
+    timed from the end of the record before it.  A kind that does not apply at
+    the entry's d raises ValueError before the records generator runs."""
+    if not _KINDS[kind].applies(entry.d):
+        raise ValueError(f"{kind} does not apply at d = {entry.d}")
+    report = Report()
+    t0 = time.perf_counter()
+    for r in records:
+        elapsed = time.perf_counter() - t0
+        report.add(r._replace(check=kind, elapsed=elapsed))
+        t0 = time.perf_counter()
+    return report
 
 
 def _stacked(gamma: SimplicialComplex) -> SimplicialComplex:
@@ -306,169 +432,33 @@ def verify_negative_control(
     name: str = "control",
 ) -> Report:
     """The acceptance gate's view of the minus_edge check on a negative
-    control: verify_minus_edge's records of the d edges at the vertex that
-    stacking gamma over a facet adds, each passing when its rank falls short
-    of the rigid target by exactly one.  With an entry's seed and name they
-    are run_suite's records of that negative-control entry."""
+    control: its records of the d edges at the vertex that stacking gamma
+    over a facet adds, each passing when its rank falls short of the rigid
+    target by exactly one.  With an entry's seed and name they are
+    run_suite's records of that negative-control entry."""
     stacked = _stacked(gamma)
     new = f"-{max(stacked.vertices)}"
-    report = verify_minus_edge(CorpusEntry(name, stacked), seed=seed)
+    report = verify("minus_edge", CorpusEntry(name, stacked), seed=seed)
     return Report([r for r in report.records if r.instance.endswith(new)])
 
 
-@_check_kind("missing_face")
-def verify_missing_face_lemma(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
-    """Edges inside missing faces of dimension 2..d-2: the graph minus the
-    edge must be engine-rigid AND admit a passing Replacement certificate.
-
-    A complex without such faces gets one skip record: nothing is checked,
-    so nothing passes.  The edge records of one graph share one sub-seed,
-    for the ranks and the certificates alike.  Each rank is one
-    decide_rigidity of the graph minus the edge; inside run_suite that is a
-    memo hit on the rigid deletion verify_minus_edge recorded.  Only the
-    first (sigma, e) of each orbit under the entry's symmetries is checked
-    (_per_orbit): an automorphism maps missing faces to missing faces and
-    G - e onto G - ge.
-    """
-    delta, name = entry.complex, entry.name
-    if delta.dim < 3:
-        raise ValueError("missing-face verification needs d >= 4")
-    d = delta.dim + 1
-    qualifying = [f for f in delta.missing_faces() if 2 <= len(f) - 1 <= d - 2]
-    if not qualifying:
-        yield _Outcome(
-            f"{name}:vacuous", SKIP, seed=seed, note="no missing faces of dimension 2..d-2"
-        )
-        return
-    graph = graph_of(delta)
-    sub = derive_seed(seed, "missing-face", name)
-    instances = [
-        (sigma, frozenset(pair)) for sigma in qualifying for pair in combinations(sorted(sigma), 2)
-    ]
-
-    def run(instance: _Instance, sub: int) -> Iterator[_Outcome]:
-        sigma, edge = instance
-        a, b = sorted(edge)
-        verdict = decide_rigidity(graph.remove_edge(a, b), d, seed=sub)
-        cert_ok = check(certify_missing_face_edge(delta, sigma, (a, b)), sub)
-        yield _Outcome(
-            "",
-            PASS if (verdict.is_rigid and cert_ok) else FAIL,
-            verdict.rank,
-            verdict.target_rank,
-            sub,
-            "" if cert_ok else "certificate rejected",
-        )
-
-    def identify(instance: _Instance) -> tuple[str, int]:
-        return f"s={face_label(instance[0])}:e={face_label(instance[1])}", sub
-
-    yield from _per_orbit(entry, instances, identify, run)
-
-
-def _contractions(entry: CorpusEntry, edges: Sequence[_Instance], seed: int) -> Iterator[_Outcome]:
-    """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
-    contraction)) + 4 for each edge, checked at a degenerate embedding that
-    merges the endpoints and again at independent generic points, on the
-    first edge of each orbit under the entry's symmetries (_per_orbit).  The
-    degenerate record ranks G-e and the contraction at one merged point
-    (contraction_ranks).  The contracted graph is G's, contracted:
-    each face of the contracted complex is the image of a face of delta, and
-    a face dropped inside a larger one takes no edge with it, so it has the
-    edges of SimplicialComplex.contract_edge's result.
-
-    Qualification: the edge's link has >= 4 vertices, counted from the
-    facets that contain the edge, and equals the intersection of the
-    endpoint links.  Unqualified edges are skips.
-    """
-    delta = entry.complex
-    if delta.dim != 3:
-        raise ValueError("contraction verification is specific to 3-spheres (d = 4)")
-    graph = graph_of(delta)
-    fresh = max(delta.vertices) + 1
-
-    def identify(instance: _Instance) -> tuple[str, int]:
-        a, b = sorted(instance[0])
-        return f"e={a}-{b}", derive_seed(seed, "contraction", entry.name, a, b)
-
-    def run(instance: _Instance, sub: int) -> Iterator[_Outcome]:
-        edge = instance[0]
-        a, b = sorted(edge)
-        star = [f for f in delta.facets if edge <= f]
-        if len(frozenset().union(*star) - edge) < 4:
-            yield _Outcome("", SKIP, seed=seed, note="link has < 4 vertices")
-            return
-        if not delta.link_condition(edge):
-            yield _Outcome("", SKIP, seed=seed, note="link(e) != link(a) * link(b) intersection")
-            return
-        g_minus = graph.remove_edge(a, b)
-        lhs, rhs = contraction_ranks(g_minus, a, b, 4, derive_seed(sub, "degenerate"))
-        yield _ranked(":degenerate", lhs, rhs + 4, sub)
-
-        g_down = graph.contract_edge(a, b, fresh)
-        lhs_gen = decide_rigidity(g_minus, 4, seed=derive_seed(sub, "generic-minus")).rank
-        rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
-        yield _ranked(":generic", lhs_gen, rhs_gen + 4, sub)
-
-    yield from _per_orbit(entry, edges, identify, run)
-
-
-@_check_kind("contraction")
 def verify_contraction_reduction(
     delta: SimplicialComplex,
     e: Iterable[int],
     *,
     seed: int = 0,
     name: str = "complex",
-) -> Iterator[_Outcome]:
-    """The contraction records of one edge e of a 3-sphere (_contractions),
-    as verify_contractions gives them without symmetries; an e that is not
-    an edge of the complex raises ValueError."""
+) -> Report:
+    """The contraction records of one edge e of a 3-sphere, as verify gives
+    them for the complex without symmetries; an e that is not an edge of
+    the complex raises ValueError, and so does a complex of another
+    dimension."""
     pair = tuple(e)
     edge = frozenset(pair)
     if len(pair) != 2 or len(edge) != 2 or not delta.has_face(edge):
         raise ValueError(f"{pair} is not an edge of the complex")
-    yield from _contractions(CorpusEntry(name, delta), [(edge,)], seed)
-
-
-@_check_kind("contraction")
-def verify_contractions(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
-    """The contraction records (_contractions) of every edge, in sorted order."""
-    edges = [(frozenset(edge),) for edge in graph_of(entry.complex).sorted_edges()]
-    yield from _contractions(entry, edges, seed)
-
-
-@_check_kind("star_rigidity")
-def verify_star_rigidity(entry: CorpusEntry, *, seed: int = 0) -> Iterator[_Outcome]:
-    """Certificates for the stars of all faces with |sigma| <= d-3 must
-    pass, d = dim + 1.
-
-    The empty face's star is the whole complex, so its record says that G
-    is d-rigid.  For a sphere g2 = f1 - target(n, d), so that is also the
-    statement that G's stress space has dimension g2.
-
-    Only the first face of each orbit under the entry's symmetries, in
-    check order, is checked, at its own seed (_per_orbit): an automorphism g
-    maps star(sigma) onto star(g sigma), so both stars are d-rigid or
-    neither is.
-    """
-    delta = entry.complex
-    if delta.dim < 3:
-        raise ValueError("star verification needs d >= 4")
-    d = delta.dim + 1
-    faces: list[_Instance] = [(frozenset(),)]
-    for size in range(1, d - 2):
-        faces.extend((f,) for f in sorted(delta.faces_of_dim(size - 1), key=sorted))
-
-    def identify(instance: _Instance) -> tuple[str, int]:
-        label = face_label(instance[0])
-        return f"s={label}", derive_seed(seed, "star", entry.name, label)
-
-    def run(instance: _Instance, sub: int) -> Iterator[_Outcome]:
-        ok = check(certify_star_rigidity(delta, instance[0]), sub)
-        yield _Outcome("", PASS if ok else FAIL, seed=sub)
-
-    yield from _per_orbit(entry, faces, identify, run)
+    entry = CorpusEntry(name, delta)
+    return _run("contraction", entry, _contractions(entry, seed, [(edge,)]))
 
 
 # -- corpus and suite -----------------------------------------------------
@@ -700,16 +690,13 @@ def run_suite(config: SuiteConfig) -> Report:
     """
     report = Report()
     corpus = build_corpus(config.families, config.dims, config.seed)
-    # named here, not at import, so a wrapper put on a kind's module name sees its calls
-    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity)
     with rigid_verdict_memo():
         while corpus:  # each entry, and its complex's cached data, goes after its checks
             entry = corpus.pop(0)
             seed = derive_seed(config.seed, entry.name)
-            for verify in kinds:
-                report.extend(verify(entry, seed=seed))
-            if entry.d == 4:
-                report.extend(verify_contractions(entry, seed=seed))
+            for kind, row in _KINDS.items():
+                if row.applies(entry.d):
+                    report.extend(verify(kind, entry, seed=seed))
     if not report.records:
         raise ValueError(
             f"families {', '.join(config.families)} give no complex at dims "

@@ -399,8 +399,8 @@ MUTANTS = [
     (
         "run-suite-drops-a-kind",
         "src/spherig/harness.py",
-        "    kinds = (verify_minus_edge, verify_missing_face_lemma, verify_star_rigidity)\n",
-        "    kinds = (verify_minus_edge, verify_missing_face_lemma)\n",
+        '    "star_rigidity": _Kind(lambda d: d >= 4, _stars),\n',
+        "",
         ("tests/test_harness.py::TestRunSuite::test_suite_passes_and_counts_add_up",),
     ),
     (
@@ -413,9 +413,19 @@ MUTANTS = [
     (
         "run-suite-kinds-at-the-default-seed",
         "src/spherig/harness.py",
-        "                report.extend(verify(entry, seed=seed))\n",
-        "                report.extend(verify(entry))\n",
+        "                    report.extend(verify(kind, entry, seed=seed))\n",
+        "                    report.extend(verify(kind, entry))\n",
         ("tests/test_harness.py::TestRunSuite::test_every_record_replays_from_its_machine_line",),
+    ),
+    (
+        "contraction-applies-above-d4",
+        "src/spherig/harness.py",
+        '    "contraction": _Kind(lambda d: d == 4, _contractions),\n',
+        '    "contraction": _Kind(lambda d: d >= 4, _contractions),\n',
+        (
+            "tests/test_harness.py::TestRunner"
+            "::test_a_kind_is_refused_at_a_d_where_it_does_not_apply[contraction-5]",
+        ),
     ),
     (
         "empty-report-allowed",

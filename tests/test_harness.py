@@ -28,12 +28,9 @@ from spherig.harness import (
     face_label,
     flip_walk_corpus,
     run_suite,
+    verify,
     verify_contraction_reduction,
-    verify_contractions,
-    verify_minus_edge,
-    verify_missing_face_lemma,
     verify_negative_control,
-    verify_star_rigidity,
 )
 from spherig.rigidity import (
     contraction_ranks,
@@ -88,7 +85,7 @@ class TestReport:
         assert text.splitlines()[0].startswith("check")
 
     def test_human_format_says_why_a_record_skipped(self):
-        report = verify_missing_face_lemma(CorpusEntry("x5", sp.cross_polytope(5)), seed=5)
+        report = verify("missing_face", CorpusEntry("x5", sp.cross_polytope(5)), seed=5)
         report.add(CheckRecord("minus_edge", "cross-d4:e=1-3", PASS, 22, 22, seed=6))
         header, passed, skipped = report.human_format().splitlines()[:3]
         assert header.split() == ["check", "instance", "verdict", "rank", "target", "seed",
@@ -103,9 +100,24 @@ class TestReport:
         assert face_label(()) == "empty"
 
 
+class TestRunner:
+    @pytest.mark.parametrize(
+        "kind, d",
+        [("minus_edge", 3), ("missing_face", 3), ("star_rigidity", 3), ("contraction", 5)],
+    )
+    def test_a_kind_is_refused_at_a_d_where_it_does_not_apply(self, kind, d):
+        with pytest.raises(ValueError, match=f"^{kind} does not apply at d = {d}$"):
+            verify(kind, CorpusEntry(f"x{d}", sp.cross_polytope(d)))
+
+    def test_an_unknown_kind_is_refused_with_the_known_kinds(self):
+        known = "minus_edge, missing_face, star_rigidity, contraction"
+        with pytest.raises(ValueError, match=f"^unknown check kind 'g2_stress'; known: {known}$"):
+            verify("g2_stress", CorpusEntry("x4", sp.cross_polytope(4)))
+
+
 class TestMinusEdge:
     def test_cross_4_all_edges_pass(self):
-        report = verify_minus_edge(CorpusEntry("x4", sp.cross_polytope(4)), seed=7)
+        report = verify("minus_edge", CorpusEntry("x4", sp.cross_polytope(4)), seed=7)
         assert len(report.records) == 24
         assert report.count(PASS) == 24
         assert all(r.rank == r.target == 22 for r in report.records)
@@ -113,7 +125,7 @@ class TestMinusEdge:
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_simplex_boundary_falls_one_short_on_every_edge(self, d):
         # K_{d+1} has no stress: every deletion loses its row
-        report = verify_minus_edge(CorpusEntry("s", sp.boundary_simplex(d)), seed=7)
+        report = verify("minus_edge", CorpusEntry("s", sp.boundary_simplex(d)), seed=7)
         assert len(report.records) == report.count(PASS) == comb(d + 1, 2)
         assert {(r.rank, r.target) for r in report.records} == {(comb(d + 1, 2) - 1,) * 2}
 
@@ -124,7 +136,7 @@ class TestMinusEdge:
         cross = sp.cross_polytope(d)
         new = max(cross.vertices) + 1
         stacked = sp.stack_over_facet(cross, cross.sorted_facets()[0], new)
-        report = verify_minus_edge(CorpusEntry("st", stacked), seed=7)
+        report = verify("minus_edge", CorpusEntry("st", stacked), seed=7)
         target = rigidity_target(len(stacked.vertices), d)
         assert report.count(PASS) == len(report.records) == len(graph_of(stacked).edges)
         short = {r.instance for r in report.records if r.target == target - 1}
@@ -132,8 +144,8 @@ class TestMinusEdge:
         assert all(r.target == target for r in report.records if r.instance not in short)
 
     def test_low_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            verify_minus_edge(CorpusEntry("x3", sp.cross_polytope(3)))
+        with pytest.raises(ValueError, match="minus_edge does not apply at d = 3"):
+            verify("minus_edge", CorpusEntry("x3", sp.cross_polytope(3)))
 
     def test_every_octahedron_deletion_is_flexible_which_is_why_d3_is_rejected(self):
         # a 2-sphere has f1 = 3n - 6, the rigid target in d = 3, so G has no
@@ -146,7 +158,7 @@ class TestMinusEdge:
         assert set(edge_deletion_ranks(graph, 3, seed=7).values()) == {target - 1}
 
     def test_records_carry_reproducing_seed(self):
-        report = verify_minus_edge(CorpusEntry("x4", sp.cross_polytope(4)), seed=3)
+        report = verify("minus_edge", CorpusEntry("x4", sp.cross_polytope(4)), seed=3)
         rec = report.records[0]
         a, b = (int(t) for t in rec.instance.split("e=")[1].split("-"))
         graph = graph_of(sp.cross_polytope(4)).remove_edge(a, b)
@@ -186,7 +198,7 @@ class TestNegativeControl:
 class TestMissingFaceLemma:
     def test_join_2_3_sweeps_both_missing_faces(self):
         delta = sp.join_spheres(2, 3)
-        report = verify_missing_face_lemma(CorpusEntry("j23", delta), seed=4)
+        report = verify("missing_face", CorpusEntry("j23", delta), seed=4)
         # triangle {1,2,3} has 3 edges, the 4-set {4,5,6,7} has 6
         assert len(report.records) == 9
         assert report.count(PASS) == 9
@@ -195,7 +207,7 @@ class TestMissingFaceLemma:
         assert "j23:s=4-5-6-7:e=6-7" in names
 
     def test_no_qualifying_faces_is_a_vacuous_skip(self):
-        report = verify_missing_face_lemma(CorpusEntry("x5", sp.cross_polytope(5)), seed=4)
+        report = verify("missing_face", CorpusEntry("x5", sp.cross_polytope(5)), seed=4)
         assert [r.verdict for r in report.records] == [SKIP]
         assert report.records[0].instance == "x5:vacuous"
         assert report.records[0].seed == 4
@@ -208,7 +220,7 @@ class TestMissingFaceLemma:
             return check(cert, seed)
 
         monkeypatch.setattr("spherig.harness.check", spy)
-        report = verify_missing_face_lemma(CorpusEntry("j23", sp.join_spheres(2, 3)), seed=4)
+        report = verify("missing_face", CorpusEntry("j23", sp.join_spheres(2, 3)), seed=4)
         s = derive_seed(4, "missing-face", "j23")
         assert {r.seed for r in report.records} == {s}
         assert cert_seeds == [s] * len(report.records)
@@ -217,7 +229,7 @@ class TestMissingFaceLemma:
         seed, checked = 20260823, 0
         assert spherig.rigidity._known_rigid.get() is None
         for entry in default_corpus:
-            report = verify_missing_face_lemma(entry, seed=seed)
+            report = verify("missing_face", entry, seed=seed)
             sub = derive_seed(seed, "missing-face", entry.name)
             ranks = edge_deletion_ranks(graph_of(entry.complex), entry.d, sub)
             for record in report.records:
@@ -269,7 +281,7 @@ class TestContraction:
         assert all(r.count(FAIL) == 0 for r in reports)
         # one edge's records are that edge's records of the whole graph
         lines: dict[str, list[str]] = {}
-        for r in verify_contractions(CorpusEntry("jc45", delta), seed=6).records:
+        for r in verify("contraction", CorpusEntry("jc45", delta), seed=6).records:
             lines.setdefault(r.instance.split(":")[1], []).append(r.machine_line())
         assert [[r.machine_line() for r in report.records] for report in reports] == [
             lines.pop(f"e={a}-{b}") for a, b in graph_of(delta).sorted_edges()
@@ -292,7 +304,7 @@ class TestContraction:
         monkeypatch.setattr(spherig.harness, "time", clock)
         for name in ("contraction_ranks", "decide_rigidity"):
             monkeypatch.setattr(spherig.harness, name, ticking(getattr(spherig.harness, name)))
-        report = verify_contractions(CorpusEntry("x4", sp.cross_polytope(4)), seed=3)
+        report = verify("contraction", CorpusEntry("x4", sp.cross_polytope(4)), seed=3)
         assert len(report.records) == 2 * 24
         assert {(r.instance.rsplit(":", 1)[1], r.elapsed) for r in report.records} == {
             ("degenerate", 1),
@@ -300,7 +312,7 @@ class TestContraction:
         }
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="contraction does not apply at d = 5"):
             verify_contraction_reduction(sp.cross_polytope(5), (1, 3))
 
     @pytest.mark.parametrize("e", [(1, 2), (1, 1), (1, 3, 5)])
@@ -376,7 +388,7 @@ class TestContraction:
 
 class TestStarAndStress:
     def test_star_rigidity_cross_5(self):
-        report = verify_star_rigidity(CorpusEntry("x5", sp.cross_polytope(5)), seed=8)
+        report = verify("star_rigidity", CorpusEntry("x5", sp.cross_polytope(5)), seed=8)
         # empty face + 10 vertices + 40 edges
         assert len(report.records) == 51
         assert report.count(PASS) == 51
@@ -427,7 +439,7 @@ class TestSymmetryOrbits:
         report = Report()
         for entry in build_corpus(DEFAULT_FAMILIES, dims, 20260823):
             with rigid_verdict_memo():
-                report.extend(verify_star_rigidity(entry))
+                report.extend(verify("star_rigidity", entry))
         assert report.ok
         assert (len(report.records), len(certified)) == (records, checks)
         assert sum(r.note == "" for r in report.records) == checks
@@ -436,7 +448,7 @@ class TestSymmetryOrbits:
         corpus = {e.name: e for e in default_corpus}
         transferred = 0
         for entry in default_corpus:
-            report = verify_star_rigidity(entry, seed=derive_seed(20260823, entry.name))
+            report = verify("star_rigidity", entry, seed=derive_seed(20260823, entry.name))
             for record in report.records:
                 if record.note:
                     transferred += 1
@@ -454,7 +466,7 @@ class TestSymmetryOrbits:
         assert entry.name == "cyclic-7-5"
         monkeypatch.setattr(spherig.harness, "certify_star_rigidity", lambda delta, face: face)
         monkeypatch.setattr(spherig.harness, "check", lambda face, seed: face != {3})
-        report = verify_star_rigidity(entry)
+        report = verify("star_rigidity", entry)
         verdicts = {r.instance: (r.verdict, r.note) for r in report.records}
         assert verdicts["cyclic-7-5:s=3"] == (FAIL, "")
         assert verdicts["cyclic-7-5:s=4"] == (PASS, "")
@@ -467,8 +479,8 @@ class TestSymmetryOrbits:
 
     def test_records_keep_their_own_seeds(self):
         entry = build_corpus(("cross-polytope",), (5,), 0)[0]
-        report = verify_star_rigidity(entry, seed=8)
-        plain = verify_star_rigidity(CorpusEntry(entry.name, entry.complex), seed=8)
+        report = verify("star_rigidity", entry, seed=8)
+        plain = verify("star_rigidity", CorpusEntry(entry.name, entry.complex), seed=8)
         assert report.machine_format() == plain.machine_format()
         # the empty face, one vertex and one edge: B_5 moves any vertex or
         # edge to any other
@@ -508,7 +520,7 @@ class TestSymmetryOrbits:
         entry = build_corpus(("negative-control",), (5,), 0)[0]
         with pytest.raises(ValueError, match=f"{entry.name}: .* is not an automorphism"):
             CorpusEntry(entry.name, entry.complex, ({1: 6, 6: 1},))
-        assert verify_missing_face_lemma(entry).records[0].verdict == SKIP
+        assert verify("missing_face", entry).records[0].verdict == SKIP
 
     def test_an_entry_is_frozen(self):
         entry = build_corpus(("simplex",), (4,), 0)[0]
@@ -561,8 +573,8 @@ class TestSymmetryOrbits:
         # cross-d4: every edge joins two of the four antipodal pairs, and the
         # signed pair permutations move any edge onto 1-3
         entry = build_corpus(("cross-polytope",), (4,), 0)[0]
-        report = verify_contractions(entry, seed=5)
-        plain = verify_contractions(CorpusEntry(entry.name, entry.complex), seed=5)
+        report = verify("contraction", entry, seed=5)
+        plain = verify("contraction", CorpusEntry(entry.name, entry.complex), seed=5)
         assert report.machine_format() == plain.machine_format()
         assert [r.instance for r in report.records if not r.note] == [
             "cross-d4:e=1-3:degenerate", "cross-d4:e=1-3:generic"
@@ -572,7 +584,7 @@ class TestSymmetryOrbits:
         # of their skips keeps the entry's seed and its own note
         entry = build_corpus(("joins",), (4,), 0)[-2]
         assert entry.name == "join-cycle-d4-k5"
-        report = verify_contractions(entry, seed=5)
+        report = verify("contraction", entry, seed=5)
         skips = [r for r in report.records if r.verdict == SKIP]
         assert len(skips) == 8
         assert {r.seed for r in skips} == {5}
@@ -738,11 +750,12 @@ class TestRunSuite:
         # stacked facet, the same labelled graph in control-cross-d4
         earlier: list[frozenset] = []  # the shapes recorded before each entry
         answered = []  # the entries with a decision answered from them
-        check, shape = spherig.harness.verify_minus_edge, spherig.rigidity._shape
+        check, shape = spherig.harness.verify, spherig.rigidity._shape
 
-        def first_check(entry, **options):
-            earlier.append(frozenset(spherig.rigidity._known_rigid.get()))
-            return check(entry, **options)
+        def first_check(kind, entry, **options):
+            if kind == "minus_edge":
+                earlier.append(frozenset(spherig.rigidity._known_rigid.get()))
+            return check(kind, entry, **options)
 
         def shape_spy(graph, d):
             key = shape(graph, d)
@@ -750,7 +763,7 @@ class TestRunSuite:
                 answered.append(len(earlier) - 1)
             return key
 
-        monkeypatch.setattr(spherig.harness, "verify_minus_edge", first_check)
+        monkeypatch.setattr(spherig.harness, "verify", first_check)
         monkeypatch.setattr(spherig.rigidity, "_shape", shape_spy)
         assert run_suite(small_config).ok
         assert len(earlier) == 3 and earlier[0] == frozenset()
@@ -761,15 +774,16 @@ class TestRunSuite:
         # its entry's checks: when an entry's star check starts, every earlier
         # entry's complex is gone
         refs, alive = [], []
-        real = spherig.harness.verify_star_rigidity
+        real = spherig.harness.verify
 
-        def spy(entry, **options):
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in refs))
-            refs.append(weakref.ref(entry.complex))
-            return real(entry, **options)
+        def spy(kind, entry, **options):
+            if kind == "star_rigidity":
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(entry.complex))
+            return real(kind, entry, **options)
 
-        monkeypatch.setattr("spherig.harness.verify_star_rigidity", spy)
+        monkeypatch.setattr("spherig.harness.verify", spy)
         assert run_suite(SuiteConfig(seed=20260823)).ok
         assert alive == [0] * 31
 
@@ -814,7 +828,7 @@ class TestRunSuite:
 
     def test_missing_face_edge_records_replay(self):
         entry = CorpusEntry("j23", sp.join_spheres(2, 3))
-        report = verify_missing_face_lemma(entry, seed=4)
+        report = verify("missing_face", entry, seed=4)
         assert {r.note for r in report.records} == {""}
         for line in report.machine_format().splitlines():
             assert replay(line, {"j23": entry}) == line

@@ -265,6 +265,40 @@ class TestAttachOrder:
         # nothing passes vacuously
         assert (isolated, disconnected, peeling) == (125, 95, 105)
 
+    @staticmethod
+    def first_count_against_the_oracle(graph: Graph, d: int, rng: random.Random) -> int:
+        """Assert that the first back-neighbours number at most the generic
+        rank, at a random rational point, and at most the peeling bound;
+        return whether they meet the bound, which then is the rank."""
+        peel = spherig.rigidity._peel(graph, d)
+        count = sum(len(back) for _, back in spherig.rigidity._attach_order(peel, d)[2])
+        bound = spherig.rigidity._rank_bound(peel, d)
+        assert count <= rational_rigidity_rank(graph, d, rng) <= bound, graph.sorted_edges()
+        return count == bound
+
+    def test_first_count_is_at_most_the_rank_on_small_spheres_and_their_deletions(
+        self, small_spheres
+    ):
+        rng = random.Random(19)
+        checked = settled = 0
+        for _, delta, d in small_spheres:
+            graph = graph_of(delta)
+            for g in (graph, *(graph.remove_edge(a, b) for a, b in graph.sorted_edges())):
+                settled += self.first_count_against_the_oracle(g, d, rng)
+                checked += 1
+        # the count falls short of the bound on 70: the graph of each
+        # cross-polytope, whose largest clique is a facet, K_d, with every
+        # deletion at d >= 4, and the 3 deletions of join-cycle-4-5 that
+        # break each of its K_5
+        assert (checked, settled) == (242, 172)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_first_count_is_at_most_the_rank_on_graphs_up_to_9_vertices(self, data):
+        d, n = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 9))
+        edges = data.draw(st.frozensets(st.sampled_from(list(combinations(range(n), 2)))))
+        self.first_count_against_the_oracle(Graph(range(n), edges), d, random.Random(n))
+
     def deletions_against_the_oracle(self, graph: Graph, d: int, seed: int) -> tuple[int, int]:
         """Check edge_deletion_ranks against each G - e's matrix at the first
         point; return whether G is read out of sorted order, and how many of
