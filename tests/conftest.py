@@ -1,7 +1,7 @@
 import pytest
 
 import spherig as sp
-from spherig.harness import DEFAULT_FAMILIES, build_corpus
+from spherig.harness import DEFAULT_FAMILIES, SuiteConfig, build_corpus, run_suite
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,11 @@ def default_corpus():
     sweep; d = 4 sweeps filter it by entry.d.  A test that counts work or
     spies on per-complex caches builds its own corpus instead."""
     return tuple(build_corpus(DEFAULT_FAMILIES, (4, 5, 6), 20260823))
+
+
+@pytest.fixture(scope="session")
+def default_report():
+    """The default run's report at seed 20260823, run once for the tests
+    that only read it.  A test that spies on or patches the run makes its
+    own, and so does one that checks that two runs agree."""
+    return run_suite(SuiteConfig(seed=20260823))

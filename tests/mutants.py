@@ -445,6 +445,18 @@ MUTANTS = [
         ),
     ),
     (
+        "missing-face-passes-a-rejected-certificate",
+        "src/spherig/harness.py",
+        "        ok = check(certify_missing_face_edge(delta, *instance), sub)\n"
+        '        yield CheckRecord("", "", PASS if ok else FAIL, seed=sub)\n',
+        "        ok = check(certify_missing_face_edge(delta, *instance), sub)\n"
+        '        yield CheckRecord("", "", PASS, seed=sub)\n',
+        (
+            "tests/test_harness.py::TestMissingFaceLemma"
+            "::test_a_rejected_certificate_fails_its_record_and_its_orbit",
+        ),
+    ),
+    (
         "orbit-generators-unverified",
         "src/spherig/harness.py",
         "                raise ValueError("

@@ -225,18 +225,37 @@ class TestMissingFaceLemma:
         assert {r.seed for r in report.records} == {s}
         assert cert_seeds == [s] * len(report.records)
 
-    def test_ranks_equal_the_edge_deletion_ranks_outside_a_memo(self, default_corpus):
+    def test_a_rejected_certificate_fails_its_record_and_its_orbit(self, monkeypatch):
+        # the certificate alone decides: no rank stands in for it, and the
+        # two checked edges' failures carry over to their orbits
+        entry = build_corpus(("joins",), (5,), 0)[0]
+        assert entry.name == "join-spheres-2-3"
+        monkeypatch.setattr("spherig.harness.check", lambda cert, seed: False)
+        report = verify("missing_face", entry, seed=4)
+        assert len(report.records) == report.count(FAIL) == 9
+        assert sum(not r.note for r in report.records) == 2
+        assert {(r.rank, r.target) for r in report.records} == {(None, None)}
+
+    @pytest.mark.parametrize("six_families", [False, True], ids=["default", "six-families"])
+    def test_every_passing_edge_is_rigid_in_its_minus_edge_record(
+        self, six_families, default_report, default_corpus
+    ):
+        # the lemma and the engine agree on every G - e the lemma covers:
+        # minus_edge ranks that deletion at the rigid target
         seed, checked = 20260823, 0
-        assert spherig.rigidity._known_rigid.get() is None
-        for entry in default_corpus:
-            report = verify("missing_face", entry, seed=seed)
-            sub = derive_seed(seed, "missing-face", entry.name)
-            ranks = edge_deletion_ranks(graph_of(entry.complex), entry.d, sub)
-            for record in report.records:
-                if record.verdict != SKIP:
-                    edge = tuple(int(v) for v in record.instance.rsplit("e=", 1)[1].split("-"))
-                    assert record.rank == ranks[edge], record.instance
-                    checked += 1
+        corpus, report = default_corpus, default_report
+        if six_families:
+            corpus = build_corpus(FAMILIES, (4, 5, 6), seed)
+            report = run_suite(SuiteConfig(families=FAMILIES, seed=seed))
+        targets = {e.name: rigidity_target(len(e.complex.vertices), e.d) for e in corpus}
+        engine = {r.instance: r for r in report.records if r.check == "minus_edge"}
+        for record in report.records:
+            if record.check == "missing_face" and record.verdict == PASS:
+                name, _, edge = record.instance.split(":")
+                ranked = engine[f"{name}:{edge}"]
+                rigid = (PASS, targets[name], targets[name])
+                assert (ranked.verdict, ranked.rank, ranked.target) == rigid, record.instance
+                checked += 1
         assert checked == 313
 
 
@@ -555,13 +574,15 @@ class TestSymmetryOrbits:
         assert sum(not r.note for r in faces) == 130
         assert sum(not r.note for r in edges) == 93
 
-    def test_transferred_missing_face_and_contraction_records_replay(self, default_corpus):
+    def test_transferred_missing_face_and_contraction_records_replay(
+        self, default_report, default_corpus
+    ):
         # at the record's own seed: the suite's seed scheme, not the seed of
         # the instance whose verdict it took
         seed = 20260823
         corpus = {e.name: e for e in default_corpus}
         transferred = {"missing_face": 0, "contraction": 0}
-        for record in run_suite(SuiteConfig(seed=seed)).records:
+        for record in default_report.records:
             if record.check in transferred and record.note.startswith("same orbit as "):
                 transferred[record.check] += 1
                 line = record.machine_line()
@@ -682,11 +703,13 @@ def small_config():
 
 class TestRunSuite:
 
-    def test_suite_passes_and_counts_add_up(self, small_config):
+    def test_suite_passes_and_counts_add_up(self, small_config, default_report):
         # on the small corpus and the default one, each entry's graph G is
         # decided d-rigid by one record: the star record of its empty face
-        for config, size in ((small_config, 3), (SuiteConfig(seed=20260823), 31)):
-            report = run_suite(config)
+        for config, report, size in (
+            (small_config, run_suite(small_config), 3),
+            (SuiteConfig(seed=20260823), default_report, 31),
+        ):
             assert report.ok
             total = report.count(PASS) + report.count(FAIL) + report.count(SKIP)
             assert total == len(report.records)
@@ -795,7 +818,7 @@ class TestRunSuite:
         report = run_suite(config).machine_format()
         assert len(report.splitlines()) == 1165
         assert hashlib.sha256(report.encode()).hexdigest() == (
-            "f79526a81f1fe866904bae28a84e8ae41cf271eeebda332e0aa312f6d1429a8c"
+            "3a553625d4bc54b080bff031bac449c841c5e3ca64132a25b785fbabfbd7381f"
         )
 
     def test_default_suite_builds_52_matrices_of_1225_rows(self, monkeypatch):
@@ -877,8 +900,8 @@ def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
     def face(label: str) -> tuple[int, ...]:
         return () if label == "empty" else tuple(int(v) for v in label.split("-"))
 
-    def ranked(rank: int, target: int, ok: bool = True) -> str:
-        verdict = PASS if ok and rank == target else FAIL
+    def ranked(rank: int, target: int) -> str:
+        verdict = PASS if rank == target else FAIL
         return "\t".join([kind, instance, verdict, str(rank), str(target), seed_text])
 
     def plain(verdict: str) -> str:
@@ -900,10 +923,8 @@ def replay(line: str, corpus: dict[str, CorpusEntry]) -> str:
         if parts == ["vacuous"]:
             qualifying = [f for f in delta.missing_faces() if 3 <= len(f) <= d - 1]
             return plain(FAIL if qualifying else SKIP)
-        sigma, edge = face(fields["s"]), pair(fields["e"])
-        rank = decide_rigidity(graph.remove_edge(*edge), d, seed=seed).rank
-        cert_ok = check(certify_missing_face_edge(delta, sigma, edge), seed)
-        return ranked(rank, target, cert_ok)
+        ok = check(certify_missing_face_edge(delta, face(fields["s"]), pair(fields["e"])), seed)
+        return plain(PASS if ok else FAIL)
     assert kind == "contraction"
     a, b = pair(fields["e"])
     link = delta.link((a, b))

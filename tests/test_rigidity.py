@@ -59,6 +59,20 @@ def first_rows_bound(graph: Graph, d: int, phi: dict) -> int:
     return directions_rank_sum(phi, attach_order(graph, d)[2])
 
 
+@pytest.fixture(scope="module")
+def small_sphere_ranks(small_spheres) -> dict:
+    """The rational oracle's rank, at one random point each, of every small
+    sphere's graph G and of each G - ab, keyed by (name, None) and by (name,
+    (a, b)): one table for every test that ranks them."""
+    rng, ranks = random.Random(19), {}
+    for name, delta, d in small_spheres:
+        graph = graph_of(delta)
+        ranks[name, None] = rational_rigidity_rank(graph, d, rng)
+        for a, b in graph.sorted_edges():
+            ranks[name, (a, b)] = rational_rigidity_rank(graph.remove_edge(a, b), d, rng)
+    return ranks
+
+
 def count_embeddings(monkeypatch) -> list:
     """Patch random_embedding to record its calls; return the record."""
     drawn = []
@@ -266,25 +280,27 @@ class TestAttachOrder:
         assert (isolated, disconnected, peeling) == (125, 95, 105)
 
     @staticmethod
-    def first_count_against_the_oracle(graph: Graph, d: int, rng: random.Random) -> int:
+    def first_count_against_the_oracle(graph: Graph, d: int, rank: int) -> int:
         """Assert that the first back-neighbours number at most the generic
-        rank, at a random rational point, and at most the peeling bound;
-        return whether they meet the bound, which then is the rank."""
+        rank, the rational oracle's rank at a random point, and at most the
+        peeling bound; return whether they meet the bound, which then is
+        the rank."""
         peel = spherig.rigidity._peel(graph, d)
         count = sum(len(back) for _, back in spherig.rigidity._attach_order(peel, d)[2])
         bound = spherig.rigidity._rank_bound(peel, d)
-        assert count <= rational_rigidity_rank(graph, d, rng) <= bound, graph.sorted_edges()
+        assert count <= rank <= bound, graph.sorted_edges()
         return count == bound
 
     def test_first_count_is_at_most_the_rank_on_small_spheres_and_their_deletions(
-        self, small_spheres
+        self, small_spheres, small_sphere_ranks
     ):
-        rng = random.Random(19)
         checked = settled = 0
-        for _, delta, d in small_spheres:
+        for name, delta, d in small_spheres:
             graph = graph_of(delta)
-            for g in (graph, *(graph.remove_edge(a, b) for a, b in graph.sorted_edges())):
-                settled += self.first_count_against_the_oracle(g, d, rng)
+            for edge in (None, *graph.sorted_edges()):
+                g = graph if edge is None else graph.remove_edge(*edge)
+                rank = small_sphere_ranks[name, edge]
+                settled += self.first_count_against_the_oracle(g, d, rank)
                 checked += 1
         # the count falls short of the bound on 70: the graph of each
         # cross-polytope, whose largest clique is a facet, K_d, with every
@@ -297,7 +313,9 @@ class TestAttachOrder:
     def test_first_count_is_at_most_the_rank_on_graphs_up_to_9_vertices(self, data):
         d, n = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 9))
         edges = data.draw(st.frozensets(st.sampled_from(list(combinations(range(n), 2)))))
-        self.first_count_against_the_oracle(Graph(range(n), edges), d, random.Random(n))
+        graph = Graph(range(n), edges)
+        rank = rational_rigidity_rank(graph, d, random.Random(n))
+        self.first_count_against_the_oracle(graph, d, rank)
 
     def deletions_against_the_oracle(self, graph: Graph, d: int, seed: int) -> tuple[int, int]:
         """Check edge_deletion_ranks against each G - e's matrix at the first
@@ -537,15 +555,10 @@ class TestEdgeDeletionRanks:
                 checked += 1
         assert checked == 848
 
-    def test_matches_rational_rank_on_small_spheres(self, small_spheres):
-        rng = random.Random(17)
+    def test_matches_rational_rank_on_small_spheres(self, small_spheres, small_sphere_ranks):
         for name, delta, d in small_spheres:
-            if len(delta.vertices) > 8:
-                continue
-            graph = graph_of(delta)
-            for (a, b), rank in edge_deletion_ranks(graph, d, seed=5).items():
-                exact = rational_rigidity_rank(graph.remove_edge(a, b), d, rng)
-                assert rank == exact, (name, a, b)
+            for edge, rank in edge_deletion_ranks(graph_of(delta), d, seed=5).items():
+                assert rank == small_sphere_ranks[name, edge], (name, edge)
 
     def test_unstressed_edges_fall_back_to_decide_rigidity(self, monkeypatch):
         # the new vertex has degree d, so no stress uses its edges; each of
