@@ -12,34 +12,35 @@ always correct, and a "flexible" answer is exact at the peeling bound of
 decide_rigidity and on at most d+1 vertices, where no point is drawn, and
 wrong with negligible probability elsewhere.
 
-Every rigidity matrix comes from one builder, _matrix_rows, which yields
-its rows lazily over a given edge and vertex order, and every rank from one
-elimination kernel, _echelon, which inserts rows one at a time into an
-echelon basis, scaling a row by a pivot entry where elimination by hand
-would divide by it, and can stop once the rank reaches a cap.  Every
-elimination reads its rows and column blocks in one order per graph,
+Every rank comes from one elimination kernel, _echelon, which inserts rows
+one at a time into an echelon basis, scaling a row by a pivot entry where
+elimination by hand would divide by it, and can stop once the rank reaches
+a cap.  Every rank reads a graph's matrix in one order per graph,
 _attach_order over the graph's _peel: the core by maximum cardinality
 search, then the vertices peeled at degree <= d, last peeled first.  Each
-vertex's edges go back to vertices placed before it, the latest-placed
-vertex's block first, so a row's leading entry lies in its own vertex's
-block and meets only that vertex's pivots.  Permuting rows and columns
-leaves the rank alone, so no value depends on the order; only the work
-does.  decide_rigidity takes the rank at a point from the first rows of
-that order, each vertex's edges to its first back-neighbours (for a peeled
-vertex, all its edges at removal): the ranks of their directions add up to
-a lower bound on the rank.  Where it meets the peeling bound, it is the
-rank; only otherwise is the matrix eliminated, and only until the rank
-reaches the bound.  The result is the full matrix's rank at that point, not
-an estimate (see _first_rows_rank for the block triangular argument).
-edge_deletion_ranks answers every single-edge deletion of a graph from one
-elimination of its matrix, with the same guarantee (see its docstring), and
-contraction_ranks gives the ranks of G - ab and of G/ab at a random point
-moved to merge a and b, each as decide_rigidity reads the rank at a point,
-and the second from the first where that meets G - ab's target.  Inside
-rigid_verdict_memo decide_rigidity and edge_deletion_ranks record the
-shapes of the graphs they find rigid (the graph relabelled 0..n-1 in sorted
-vertex order, with d), and decide_rigidity answers a graph of a recorded
-shape without a new embedding.
+vertex's first rows, its edges to its first back-neighbours (for a peeled
+vertex, all its edges at removal), are zero in the column blocks of the
+vertices placed after it, so they are block upper triangular, and the
+ranks of each vertex's first directions add up to a lower bound on the
+rank (_first_rows_rank).  decide_rigidity takes the rank at a point from
+that bound where it meets the peeling bound.  Only otherwise is the matrix
+built, and then only as back-substitution reads it: each vertex's first
+directions are factored once, every other row, which touches two vertex
+blocks, is reduced through the blocks at O(d^2) a block, latest-placed
+block first, and only the residuals, on the columns that are no vertex's
+pivot, are eliminated, until the rank reaches the bound (_reduced_rows).
+The result is the full matrix's rank at that point, not an estimate.
+Permuting rows and columns leaves the rank alone, so no value depends on
+the order; only the work does.  edge_deletion_ranks answers every
+single-edge deletion of a graph from one such reduction, each residual
+carrying the rows it is a combination of, with the same guarantee (see its
+docstring), and contraction_ranks gives the ranks of G - ab and of G/ab at
+a random point moved to merge a and b, each as decide_rigidity reads the
+rank at a point, and the second from the first where that meets G - ab's
+target.  Inside rigid_verdict_memo decide_rigidity and edge_deletion_ranks
+record the shapes of the graphs they find rigid (the graph relabelled
+0..n-1 in sorted vertex order, with d), and decide_rigidity answers a graph
+of a recorded shape without a new embedding.
 
 Field elements are plain Python ints in [0, p), and a point is a plain dict
 from vertex to coordinates; there is no wrapper class.  All randomness is
@@ -57,6 +58,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
 from math import comb
+from operator import mul
 from typing import Iterable, Iterator
 
 from .graphs import Graph, complete_graph, union
@@ -87,37 +89,12 @@ def random_embedding(graph: Graph, d: int, seed: int) -> Point:
     }
 
 
-def _matrix_rows(
-    edge_order: list[tuple[int, int]], vertex_order: list[int], phi: Point, d: int
-) -> Iterator[list[int]]:
-    """The rigidity matrix of the edges at a point, one row at a time.
-
-    Every rigidity matrix is built here.  Rows follow edge_order; columns
-    come in d-sized blocks, one per vertex in vertex_order.  The row of edge
-    (u, v) carries phi(u) - phi(v) in u's block and the negative in v's
-    block, entries in [0, p), p = DEFAULT_PRIME.  Rows are built as they
-    are read, so an elimination that stops early never builds the rest.
-    """
-    p = DEFAULT_PRIME
-    col_of = {v: i * d for i, v in enumerate(vertex_order)}
-    ncols = d * len(vertex_order)
-    for u, v in edge_order:
-        row = [0] * ncols
-        pu, pv = phi[u], phi[v]
-        cu, cv = col_of[u], col_of[v]
-        for k in range(d):
-            diff = (pu[k] - pv[k]) % p
-            row[cu + k] = diff
-            row[cv + k] = (-diff) % p
-        yield row
-
-
 # The peeled vertices in peel order, each with its sorted neighbours when
 # peeled, then the core's adjacency (see _peel).
 Peel = tuple[list[tuple[int, list[int]]], dict[int, set[int]]]
-# The column blocks, the edges and each vertex's first back-neighbours, in
-# which every elimination reads a graph's matrix (see _attach_order).
-Order = tuple[list[int], list[tuple[int, int]], list[tuple[int, list[int]]]]
+# The edges and each vertex's first back-neighbours, in the order in which
+# every rank reads a graph's matrix (see _attach_order).
+Order = tuple[list[tuple[int, int]], list[tuple[int, list[int]]]]
 
 
 def _peel(graph: Graph, d: int) -> Peel:
@@ -147,8 +124,8 @@ def _peel(graph: Graph, d: int) -> Peel:
 
 
 def _attach_order(peel: Peel, d: int) -> Order:
-    """The column blocks and rows in which to eliminate a graph's rigidity
-    matrix, from its _peel, and each vertex's first back-neighbours.
+    """The rows in which to reduce a graph's rigidity matrix, from its _peel,
+    and each vertex's first back-neighbours, in placement order.
 
     The core's vertices are placed one at a time, each time the unplaced
     vertex with the most placed neighbours, ties going to the smallest label
@@ -160,11 +137,10 @@ def _attach_order(peel: Peel, d: int) -> Order:
     they are placed before it, and they are all its edges.  The edges come
     as sorted pairs: for each vertex in placement order, its edges to its
     first back-neighbours, then every other edge in the same order.  The
-    column blocks go latest-placed vertex first.  Then the row of an edge
-    from v back to an earlier u is zero in the blocks before v's, so its
-    leading entry lies in v's block, and until v's block is full only v's
-    own earlier rows reduce it.  The back-neighbours come as (vertex, first
-    back-neighbours) in placement order.
+    row of an edge from v back to an earlier u is zero in the column blocks
+    of the vertices placed after v; _first_rows_rank and _reduced_rows
+    read that.  The back-neighbours come as (vertex, first back-neighbours)
+    in placement order.
     """
     peeled, nbrs = peel
     count = dict.fromkeys(nbrs, 0)  # placed neighbours of each unplaced vertex
@@ -182,22 +158,22 @@ def _attach_order(peel: Peel, d: int) -> Order:
             count[u] += 1
     for v, around in reversed(peeled):
         firsts.append((v, around))
-        placed.append(v)
     first = [(min(u, v), max(u, v)) for v, back in firsts for u in back]
-    return placed[::-1], first + rest, firsts
+    return first + rest, firsts
 
 
 def _echelon(
     rows: Iterable[list[int]], ncols: int, stop: int | None = None
-) -> tuple[list[int], list[list[int]]]:
+) -> tuple[dict[int, tuple[int, list[int]]], list[list[int]]]:
     """Insert rows with entries in [0, p), p = DEFAULT_PRIME, one at a time
     into an echelon basis over F_p, pivoting on the first ncols columns only.
 
-    Returns the pivot columns, in the order the rows that own them came in,
-    and, for each row that reduced to zero on the first ncols columns, its
-    entries past them.  A row is reduced by the pivot row of its leading
-    column until its leading column has none, where it becomes a pivot row,
-    or it has no leading column left.  A pivot row keeps only its pivot
+    Returns the basis, each pivot column mapped to its pivot row's pivot
+    entry and entries after the pivot, in the order the rows that own them
+    came in, and, for each row that reduced to zero on the first ncols
+    columns, its entries past them.  A row is reduced by the pivot row of
+    its leading column until its leading column has none, where it becomes
+    a pivot row, or it has no leading column left.  A pivot row keeps only its pivot
     entry e and its entries after its pivot; it is never normalised, and it
     is zero left of its pivot, so reducing by it leaves earlier columns
     alone.  Reducing r, whose leading entry is x, gives e*r - x*(pivot row),
@@ -207,12 +183,13 @@ def _echelon(
     step, every row is a nonzero multiple of the row the same reduction
     with inverses holds.  The pivot columns, their order, and which entries
     of each zero row are nonzero are therefore those of elimination with
-    inverses, and they are all that a caller reads.  Entries past ncols are
-    carried along by every reduction.  Reading ends as soon as there are
-    stop pivots, so the rank of the rows read is then stop; a caller passes
-    a stop that the rank of all the rows cannot exceed, and that rank is
-    then stop too.  Rows are read lazily, so rows past the stop are never
-    built.  The input rows are not changed.
+    inverses, and a pivot row divided by its pivot entry is that
+    elimination's pivot row.  Entries past ncols are carried along by every
+    reduction.  Reading ends as soon as there are stop pivots, so the rank
+    of the rows read is then stop; a caller passes a stop that the rank of
+    all the rows cannot exceed, and that rank is then stop too.  Rows are
+    read lazily, so rows past the stop are never built.  The input rows are
+    not changed.
     """
     p = DEFAULT_PRIME
     basis: dict[int, tuple[int, list[int]]] = {}
@@ -234,7 +211,7 @@ def _echelon(
                 break
         else:
             zeros.append(r[ncols - o :])
-    return list(basis), zeros
+    return basis, zeros
 
 
 def rigidity_target(n_vertices: int, d: int) -> int:
@@ -338,14 +315,14 @@ def _first_rows_rank(phi: Point, firsts: list[tuple[int, list[int]]], d: int) ->
     sum over the vertices v of the rank of the directions phi(v) - phi(u),
     u among v's first back-neighbours.
 
-    The first rows, each vertex v's rows to its first back-neighbours,
-    latest-placed vertex first, are zero in the blocks of the vertices
-    placed after v, which come first; so they are block upper triangular,
-    with v's first directions on the diagonal.  A combination of them that
-    vanishes puts no weight on rows independent on the first diagonal
-    block, whose columns no later row reaches, then none on such rows of
-    the next block, and so on; so the rank at phi is at least the sum of
-    the diagonal blocks' ranks.  A peeled vertex's block holds the
+    The first rows, each vertex v's rows to its first back-neighbours, are
+    zero in the column blocks of the vertices placed after v; so, rows and
+    column blocks both taken latest-placed vertex first, they are block
+    upper triangular, with v's first directions on the diagonal.  A
+    combination of them that vanishes puts no weight on rows independent on
+    the first diagonal block, whose columns no later row reaches, then none
+    on such rows of the next block, and so on; so the rank at phi is at
+    least the sum of the diagonal blocks' ranks.  A peeled vertex's block holds the
     directions to all its neighbours at removal: where they are independent
     it adds its whole degree (the 0-extension step of Tay-Whiteley 1985).
     The argument holds at every point, a degenerate one included.
@@ -357,22 +334,168 @@ def _first_rows_rank(phi: Point, firsts: list[tuple[int, list[int]]], d: int) ->
     return total
 
 
+def _inverses(entries: list[int]) -> dict[int, int]:
+    """Each of the nonzero entries in [0, p) mapped to its inverse mod p,
+    from one modular inverse (Montgomery 1987): the inverse of an entry is
+    the inverse of the product of all of them times the product of the
+    others, taken from prefix products."""
+    p, prefix = DEFAULT_PRIME, [1]
+    for x in entries:
+        prefix.append(prefix[-1] * x % p)
+    inverse, inverses = pow(prefix[-1], -1, p), {}
+    for i in range(len(entries) - 1, -1, -1):
+        inverses[entries[i]] = inverse * prefix[i] % p
+        inverse = inverse * entries[i] % p
+    return inverses
+
+
+# One vertex's first directions at a point, factored (see _factor).
+Factor = tuple[
+    list[tuple[int, int, tuple[int, ...]]], list[tuple[int, ...]], list[tuple[int, tuple[int, ...]]]
+]
+
+
+def _factor(
+    basis: dict[int, tuple[int, list[int]]], inverses: dict[int, int], d: int, k: int
+) -> Factor:
+    """One vertex's k first directions D at a point, factored for
+    back-substitution: (pivots, maps, others), from the _echelon basis B of
+    the directions each extended by its unit vector, B = L [D | I], and the
+    inverses of its pivot entries.
+
+    B's rows, in the order of their pivot columns, are zero left of their
+    pivots; pivots lists each pivot column with its inverse pivot entry and
+    B's column there, maps[j] is L's column j, and others pairs each column
+    that is not a pivot with B's column there.  For a vector x of d
+    entries, forward substitution gives the weights a_i, in order, for
+    which x - a B is zero on every pivot column: a_i is x's entry at the
+    i-th pivot, less the earlier weights times B's column there, over the
+    pivot entry.  Then x - a B is x[c] - a B[c] on another column c, and a
+    B is the combination of the directions with weights a maps[j].  L's
+    column j is zero exactly where direction j depends on the ones before
+    it: a pivot row's extension reaches only the directions that became
+    pivots, each in the row it made.
+    """
+    rows = [[0] * c + [e] + tail for c, (e, tail) in sorted(basis.items())]
+    columns = list(zip(*rows)) if rows else [()] * (d + k)
+    pivots = [(c, inverses[row[c]], columns[c]) for c, row in zip(sorted(basis), rows)]
+    others = [(c, columns[c]) for c in range(d) if c not in basis]
+    return pivots, columns[d:], others
+
+
+# Per row that _reduced_rows reduces: its position in the order's edges, its
+# residual, and the steps of its back-substitution, each the position of a
+# vertex's first rows and their weights in the combination subtracted.
+Reduced = tuple[int, list[int], list[tuple[int, list[int]]]]
+
+
+def _reduced_rows(order: Order, phi: Point, d: int) -> tuple[int, int, Iterator[Reduced]]:
+    """A graph's rigidity matrix at phi, reduced through its first rows in
+    its _attach_order: (count, ncols, rows).
+
+    Each vertex's first directions are factored once (_factor).  A first row
+    independent of its vertex's earlier first rows at phi is a pivot row,
+    and count is their number, the sum _first_rows_rank takes.  Every other
+    row, a rest row or a first row dependent inside its own block, is
+    reduced by back-substitution through the blocks, latest-placed block
+    first.  The row of edge uv holds phi(v) - phi(u) in v's block and the
+    negative in u's, and nothing else.  Where the row's block of a vertex w
+    is x, the step subtracts the combination of w's first rows that clears
+    x on w's pivot columns (_factor).  What that leaves on w's other
+    columns is the row's residual there, and it adds to the blocks of w's
+    first back-neighbours, all placed before w, and to no other block.  So
+    no later step comes back to w's block, and a step costs O(d^2), not the
+    length of a row.  The residual lies on the ncols = d*n - count columns
+    that are no vertex's pivot, numbered in placement order.  The rows come
+    in the order's edge order, as Reduced triples, each reduced only when
+    it is read.
+
+    The pivot rows are block upper triangular (see _first_rows_rank), and
+    on the pivot columns their diagonal blocks are invertible; so a
+    combination of pivot rows and residuals that vanishes puts no weight on
+    a pivot row, and the rank of all of them is count plus the rank of the
+    residuals.  Subtracting combinations of pivot rows from the other rows
+    changes no rank, so that is the rank of the whole matrix at phi, at
+    every point, a degenerate one included.
+    """
+    p = DEFAULT_PRIME
+    edges, firsts = order
+    placed = {v: i for i, (v, _) in enumerate(firsts)}
+    directions = [
+        [[(x - y) % p for x, y in zip(phi[v], phi[u])] for u in back] for v, back in firsts
+    ]
+    bases = [
+        _echelon((row + [0] * i + [1] + [0] * (len(ds) - 1 - i) for i, row in enumerate(ds)), d)[0]
+        for ds in directions
+    ]
+    inverses = _inverses([e for basis in bases for e, _ in basis.values()])
+    # per vertex: its factor, its first back-neighbours' blocks with their
+    # directions, its other columns' places in the residual, its first row
+    blocks = []
+    pivot_rows: set[int] = set()
+    first = ncols = 0
+    for (v, back), ds, basis in zip(firsts, directions, bases):
+        pivots, maps, others = _factor(basis, inverses, d, len(back))
+        pivot_rows.update(first + j for j, weights in enumerate(maps) if any(weights))
+        ends = [(placed[u], direction) for u, direction in zip(back, ds)]
+        columns = [(ncols + i, c, column) for i, (c, column) in enumerate(others)]
+        blocks.append((pivots, maps, ends, columns, first))
+        first, ncols = first + len(back), ncols + len(others)
+
+    def reduce() -> Iterator[Reduced]:
+        for i, edge in enumerate(edges):
+            if i in pivot_rows:
+                continue
+            u, v = sorted(edge, key=placed.__getitem__)
+            row: list[list[int] | None] = [None] * len(blocks)
+            row[placed[v]] = [(x - y) % p for x, y in zip(phi[v], phi[u])]
+            row[placed[u]] = [(y - x) % p for x, y in zip(phi[v], phi[u])]
+            residual, taken = [0] * ncols, []
+            for w in range(placed[v], -1, -1):
+                x = row[w]
+                if x is None:
+                    continue
+                pivots, maps, ends, columns, start = blocks[w]
+                a: list[int] = []
+                for c, inverse, column in pivots:
+                    a.append((x[c] - sum(map(mul, a, column))) * inverse % p)
+                weights = [sum(map(mul, a, t)) % p for t in maps]
+                for h, (j, direction) in zip(weights, ends):
+                    if h:
+                        y = row[j]
+                        row[j] = (
+                            [h * z % p for z in direction]
+                            if y is None
+                            else [(s + h * z) % p for s, z in zip(y, direction)]
+                        )
+                if any(weights):
+                    taken.append((start, weights))
+                for col, c, column in columns:
+                    residual[col] = (x[c] - sum(map(mul, a, column))) % p
+            yield i, residual, taken
+
+    return len(pivot_rows), ncols, reduce()
+
+
 def _rank_at(order: Order, phi: Point, d: int, bound: int) -> int:
     """The rank of a graph's rigidity matrix at phi, given its _attach_order
     and a bound that no rank of the matrix at any point exceeds.
 
     _first_rows_rank never exceeds the rank at phi, which never exceeds the
-    bound; where they meet, the rank is the bound and nothing is
-    eliminated.  Otherwise the whole matrix is eliminated, in the same
-    order of rows and column blocks, until its rank reaches the bound,
-    which it then equals.  Permuting rows and columns does not change the
-    rank, so either way the value is the rank of the whole matrix at phi,
-    not an estimate.
+    bound; where they meet, the rank is the bound and nothing is reduced.
+    Nor does it exceed the number of first rows, so where that falls short
+    of the bound, as for a cross-polytope's graph, it is not taken at all.
+    Otherwise the other rows are reduced through the first rows
+    (_reduced_rows), and only their residuals are eliminated, until the
+    rank reaches the bound, which it then equals.  Either way the value is
+    the rank of the whole matrix at phi, not an estimate.
     """
-    blocks, edges, firsts = order
-    if _first_rows_rank(phi, firsts, d) == bound:
+    firsts = order[1]
+    if sum(len(back) for _, back in firsts) == bound == _first_rows_rank(phi, firsts, d):
         return bound
-    return len(_echelon(_matrix_rows(edges, blocks, phi, d), d * len(blocks), bound)[0])
+    count, ncols, rows = _reduced_rows(order, phi, d)
+    residuals = (residual for _, residual, _ in rows)
+    return count + len(_echelon(residuals, ncols, bound - count)[0])
 
 
 def decide_rigidity(
@@ -458,27 +581,31 @@ def contraction_ranks(graph: Graph, a: int, b: int, d: int, seed: int) -> tuple[
 
 def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, int], int]:
     """decide_rigidity(graph - e, d, seed=seed).rank for every edge e, from
-    one elimination of the whole graph's matrix.
+    one reduction of the whole graph's matrix.
 
     Keys are the edges as sorted pairs, in sorted order.  The matrix is
-    built once, at the first trial point of decide_rigidity with this seed.
+    read once, at the first trial point of decide_rigidity with this seed.
     That point depends only on the sorted vertex set, d and the seed, and
     G - e has the same vertices as G, so it is also the first point that
     decide_rigidity(G - e, ...) uses; R(G - e) there is R(G) without the row
     of e.  Dropping a row keeps the rank exactly when the row is a
     combination of the others, that is, when some stress (left-kernel
-    vector) of R(G) is nonzero on it.  So one elimination that yields the
+    vector) of R(G) is nonzero on it.  So one reduction that yields the
     rank r of R(G) and the rows some stress uses gives the rank of R(G - e)
     at that point exactly: r on a stressed edge, r - 1 on any other.  The
-    elimination inserts the rows in _attach_order's order, each extended by
-    its unit vector, so the extension of a row records the input rows it has
-    become a combination of.  Each of the m - r rows that reduce to zero
-    gives a stress with weight 1 on its own row and none on later rows.  In
-    any row order these stresses are triangular, hence independent, and
-    there are as many as the left kernel's dimension, so they are a basis;
-    an edge is stressed exactly when one of them is nonzero on it.  The
-    extensions index rows by their position in that order, which is mapped
-    back to the edges before any value is read.
+    matrix is reduced through its first rows in _attach_order's order
+    (_reduced_rows), and r is their count plus the rank of the residuals.
+    Each residual is extended by its row's unit vector, less its
+    back-substitution weights at the first rows they were taken from, so
+    the extension records the input rows the residual is a combination of,
+    and only the residuals are eliminated.  Each of the m - r residuals that
+    reduce to zero gives a stress, nonzero on its own row and zero on the
+    later rows that were reduced.  On the m - count reduced rows these
+    stresses are triangular, hence independent, and there are as many as
+    the left kernel's dimension, so they are a basis; an edge is stressed
+    exactly when one of them is nonzero on it.  The extensions index rows
+    by their position in that order, which is mapped back to the edges
+    before any value is read.
 
     decide_rigidity stops after its first trial once the rank reaches
     min(f1(G - e), target); a value that falls short of that cap is
@@ -504,15 +631,22 @@ def edge_deletion_ranks(graph: Graph, d: int, seed: int = 0) -> dict[tuple[int, 
         return dict.fromkeys(edges, len(edges) - 1)
     target = rigidity_target(len(order), d)
     memo = _known_rigid.get()
-    blocks, attached, _ = _attach_order(_peel(graph, d), d)
+    attached, firsts = _attach_order(_peel(graph, d), d)
     phi = random_embedding(graph, d, derive_seed(seed, "trial", 0))
-    rows = _matrix_rows(attached, blocks, phi, d)
-    # the rows that reduce to zero carry a basis of the stresses in their
-    # unit-vector extensions (see above), indexed by position in attached
-    m = len(edges)
-    work = (row + [int(i == j) for j in range(m)] for i, row in enumerate(rows))
-    pivots, zeros = _echelon(work, d * len(order))
-    rank = len(pivots)
+    count, ncols, rows = _reduced_rows((attached, firsts), phi, d)
+    # the residuals that reduce to zero carry a basis of the stresses in
+    # their extensions (see above), indexed by position in attached
+    p, m = DEFAULT_PRIME, len(edges)
+
+    def extended(i: int, residual: list[int], taken: list[tuple[int, list[int]]]) -> list[int]:
+        extension = [0] * m
+        extension[i] = 1
+        for start, weights in taken:
+            extension[start : start + len(weights)] = [(p - h) % p for h in weights]
+        return residual + extension
+
+    pivots, zeros = _echelon((extended(*row) for row in rows), ncols)
+    rank = count + len(pivots)
     stressed = {attached[j] for extension in zeros for j, x in enumerate(extension) if x}
     cap = min(len(graph.edges) - 1, target)
     if memo is not None:

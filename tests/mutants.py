@@ -139,11 +139,51 @@ MUTANTS = [
     (
         "first-rows-meet-the-bound-one-rank-early",
         RIGIDITY,
-        "    if _first_rows_rank(phi, firsts, d) == bound:\n",
-        "    if _first_rows_rank(phi, firsts, d) >= bound - 1:\n",
+        "== bound == _first_rows_rank(phi, firsts, d):\n",
+        "== bound and _first_rows_rank(phi, firsts, d) >= bound - 1:\n",
         (
             "tests/test_rigidity.py::TestRankAtAPoint"
             "::test_core_vertex_on_the_span_of_its_first_neighbours[5-9]",
+        ),
+    ),
+    (
+        "first-rows-ranked-where-their-count-falls-short",
+        RIGIDITY,
+        "    if sum(len(back) for _, back in firsts) == bound == _first_rows_rank(",
+        "    if bound == _first_rows_rank(",
+        (
+            "tests/test_rigidity.py::TestDoingLess"
+            "::test_cross_polytope_short_on_first_rows_eliminates_one_residual",
+        ),
+    ),
+    (
+        "residual-elimination-does-not-stop-at-the-bound",
+        RIGIDITY,
+        "_echelon(residuals, ncols, bound - count)",
+        "_echelon(residuals, ncols)",
+        (
+            "tests/test_harness.py::TestRunSuite"
+            "::test_default_suite_reduces_only_where_the_first_rows_fall_short",
+        ),
+    ),
+    (
+        "back-substitution-not-carried-into-the-back-neighbours",
+        RIGIDITY,
+        "in zip(weights, ends):\n                    if h:\n",
+        "in zip(weights, ends):\n                    if False:\n",
+        (
+            "tests/test_rigidity.py::TestRigidityMatrix"
+            "::test_rows_match_the_oracle_entry_by_entry[graph1-4]",
+        ),
+    ),
+    (
+        "dependent-first-row-dropped",
+        RIGIDITY,
+        "            if i in pivot_rows:\n",
+        "            if i < first:\n",
+        (
+            "tests/test_rigidity.py::TestRankAtAPoint"
+            "::test_matches_the_oracle_where_a_vertex_has_dependent_first_rows",
         ),
     ),
     (
@@ -163,7 +203,7 @@ MUTANTS = [
         "            if stop is not None and len(basis) == stop - 1:\n",
         (
             "tests/test_rigidity.py::TestDoingLess"
-            "::test_cross_polytope_whose_first_rows_fall_short_eliminates_its_core",
+            "::test_cross_polytope_short_on_first_rows_eliminates_one_residual",
         ),
     ),
     (
@@ -223,8 +263,8 @@ MUTANTS = [
     (
         "attach-order-ignored",
         RIGIDITY,
-        "    return placed[::-1], first + rest, firsts\n",
-        "    return placed[::-1], sorted(first + rest), firsts\n",
+        "    return first + rest, firsts\n",
+        "    return sorted(first + rest), firsts\n",
         (
             "tests/test_rigidity.py::TestAttachOrder"
             "::test_places_by_most_placed_neighbours_and_lists_every_edge_once",

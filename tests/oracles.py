@@ -2,9 +2,9 @@
 
 Everything here trades efficiency for obviousness: full face closures as
 explicit sets, subset scans over the whole power set (Gale's evenness
-condition tested on every d-subset among them), exact rational
-elimination, column-by-column elimination mod p.  The builders (cone,
-connected_sum) return plain facet sets.
+condition tested on every d-subset among them), exact fraction-free
+elimination over the integers, column-by-column elimination mod p.  The
+builders (cone, connected_sum) return plain facet sets.
 Nothing imports the algorithms under test; the only library type that
 appears is SimplicialComplex as a plain container of facets.
 """
@@ -12,7 +12,6 @@ appears is SimplicialComplex as a plain container of facets.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -164,25 +163,27 @@ def brute_prime_factors(facets, d: int) -> list[frozenset[frozenset[int]]]:
 
 
 def rational_rank(rows) -> int:
-    """Exact rank over the rationals by fraction-free-ish Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(rows)
-    if nrows == 0:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
-        if piv is None:
+    """Exact rank over the rationals of integer rows, by fraction-free
+    elimination over the integers (Bareiss 1968), column by column with row
+    swaps: a row below the pivot row r becomes (e * row - f * r) divided by
+    the previous pivot entry, where e is r's pivot entry and f the row's
+    entry in the pivot column.  By Sylvester's identity every entry is then
+    a minor of the input, so each division is exact and every entry stays
+    an integer.  A column with no pivot stays zero below the pivot rows."""
+    rows = [list(row) for row in rows]
+    rank, previous = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, nrows):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / prow[col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], prow)]
-        rank += 1
-        if rank == nrows:
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        e = top[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(e * x - f * y) // previous for x, y in zip(rows[i], top)]
+        previous, rank = e, rank + 1
+        if rank == len(rows):
             break
     return rank
 

@@ -343,13 +343,16 @@ class TestContraction:
         self, default_corpus, monkeypatch
     ):
         # every edge, qualifying or not, at its own seeded degenerate point.
-        # G - ab builds a matrix exactly where its first rows fall short of
-        # its peeling bound at that point, and G/ab is ranked only where the
-        # rank of G - ab falls short of its rigidity target
-        built, ranked = [], []
-        real_rows, real_peel = spherig.rigidity._matrix_rows, spherig.rigidity._peel
+        # G - ab's matrix is reduced exactly where its first rows fall short
+        # of its peeling bound at that point, and G/ab is ranked only where
+        # the rank of G - ab falls short of its rigidity target
+        reduced, ranked = [], []
+        real_reduced, real_peel = spherig.rigidity._reduced_rows, spherig.rigidity._peel
         monkeypatch.setattr(
-            spherig.rigidity, "_matrix_rows", lambda *args: built.append(args[1]) or real_rows(*args)
+            spherig.rigidity,
+            "_reduced_rows",
+            lambda order, *args: reduced.append({v for v, _ in order[1]})
+            or real_reduced(order, *args),
         )
         monkeypatch.setattr(
             spherig.rigidity, "_peel", lambda g, d: ranked.append(g) or real_peel(g, d)
@@ -362,9 +365,9 @@ class TestContraction:
                 point_seed = derive_seed(seed, entry.name, a, b)
                 coords = degenerate_point(g_minus, a, b, point_seed)
                 peel = real_peel(g_minus, 4)
-                _, attached, firsts = spherig.rigidity._attach_order(peel, 4)
+                attached, firsts = spherig.rigidity._attach_order(peel, 4)
                 short = directions_rank_sum(coords, firsts) < spherig.rigidity._rank_bound(peel, 4)
-                built.clear()
+                reduced.clear()
                 ranked.clear()
                 merged = contraction_ranks(g_minus, a, b, 4, point_seed)
                 assert merged == two_matrix_ranks(entry.complex, a, b, coords), (entry.name, a, b)
@@ -372,12 +375,12 @@ class TestContraction:
                 reordered += attached != g_minus.sorted_edges()
                 below = merged[0] < rigidity_target(len(g_minus.vertices), 4)
                 assert ranked[0] == g_minus and len(ranked) == 1 + below, (entry.name, a, b)
-                assert [b in blocks for blocks in built] == [True] * short, (entry.name, a, b)
+                assert [b in placed for placed in reduced] == [True] * short, (entry.name, a, b)
                 settled += not below
                 eliminated += short
         # every G - ab is read in an attach order other than sorted order;
         # 289 of the 309 reach their target, so G/ab is ranked on 20, each
-        # from its first rows; 60 eliminate G - ab
+        # from its first rows; 60 reduce G - ab
         assert (checked, reordered, settled, eliminated) == (309, 309, 289, 60)
 
     def test_contracted_graph_equals_the_contracted_complexs_graph(self):
@@ -821,28 +824,39 @@ class TestRunSuite:
             "3a553625d4bc54b080bff031bac449c841c5e3ca64132a25b785fbabfbd7381f"
         )
 
-    def test_default_suite_builds_52_matrices_of_1225_rows(self, monkeypatch):
-        # a matrix only where the first rows fall short: of a degenerate
-        # contraction point, below the rigidity target of G - ab; of a
-        # decision, below its peeling bound.  None for a graph whose shape
-        # the run's memo recorded, in this entry or an earlier one; none for
-        # the edge deletions of a graph on at most d + 1 vertices; and none
-        # for a star, a missing-face edge or a contraction edge whose orbit's
-        # first instance was checked.  An elimination that no longer stops
-        # at its bound or reads its rows out of attach order reads more rows
-        built = read = 0
-        real = spherig.rigidity._matrix_rows
+    def test_default_suite_reduces_only_where_the_first_rows_fall_short(self, monkeypatch):
+        # a graph's rows are reduced through its first rows only where those
+        # fall short: at a degenerate contraction point, below the rigidity
+        # target of G - ab; in a decision, below its peeling bound; and in
+        # each edge_deletion_ranks.  None for a graph whose shape the run's
+        # memo recorded, in this entry or an earlier one; none for the edge
+        # deletions of a graph on at most d + 1 vertices; and none for a
+        # star, a missing-face edge or a contraction edge whose orbit's
+        # first instance was checked.  Rows are reduced as the residual
+        # elimination reads them, so the rows back-substituted are also the
+        # residual rows eliminated: one that no longer stops at its bound,
+        # or reads its rows out of attach order, reads more of them.  The
+        # steps count the blocks whose first rows a row takes, O(d^2) each
+        graphs = rows = steps = 0
+        real = spherig.rigidity._reduced_rows
 
-        def counted(edge_order, vertex_order, phi, d):
-            nonlocal built, read
-            built += 1
-            for row in real(edge_order, vertex_order, phi, d):
-                read += 1
-                yield row
+        def counted(order, phi, d):
+            nonlocal graphs
+            graphs += 1
+            count, ncols, reduced = real(order, phi, d)
 
-        monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
+            def reading():
+                nonlocal rows, steps
+                for row in reduced:
+                    rows += 1
+                    steps += len(row[2])
+                    yield row
+
+            return count, ncols, reading()
+
+        monkeypatch.setattr(spherig.rigidity, "_reduced_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
-        assert (built, read) == (52, 1225)
+        assert (graphs, rows, steps) == (52, 87, 557)
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)

@@ -1,15 +1,16 @@
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spherig as sp
 import spherig.rigidity
-from spherig.graphs import Graph, complete_graph, graph_of
+from spherig.graphs import Graph, complete_graph, graph_of, union
 from spherig.rigidity import (
     DEFAULT_PRIME,
     contraction_ranks,
@@ -34,7 +35,6 @@ from oracles import (
 
 P = DEFAULT_PRIME
 shape = spherig.rigidity._shape
-matrix_rows = spherig.rigidity._matrix_rows
 
 
 def echelon_rank(rows: list[list[int]], ncols: int) -> int:
@@ -47,8 +47,22 @@ def rank_bound(graph: Graph, d: int) -> int:
 
 
 def attach_order(graph: Graph, d: int):
-    """The order every elimination of the graph's matrix reads."""
+    """The order every rank of the graph's matrix reads."""
     return spherig.rigidity._attach_order(spherig.rigidity._peel(graph, d), d)
+
+
+def spy_reductions(monkeypatch) -> list:
+    """Patch _reduced_rows to record the vertices, in placement order, of
+    each graph whose matrix it reduces; return the record."""
+    reduced = []
+    real = spherig.rigidity._reduced_rows
+
+    def counted(order, phi, d):
+        reduced.append([v for v, _ in order[1]])
+        return real(order, phi, d)
+
+    monkeypatch.setattr(spherig.rigidity, "_reduced_rows", counted)
+    return reduced
 
 
 def first_rows_bound(graph: Graph, d: int, phi: dict) -> int:
@@ -56,7 +70,7 @@ def first_rows_bound(graph: Graph, d: int, phi: dict) -> int:
     oracle's rank: the ranks of each vertex's directions to its first
     back-neighbours in the graph's attach order, which for a peeled vertex
     are its neighbours at removal."""
-    return directions_rank_sum(phi, attach_order(graph, d)[2])
+    return directions_rank_sum(phi, attach_order(graph, d)[1])
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +85,19 @@ def small_sphere_ranks(small_spheres) -> dict:
         for a, b in graph.sorted_edges():
             ranks[name, (a, b)] = rational_rigidity_rank(graph.remove_edge(a, b), d, rng)
     return ranks
+
+
+@st.composite
+def graphs_up_to_11_vertices(draw) -> tuple[Graph, int]:
+    """A graph on 0..n-1, n <= 11, and a dimension d <= 5: a drawn set of
+    edges or its complement, so sparse graphs with isolated vertices and
+    several components occur, and dense ones with stresses."""
+    n, d = draw(st.integers(1, 11)), draw(st.integers(1, 5))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if draw(st.booleans()):
+        edges = set(pairs) - edges
+    return Graph(range(n), edges), d
 
 
 def count_embeddings(monkeypatch) -> list:
@@ -133,25 +160,51 @@ class TestEmbedding:
             assert all(0 <= x < P for x in point)
 
 
+def reduction_against_the_oracle(graph: Graph, d: int, phi: dict) -> list[int]:
+    """Check every row _reduced_rows yields at phi against the oracle's
+    matrix: the row less the first rows it took at their weights is zero on
+    each vertex's
+    pivot columns (elimination with inverses of its first directions) and
+    is the residual on the other columns, read vertex by vertex in placement
+    order.  The rows are every row but the pivot rows, the first rows that
+    raise their vertex's rank, in attach order, and the pivot rows' count
+    plus the residuals' rank is the matrix's rank.  Return the positions of
+    the rows in attach order."""
+    order = attach_order(graph, d)
+    edges, firsts = order
+    count, ncols, rows = spherig.rigidity._reduced_rows(order, phi, d)
+    matrix = dict(zip(graph.sorted_edges(), rigidity_rows_mod_p(graph, phi, d)))
+    block = {v: i * d for i, v in enumerate(sorted(graph.vertices))}
+    pivot_columns, other_columns, pivot_rows, start = [], [], set(), 0
+    for v, back in firsts:
+        directions = [[(x - y) % P for x, y in zip(phi[v], phi[u])] for u in back]
+        pivots = echelon_mod_p(directions, d)[0]
+        pivot_columns += [block[v] + c for c in pivots]
+        other_columns += [block[v] + c for c in range(d) if c not in pivots]
+        for j in range(len(back)):
+            if rank_mod_p(directions[: j + 1]) > rank_mod_p(directions[:j]):
+                pivot_rows.add(start + j)
+        start += len(back)
+
+    assert (count, ncols) == (len(pivot_rows), len(other_columns))
+    positions, residuals = [], []
+    for i, residual, taken in rows:
+        row = matrix[edges[i]]
+        for first, weights in taken:
+            for j, h in enumerate(weights):
+                row = [(x - h * y) % P for x, y in zip(row, matrix[edges[first + j]])]
+        assert [row[c] for c in pivot_columns] == [0] * count, edges[i]
+        assert [row[c] for c in other_columns] == residual, edges[i]
+        positions.append(i)
+        residuals.append(residual)
+    assert positions == [i for i in range(len(edges)) if i not in pivot_rows]
+    assert count + rank_mod_p(residuals) == rank_mod_p(list(matrix.values()))
+    return positions
+
+
 class TestRigidityMatrix:
-    """_matrix_rows, the one rigidity-matrix builder."""
-
-    def test_single_edge_rows(self):
-        phi = {1: (0, 0), 2: (1, 0)}
-        assert list(matrix_rows([(1, 2)], [1, 2], phi, 2)) == [[P - 1, 0, 1, 0]]
-
-    def test_row_blocks_are_skew(self):
-        g = graph_of(sp.cross_polytope(3))
-        phi = random_embedding(g, 3, 5)
-        order, edges = sorted(g.vertices), g.sorted_edges()
-        for row, (u, v) in zip(matrix_rows(edges, order, phi, 3), edges):
-            cu = order.index(u) * 3
-            cv = order.index(v) * 3
-            for k in range(3):
-                assert (row[cu + k] + row[cv + k]) % P == 0
-            for j, x in enumerate(row):
-                if not (cu <= j < cu + 3 or cv <= j < cv + 3):
-                    assert x == 0
+    """_reduced_rows, the rigidity matrix as every rank past the first rows
+    reads it, against the oracle's matrix entry by entry."""
 
     @pytest.mark.parametrize(
         "graph,d",
@@ -164,8 +217,17 @@ class TestRigidityMatrix:
     )
     def test_rows_match_the_oracle_entry_by_entry(self, graph, d):
         phi = random_embedding(graph, d, 5)
-        rows = list(matrix_rows(graph.sorted_edges(), sorted(graph.vertices), phi, d))
-        assert rows == rigidity_rows_mod_p(graph, phi, d)
+        reduction_against_the_oracle(graph, d, phi)
+        # the last-placed vertex on the line through its first two
+        # back-neighbours, or on its one back-neighbour: a first row of it
+        # is dependent, and is reduced with the other rows
+        v, back = attach_order(graph, d)[1][-1]
+        u, *others = back
+        w = others[0] if others else u
+        phi[v] = tuple((2 * x - y) % P for x, y in zip(phi[u], phi[w]))
+        positions = reduction_against_the_oracle(graph, d, phi)
+        firsts = sum(len(around) for _, around in attach_order(graph, d)[1])
+        assert any(i < firsts for i in positions)
 
 
 class TestRankMod:
@@ -222,7 +284,7 @@ class TestRankMod:
             cap = {None: None, "at the rank": rank, "below the rank": max(rank - 1, 1)}[stop]
             expected = echelon_mod_p(work, ncols, cap)
             pivots, zeros = spherig.rigidity._echelon(work, ncols, cap)
-            assert (pivots, [[j for j, x in enumerate(z) if x] for z in zeros]) == expected
+            assert (list(pivots), [[j for j, x in enumerate(z) if x] for z in zeros]) == expected
             zeros_read += len(zeros)
         assert zeros_read == zero_rows
 
@@ -245,9 +307,9 @@ class TestAttachOrder:
         for _ in range(300):
             graph, d = random_graph(rng), rng.randrange(1, 7)
             peeled = spherig.rigidity._peel(graph, d)[0]
-            blocks, edges, firsts = attach_order(graph, d)
+            edges, firsts = attach_order(graph, d)
             assert sorted(edges) == graph.sorted_edges()
-            placed = blocks[::-1]
+            placed = [v for v, _ in firsts]
             assert sorted(placed) == sorted(graph.vertices)
             nbrs = {v: {u for e in graph.edges if v in e for u in e - {v}} for v in graph.vertices}
             # the core first, each step taking the most placed neighbours,
@@ -286,7 +348,7 @@ class TestAttachOrder:
         peeling bound; return whether they meet the bound, which then is
         the rank."""
         peel = spherig.rigidity._peel(graph, d)
-        count = sum(len(back) for _, back in spherig.rigidity._attach_order(peel, d)[2])
+        count = sum(len(back) for _, back in spherig.rigidity._attach_order(peel, d)[1])
         bound = spherig.rigidity._rank_bound(peel, d)
         assert count <= rank <= bound, graph.sorted_edges()
         return count == bound
@@ -328,7 +390,7 @@ class TestAttachOrder:
             exact = rank_mod_p(rigidity_rows_mod_p(graph.remove_edge(a, b), coords, d))
             assert rank == exact, (a, b)
             unstressed += exact < full
-        return attach_order(graph, d)[1] != graph.sorted_edges(), unstressed
+        return attach_order(graph, d)[0] != graph.sorted_edges(), unstressed
 
     def test_edge_deletion_ranks_match_the_oracle_on_the_d4_corpus(self, default_corpus):
         seed, checked, reordered, free = 20260823, 0, 0, 0
@@ -555,6 +617,18 @@ class TestEdgeDeletionRanks:
                 checked += 1
         assert checked == 848
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=graphs_up_to_11_vertices(), seed=st.integers(0, 2**16))
+    @example(case=(Graph(range(5), [(0, 1), (1, 2), (0, 2)]), 2), seed=0)
+    @example(case=(union(complete_graph(range(5)), complete_graph(range(5, 10))), 3), seed=1)
+    def test_matches_per_edge_decisions_on_graphs_up_to_11_vertices(self, case, seed):
+        # the examples: a triangle with two isolated vertices, two K_5
+        graph, d = case
+        ranks = edge_deletion_ranks(graph, d, seed)
+        assert list(ranks) == graph.sorted_edges()
+        for (a, b), rank in ranks.items():
+            assert rank == decide_rigidity(graph.remove_edge(a, b), d, seed=seed).rank, (a, b)
+
     def test_matches_rational_rank_on_small_spheres(self, small_spheres, small_sphere_ranks):
         for name, delta, d in small_spheres:
             for edge, rank in edge_deletion_ranks(graph_of(delta), d, seed=5).items():
@@ -600,31 +674,19 @@ class TestEdgeDeletionRanks:
         # every G - e keeps the n <= d + 1 vertices, so its rank is its edge
         # count; a point at d = 10**20 would not fit in memory
         def no_point(*args):
-            raise AssertionError("a point was drawn or a matrix built")
+            raise AssertionError("a point was drawn or a matrix reduced")
 
         monkeypatch.setattr(spherig.rigidity, "random_embedding", no_point)
-        monkeypatch.setattr(spherig.rigidity, "_matrix_rows", no_point)
+        monkeypatch.setattr(spherig.rigidity, "_reduced_rows", no_point)
         ranks = edge_deletion_ranks(graph, d)
         assert ranks == dict.fromkeys(graph.sorted_edges(), value)
 
 
 class TestContractionRanks:
     """Both ranks are read at one merged point as a decision reads a point:
-    G - ab builds a matrix exactly where its first rows fall short of its
-    peeling bound, and G/ab is ranked only where R(G - ab) falls short of
-    its target."""
-
-    def spy_builds(self, monkeypatch) -> list:
-        """Patch _matrix_rows to record the column blocks of each matrix
-        built; return the record."""
-        built = []
-
-        def counted(edge_order, vertex_order, phi, d):
-            built.append(vertex_order)
-            return matrix_rows(edge_order, vertex_order, phi, d)
-
-        monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
-        return built
+    G - ab's matrix is reduced exactly where its first rows fall short of
+    its peeling bound, and G/ab is ranked only where R(G - ab) falls short
+    of its target."""
 
     def spy_ranked(self, monkeypatch) -> list:
         """Patch _peel, which each rank reads once, to record the graphs
@@ -640,23 +702,23 @@ class TestContractionRanks:
         # G - 13 keeps the rank 22 of G; the contraction has 7 vertices, rank
         # 18.  The cross polytope's first rows fall one short of 22, and so
         # do those of G - 13 at the merged point: G - 13 reaches its target
-        # only by elimination, and G/13 is neither ranked nor built
-        built, ranked = self.spy_builds(monkeypatch), self.spy_ranked(monkeypatch)
+        # only by a reduction, and G/13 is neither ranked nor reduced
+        reduced, ranked = spy_reductions(monkeypatch), self.spy_ranked(monkeypatch)
         graph = graph_of(sp.cross_polytope(4)).remove_edge(1, 3)
         coords = random_embedding(graph, 4, 5)
         coords[3] = coords[1]
-        assert directions_rank_sum(coords, attach_order(graph, 4)[2]) == 21
+        assert directions_rank_sum(coords, attach_order(graph, 4)[1]) == 21
         ranked.clear()
         assert contraction_ranks(graph, 1, 3, 4, 5) == (22, 18)
         assert rank_bound(graph, 4) == rigidity_target(8, 4) == 22
-        assert ranked[:1] == [graph] and len(built) == 1 and 3 in built[0]
+        assert ranked[:1] == [graph] and len(reduced) == 1 and 3 in reduced[0]
 
     def test_matches_two_matrices_on_random_graphs(self, monkeypatch):
         # R(G - ab) at the merged point, with or without the edge ab, whose
         # row is zero there, and R(G/ab), each from its own matrix
-        built, ranked = self.spy_builds(monkeypatch), self.spy_ranked(monkeypatch)
+        reduced, ranked = spy_reductions(monkeypatch), self.spy_ranked(monkeypatch)
         rng = random.Random(29)
-        checked = with_ab = settled = minus_built = down_built = 0
+        checked = with_ab = settled = minus_reduced = down_reduced = 0
         for _ in range(150):
             graph, d = random_graph(rng), rng.randrange(2, 6)
             if len(graph.vertices) < 2:
@@ -671,30 +733,30 @@ class TestContractionRanks:
             down = Graph(graph.vertices - {b}, merged_edges)
             minus = rank_mod_p(rigidity_rows_mod_p(graph, coords, d))
             merged = rank_mod_p(rigidity_rows_mod_p(down, coords, d))
-            short = directions_rank_sum(coords, attach_order(graph, d)[2]) < rank_bound(graph, d)
+            short = directions_rank_sum(coords, attach_order(graph, d)[1]) < rank_bound(graph, d)
             below = minus < rigidity_target(len(graph.vertices), d)
-            built.clear()
+            reduced.clear()
             ranked.clear()
             assert contraction_ranks(graph, a, b, d, seed) == (minus, merged)
             assert ranked[0] == graph and len(ranked) == 1 + below
-            minus_builds = sum(b in blocks for blocks in built)
-            assert minus_builds == short and len(built) - minus_builds <= below
+            minus_reductions = sum(b in placed for placed in reduced)
+            assert minus_reductions == short and len(reduced) - minus_reductions <= below
             checked += 1
             with_ab += frozenset((a, b)) in graph.edges
             settled += not below
-            minus_built += minus_builds
-            down_built += len(built) - minus_builds
-        # 36 reach the target, and G/ab is not ranked; 44 build a matrix of
-        # G - ab.  G/ab's first rows meet its bound on all of these; the
-        # split cross polytope below builds its matrix
-        assert (checked, with_ab, settled, minus_built, down_built) == (137, 37, 36, 44, 0)
+            minus_reduced += minus_reductions
+            down_reduced += len(reduced) - minus_reductions
+        # 36 reach the target, and G/ab is not ranked; 44 reduce the matrix
+        # of G - ab.  G/ab's first rows meet its bound on all of these; the
+        # split cross polytope below reduces its matrix
+        assert (checked, with_ab, settled, minus_reduced, down_reduced) == (137, 37, 36, 44, 0)
 
     def test_split_cross_polytope_vertex_eliminates_the_contraction(self, monkeypatch):
         # vertex 1 of the cross polytope split into 1, keeping 3, 4, 5, and
         # 9, taking 6, 7, 8: merging them gives back the cross polytope,
         # whose first rows fall one short of its rank 22.  G - ab has 24
-        # edges, short of its target 26, so G/ab is ranked, by elimination
-        built, ranked = self.spy_builds(monkeypatch), self.spy_ranked(monkeypatch)
+        # edges, short of its target 26, so G/ab is ranked, by a reduction
+        reduced, ranked = spy_reductions(monkeypatch), self.spy_ranked(monkeypatch)
         cross = graph_of(sp.cross_polytope(4))
         edges = [e for e in cross.edges if 1 not in e or e & {3, 4, 5}]
         graph = Graph(range(1, 10), edges + [(v, 9) for v in (6, 7, 8)])
@@ -702,24 +764,24 @@ class TestContractionRanks:
         coords[9] = coords[1]
         minus = rank_mod_p(rigidity_rows_mod_p(graph, coords, 4))
         assert rank_mod_p(rigidity_rows_mod_p(cross, coords, 4)) == 22
-        assert directions_rank_sum(coords, attach_order(cross, 4)[2]) == 21
+        assert directions_rank_sum(coords, attach_order(cross, 4)[1]) == 21
         ranked.clear()
         assert contraction_ranks(graph, 1, 9, 4, 5) == (minus, 22) == (24, 22)
         assert len(graph.edges) == 24 and len(ranked) == 2
         # G - ab's first rows fall short of its bound 24 too
-        assert [9 in blocks for blocks in built] == [True, False]
+        assert [9 in placed for placed in reduced] == [True, False]
 
     def test_common_neighbour_of_a_and_b_loses_a_first_row_rank(self, monkeypatch):
         # 7 peels with neighbours 1, 2, 3, 4, so its directions to 1 and 2
         # are first rows; the core K_6 - 12 has first rows that meet its
         # target.  With 2 on 1 those two directions agree, the first rows
-        # read 17 of the bound 18, and G - 12 is eliminated; its rank 17
+        # read 17 of the bound 18, and G - 12 is reduced; its rank 17
         # falls short of the target, so G/12 is ranked too, from its first
         # rows, which meet its bound 13
-        built, ranked = self.spy_builds(monkeypatch), self.spy_ranked(monkeypatch)
+        reduced, ranked = spy_reductions(monkeypatch), self.spy_ranked(monkeypatch)
         core = [e for e in combinations(range(1, 7), 2) if e != (1, 2)]
         graph = Graph(range(1, 8), core + [(v, 7) for v in (1, 2, 3, 4)])
-        firsts = attach_order(graph, 4)[2]
+        firsts = attach_order(graph, 4)[1]
         assert firsts[-1] == (7, [1, 2, 3, 4])
         coords = random_embedding(graph, 4, 5)
         assert directions_rank_sum(coords, firsts) == rigidity_target(7, 4) == 18
@@ -730,7 +792,7 @@ class TestContractionRanks:
         merged = rank_mod_p(rigidity_rows_mod_p(down, coords, 4))
         ranked.clear()
         assert contraction_ranks(graph, 1, 2, 4, 5) == (minus, merged) == (17, 13)
-        assert len(ranked) == 2 and [2 in blocks for blocks in built] == [True]
+        assert len(ranked) == 2 and [2 in placed for placed in reduced] == [True]
         assert rank_bound(ranked[1], 4) == 13
 
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 99)])
@@ -1047,34 +1109,31 @@ class TestRankAtAPoint:
     SEED = 20260823
 
     def test_default_corpus_graphs_and_their_deletions(self, default_corpus, monkeypatch):
-        built = []
-        monkeypatch.setattr(
-            spherig.rigidity, "_matrix_rows", lambda *args: built.append(args) or matrix_rows(*args)
-        )
+        reduced = spy_reductions(monkeypatch)
         rng = random.Random(23)
-        checked = peeled = exact = unbuilt = 0
+        checked = peeled = exact = unreduced = 0
         for entry in default_corpus:
             graph = graph_of(entry.complex)
             s = derive_seed(self.SEED, entry.name)
             for h in [graph] + [graph.remove_edge(a, b) for a, b in graph.sorted_edges()]:
-                built.clear()
+                reduced.clear()
                 rank = decide_rigidity(h, entry.d, trials=1, seed=s).rank
                 phi = first_point(h, entry.d, s)
                 full = full_rank_at(h, phi, entry.d)
                 assert rank == full, entry.name
                 # the first rows never read above the rank, and a matrix is
-                # built exactly where they fall short of the peeling bound
+                # reduced exactly where they fall short of the peeling bound
                 lower, bound = first_rows_bound(h, entry.d, phi), rank_bound(h, entry.d)
                 assert lower <= full <= bound, entry.name
-                assert bool(built) == (lower < bound), entry.name
+                assert bool(reduced) == (lower < bound), entry.name
                 checked += 1
-                unbuilt += not built
+                unreduced += not reduced
                 peeled += bool(spherig.rigidity._peel(h, entry.d)[0])
                 if len(h.vertices) <= entry.d + 1:
                     assert rank == rational_rigidity_rank(h, entry.d, rng), entry.name
                     exact += 1
         # 671 of the 879 ranks are read from the first rows alone
-        assert (checked, peeled, exact, unbuilt) == (848 + 31, 401, 49, 671)
+        assert (checked, peeled, exact, unreduced) == (848 + 31, 401, 49, 671)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_stacked_chains_minus_an_edge(self, d):
@@ -1097,6 +1156,40 @@ class TestRankAtAPoint:
             if n <= d + 3:
                 assert rank == rational_rigidity_rank(graph, d, rng)
 
+    def test_matches_the_oracle_where_a_vertex_has_dependent_first_rows(self):
+        # every vertex at the origin; an edge's ends at one point, as a
+        # contraction merges them; a peeled vertex on the line through two
+        # of its neighbours at removal.  Each makes some vertex's first
+        # directions dependent wherever it has two first back-neighbours
+        rng = random.Random(31)
+        checked, dependent = Counter(), Counter()
+        for _ in range(200):
+            graph, d = random_graph(rng), rng.randrange(2, 6)
+            peel = spherig.rigidity._peel(graph, d)
+            order = spherig.rigidity._attach_order(peel, d)
+            bound = spherig.rigidity._rank_bound(peel, d)
+            phi = random_embedding(graph, d, rng.randrange(100))
+            points = {"origin": {v: (0,) * d for v in graph.vertices}}
+            if graph.edges:
+                a, b = rng.choice(graph.sorted_edges())
+                points["merged"] = {**phi, b: phi[a]}
+            for v, around in peel[0]:
+                if len(around) >= 2:
+                    u, w = rng.sample(around, 2)
+                    on_line = tuple((2 * x - y) % P for x, y in zip(phi[u], phi[w]))
+                    points["peeled"] = {**phi, v: on_line}
+                    break
+            for kind, point in points.items():
+                rank = spherig.rigidity._rank_at(order, point, d, bound)
+                assert rank == full_rank_at(graph, point, d), (kind, graph.sorted_edges())
+                lower = directions_rank_sum(point, order[1])
+                checked[kind] += 1
+                dependent[kind] += lower < sum(len(back) for _, back in order[1])
+        # a dependent first row makes the first rows fall short of the
+        # bound, so each of these points reduces its rows
+        assert checked == {"origin": 200, "merged": 169, "peeled": 55}
+        assert dependent == {"origin": 169, "merged": 153, "peeled": 55}
+
     def stacked_cross(self) -> Graph:
         # vertex 9 peels with neighbours 3, 5, 7; the core is the cross
         # polytope on 1..8, rigid at rank 22, with 1 and 2 not adjacent
@@ -1105,25 +1198,19 @@ class TestRankAtAPoint:
 
     def rank_at(self, graph: Graph, coords: dict, monkeypatch) -> tuple[int, int]:
         """The rank at coords as _rank_at reads it, which must be the full
-        matrix's, and how many matrices it built, each over every vertex.
+        matrix's, and how many matrices it reduced, each over every vertex.
         Above d + 1 = 5 vertices it must also be decide_rigidity's one-trial
         rank at coords; on fewer, decide_rigidity draws no point."""
-        built = []
-
-        def counted(edge_order, vertex_order, phi, d):
-            assert set(vertex_order) == graph.vertices
-            built.append(edge_order)
-            return matrix_rows(edge_order, vertex_order, phi, d)
-
-        monkeypatch.setattr(spherig.rigidity, "_matrix_rows", counted)
+        reduced = spy_reductions(monkeypatch)
         order, bound = attach_order(graph, 4), rank_bound(graph, 4)
         rank = spherig.rigidity._rank_at(order, coords, 4, bound)
         assert rank == full_rank_at(graph, coords, 4)
-        builds = len(built)
+        assert all(set(placed) == graph.vertices for placed in reduced)
+        reductions = len(reduced)
         if len(graph.vertices) > 5:
             monkeypatch.setattr(spherig.rigidity, "random_embedding", lambda *args: coords)
             assert decide_rigidity(graph, 4, trials=1, seed=1).rank == rank
-        return rank, builds
+        return rank, reductions
 
     def test_every_vertex_at_the_origin(self, monkeypatch):
         # the peeled vertex's directions are dependent; K_8 peels nothing,
@@ -1138,7 +1225,7 @@ class TestRankAtAPoint:
         # 1..4; on their affine span its first directions lose a rank.  K_5's
         # rank drops with them (five points on a 3-flat), K_8's does not.
         graph = complete_graph(range(1, n + 1))
-        assert attach_order(graph, 4)[2][4] == (5, [1, 2, 3, 4])
+        assert attach_order(graph, 4)[1][4] == (5, [1, 2, 3, 4])
         coords = first_point(graph, 4, 1)
         coords[5] = tuple((x + y - z) % P for x, y, z in zip(coords[1], coords[2], coords[3]))
         assert self.rank_at(graph, coords, monkeypatch) == (rank, 1)
@@ -1165,13 +1252,13 @@ class TestRankAtAPoint:
         assert rank_bound(graph, 4) == rigidity_target(7, 4) == 18
         coords = first_point(graph, 4, 1)
         coords[7] = tuple((2 * x - y) % P for x, y in zip(coords[1], coords[2]))
-        firsts = attach_order(graph, 4)[2]
+        firsts = attach_order(graph, 4)[1]
         assert sum(len(around) for _, around in firsts) == 18
         assert first_rows_bound(graph, 4, coords) == 17
         assert self.rank_at(graph, coords, monkeypatch) == (17, 1)
 
     @pytest.mark.parametrize(
-        "merged,built,rank",
+        "merged,reductions,rank",
         [
             # two core vertices at one point: their first rows fall short
             ([(1, 2)], 1, 25),
@@ -1182,12 +1269,12 @@ class TestRankAtAPoint:
             ([(3, 5)], 1, 24),
         ],
     )
-    def test_two_vertices_at_one_point(self, merged, built, rank, monkeypatch):
+    def test_two_vertices_at_one_point(self, merged, reductions, rank, monkeypatch):
         graph = self.stacked_cross()
         coords = first_point(graph, 4, 1)
         for a, b in merged:
             coords[b] = coords[a]
-        assert self.rank_at(graph, coords, monkeypatch) == (rank, built)
+        assert self.rank_at(graph, coords, monkeypatch) == (rank, reductions)
 
 
 class TestDoingLess:
@@ -1244,12 +1331,15 @@ class TestDoingLess:
             assert (len(calls), sum(read for _, read, _ in calls)) == (n, target), n
             assert target < len(graph.edges)
 
-    def test_cross_polytope_whose_first_rows_fall_short_eliminates_its_core(self, monkeypatch):
-        # its 21 first rows fall one short of 22, so the whole matrix, the
-        # core's as nothing is peeled, is eliminated until the rank reaches 22
+    def test_cross_polytope_short_on_first_rows_eliminates_one_residual(self, monkeypatch):
+        # its 21 first rows fall one short of 22 at every point, so their
+        # rank is not taken on its own: each vertex's first directions are
+        # factored once, one d-column elimination each, and the residuals of
+        # the other 3 rows, on the 32 - 21 columns that are no vertex's
+        # pivot, are eliminated only until the rank reaches 22
         calls = self.spy_echelon(monkeypatch)
         verdict = decide_rigidity(graph_of(sp.cross_polytope(4)), 4, seed=1)
         assert verdict.is_rigid and verdict.rank == 22
         firsts = [read for ncols, read, _ in calls if ncols == 4]
         assert (len(firsts), sum(firsts)) == (8, 21)
-        assert [call for call in calls if call[0] > 4] == [(32, 22, 22)]
+        assert [call for call in calls if call[0] != 4] == [(11, 1, 1)]
