@@ -6,7 +6,9 @@ one of the composition rules Cone, Gluing and Replacement, whose children
 certify the ingredient graphs.  check() walks the tree, validating at each
 node that the claim graph really is the one the rule builds from its
 children and that the rule's side conditions hold; only leaves ever touch
-the rank engine.  The composition rules themselves are trusted.
+the rank engine.  The composition rules themselves are trusted.  A
+Replacement's second child may claim any spanning subgraph of claim | K_U:
+adding edges on a fixed vertex set never lowers the rank (Asimow-Roth 1978).
 
 A node carries no rule data: the graphs determine it.  Malformed trees
 (wrong child counts or dimensions, claim graph not matching the
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import SimplicialComplex
-from .graphs import Graph, complete_graph, graph_of, union
+from .graphs import Graph, graph_of, union
 from .rigidity import decide_rigidity, derive_seed
 
 RULES = ("RankLeaf", "CompleteLeaf", "Cone", "Gluing", "Replacement")
@@ -38,10 +40,10 @@ class CertificateError(Exception):
 class Certificate:
     """One node of a rigidity proof tree.
 
-    Children appear in rule order, e.g. Replacement expects [restriction
-    certificate, completed-graph certificate].  A Cone's apex set is the
-    claim's vertices outside its child's graph; a Replacement's U is its
-    first child's vertex set.
+    Children appear in rule order, e.g. Replacement expects [certificate on
+    U, certificate of a spanning subgraph of the claim with U completed].  A
+    Cone's apex set is the claim's vertices outside its child's graph; a
+    Replacement's U is its first child's vertex set.
     """
 
     graph: Graph
@@ -55,11 +57,8 @@ class Certificate:
 
 
 def check(cert: Certificate, seed: int = 0) -> bool:
-    """Validate a certificate tree.
-
-    Only the leaves are decided by the rank engine, each with its own
-    sub-seed of seed; the composition rules are taken on faith.
-    """
+    """Validate a certificate tree: only its leaves are decided by the rank
+    engine, each at its own sub-seed of seed."""
     return _check(cert, seed, "root")
 
 
@@ -124,14 +123,18 @@ def _check(node: Certificate, seed: int, path: str) -> bool:
             fail("Replacement takes exactly two children")
         if any(ch.d != d for ch in node.children):
             fail("Replacement children must claim the same dimension")
-        restricted, completed = node.children
-        subset = restricted.graph.vertices
-        if not subset <= node.graph.vertices:
+        # Replacement lemma: the claim is d-rigid if the first child's graph, on U, and claim | K_U
+        # are.  U lies in V(claim), so a rigid H on V(claim), each edge in U or in the claim, spans
+        # claim | K_U and makes it rigid: adding edges never lowers the rank (Asimow-Roth 1978).
+        restricted, spanning = node.children
+        claim, subset = node.graph, restricted.graph.vertices
+        if not subset <= claim.vertices:
             fail("U is not a subset of the claim graph's vertices")
-        if not restricted.graph.edges <= node.graph.edges:
+        if not restricted.graph.edges <= claim.edges:
             fail("first child's graph is not a subgraph of the claim restricted to U")
-        if completed.graph != union(node.graph, complete_graph(subset)):
-            fail("second child must claim the claim graph with U completed")
+        extra = spanning.graph.edges - claim.edges
+        if spanning.graph.vertices != claim.vertices or not all(e <= subset for e in extra):
+            fail("second child must claim a spanning subgraph of the claim with U completed")
         return recurse()
 
 
@@ -141,15 +144,15 @@ def certify_star_rigidity(delta: SimplicialComplex, sigma: Iterable[int]) -> Cer
     The star is the join of the face with its link, so the certificate is
     one Cone, with the face as its apex set, over a rank test of the link's
     graph in dimension d - |sigma|; both graphs are read from one scan of
-    the facets.  An empty face gives a bare rank leaf for the whole graph.
+    the facets.  An empty face gives a bare rank leaf on graph_of(delta).
     """
     d = delta.dim + 1
     face = frozenset(sigma)
+    if not face and d >= 3:  # |sigma| = 0 <= d-3, and the star is delta, its graph cached
+        return Certificate(graph=graph_of(delta), d=d, rule="RankLeaf")
     link_graph, star_graph = delta.link_star_graphs(face)  # rejects a non-face
     if len(face) > d - 3:
         raise ValueError(f"star certificates need |sigma| <= d-3, got {len(face)}")
-    if not face:
-        return Certificate(graph=star_graph, d=d, rule="RankLeaf")
     link_cert = Certificate(graph=link_graph, d=d - len(face), rule="RankLeaf")
     return Certificate(graph=star_graph, d=d, rule="Cone", children=(link_cert,))
 
@@ -161,9 +164,10 @@ def certify_missing_face_edge(
     d-rigid, d = dim + 1.
 
     For a missing face sigma of dimension 2..d-2 and an edge e inside it,
-    the graph minus e restricted to W = V(star(sigma - e)) still contains
-    the star's rigid graph, and completing W recovers a supergraph of the
-    full graph; the Replacement rule combines the two.
+    G - e restricted to W = V(star(sigma - e)) holds that star's graph, and
+    G is a spanning subgraph of (G - e) | K_W, as e lies in sigma, inside W.
+    So the certificate is a Replacement over the star certificates of
+    sigma - e and of the empty face, a leaf on G (a memo hit inside a run).
     """
     d = delta.dim + 1
     face = frozenset(sigma)
@@ -175,10 +179,5 @@ def certify_missing_face_edge(
     edge = frozenset(e)
     if len(edge) != 2 or not edge <= face:
         raise ValueError(f"{sorted(edge)} is not an edge inside {sorted(face)}")
-    tau = face - edge
-    star_cert = certify_star_rigidity(delta, tau)
-    w = star_cert.graph.vertices
-    a, b = sorted(edge)
-    claim = graph_of(delta).remove_edge(a, b)
-    completed = Certificate(graph=union(claim, complete_graph(w)), d=d, rule="RankLeaf")
-    return Certificate(claim, d, "Replacement", (star_cert, completed))
+    children = (certify_star_rigidity(delta, face - edge), certify_star_rigidity(delta, ()))
+    return Certificate(graph_of(delta).remove_edge(*edge), d, "Replacement", children)

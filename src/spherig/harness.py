@@ -259,10 +259,10 @@ def _minus_edge(entry: CorpusEntry, seed: int) -> Iterator[CheckRecord]:
 
 
 def _missing_faces(entry: CorpusEntry, seed: int) -> Iterator[CheckRecord]:
-    """Edges inside missing faces of dimension 2..d-2: the graph minus the
-    edge must admit a passing Replacement certificate, the paper's
-    Replacement lemma for that deletion.  The engine's rank of the same
-    G - e is minus_edge's record, so this kind reports none.
+    """Edges inside missing faces of dimension 2..d-2: G - e must admit a
+    passing Replacement certificate (the paper's lemma) over the stars of
+    sigma - e and of the empty face, a leaf on G that minus_edge, run first,
+    recorded rigid.  minus_edge also ranks G - e, so this kind reports none.
 
     A complex without such faces gets one skip record: nothing is checked,
     so nothing passes.  The edge records of one graph share one sub-seed,

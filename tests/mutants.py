@@ -351,12 +351,32 @@ MUTANTS = [
     (
         "replacement-u-outside-claim",
         "src/spherig/certificates.py",
-        "        if not subset <= node.graph.vertices:\n"
+        "        if not subset <= claim.vertices:\n"
         '            fail("U is not a subset of the claim graph\'s vertices")\n',
         "",
         (
             "tests/test_certificates.py::TestReplacement"
             "::test_first_child_outside_the_claim_raises_at_its_node",
+        ),
+    ),
+    (
+        "replacement-second-child-on-other-vertices",
+        "src/spherig/certificates.py",
+        "if spanning.graph.vertices != claim.vertices or not all(",
+        "if not all(",
+        (
+            "tests/test_certificates.py::TestReplacement"
+            "::test_second_child_must_span_the_claim_with_u_completed[lacks-a-claim-vertex]",
+        ),
+    ),
+    (
+        "replacement-second-child-edge-touching-u",
+        "src/spherig/certificates.py",
+        "all(e <= subset for e in extra)",
+        "all(e & subset for e in extra)",
+        (
+            "tests/test_certificates.py::TestReplacement"
+            "::test_second_child_must_span_the_claim_with_u_completed[edge-leaving-u]",
         ),
     ),
     (
@@ -555,6 +575,16 @@ MUTANTS = [
         (
             "tests/test_harness.py::TestSymmetryOrbits"
             "::test_default_pass_checks_one_missing_face_edge_and_one_contraction_edge_per_orbit",
+        ),
+    ),
+    (
+        "orbit-maps-assume-labels-1-to-n",
+        "src/spherig/harness.py",
+        "    maps = [{v: g.get(v, v) for v in vertices}.__getitem__",
+        "    maps = [{v: g.get(v, v) for v in range(1, len(vertices) + 1)}.__getitem__",
+        (
+            "tests/test_harness.py::TestRelabelling"
+            "::test_a_relabelled_corpus_gets_the_same_verdict_rank_and_target",
         ),
     ),
     (

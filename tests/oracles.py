@@ -5,12 +5,16 @@ explicit sets, subset scans over the whole power set (Gale's evenness
 condition tested on every d-subset among them), exact fraction-free
 elimination over the integers, column-by-column elimination mod p.  The
 builders (cone, connected_sum) return plain facet sets.
-Nothing imports the algorithms under test; the only library type that
-appears is SimplicialComplex as a plain container of facets.
+Nothing imports the algorithms under test; the only library types that
+appear are SimplicialComplex as a plain container of facets, and a corpus
+entry and its check records, read and copied field by field (relabelled,
+outcomes_under_relabelling).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -302,3 +306,44 @@ def shape_edges(n: int, mask: int) -> frozenset[tuple[int, int]]:
     if mask >> len(pairs):
         raise ValueError(f"mask {mask:#x} has bits beyond the {len(pairs)} pairs of {n} vertices")
     return frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
+
+
+def relabelled(entry, seed: int):
+    """A copy of a corpus entry under a seeded random injection of its
+    vertices into the labels 1000 and up, with each symmetry g conjugated
+    to g' = inj g inj^-1, and the injection.  The copy keeps the entry's
+    name, so a run gives it the entry's seed."""
+    vertices = sorted(entry.complex.vertices)
+    images = random.Random(seed).sample(range(1000, 1000 + 10 * len(vertices)), len(vertices))
+    inj = dict(zip(vertices, images))
+    facets = [[inj[v] for v in f] for f in entry.complex.facets]
+    symmetries = tuple({inj[v]: inj[w] for v, w in g.items()} for g in entry.symmetries)
+    copy = dataclasses.replace(entry, complex=type(entry.complex)(facets), symmetries=symmetries)
+    return copy, inj
+
+
+def outcomes_under_relabelling(entries, seed: int, run):
+    """(original, copy): (check, instance) -> (verdict, rank, target) of
+    each record that run(entries) gives, and the same of run(copies), the
+    copies made by relabelled(entry, seed + i) and each copy's instance
+    named back in the entry's labels.  A face label reads its vertices in
+    sorted order, so each face is mapped back and sorted again."""
+    copies, back = [], {}
+    for i, entry in enumerate(entries):
+        copy, inj = relabelled(entry, seed + i)
+        copies.append(copy)
+        back[entry.name] = {w: v for v, w in inj.items()}
+
+    def named_back(instance: str) -> str:
+        name, *parts = instance.split(":")
+        for k, part in enumerate(parts):
+            key, sep, label = part.partition("=")
+            if sep and label != "empty":
+                faces = sorted(back[name][int(v)] for v in label.split("-"))
+                parts[k] = f"{key}={'-'.join(map(str, faces))}"
+        return ":".join([name, *parts])
+
+    def outcomes(records, rename):
+        return {(r.check, rename(r.instance)): (r.verdict, r.rank, r.target) for r in records}
+
+    return outcomes(run(entries), str), outcomes(run(copies), named_back)

@@ -254,17 +254,39 @@ class TestReplacement:
             check(top)
         assert err.value.path == "root.0"
 
-    def test_second_child_must_complete_u(self):
-        delta = sp.join_spheres(2, 3)
-        cert = certify_missing_face_edge(delta, (1, 2, 3), (1, 2))
-        wrong = Certificate(
-            graph=cert.graph,
-            d=5,
-            rule="Replacement",
-            children=(cert.children[0], leaf(cert.graph, 5)),
-        )
-        with pytest.raises(CertificateError, match="completed"):
-            check(wrong)
+    @pytest.mark.parametrize(
+        "second",
+        [
+            complete_graph(range(1, 6)),
+            union(complete_graph(range(1, 7)).remove_edge(1, 6), Graph((9,), ())),
+            complete_graph(range(1, 7)),
+        ],
+        ids=["lacks-a-claim-vertex", "vertex-outside-the-claim", "edge-leaving-u"],
+    )
+    def test_second_child_must_span_the_claim_with_u_completed(self, second):
+        # claim | K_U = K_6 - 16 with U = {1..5}: the second child must have
+        # the claim's six vertices, and each edge the claim lacks must lie
+        # inside U, so neither K_5, an isolated vertex 9 nor the edge 16
+        # (from 1 in U to 6 outside it) is allowed
+        claim, u = complete_graph(range(1, 7)).remove_edge(1, 6), range(1, 6)
+        children = (leaf(complete_graph(u), 4), leaf(second, 4))
+        node = Certificate(graph=claim, d=4, rule="Replacement", children=children)
+        top = Certificate(graph=cone_graph(claim, 7), d=5, rule="Cone", children=(node,))
+        with pytest.raises(CertificateError, match="spanning subgraph") as err:
+            check(top)
+        assert err.value.path == "root.0"
+
+    def test_second_child_may_be_the_whole_graph_or_the_completed_claim(self):
+        # G spans G - e with U completed, as e lies in U; so does that
+        # completed graph itself, the second child before G replaced it
+        delta = sp.join_simplex_cycle(4, 5)
+        cert = certify_missing_face_edge(delta, (1, 2, 3), (2, 3))
+        restricted, whole = cert.children
+        completed = leaf(union(cert.graph, complete_graph(restricted.graph.vertices)), 4)
+        assert whole == certify_star_rigidity(delta, ())
+        assert whole.graph == graph_of(delta) != completed.graph
+        for second in (whole, completed):
+            assert check(Certificate(cert.graph, 4, "Replacement", (restricted, second)))
 
     def test_first_child_must_be_subgraph_of_restriction(self):
         # claim lacking an edge the first child uses is structurally invalid

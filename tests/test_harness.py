@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import spherig as sp
+import spherig.certificates
 import spherig.rigidity
 from spherig.certificates import certify_missing_face_edge, certify_star_rigidity, check
 from spherig.graphs import Graph, graph_of
@@ -46,6 +47,7 @@ from oracles import (
     brute_prime_factors,
     directions_rank_sum,
     intersection,
+    outcomes_under_relabelling,
     rank_mod_p,
     rigidity_rows_mod_p,
     shape_edges,
@@ -616,6 +618,28 @@ class TestSymmetryOrbits:
         assert sum("intersection" in r.note for r in skips) == 3
 
 
+class TestRelabelling:
+    def test_a_relabelled_corpus_gets_the_same_verdict_rank_and_target(self, monkeypatch):
+        # Relabelling moves every label-dependent choice: each point, each
+        # star and contraction seed, each orbit's checked instance, each
+        # memo key and the missing facet prime_factors cuts along.  Generic
+        # rank does not move, so every mapped instance keeps its verdict,
+        # rank and target.  Dims 7..8 run in CI through the same helpers.
+        config = SuiteConfig(families=FAMILIES, seed=20260823)
+        corpus = build_corpus(config.families, config.dims, config.seed)
+
+        def run(entries):  # run_suite over the given entries, in its own memo
+            monkeypatch.setattr(spherig.harness, "build_corpus", lambda *_: list(entries))
+            return run_suite(config).records
+
+        start = time.perf_counter()
+        original, copy = outcomes_under_relabelling(corpus, 1, run)
+        elapsed = time.perf_counter() - start
+        assert len(original) == 3887
+        assert copy == original
+        assert elapsed < 1
+
+
 class TestCorpus:
     def test_flip_walk_corpus_is_deterministic_and_prime(self):
         a = flip_walk_corpus(seed=5, count=4)
@@ -857,6 +881,40 @@ class TestRunSuite:
         monkeypatch.setattr(spherig.rigidity, "_reduced_rows", counted)
         assert run_suite(SuiteConfig(seed=20260823)).ok
         assert (graphs, rows, steps) == (52, 87, 557)
+
+    def test_every_certificate_leaf_in_the_entrys_dimension_draws_no_point(self, monkeypatch):
+        # G is proved d-rigid once per entry: a missing-face certificate's
+        # second child is the empty-face star certificate, a leaf on G,
+        # whose shape minus_edge recorded.  So every certificate leaf in the
+        # entry's own d is a memo hit or has at most d + 1 vertices; only
+        # link graphs, in lower dimensions, and the engine kinds draw points
+        points, entry_d, leaves = 0, 0, []  # leaves: whether each drew a point
+        verify, embedding = spherig.harness.verify, spherig.rigidity.random_embedding
+        decide = spherig.certificates.decide_rigidity
+
+        def verify_spy(kind, entry, **options):
+            nonlocal entry_d
+            entry_d = entry.d
+            return verify(kind, entry, **options)
+
+        def embedding_spy(graph, d, seed):
+            nonlocal points
+            points += 1
+            return embedding(graph, d, seed)
+
+        def leaf_spy(graph, d, **options):
+            before = points
+            verdict = decide(graph, d, **options)
+            if d == entry_d:
+                leaves.append(points > before)
+            return verdict
+
+        monkeypatch.setattr(spherig.harness, "verify", verify_spy)
+        monkeypatch.setattr(spherig.rigidity, "random_embedding", embedding_spy)
+        monkeypatch.setattr(spherig.certificates, "decide_rigidity", leaf_spy)
+        assert run_suite(SuiteConfig(seed=20260823)).ok
+        assert (len(leaves), leaves.count(True)) == (161, 0)
+        assert points == 194
 
     def test_empty_report_is_rejected(self):
         config = SuiteConfig(families=("flip-walks",), dims=(5,), seed=1)
