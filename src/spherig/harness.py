@@ -10,7 +10,8 @@ reports a rank and its target; a certificate kind reports neither.
   missing_face   d >= 4  certificate: G - e is rigid for each edge inside a missing face
                          of dimension 2..d-2 (Replacement)
   star_rigidity  d >= 4  certificate: star graphs of faces with |sigma| <= d-3 are rigid
-  contraction    d = 4   engine: rank(G - e) = rank(G of contracted) + 4
+  contraction    d = 4   engine: rank(G - e) = rank(G of contracted) + d, run at d = 4
+                         by the table
 
 verify(kind, entry, seed=...) is the one runner: it rejects a kind the table
 does not hold, or one that does not apply at the entry's d, and names each
@@ -23,11 +24,12 @@ A degenerate contraction record takes both of its ranks at one merged point
 graph apart.  star_rigidity, missing_face and contraction check one instance
 (a star's face, a missing face with one of its edges, an edge) per orbit
 under automorphisms of the complex, each check yielding name suffixes only;
-_per_orbit names every record, giving the orbit's other instances the
-checked verdict, rank and target with their own seeds.  build_corpus alone
-knows the families, the negative controls among them, whose stacked spheres
-run the same checks as any other, and hands each entry generators of its
-construction's symmetries, which the entry checks when it is made.
+_per_orbit finds the orbits and names every record, giving the orbit's other
+instances the checked verdict, rank and target with their own seeds.
+build_corpus alone knows the families, the negative controls among them,
+whose stacked spheres run the same checks as any other, and hands each entry
+generators of its construction's symmetries, which the entry checks when it
+is made.
 The machine report is one tab-separated line per record (check, instance,
 verdict, rank, target, seed), sorted, so equal configurations give
 byte-identical output.
@@ -144,36 +146,6 @@ def _ranked(instance: str, rank: int, target: int, seed: int) -> CheckRecord:
 _Instance = tuple[frozenset[int], ...]
 
 
-def _orbits(entry: CorpusEntry, instances: Sequence[_Instance]) -> list[_Instance]:
-    """For each instance, the first instance of its orbit in `instances`
-    under the group the entry's symmetries generate, acting on every face
-    of an instance; `instances` must be closed under that group.
-
-    A symmetry maps each vertex of the complex to a vertex, a vertex it does
-    not name to itself; the entry checked each one when it was made
-    (CorpusEntry), so each is an automorphism.  Each instance not yet
-    reached starts an orbit, closed by a search that applies every
-    generator to every instance it reaches, so each instance is mapped once
-    per generator.
-    """
-    vertices = entry.complex.vertices
-    maps = [{v: g.get(v, v) for v in vertices}.__getitem__ for g in entry.symmetries]
-    first: dict[_Instance, _Instance] = {}
-    for instance in instances:
-        if instance in first:
-            continue
-        first[instance] = instance
-        reached = [instance]
-        while reached:
-            at = reached.pop()
-            for image in maps:
-                other = tuple([frozenset(map(image, face)) for face in at])
-                if other not in first:
-                    first[other] = instance
-                    reached.append(other)
-    return [first[instance] for instance in instances]
-
-
 def _per_orbit(
     entry: CorpusEntry,
     instances: Sequence[_Instance],
@@ -181,7 +153,16 @@ def _per_orbit(
     run: Callable[[_Instance, int], Iterable[CheckRecord]],
 ) -> Iterator[CheckRecord]:
     """The records of every instance, in order, running the check only on
-    the first instance of each orbit under the entry's symmetries (_orbits).
+    the first instance of each orbit in `instances` under the group the
+    entry's symmetries generate, acting on every face of an instance;
+    `instances` must be closed under that group.
+
+    A symmetry maps each vertex of the complex to a vertex, a vertex it does
+    not name to itself; the entry checked each one when it was made
+    (CorpusEntry), so each is an automorphism.  An instance not yet reached
+    starts an orbit, which a search closes before the check runs: it applies
+    every generator to every instance it reaches, so each instance is mapped
+    once per generator.
 
     identify(instance) gives the instance's label and seed; run(instance,
     seed) yields the records of an orbit's first instance, each naming only
@@ -203,23 +184,34 @@ def _per_orbit(
     what the instance's own random point would give, with the same
     probability as the checked instance's rank.
     """
-    # an orbit's first instance -> the note of the orbit's other records
-    # (one string for all of them) and its records
-    checked: dict[_Instance, tuple[str, list[CheckRecord]]] = {}
-    for instance, first in zip(instances, _orbits(entry, instances)):
+    vertices = entry.complex.vertices
+    maps = [{v: g.get(v, v) for v in vertices}.__getitem__ for g in entry.symmetries]
+    # each instance reached -> its orbit's one pair: the note of the orbit's
+    # other records and the records of its first instance
+    orbit: dict[_Instance, tuple[str, list[CheckRecord]]] = {}
+    for instance in instances:
         label, sub = identify(instance)
         record = f"{entry.name}:{label}"
-        if first == instance:
-            outcomes: list[CheckRecord] = []
-            checked[instance] = (f"same orbit as {label}", outcomes)
-            for o in run(instance, sub):
-                outcomes.append(o)
-                yield o._replace(instance=record + o.instance)
+        if instance in orbit:
+            note, records = orbit[instance]
+            for o in records:
+                if o.verdict == SKIP:
+                    yield o._replace(instance=record + o.instance)
+                else:
+                    yield o._replace(instance=record + o.instance, seed=sub, note=note)
             continue
-        note, outcomes = checked[first]
-        for o in outcomes:
-            if o.verdict != SKIP:
-                o = o._replace(seed=sub, note=f"{note}; {o.note}" if o.note else note)
+        checked: list[CheckRecord] = []
+        orbit[instance] = pair = (f"same orbit as {label}", checked)
+        reached = [instance]
+        while reached:
+            at = reached.pop()
+            for image in maps:
+                other = tuple([frozenset(map(image, face)) for face in at])
+                if other not in orbit:
+                    orbit[other] = pair
+                    reached.append(other)
+        for o in run(instance, sub):
+            checked.append(o)
             yield o._replace(instance=record + o.instance)
 
 
@@ -324,22 +316,22 @@ def _stars(entry: CorpusEntry, seed: int) -> Iterator[CheckRecord]:
 def _contractions(
     entry: CorpusEntry, seed: int, edges: Sequence[_Instance] | None = None
 ) -> Iterator[CheckRecord]:
-    """The d=4 contraction identity rank(Rig(G-e)) = rank(Rig(G of the
-    contraction)) + 4 for each edge, every edge in sorted order unless
-    `edges` names some, checked at a degenerate embedding that merges the
-    endpoints and again at independent generic points, on the first edge of
-    each orbit under the entry's symmetries (_per_orbit).  The degenerate
-    record ranks G-e and the contraction at one merged point
-    (contraction_ranks).  The contracted graph is G's, contracted:
-    each face of the contracted complex is the image of a face of delta, and
-    a face dropped inside a larger one takes no edge with it, so it has the
-    edges of SimplicialComplex.contract_edge's result.
+    """The contraction identity rank(Rig(G-e)) = rank(Rig(G of the
+    contraction)) + d in the entry's d for each edge, every edge in sorted
+    order unless `edges` names some, checked at a degenerate embedding that
+    merges the endpoints and again at independent generic points, on the
+    first edge of each orbit under the entry's symmetries (_per_orbit).  The
+    kind table runs it at d = 4, the paper's step.  The degenerate record
+    ranks G-e and the contraction at one merged point (contraction_ranks).
+    The contracted graph is G's, contracted: each face of the contracted
+    complex is the image of a face of delta, and a face dropped inside a
+    larger one takes no edge with it, so it has the edges of
+    SimplicialComplex.contract_edge's result.
 
-    Qualification: the edge's link has >= 4 vertices, counted from the
-    facets that contain the edge, and equals the intersection of the
-    endpoint links.  Unqualified edges are skips.
+    Qualification: the edge's link has >= d vertices and equals the
+    intersection of the endpoint links.  Unqualified edges are skips.
     """
-    delta = entry.complex
+    delta, d = entry.complex, entry.d
     graph = graph_of(delta)
     fresh = max(delta.vertices) + 1
     if edges is None:
@@ -352,9 +344,8 @@ def _contractions(
     def run(instance: _Instance, sub: int) -> Iterator[CheckRecord]:
         edge = instance[0]
         a, b = sorted(edge)
-        star = [f for f in delta.facets if edge <= f]
-        if len(frozenset().union(*star) - edge) < 4:
-            yield CheckRecord("", "", SKIP, seed=seed, note="link has < 4 vertices")
+        if len(delta.link(edge).vertices) < d:
+            yield CheckRecord("", "", SKIP, seed=seed, note=f"link has < {d} vertices")
             return
         if not delta.link_condition(edge):
             yield CheckRecord(
@@ -362,13 +353,13 @@ def _contractions(
             )
             return
         g_minus = graph.remove_edge(a, b)
-        lhs, rhs = contraction_ranks(g_minus, a, b, 4, derive_seed(sub, "degenerate"))
-        yield _ranked(":degenerate", lhs, rhs + 4, sub)
+        lhs, rhs = contraction_ranks(g_minus, a, b, d, derive_seed(sub, "degenerate"))
+        yield _ranked(":degenerate", lhs, rhs + d, sub)
 
         g_down = graph.contract_edge(a, b, fresh)
-        lhs_gen = decide_rigidity(g_minus, 4, seed=derive_seed(sub, "generic-minus")).rank
-        rhs_gen = decide_rigidity(g_down, 4, seed=derive_seed(sub, "generic-down")).rank
-        yield _ranked(":generic", lhs_gen, rhs_gen + 4, sub)
+        lhs_gen = decide_rigidity(g_minus, d, seed=derive_seed(sub, "generic-minus")).rank
+        rhs_gen = decide_rigidity(g_down, d, seed=derive_seed(sub, "generic-down")).rank
+        yield _ranked(":generic", lhs_gen, rhs_gen + d, sub)
 
     yield from _per_orbit(entry, edges, identify, run)
 
@@ -444,7 +435,7 @@ def verify_contraction_reduction(
     seed: int = 0,
     name: str = "complex",
 ) -> Report:
-    """The contraction records of one edge e of a 3-sphere, as verify gives
+    """The contraction records of one edge e, as verify gives
     them for the complex without symmetries; an e that is not an edge of
     the complex raises ValueError, and so does a complex of another
     dimension."""

@@ -540,8 +540,8 @@ MUTANTS = [
     (
         "orbit-verdict-from-the-last-checked-face",
         "src/spherig/harness.py",
-        "        note, outcomes = checked[first]\n",
-        "        note, outcomes = list(checked.values())[-1]\n",
+        "            note, records = orbit[instance]\n",
+        "            note, records = list(orbit.values())[-1]\n",
         (
             "tests/test_harness.py::TestSymmetryOrbits"
             "::test_a_transferred_record_takes_its_first_faces_verdict_and_names_it",
@@ -550,8 +550,8 @@ MUTANTS = [
     (
         "orbit-transfer-keeps-the-first-instances-seed",
         "src/spherig/harness.py",
-        "o = o._replace(seed=sub, note=",
-        "o = o._replace(note=",
+        "o.instance, seed=sub, note=note)",
+        "o.instance, note=note)",
         (
             "tests/test_harness.py::TestSymmetryOrbits"
             "::test_transferred_missing_face_and_contraction_records_replay",
@@ -560,8 +560,8 @@ MUTANTS = [
     (
         "orbit-outcomes-listed-before-yield",
         "src/spherig/harness.py",
-        "            for o in run(instance, sub):\n",
-        "            for o in list(run(instance, sub)):\n",
+        "        for o in run(instance, sub):\n",
+        "        for o in list(run(instance, sub)):\n",
         (
             "tests/test_harness.py::TestContraction"
             "::test_each_contraction_record_is_timed_on_its_own",
@@ -586,6 +586,33 @@ MUTANTS = [
             "tests/test_harness.py::TestRelabelling"
             "::test_a_relabelled_corpus_gets_the_same_verdict_rank_and_target",
         ),
+    ),
+    (
+        "orbit-search-applies-only-the-first-generator",
+        "src/spherig/harness.py",
+        "            for image in maps:\n",
+        "            for image in maps[:1]:\n",
+        (
+            "tests/test_harness.py::TestSymmetryOrbits"
+            "::test_default_families_check_one_star_per_orbit",
+        ),
+    ),
+    (
+        "contraction-link-threshold-one-below-d",
+        "src/spherig/harness.py",
+        "        if len(delta.link(edge).vertices) < d:\n",
+        "        if len(delta.link(edge).vertices) < d - 1:\n",
+        (
+            "tests/test_harness.py::TestSymmetryOrbits"
+            "::test_a_transferred_contraction_names_its_first_edge_and_keeps_its_skips",
+        ),
+    ),
+    (
+        "contraction-degenerate-target-at-d4",
+        "src/spherig/harness.py",
+        "lhs, rhs + d, sub)",
+        "lhs, rhs + 4, sub)",
+        ("tests/test_harness.py::TestContraction::test_the_kind_reads_d_from_its_entry",),
     ),
     (
         "gale-accepts-odd-interior-runs",

@@ -5,6 +5,7 @@ import hashlib
 import re
 import time
 import weakref
+from collections import Counter
 from math import comb
 from types import SimpleNamespace
 
@@ -409,6 +410,18 @@ class TestContraction:
         for line in lines:
             assert replay(line, corpus) == line
 
+    def test_the_kind_reads_d_from_its_entry(self):
+        # the runner refuses contraction above d = 4, so the kind is called
+        # directly: at d = 5 and 6 each qualifying edge's G - e is rigid, and
+        # so is G/ab, in the entry's own d
+        verdicts = Counter()
+        for entry in build_corpus(FAMILIES, (5, 6), 20260823):
+            target = rigidity_target(len(entry.complex.vertices), entry.d)
+            for r in spherig.harness._contractions(entry, derive_seed(20260823, entry.name)):
+                verdicts[r.verdict] += 1
+                assert r.verdict == SKIP or (r.verdict == PASS and r.rank == r.target == target), r
+        assert verdicts == {PASS: 798, SKIP: 298}
+
 
 class TestStarAndStress:
     def test_star_rigidity_cross_5(self):
@@ -594,6 +607,29 @@ class TestSymmetryOrbits:
                 assert replay(line, corpus) == line
                 assert record.seed == scheme_seed(record.check, record.instance, seed)
         assert transferred == {"missing_face": 313 - 130, "contraction": 2 * (179 - 93)}
+
+    def test_only_a_skip_carries_a_note_of_its_own(self, default_report):
+        # a checked pass or fail has no note, so a transferred one's note is
+        # exactly the name of the record it took its verdict from
+        reasons = {
+            "no missing faces of dimension 2..d-2",
+            "link has < 4 vertices",
+            "link(e) != link(a) * link(b) intersection",
+        }
+        records = default_report.records
+        checked = {(r.check, r.instance) for r in records if r.verdict != SKIP and not r.note}
+        transferred = skips = 0
+        for r in records:
+            if r.verdict == SKIP:
+                skips += 1
+                assert r.note in reasons, r
+            elif r.note:
+                transferred += 1
+                label = r.note.removeprefix("same orbit as ")
+                suffix = re.search(r"(:degenerate|:generic)?$", r.instance).group()
+                first = f"{r.instance.split(':')[0]}:{label}{suffix}"
+                assert r.note != label and (r.check, first) in checked, r
+        assert (len(checked), transferred, skips) == (1380, 1662, 136)
 
     def test_a_transferred_contraction_names_its_first_edge_and_keeps_its_skips(self):
         # cross-d4: every edge joins two of the four antipodal pairs, and the
